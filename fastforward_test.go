@@ -2,9 +2,14 @@ package shmgpu_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
+	"shmgpu"
+	"shmgpu/internal/gpu"
+	"shmgpu/internal/scheme"
 	"shmgpu/internal/testutil"
+	"shmgpu/internal/workload"
 )
 
 // runMode executes one (workload, scheme, seed) cell with fast-forward either
@@ -54,6 +59,19 @@ func TestFastForwardMatchesEveryCycle(t *testing.T) {
 	}
 }
 
+// oversubFullConfig is the quick configuration behind the host tier at
+// the default 16 B/cycle migration link, with a cycle budget every such
+// cell finishes in: the shape of the benchmark's oversub cells, where
+// most simulated cycles are spent waiting for page migrations.
+func oversubFullConfig(ratio float64, prefetch string) shmgpu.Config {
+	cfg := shmgpu.QuickConfig()
+	cfg.HostTier = true
+	cfg.OversubRatio = ratio
+	cfg.UVMPrefetch = prefetch
+	cfg.MaxCycles = 10_000_000
+	return cfg
+}
+
 // TestFastForwardMatchesEveryCycleOversubscribed extends the horizon gate
 // to the UVM host tier: with the working set oversubscribed, in-flight
 // page migrations join the event horizon (hostmem.Tier.NextEvent) and the
@@ -61,33 +79,82 @@ func TestFastForwardMatchesEveryCycle(t *testing.T) {
 // prefetch cells additionally pin migration-ahead state — fault streams,
 // batched transfers, eager evictions — against cycle skipping: a prefetch
 // issued on a skipped-to cycle must land exactly where every-cycle
-// ticking would put it.
+// ticking would put it. The full-length cells run to completion on the
+// default link, where fault waits dominate: they pin the skipping of
+// blocked miss-queue heads (replays charged in bulk, so uvm_replays
+// matches) and of pacing bubbles (warp back-offs replayed) over millions
+// of skipped cycles.
 func TestFastForwardMatchesEveryCycleOversubscribed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("corpus of full simulations; skipped in -short")
 	}
+	withPrefetch := func(cfg shmgpu.Config, prefetch string) shmgpu.Config {
+		cfg.UVMPrefetch = prefetch
+		return cfg
+	}
 	cells := []struct {
+		name     string
+		workload string
 		scheme   string
-		prefetch string
+		cfg      shmgpu.Config
+		full     bool
 	}{
-		{"Baseline", ""},
-		{"SHM", ""},
-		{"SHM", "stride"},
-		{"SHM", "stream"},
+		{"Baseline", "atax", "Baseline", oversubQuickConfig(0.5), false},
+		{"SHM", "atax", "SHM", oversubQuickConfig(0.5), false},
+		{"SHM_stride", "atax", "SHM", withPrefetch(oversubQuickConfig(0.5), "stride"), false},
+		{"SHM_stream", "atax", "SHM", withPrefetch(oversubQuickConfig(0.5), "stream"), false},
+		{"full_atax_r0.75_stream", "atax", "SHM", oversubFullConfig(0.75, "stream"), true},
+		{"full_atax_r0.25_none", "atax", "SHM", oversubFullConfig(0.25, "none"), true},
+		{"full_lbm_r0.5_stride", "lbm", "SHM", oversubFullConfig(0.5, "stride"), true},
 	}
 	for _, c := range cells {
 		c := c
-		name := c.scheme
-		if c.prefetch != "" {
-			name += "_" + c.prefetch
-		}
-		t.Run(name, func(t *testing.T) {
-			cfg := oversubQuickConfig(0.5)
-			cfg.UVMPrefetch = c.prefetch
-			ff := testutil.RunCellCfg(t, cfg, "atax", c.scheme, 1)
+		t.Run(c.name, func(t *testing.T) {
+			cfg := c.cfg
+			ff := testutil.RunCellCfg(t, cfg, c.workload, c.scheme, 1)
 			cfg.DisableFastForward = true
-			ref := testutil.RunCellCfg(t, cfg, "atax", c.scheme, 1)
+			ref := testutil.RunCellCfg(t, cfg, c.workload, c.scheme, 1)
 			testutil.AssertEqual(t, "fast-forward", ff, "every-cycle", ref)
+			if c.full && !strings.Contains(ff.Result, "completed=true") {
+				t.Errorf("full-length cell did not complete: %s", ff.Result)
+			}
 		})
+	}
+}
+
+// tickCounter counts the ticks a run executes: the simulator calls
+// SyncTick exactly once per executed tick.
+type tickCounter struct {
+	*workload.Bench
+	ticks uint64
+}
+
+func (t *tickCounter) SyncTick() {
+	t.ticks++
+	t.Bench.SyncTick()
+}
+
+// TestFastForwardSkipsFaultWaits gates the machine-independent work
+// counter of the oversubscribed path: on a cell that spends most of its
+// cycles waiting for page migrations, the event horizon must skip the
+// wait instead of ticking through it. Executed ticks stay at most 40% of
+// simulated cycles (every-cycle ticking executes one tick per cycle).
+func TestFastForwardSkipsFaultWaits(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full simulation; skipped in -short")
+	}
+	b, err := workload.ByName("atax")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tc := &tickCounter{Bench: b}
+	res := gpu.NewSystem(oversubFullConfig(0.75, "none"), scheme.SHM.Options).Run(tc)
+	if !res.Completed {
+		t.Fatalf("cell did not complete in %d cycles", res.Cycles)
+	}
+	t.Logf("executed %d ticks for %d cycles (%.1f%%)", tc.ticks, res.Cycles, 100*float64(tc.ticks)/float64(res.Cycles))
+	if tc.ticks*10 > res.Cycles*4 {
+		t.Errorf("executed %d ticks for %d cycles (%.1f%%), want at most 40%%",
+			tc.ticks, res.Cycles, 100*float64(tc.ticks)/float64(res.Cycles))
 	}
 }

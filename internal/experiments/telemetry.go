@@ -58,6 +58,9 @@ func RunObservedSeeded(cfg gpu.Config, wl string, seed int64, sch scheme.Scheme,
 	if err != nil {
 		return gpu.Result{}, nil, err
 	}
+	if err := cfg.Validate(); err != nil {
+		return gpu.Result{}, nil, err
+	}
 	col := telemetry.New(tcfg)
 	sys := gpu.NewSystem(cfg, sch.Options)
 	sys.AttachTelemetry(col)

@@ -176,6 +176,13 @@ func (c Config) Validate() error {
 	if c.XbarQueueDepth <= 0 {
 		return fmt.Errorf("gpu: XbarQueueDepth must be positive")
 	}
+	if c.MaxWarpInflightSectors <= 0 {
+		// No warp could ever issue: without MaxCycles the run never ends.
+		return fmt.Errorf("gpu: MaxWarpInflightSectors must be positive, got %d", c.MaxWarpInflightSectors)
+	}
+	if err := c.l1Config().Validate(); err != nil {
+		return fmt.Errorf("gpu: %w", err)
+	}
 	if c.ParallelShards < 0 {
 		return fmt.Errorf("gpu: ParallelShards must be non-negative, got %d", c.ParallelShards)
 	}

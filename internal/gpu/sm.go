@@ -23,7 +23,32 @@ type warpState struct {
 	// readyAt delays the warp after an L1 hit.
 	readyAt uint64
 	done    bool
+	// stalls is prog's StallPredictor extension, or nil.
+	stalls StallPredictor
 }
+
+// newWarpState installs a fresh program, caching its StallPredictor.
+func newWarpState(prog WarpProgram) warpState {
+	stalls, _ := prog.(StallPredictor)
+	return warpState{prog: prog, stalls: stalls}
+}
+
+// stallPending reports whether the warp's next issue is a scheduling
+// bubble from a program that can predict its stalls. The warp is a bubble
+// warp — its issue changes nothing but its own back-off — when
+// StallsAgain also vouches that the Next call after the bubble stalls too.
+func (w *warpState) stallPending() bool {
+	return w.computeLeft == 0 && w.haveMem && w.pendingMem.Stall && w.stalls != nil
+}
+
+const (
+	// missQueueThrottle is the miss-queue length above which an SM stops
+	// issuing until the crossbar drains it.
+	missQueueThrottle = 32
+	// bubbleBackoff is how long a warp waits after a scheduling bubble
+	// before asking its program again.
+	bubbleBackoff = 16
+)
 
 // smRequest is a sector request traveling from an SM toward memory.
 type smRequest struct {
@@ -50,6 +75,11 @@ type SM struct {
 	missQueue ringbuf.Ring[smRequest]
 	// lastWarp implements greedy-then-oldest scheduling.
 	lastWarp int
+	// bubbles lists the bubble warps the last exact horizon evaluation of
+	// this SM found (see System.smNextEvent); replayBubbles consumes it.
+	// bubbleMarks is replayBubbles' checkpoint scratch.
+	bubbles     []int32
+	bubbleMarks []uint64
 
 	// Instructions counts issued warp instructions (IPC numerator).
 	Instructions uint64
@@ -84,15 +114,22 @@ func (s *SM) stallProbe(now uint64) {
 
 func newSM(id int, cfg *Config) *SM {
 	return &SM{
-		id:  id,
-		cfg: cfg,
-		l1: cache.New(cache.Config{
-			Name:             "l1",
-			SizeBytes:        cfg.L1Bytes,
-			Ways:             cfg.L1Ways,
-			MSHRs:            cfg.L1MSHRs,
-			MaxMergesPerMSHR: 16,
-		}),
+		id:          id,
+		cfg:         cfg,
+		bubbles:     make([]int32, 0, cfg.WarpsPerSM),
+		bubbleMarks: make([]uint64, 0, cfg.WarpsPerSM),
+		l1:          cache.New(cfg.l1Config()),
+	}
+}
+
+// l1Config is the cache configuration of every SM's L1.
+func (c *Config) l1Config() cache.Config {
+	return cache.Config{
+		Name:             "l1",
+		SizeBytes:        c.L1Bytes,
+		Ways:             c.L1Ways,
+		MSHRs:            c.L1MSHRs,
+		MaxMergesPerMSHR: 16,
 	}
 }
 
@@ -107,7 +144,7 @@ func (s *SM) launch(kernel int, wl Workload) {
 		s.warps = make([]warpState, s.cfg.WarpsPerSM)
 	}
 	for w := range s.warps {
-		s.warps[w] = warpState{prog: wl.NewWarp(kernel, s.id, w)}
+		s.warps[w] = newWarpState(wl.NewWarp(kernel, s.id, w))
 		s.advance(&s.warps[w])
 	}
 	s.lastWarp = 0
@@ -166,7 +203,7 @@ func (s *SM) drainMisses(accept func(smRequest) bool) {
 
 // issueTick issues at most one instruction from the SM's warps.
 func (s *SM) issueTick(now uint64) {
-	if s.missQueue.Len() > 32 {
+	if s.missQueue.Len() > missQueueThrottle {
 		s.stallProbe(now)
 		return // throttle issue until the queue drains
 	}
@@ -206,7 +243,7 @@ func (s *SM) issueMem(w *warpState, warpIdx int, now uint64) {
 	if mem.Stall {
 		// Scheduling bubble: the warp backs off briefly and re-asks the
 		// program; not counted as an instruction.
-		w.readyAt = now + 16
+		w.readyAt = now + bubbleBackoff
 		s.advance(w)
 		s.stallProbe(now)
 		return
@@ -269,7 +306,9 @@ func (s *SM) onFill(addr memdef.Addr, now uint64) {
 // on its own: queued crossbar retries and issuable warps mean the very next
 // cycle; otherwise the earliest warp wake-up (post-hit latency or back-off)
 // is the horizon. Warps capped on in-flight sectors wake via fills, which
-// the response network's horizon accounts for.
+// the response network's horizon accounts for. This is the conservative
+// horizon the sharded engine's SM tasks use; the sequential engine uses
+// System.smNextEvent.
 func (s *SM) nextEvent(now uint64) uint64 {
 	if s.missQueue.Len() > 0 {
 		return now + 1
@@ -289,4 +328,123 @@ func (s *SM) nextEvent(now uint64) uint64 {
 		return now + 1
 	}
 	return next
+}
+
+// warpNextEvent is the warp half of nextEvent with bubble warps taken out:
+// their wake-ups do not count as events and are listed in s.bubbles
+// instead, for replayBubbles to play through any cycles the horizon skips.
+// Warps with a Stall pending are set aside in a first pass and asked
+// StallsAgain only if no ordinary warp is issuable now and their wake-up
+// precedes every ordinary one; a later wake-up is never eligible in a
+// skipped window, whatever the answer.
+func (s *SM) warpNextEvent(now uint64) uint64 {
+	next := ^uint64(0)
+	for i := range s.warps {
+		w := &s.warps[i]
+		if w.done || w.outstanding >= s.cfg.MaxWarpInflightSectors {
+			continue
+		}
+		if w.stallPending() {
+			s.bubbles = append(s.bubbles, int32(i)) //shm:alloc-ok bounded by WarpsPerSM; capacity is kept across evaluations
+			continue
+		}
+		if w.readyAt > now {
+			if w.readyAt < next {
+				next = w.readyAt
+			}
+			continue
+		}
+		return now + 1
+	}
+	kept := s.bubbles[:0]
+	for _, wi := range s.bubbles {
+		w := &s.warps[wi]
+		if w.readyAt >= next {
+			continue
+		}
+		if w.stalls.StallsAgain() {
+			kept = append(kept, wi) //shm:alloc-ok filters s.bubbles in place
+			continue
+		}
+		if w.readyAt <= now {
+			return now + 1
+		}
+		next = w.readyAt
+	}
+	s.bubbles = kept
+	return next
+}
+
+// replayBubbles plays the scheduler through the skipped cycles (now,
+// until), in which only bubble warps (s.bubbles) become eligible. At each
+// cycle with an eligible warp, issueTick's greedy-then-oldest scan picks
+// the first one from lastWarp and issueMem backs it off again — those two
+// writes are all a bubble changes. The replay jumps from one such cycle to
+// the next, and over whole periods once the schedule repeats: the state at
+// a cycle c (lastWarp, and each bubble warp's readyAt relative to c)
+// decides everything after it, so a state equal to an earlier one at cp
+// shifted by T = c-cp repeats every T cycles. Checkpoints are taken each
+// time every bubble warp has backed off since the last one.
+func (s *SM) replayBubbles(now, until uint64) {
+	n := len(s.warps)
+	c := now + 1
+	cp, cpLast := c, s.lastWarp
+	s.markBubbles()
+	for {
+		at := ^uint64(0)
+		for _, wi := range s.bubbles {
+			if r := s.warps[wi].readyAt; r < at {
+				at = r
+			}
+		}
+		if at >= cp+bubbleBackoff && c > cp {
+			if T := c - cp; s.lastWarp == cpLast && s.bubblesShiftedBy(T) {
+				if m := (until - c) / T; m > 0 {
+					for _, wi := range s.bubbles {
+						s.warps[wi].readyAt += m * T
+					}
+					c += m * T
+					at += m * T
+				}
+			}
+			cp, cpLast = c, s.lastWarp
+			s.markBubbles()
+		}
+		if at < c {
+			at = c
+		}
+		if at >= until {
+			return
+		}
+		pick, dist := 0, n
+		for _, wi := range s.bubbles {
+			if s.warps[wi].readyAt <= at {
+				if d := (int(wi) - s.lastWarp + n) % n; d < dist {
+					pick, dist = int(wi), d
+				}
+			}
+		}
+		s.warps[pick].readyAt = at + bubbleBackoff
+		s.lastWarp = pick
+		c = at + 1
+	}
+}
+
+// markBubbles records every bubble warp's readyAt as a replay checkpoint.
+func (s *SM) markBubbles() {
+	s.bubbleMarks = s.bubbleMarks[:0]
+	for _, wi := range s.bubbles {
+		s.bubbleMarks = append(s.bubbleMarks, s.warps[wi].readyAt) //shm:alloc-ok bounded by WarpsPerSM; capacity is kept across replays
+	}
+}
+
+// bubblesShiftedBy reports whether every bubble warp's readyAt is its
+// checkpoint value plus t.
+func (s *SM) bubblesShiftedBy(t uint64) bool {
+	for j, wi := range s.bubbles {
+		if s.warps[wi].readyAt != s.bubbleMarks[j]+t {
+			return false
+		}
+	}
+	return true
 }

@@ -170,6 +170,7 @@ func (s *SM) loadState(d *snapshot.Decoder, wl Workload, kernel int) error {
 			return err
 		}
 		ws.prog = prog
+		ws.stalls, _ = prog.(StallPredictor)
 	}
 	return d.Err()
 }

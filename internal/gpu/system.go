@@ -155,6 +155,12 @@ type System struct {
 	// see uvm.go): crossbar admission faults on non-resident pages and the
 	// tier's migrations tick in the sequential pre-phase of both engines.
 	uvm *uvmState
+	// blockedReplays is the number of SMs whose miss-queue head the last
+	// horizon evaluation found blocked by the host tier: each skipped
+	// cycle would have charged one replay per such SM.
+	blockedReplays uint64
+	// smHint is the SM whose horizon last returned now+1.
+	smHint int
 }
 
 // AttachTelemetry installs a collector on every component's probe point.
@@ -293,8 +299,7 @@ func (s *System) bankOf(local memdef.Addr) int {
 func (s *System) applySetup(k int, setup KernelSetup) {
 	for _, cr := range setup.CopyRanges {
 		lo, hi := s.pmap.LocalRange(cr.Lo, cr.Hi)
-		for p, mee := range s.mees {
-			_ = p
+		for _, mee := range s.mees {
 			if k == 0 {
 				mee.MarkInputRange(lo, hi)
 			} else if setup.UseResetAPI {
@@ -560,6 +565,11 @@ func (s *System) drainLoop() {
 // back-pressured work report now+1; a tick at a cycle below every
 // component's horizon would change no state and emit no event, which is
 // what makes the skip transparent.
+//
+// The sequential engine also skips two kinds of tick whose only effects
+// are known in advance, and replays those effects here in bulk (see
+// smNextEvent): host-tier replays of blocked miss-queue heads, and the
+// back-offs of warps re-asking a pacing-stalled program.
 func (s *System) advanceCycle(now, deadline uint64) uint64 {
 	next := now + 1
 	if !s.cfg.DisableFastForward {
@@ -570,17 +580,69 @@ func (s *System) advanceCycle(now, deadline uint64) uint64 {
 	if deadline != 0 && next > deadline {
 		next = deadline
 	}
-	if skipped := next - now - 1; skipped > 0 && s.tele != nil {
+	skipped := next - now - 1
+	if skipped == 0 {
+		return next
+	}
+	if s.tele != nil {
 		// An every-cycle run emits one EvSMStall per unfinished SM per idle
-		// cycle (sm.stallProbe). Stall events carry no histogram or capture
-		// payload, so bulk-adding the count is exactly equivalent.
+		// cycle (sm.stallProbe), bubble cycles included. Stall events carry
+		// no histogram or capture payload, so bulk-adding the count is
+		// exactly equivalent.
 		for _, sm := range s.sms {
 			if !sm.finished() {
 				s.tele.AddEvents(telemetry.EvSMStall, skipped)
 			}
 		}
 	}
+	if s.par == nil {
+		// A skip means the evaluation visited every SM, so blockedReplays
+		// and each SM's bubble list are this evaluation's.
+		if s.blockedReplays != 0 {
+			s.uvm.tier.ChargeReplays(s.blockedReplays * skipped)
+		}
+		for _, sm := range s.sms {
+			if len(sm.bubbles) != 0 {
+				sm.replayBubbles(now, next)
+			}
+		}
+	}
 	return next
+}
+
+// smNextEvent is the sequential engine's exact SM horizon. It refines
+// SM.nextEvent in two ways, each resting on the fact that no other
+// component acts before the horizon it returns:
+//
+//   - A miss-queue head that can only be rejected does not pin now+1. It
+//     is blocked while its partition's crossbar queue is full (the queue
+//     cannot pop before its front matures, which the horizon covers) or
+//     while the host tier would stall it (hostmem.Tier.Blocked; the tier
+//     cannot change before its NextEvent). A tier-blocked head charges one
+//     replay per skipped cycle, counted in s.blockedReplays. Above the
+//     issue throttle the SM then cannot issue at all.
+//   - Bubble warps (see warpState.stallPending) do not count as events;
+//     their wake-ups in a skipped window are replayed by replayBubbles.
+//     The pacing frontier they wait on moves only when some warp issues
+//     a real instruction, and any such issue is an event here.
+func (s *System) smNextEvent(sm *SM, now uint64) uint64 {
+	sm.bubbles = sm.bubbles[:0]
+	if sm.missQueue.Len() > 0 {
+		head := sm.missQueue.Front()
+		part, _ := s.pmap.ToLocal(head.addr)
+		switch {
+		case s.toPart[part].Len() >= s.cfg.XbarQueueDepth:
+			// Rejected before the tier is asked: no replay.
+		case s.uvm != nil && s.uvm.tier.Blocked(uint64(head.addr)):
+			s.blockedReplays++
+		default:
+			return now + 1
+		}
+		if sm.missQueue.Len() > missQueueThrottle {
+			return ^uint64(0)
+		}
+	}
+	return sm.warpNextEvent(now)
 }
 
 // nextEventCycle computes the system-wide event horizon: the minimum of
@@ -594,10 +656,22 @@ func (s *System) nextEventCycle(now uint64) uint64 {
 		return s.par.horizonMin
 	}
 	next := ^uint64(0)
-	for _, sm := range s.sms {
-		if v := sm.nextEvent(now); v < next {
+	s.blockedReplays = 0
+	// Start at the SM that pinned the last horizon: while warps issue, it
+	// usually pins the next one too, which spares the scans of the others.
+	for i := range s.sms {
+		k := (s.smHint + i) % len(s.sms)
+		sm := s.sms[k]
+		var v uint64
+		if s.par == nil {
+			v = s.smNextEvent(sm, now)
+		} else {
+			v = sm.nextEvent(now)
+		}
+		if v < next {
 			next = v
 			if next <= now+1 {
+				s.smHint = k
 				return now + 1
 			}
 		}
@@ -803,8 +877,7 @@ func (s *System) tickOnce(now uint64) {
 	}
 
 	// 5. DRAM channels advance; completions return to their owning MEE.
-	for p, ch := range s.channels {
-		_ = p
+	for _, ch := range s.channels {
 		for _, done := range ch.Tick(now) {
 			owner := secmem.TokenOwner(done.Token)
 			if owner >= 0 && owner < len(s.mees) {

@@ -6,8 +6,10 @@ package gpu
 // PCIe-modeled migration, and leaves the request at the head of its
 // SM's miss queue, which retries it every cycle until the page arrives
 // (XNACK-style pause-and-replay; drainMisses already stops at the first
-// rejected request, and SM.nextEvent pins the horizon to now+1 while
-// the queue is non-empty, so both engines replay identically).
+// rejected request). The sharded engine ticks every retry. The
+// sequential engine skips the retries of a head the tier reports
+// Blocked up to the next event and charges their replays in bulk
+// (System.smNextEvent, advanceCycle), so both engines count identically.
 //
 // Security metadata travels with pages: under the "rebuild" integrity
 // mode a fault-in re-encrypts the migrated range with fresh counters,

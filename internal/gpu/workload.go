@@ -28,6 +28,18 @@ type WarpProgram interface {
 	Next() (compute int, mem MemInst, done bool)
 }
 
+// StallPredictor is an optional WarpProgram extension the sequential
+// engine's event horizon uses to skip scheduling bubbles (see
+// System.smNextEvent). StallsAgain reports whether Next, called at the
+// coming tick, would return a Stall bubble without changing any program
+// or workload state — and would keep doing so at every later tick until
+// some warp of the grid issues a real instruction. It is called between
+// ticks, after the previous tick's TickSynced.SyncTick, and must not
+// change state itself.
+type StallPredictor interface {
+	StallsAgain() bool
+}
+
 // AddrRange is a half-open physical address range [Lo, Hi).
 type AddrRange struct {
 	Lo, Hi memdef.Addr

@@ -649,6 +649,34 @@ func (t *Tier) Access(addr uint64, write bool, now uint64) AccessResult {
 	return Fault
 }
 
+// Blocked reports whether Access(addr, ...) would return Stall and change
+// nothing but Stats.Replays, at this cycle and every later one until Tick
+// lands a page (NextEvent) or another Access mutates the tier. That holds
+// for a migrating page whose late-prefetch accounting is settled, and for
+// a host page that cannot start a migration: the ring is full, or every
+// frame is reserved by an in-flight migration with no resident victim.
+// A migrating page still marked pfInflight is not blocked — its first
+// stall flips the prefetch to late. The fast-forward horizon uses this to
+// skip a blocked requester's replays and charge them with ChargeReplays.
+func (t *Tier) Blocked(addr uint64) bool {
+	page := int(addr / t.cfg.PageBytes)
+	if page >= t.numPages {
+		return false
+	}
+	switch t.state[page] {
+	case pageResident:
+		return false
+	case pageMigrating:
+		return t.pstate[page] != pfInflight
+	}
+	return t.ringLen == t.cfg.MaxInflight ||
+		t.resident+t.inflight >= t.cfg.Frames && t.heapLen == 0
+}
+
+// ChargeReplays counts n replays of blocked accesses that the embedding
+// layer skipped instead of calling Access for each (see Blocked).
+func (t *Tier) ChargeReplays(n uint64) { t.stats.Replays += n }
+
 // prefetchPlan maps a demand fault to a (stride, degree, eager) fetch
 // plan. Degree 0 means no prefetching.
 func (t *Tier) prefetchPlan(page int) (stride, degree int, eager bool) {

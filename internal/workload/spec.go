@@ -115,7 +115,7 @@ type Spec struct {
 	// FrontierWindow bounds how many memory-instruction steps a warp may
 	// run ahead of the slowest warp, modeling the in-order tile dispatch
 	// of real grids (resident threadblocks process consecutive tiles, so
-	// the active data frontier stays narrow). 0 selects the default (3).
+	// the active data frontier stays narrow). 0 selects the default (1).
 	FrontierWindow int
 	// Seed makes generation deterministic.
 	Seed int64
@@ -170,6 +170,10 @@ type frontierState struct {
 	// the live minimum instead — without the fallback a lone warp would
 	// pace against a permanently stale frontier and stall forever.
 	synced bool
+	// next caches nextMin's lane scan until the coming syncTick; nextOK
+	// marks it valid.
+	next   int
+	nextOK bool
 }
 
 // frontierLane is one SM's progress histogram, padded so lanes written
@@ -209,6 +213,23 @@ func (f *frontierState) advance(lane, step int) {
 func (f *frontierState) syncTick() {
 	f.synced = true
 	f.frozen = f.liveMin()
+	f.nextOK = false
+}
+
+// nextMin returns the minimum the coming tick's Min will read: the live
+// minimum, which the next syncTick freezes. Between two ticks the lanes
+// do not move, so a synced frontier scans them once and serves every
+// other warp's query from the cache; an unsynced one (warps driven
+// standalone) scans every time.
+func (f *frontierState) nextMin() int {
+	if !f.synced {
+		return f.liveMin()
+	}
+	if !f.nextOK {
+		f.next = f.liveMin()
+		f.nextOK = true
+	}
+	return f.next
 }
 
 // liveMin computes the slowest registered warp's step right now.

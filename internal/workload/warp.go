@@ -35,11 +35,7 @@ func (p *program) Next() (int, gpu.MemInst, bool) {
 	}
 	// Frontier pacing: stay within the window of the slowest warp (as of
 	// the tick-start frontier snapshot), modeling in-order tile dispatch.
-	window := p.bench.spec.FrontierWindow
-	if window <= 0 {
-		window = 1
-	}
-	if p.issued > p.bench.frontier.Min()+window {
+	if p.issued > p.bench.frontier.Min()+p.bench.window() {
 		return 0, gpu.MemInst{Stall: true}, false
 	}
 	slot := p.issued % len(p.bench.schedule)
@@ -76,6 +72,23 @@ func (p *program) Next() (int, gpu.MemInst, bool) {
 		compute += p.rng.Intn(3) - 1
 	}
 	return compute, inst, false
+}
+
+// StallsAgain implements gpu.StallPredictor: Next's pacing check against
+// the frontier minimum the coming tick will freeze. Lanes only move when a
+// warp issues, so the answer holds until some warp does.
+func (p *program) StallsAgain() bool {
+	return p.issued < p.bench.spec.MemInstsPerWarp &&
+		p.issued > p.bench.frontier.nextMin()+p.bench.window()
+}
+
+// window is how many memory-instruction steps a warp may run ahead of the
+// frontier.
+func (b *Bench) window() int {
+	if b.spec.FrontierWindow <= 0 {
+		return 1
+	}
+	return b.spec.FrontierWindow
 }
 
 // streamStride is the bytes one streaming memory instruction covers: a full

@@ -193,6 +193,9 @@ func RunSeeded(cfg Config, workloadName, schemeName string, seed int64) (Result,
 	if err != nil {
 		return Result{}, err
 	}
+	if err := cfg.Validate(); err != nil {
+		return Result{}, err
+	}
 	res := gpu.NewSystem(cfg, sch.Options).Run(bench)
 	res.Scheme = sch.Name
 	return res, nil

@@ -40,6 +40,44 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
+// TestRunRejectsBadConfig drives configurations the simulator cannot run
+// through both facade entry points: each must come back as an error, not
+// a panic in a component constructor or a run that never ends. Every case
+// leaves MaxCycles at 0, so a config that slipped through and stalled
+// would hang until the test timeout.
+func TestRunRejectsBadConfig(t *testing.T) {
+	cases := []struct {
+		name string
+		mut  func(*Config)
+	}{
+		{"MaxWarpInflightSectors=0", func(c *Config) { c.MaxWarpInflightSectors = 0 }},
+		{"MaxWarpInflightSectors<0", func(c *Config) { c.MaxWarpInflightSectors = -4 }},
+		{"L1Bytes=0", func(c *Config) { c.L1Bytes = 0 }},
+		{"L1Bytes<0", func(c *Config) { c.L1Bytes = -1 << 10 }},
+		{"L1Ways=0", func(c *Config) { c.L1Ways = 0 }},
+		{"L1Ways<0", func(c *Config) { c.L1Ways = -2 }},
+		{"L1MSHRs=0", func(c *Config) { c.L1MSHRs = 0 }},
+		{"L1MSHRs<0", func(c *Config) { c.L1MSHRs = -1 }},
+	}
+	for _, c := range cases {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
+			cfg := QuickConfig()
+			cfg.MaxCycles = 0
+			c.mut(&cfg)
+			if err := cfg.Validate(); err == nil {
+				t.Fatal("Validate accepted the config")
+			}
+			if _, err := RunSeeded(cfg, "atax", "SHM", 1); err == nil {
+				t.Error("RunSeeded accepted the config")
+			}
+			if _, _, err := RunWithTelemetrySeeded(cfg, "atax", "SHM", 1, TelemetryConfig{}); err == nil {
+				t.Error("RunWithTelemetrySeeded accepted the config")
+			}
+		})
+	}
+}
+
 func TestRunEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation")

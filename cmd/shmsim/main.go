@@ -63,7 +63,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		sampleInterval = fs.Uint64("sample-interval", 5000, "timeline sampling period in cycles (0 disables the timeline)")
 		seed           = fs.Int64("seed", 0, "workload seed for the warp programs' random streams (0 = the benchmark's built-in seed)")
 		check          = fs.Bool("check", false, "enable the runtime invariant sanitizer (model self-checks; slower)")
-		shards         = fs.Int("shards", 0, "parallel tick shards (0 = sequential; results are byte-identical either way)")
 		quiet          = fs.Bool("q", false, "suppress informational logging (errors still print)")
 		verbose        = fs.Bool("v", false, "verbose logging")
 		snapshotOut    = fs.String("snapshot-out", "", "warm the run to -snapshot-at, write a resumable state snapshot to this path, and exit")
@@ -108,11 +107,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	if *quick {
 		cfg = shmgpu.QuickConfig()
 	}
-	if *shards < 0 {
-		log.Errorf("-shards must be non-negative, got %d", *shards)
-		return 2
-	}
-	cfg.ParallelShards = *shards
 	if *hostTier {
 		cfg.HostTier = true
 		cfg.OversubRatio = *oversubRatio

@@ -16,7 +16,7 @@ import (
 // enabled (the default) or disabled (reference every-cycle ticking).
 func runMode(t *testing.T, workload, scheme string, seed int64, disableFF bool) testutil.Artifacts {
 	t.Helper()
-	return testutil.RunCell(t, workload, scheme, seed, 0, disableFF)
+	return testutil.RunCell(t, workload, scheme, seed, disableFF)
 }
 
 // TestFastForwardMatchesEveryCycle is the event-horizon equivalence gate:

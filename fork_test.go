@@ -9,22 +9,15 @@ import (
 	"shmgpu/internal/testutil"
 )
 
-// forkSpecsFor builds the child variants one warmed parent fans out to:
-// the sequential engine in both fast-forward modes plus the cell's shard
-// counts (fast-forward on, matching the parallel corpus).
-func forkSpecsFor(shards []int) []shmgpu.ForkSpec {
-	specs := []shmgpu.ForkSpec{
-		{Shards: 0, DisableFastForward: false},
-		{Shards: 0, DisableFastForward: true},
-	}
-	for _, s := range shards {
-		specs = append(specs, shmgpu.ForkSpec{Shards: s, DisableFastForward: false})
-	}
-	return specs
+// forkSpecs are the child variants one warmed parent fans out to: both
+// fast-forward modes.
+var forkSpecs = []shmgpu.ForkSpec{
+	{DisableFastForward: false},
+	{DisableFastForward: true},
 }
 
-// TestForkMatchesScratch is the checkpoint/fork equivalence gate: over the
-// parallel corpus's cells, a run forked from a warmed parent's snapshot
+// TestForkMatchesScratch is the checkpoint/fork equivalence gate: over a
+// corpus of cells, a run forked from a warmed parent's snapshot
 // must be byte-indistinguishable from the same configuration run from
 // scratch — identical Result fields, stats-registry snapshot, and
 // telemetry JSONL — for every child variant, with the fork point both
@@ -38,13 +31,12 @@ func TestForkMatchesScratch(t *testing.T) {
 		workload string
 		scheme   string
 		seed     int64
-		shards   []int
 	}{
-		{"atax", "Baseline", 1, []int{1, 4}},
-		{"atax", "SHM", 1, []int{4}},
-		{"bfs", "SHM", 2, []int{2}},
-		{"fdtd2d", "SHM_readOnly", 3, []int{4}},
-		{"mvt", "Common_ctr", 4, []int{4}},
+		{"atax", "Baseline", 1},
+		{"atax", "SHM", 1},
+		{"bfs", "SHM", 2},
+		{"fdtd2d", "SHM_readOnly", 3},
+		{"mvt", "Common_ctr", 4},
 	}
 	for _, c := range cells {
 		c := c
@@ -61,21 +53,20 @@ func TestForkMatchesScratch(t *testing.T) {
 			{"warmup", probe.Cycles / 8},
 			{"steady", probe.Cycles / 2},
 		}
-		specs := forkSpecsFor(c.shards)
 		for _, wp := range warmPoints {
 			wp := wp
 			if wp.at == 0 {
 				continue
 			}
 			t.Run(fmt.Sprintf("%s_%s_seed%d_%s", c.workload, c.scheme, c.seed, wp.name), func(t *testing.T) {
-				results, cols, err := shmgpu.RunForkedSeeded(shmgpu.QuickConfig(), c.workload, c.scheme, c.seed, wp.at, testutil.QuickTelemetry(), specs)
+				results, cols, err := shmgpu.RunForkedSeeded(shmgpu.QuickConfig(), c.workload, c.scheme, c.seed, wp.at, testutil.QuickTelemetry(), forkSpecs)
 				if err != nil {
 					t.Fatalf("forked run: %v", err)
 				}
-				for i, spec := range specs {
+				for i, spec := range forkSpecs {
 					forked := testutil.Collect(t, shmgpu.QuickConfig(), c.workload, c.scheme, c.seed, results[i], cols[i])
-					scratch := testutil.RunCell(t, c.workload, c.scheme, c.seed, spec.Shards, spec.DisableFastForward)
-					label := fmt.Sprintf("forked shards=%d ff=%v", spec.Shards, !spec.DisableFastForward)
+					scratch := testutil.RunCell(t, c.workload, c.scheme, c.seed, spec.DisableFastForward)
+					label := fmt.Sprintf("forked ff=%v", !spec.DisableFastForward)
 					testutil.AssertEqual(t, label, forked, "scratch", scratch)
 				}
 			})
@@ -110,7 +101,6 @@ func TestForkMatchesScratchOversubscribed(t *testing.T) {
 			if err != nil {
 				t.Fatalf("probe run: %v", err)
 			}
-			specs := forkSpecsFor([]int{4})
 			for _, frac := range []struct {
 				name string
 				at   uint64
@@ -123,17 +113,16 @@ func TestForkMatchesScratchOversubscribed(t *testing.T) {
 					continue
 				}
 				t.Run(frac.name, func(t *testing.T) {
-					results, cols, err := shmgpu.RunForkedSeeded(cfg, "atax", "SHM", 1, frac.at, testutil.QuickTelemetry(), specs)
+					results, cols, err := shmgpu.RunForkedSeeded(cfg, "atax", "SHM", 1, frac.at, testutil.QuickTelemetry(), forkSpecs)
 					if err != nil {
 						t.Fatalf("forked run: %v", err)
 					}
-					for i, spec := range specs {
+					for i, spec := range forkSpecs {
 						scfg := cfg
-						scfg.ParallelShards = spec.Shards
 						scfg.DisableFastForward = spec.DisableFastForward
 						forked := testutil.Collect(t, cfg, "atax", "SHM", 1, results[i], cols[i])
 						scratch := testutil.RunCellCfg(t, scfg, "atax", "SHM", 1)
-						label := fmt.Sprintf("forked shards=%d ff=%v", spec.Shards, !spec.DisableFastForward)
+						label := fmt.Sprintf("forked ff=%v", !spec.DisableFastForward)
 						testutil.AssertEqual(t, label, forked, "scratch", scratch)
 					}
 				})
@@ -170,7 +159,7 @@ func TestSnapshotFileRoundTrip(t *testing.T) {
 		t.Fatalf("RestoreRun: %v", err)
 	}
 	restored := testutil.Collect(t, cfg, "atax", "SHM", 1, res, col)
-	scratch := testutil.RunCell(t, "atax", "SHM", 1, 0, false)
+	scratch := testutil.RunCell(t, "atax", "SHM", 1, false)
 	testutil.AssertEqual(t, "restored", restored, "scratch", scratch)
 
 	if _, _, err := shmgpu.RestoreRun(cfg, "atax", "PSSM", 1, tcfg, path); err == nil {

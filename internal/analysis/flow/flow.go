@@ -1,13 +1,13 @@
 // Package flow is the dataflow core behind the flow-sensitive analyzers
-// (hotalloc, syncfree, shardsafety). It layers three facilities on top of
-// the per-package AST/type information the analysis framework provides:
+// (hotalloc, syncfree). It layers three facilities on top of the
+// per-package AST/type information the analysis framework provides:
 //
 //  1. Function summaries (Collect): every function and function literal in
 //     a package is summarized as its call sites (static, interface, and
-//     function-value calls), heap-allocation sites, synchronization sites,
-//     and write effects — with per-site pruning for paths that cannot be
-//     steady-state cost (CFG-unreachable code, panic-only blocks, runtime
-//     sanitizer branches, and `//shm:cold` amortized paths).
+//     function-value calls), heap-allocation sites, and synchronization
+//     sites — with per-site pruning for paths that cannot be steady-state
+//     cost (CFG-unreachable code, panic-only blocks, runtime sanitizer
+//     branches, and `//shm:cold` amortized paths).
 //
 //  2. Function-value flow: an SSA-lite, flow-insensitive points-to map for
 //     func-typed values. Assignments of named functions, bound methods,
@@ -15,20 +15,18 @@
 //     recorded as flows keyed by the destination object; calls through a
 //     variable/field/parameter resolve to every function that flowed into
 //     the key. This is what connects the tick loop to the crossbar
-//     accept/respond method values and the shard engine's prebuilt task
-//     closures.
+//     accept/respond method values.
 //
 //  3. A whole-tree call graph (BuildGraph, in graph.go): summaries from
 //     every package are stitched together; interface calls resolve by
 //     class-hierarchy approximation (every module method with the same
-//     name), reachability walks from annotated roots with witness paths,
-//     and a fixpoint propagates receiver/parameter write effects through
-//     the graph for shardsafety's region checks.
+//     name), and reachability walks from annotated roots with witness
+//     paths.
 //
 // The summaries deliberately over-approximate (a call through an interface
-// may reach more methods than it dynamically can; a value copied out of
-// shared state keeps the source's base set): soundness for the analyzers
-// means never missing a reachable site, at the cost of waivable noise.
+// may reach more methods than it dynamically can): soundness for the
+// analyzers means never missing a reachable site, at the cost of waivable
+// noise.
 package flow
 
 import (
@@ -45,36 +43,6 @@ import (
 // "pkg/path.Name", "pkg/path.(Recv).Name", or "outerkey$N" for the N-th
 // function literal inside another function.
 type FuncKey string
-
-// Bases is a bit set describing which storage roots a value may alias:
-// the enclosing function's receiver, its parameters, package-level
-// variables, or variables captured from an enclosing function. The zero
-// value means "locally allocated only".
-type Bases uint32
-
-const (
-	// BaseRecv marks values derived from the receiver.
-	BaseRecv Bases = 1 << iota
-	// BaseGlobal marks values derived from package-level variables.
-	BaseGlobal
-	// BaseCapture marks values derived from enclosing-function variables.
-	BaseCapture
-
-	baseParam0 = 4 // params occupy bits [baseParam0, 32)
-	maxParams  = 32 - baseParam0
-)
-
-// BaseParam returns the bit for parameter i (capped, conservatively
-// merging very-high-arity parameters onto the last representable bit).
-func BaseParam(i int) Bases {
-	if i >= maxParams {
-		i = maxParams - 1
-	}
-	return 1 << (baseParam0 + i)
-}
-
-// HasParam reports whether the set contains parameter i's bit.
-func (b Bases) HasParam(i int) bool { return b&BaseParam(i) != 0 }
 
 // CallKind discriminates how a call site's callee is named.
 type CallKind int
@@ -103,10 +71,6 @@ type Call struct {
 	// Pruned marks calls off the steady-state path (dead/panic-only code,
 	// sanitizer branches, //shm:cold paths): no graph edge is created.
 	Pruned bool
-	// RecvBases/ArgBases describe which of the caller's storage roots feed
-	// the callee's receiver and arguments (for effect composition).
-	RecvBases Bases
-	ArgBases  []Bases
 }
 
 // Site is one allocation or synchronization site.
@@ -122,19 +86,6 @@ type Site struct {
 	Pruned bool
 }
 
-// Effects summarizes a function's writes.
-type Effects struct {
-	// WritesRecv and WritesParam report writes through the receiver or a
-	// (reference-typed) parameter — directly or, after the graph fixpoint,
-	// via calls.
-	WritesRecv  bool
-	WritesParam []bool
-	// GlobalWrites and CaptureWrites are writes to package-level state and
-	// enclosing-function state (Waived honors //shm:shard-ok).
-	GlobalWrites  []Site
-	CaptureWrites []Site
-}
-
 // Func is one summarized function or function literal.
 type Func struct {
 	Key     FuncKey
@@ -145,16 +96,16 @@ type Func struct {
 	// body-less declarations.
 	Decl ast.Node
 	Body *ast.BlockStmt
-	// TickRoot/ForkRoot/Cold mirror the //shm:tick-root, //shm:fork-root
-	// and //shm:cold declaration markers.
-	TickRoot, ForkRoot, Cold bool
-	Calls                    []Call
-	Allocs                   []Site
-	Syncs                    []Site
-	Eff                      Effects
+	// TickRoot/Cold mirror the //shm:tick-root and //shm:cold declaration
+	// markers.
+	TickRoot, Cold bool
+	Calls          []Call
+	Allocs         []Site
+	Syncs          []Site
 
-	// RecvObj/ParamObjs are the declared receiver/parameter objects (for
-	// shardsafety's root region analysis).
+	// RecvObj/ParamObjs are the declared receiver/parameter objects (a
+	// receiver makes the function a method; parameters identify snapshot
+	// code).
 	RecvObj   types.Object
 	ParamObjs []types.Object
 }
@@ -171,10 +122,6 @@ type PkgFuncs struct {
 	// Flows maps a destination key (field/variable/parameter) to the
 	// function values that flow into it.
 	Flows map[string][]Source
-	// Sharded/Bounds hold the object keys of //shm:sharded and
-	// //shm:shard-bounds struct fields declared in this package.
-	Sharded map[string]bool
-	Bounds  map[string]bool
 }
 
 // Source is one origin of a func-typed value: a concrete function, or
@@ -272,14 +219,12 @@ func IsNoReturn(info *types.Info, call *ast.CallExpr) bool {
 // keep both drivers consistent).
 func Collect(pass *analysis.Pass) *PkgFuncs {
 	pf := &PkgFuncs{
-		Path:    pass.Pkg.Path(),
-		Fset:    pass.Fset,
-		Info:    pass.TypesInfo,
-		Pkg:     pass.Pkg,
-		Sheet:   pass.Waivers(),
-		Flows:   map[string][]Source{},
-		Sharded: map[string]bool{},
-		Bounds:  map[string]bool{},
+		Path:  pass.Pkg.Path(),
+		Fset:  pass.Fset,
+		Info:  pass.TypesInfo,
+		Pkg:   pass.Pkg,
+		Sheet: pass.Waivers(),
+		Flows: map[string][]Source{},
 	}
 	c := &collector{pf: pf, pass: pass, litKeys: map[*ast.FuncLit]FuncKey{}}
 	for _, file := range pass.Files {
@@ -310,42 +255,23 @@ func (c *collector) file(file *ast.File) {
 	}
 }
 
-// genDecl records sharded/bounds field annotations and package-level
-// func-value flows (var x = someFunc).
+// genDecl records package-level func-value flows (var x = someFunc).
 func (c *collector) genDecl(d *ast.GenDecl) {
 	for _, spec := range d.Specs {
-		switch spec := spec.(type) {
-		case *ast.TypeSpec:
-			st, ok := spec.Type.(*ast.StructType)
-			if !ok {
+		spec, ok := spec.(*ast.ValueSpec)
+		if !ok {
+			continue
+		}
+		for i, name := range spec.Names {
+			if i >= len(spec.Values) {
+				break
+			}
+			obj := c.pf.Info.Defs[name]
+			if obj == nil || !typeIsFuncish(obj.Type()) {
 				continue
 			}
-			for _, f := range st.Fields.List {
-				for _, name := range f.Names {
-					obj := c.pf.Info.Defs[name]
-					if obj == nil {
-						continue
-					}
-					if c.pf.Sheet.Field("sharded", f) {
-						c.pf.Sharded[ObjKey(obj)] = true
-					}
-					if c.pf.Sheet.Field("shard-bounds", f) {
-						c.pf.Bounds[ObjKey(obj)] = true
-					}
-				}
-			}
-		case *ast.ValueSpec:
-			for i, name := range spec.Names {
-				if i >= len(spec.Values) {
-					break
-				}
-				obj := c.pf.Info.Defs[name]
-				if obj == nil || !typeIsFuncish(obj.Type()) {
-					continue
-				}
-				for _, src := range c.funcSources(nil, spec.Values[i]) {
-					c.addFlow(ObjKey(obj), src)
-				}
+			for _, src := range c.funcSources(nil, spec.Values[i]) {
+				c.addFlow(ObjKey(obj), src)
 			}
 		}
 	}
@@ -388,7 +314,6 @@ func (c *collector) summarize(key FuncKey, display string, decl ast.Node, body *
 	}
 	sheet := c.pf.Sheet
 	f.TickRoot = sheet.Func("tick-root", decl)
-	f.ForkRoot = sheet.Func("fork-root", decl)
 	f.Cold = sheet.Func("cold", decl)
 	if fn != nil {
 		if sig, ok := fn.Type().(*types.Signature); ok {

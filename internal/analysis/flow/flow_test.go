@@ -194,70 +194,6 @@ func tick2() { coldFn() }
 	}
 }
 
-func TestEffectComposition(t *testing.T) {
-	src := `package p
-
-type Box struct{ n int }
-
-type S struct {
-	box *Box
-}
-
-func bump(b *Box) { b.n++ }
-
-func (s *S) viaRecv() { s.box.n = 1 }
-
-func (s *S) viaCall() { bump(s.box) }
-
-func passThrough(b *Box) { bump(b) }
-`
-	g := graphOf(t, src)
-	g.PropagateEffects()
-	if !g.Funcs["p.bump"].Eff.WritesParam[0] {
-		t.Fatal("bump writes through its parameter")
-	}
-	if !g.Funcs["p.(S).viaRecv"].Eff.WritesRecv {
-		t.Fatal("direct field write must set WritesRecv")
-	}
-	if !g.Funcs["p.(S).viaCall"].Eff.WritesRecv {
-		t.Fatal("passing a receiver-derived pointer to a writer must set WritesRecv")
-	}
-	if !g.Funcs["p.passThrough"].Eff.WritesParam[0] {
-		t.Fatal("parameter write must compose through a call chain")
-	}
-}
-
-func TestGlobalAndCaptureWrites(t *testing.T) {
-	src := `package p
-
-var counter int
-
-func bad() { counter++ }
-
-func closureCapture() func() {
-	x := 0
-	return func() { x++ }
-}
-
-func cleanLocal() {
-	y := 0
-	y++
-	_ = y
-}
-`
-	g := graphOf(t, src)
-	if n := len(g.Funcs["p.bad"].Eff.GlobalWrites); n != 1 {
-		t.Fatalf("want 1 global write in bad, got %d", n)
-	}
-	if n := len(g.Funcs["p.closureCapture$1"].Eff.CaptureWrites); n != 1 {
-		t.Fatalf("want 1 capture write in the closure, got %d", n)
-	}
-	cl := g.Funcs["p.cleanLocal"]
-	if len(cl.Eff.GlobalWrites) != 0 || len(cl.Eff.CaptureWrites) != 0 || cl.Eff.WritesRecv {
-		t.Fatal("purely local mutation must have no outward effects")
-	}
-}
-
 func TestSyncAndAllocSites(t *testing.T) {
 	src := `package p
 

@@ -17,9 +17,6 @@ type Graph struct {
 	Methods map[string][]FuncKey
 	// Flows merges every package's func-value flows.
 	Flows map[string][]Source
-	// Sharded/Bounds merge the annotated field keys.
-	Sharded map[string]bool
-	Bounds  map[string]bool
 
 	resolved map[string][]FuncKey // memoized dyn-key resolution
 }
@@ -32,8 +29,6 @@ func BuildGraph(results map[string]any) *Graph {
 		PkgOf:    map[FuncKey]*PkgFuncs{},
 		Methods:  map[string][]FuncKey{},
 		Flows:    map[string][]Source{},
-		Sharded:  map[string]bool{},
-		Bounds:   map[string]bool{},
 		resolved: map[string][]FuncKey{},
 	}
 	paths := make([]string, 0, len(results))
@@ -56,12 +51,6 @@ func BuildGraph(results map[string]any) *Graph {
 		}
 		for k, srcs := range pf.Flows {
 			g.Flows[k] = append(g.Flows[k], srcs...)
-		}
-		for k := range pf.Sharded {
-			g.Sharded[k] = true
-		}
-		for k := range pf.Bounds {
-			g.Bounds[k] = true
 		}
 	}
 	for name := range g.Methods {
@@ -239,97 +228,4 @@ func (g *Graph) Witness(r *Reach, key FuncKey) string {
 			append([]string{"…"}, chain[len(chain)-3:]...)...)
 	}
 	return strings.Join(chain, " → ")
-}
-
-// PropagateEffects runs the interprocedural write-effect fixpoint:
-// a callee that writes its receiver or a parameter induces the
-// corresponding effect in callers whose receiver/argument base sets feed
-// it; global and capture writes surface in the caller when the caller's
-// own storage roots are what the callee mutates.
-func (g *Graph) PropagateEffects() {
-	keys := make([]FuncKey, 0, len(g.Funcs))
-	for k := range g.Funcs {
-		keys = append(keys, k)
-	}
-	sortKeys(keys)
-	viaSeen := map[string]bool{}
-	for changed := true; changed; {
-		changed = false
-		for _, k := range keys {
-			f := g.Funcs[k]
-			for i := range f.Calls {
-				c := &f.Calls[i]
-				if c.Pruned {
-					continue
-				}
-				for _, calleeKey := range g.Callees(c) {
-					ce, ok := g.Funcs[calleeKey]
-					if !ok {
-						continue
-					}
-					if ce.Eff.WritesRecv {
-						if g.apply(f, ce, c.RecvBases, c, viaSeen) {
-							changed = true
-						}
-					}
-					for j, wp := range ce.Eff.WritesParam {
-						if !wp {
-							continue
-						}
-						if j < len(c.ArgBases) {
-							if g.apply(f, ce, c.ArgBases[j], c, viaSeen) {
-								changed = true
-							}
-						}
-						// Variadic spill: remaining args feed the last param.
-						if j == len(ce.Eff.WritesParam)-1 {
-							for a := j + 1; a < len(c.ArgBases); a++ {
-								if g.apply(f, ce, c.ArgBases[a], c, viaSeen) {
-									changed = true
-								}
-							}
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-// apply translates a callee-side write through the caller's base set.
-func (g *Graph) apply(f, callee *Func, b Bases, c *Call, viaSeen map[string]bool) bool {
-	changed := false
-	if b&BaseRecv != 0 && !f.Eff.WritesRecv {
-		f.Eff.WritesRecv = true
-		changed = true
-	}
-	for i := range f.ParamObjs {
-		if b.HasParam(i) && i < len(f.Eff.WritesParam) && !f.Eff.WritesParam[i] {
-			f.Eff.WritesParam[i] = true
-			changed = true
-		}
-	}
-	if b&BaseGlobal != 0 {
-		id := string(f.Key) + "|g|" + string(callee.Key) + "|" + itoa(int(c.Pos))
-		if !viaSeen[id] {
-			viaSeen[id] = true
-			f.Eff.GlobalWrites = append(f.Eff.GlobalWrites, Site{
-				Pos: c.Pos, What: "via call to " + callee.Display,
-				Waived: g.PkgOf[f.Key].Sheet.Line("shard-ok", c.Pos),
-			})
-			changed = true
-		}
-	}
-	if b&BaseCapture != 0 {
-		id := string(f.Key) + "|c|" + string(callee.Key) + "|" + itoa(int(c.Pos))
-		if !viaSeen[id] {
-			viaSeen[id] = true
-			f.Eff.CaptureWrites = append(f.Eff.CaptureWrites, Site{
-				Pos: c.Pos, What: "via call to " + callee.Display,
-				Waived: g.PkgOf[f.Key].Sheet.Line("shard-ok", c.Pos),
-			})
-			changed = true
-		}
-	}
-	return changed
 }

@@ -26,8 +26,6 @@ type funcWalker struct {
 	c *collector
 	f *Func
 
-	declared map[types.Object]bool // objects declared in this function
-	env      map[types.Object]Bases
 	cold     []posRange
 	callFuns map[ast.Expr]bool      // expressions used as a call's Fun
 	goCalls  map[*ast.CallExpr]bool // calls spawned by go statements
@@ -37,18 +35,13 @@ type funcWalker struct {
 func (w *funcWalker) info() *types.Info { return w.c.pf.Info }
 
 func (w *funcWalker) run() {
-	w.declared = map[types.Object]bool{}
-	w.env = map[types.Object]Bases{}
 	w.callFuns = map[ast.Expr]bool{}
 	w.goCalls = map[*ast.CallExpr]bool{}
-	w.f.Eff.WritesParam = make([]bool, len(w.f.ParamObjs))
 
 	w.assignLitKeys()
-	w.collectDeclared()
 	w.collectCold()
-	w.solveEnv()
 	w.scanBlocks()
-	w.collectWritesAndFlows()
+	w.collectFlows()
 	w.summarizeLits()
 }
 
@@ -86,29 +79,6 @@ func (w *funcWalker) summarizeLits() {
 	}
 }
 
-// collectDeclared records every object declared inside the function
-// (receiver, parameters, locals); identifiers resolving to variables
-// outside this set — and not package-level — are captures.
-func (w *funcWalker) collectDeclared() {
-	if w.f.RecvObj != nil {
-		w.declared[w.f.RecvObj] = true
-	}
-	for _, p := range w.f.ParamObjs {
-		w.declared[p] = true
-	}
-	// Inspect the whole declaration, not just the body: named result
-	// parameters are declared in the signature, and writing them is a
-	// local return value, not a capture.
-	ast.Inspect(w.f.Decl, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok {
-			if obj := w.info().Defs[id]; obj != nil {
-				w.declared[obj] = true
-			}
-		}
-		return true
-	})
-}
-
 // collectCold gathers //shm:cold statement ranges and sanitizer-only
 // branches (`if invariant.Enabled() { ... }` bodies): paths whose cost is
 // amortized or debug-only, excluded from steady-state accounting. Nested
@@ -122,11 +92,8 @@ func (w *funcWalker) collectCold() {
 		if !ok {
 			return true
 		}
-		// //shm:cold marks amortized/debug paths; //shm:fork-dispatch marks
-		// a worker pool's dynamic task invocation — the queued tasks are
-		// analyzed from their own //shm:fork-root entry points, so following
-		// the dispatch edge would conflate every pool user's closures.
-		if w.c.pf.Sheet.Line("cold", stmt.Pos()) || w.c.pf.Sheet.Line("fork-dispatch", stmt.Pos()) {
+		// //shm:cold marks amortized/debug paths.
+		if w.c.pf.Sheet.Line("cold", stmt.Pos()) {
 			w.cold = append(w.cold, posRange{stmt.Pos(), stmt.End()})
 		}
 		if ifs, ok := stmt.(*ast.IfStmt); ok && w.isSanitizerCond(ifs.Cond) {
@@ -391,7 +358,6 @@ func (w *funcWalker) call(call *ast.CallExpr, pruned bool) {
 					c.Kind = CallStatic
 					c.Static = FuncKeyOf(fn)
 				}
-				c.RecvBases = w.basesOf(fun.X)
 			case types.FieldVal:
 				c.Kind = CallDyn
 				c.DynKeys = w.dynKeys(fun)
@@ -420,9 +386,6 @@ func (w *funcWalker) call(call *ast.CallExpr, pruned bool) {
 
 	if w.goCalls[call] {
 		return // spawned on another goroutine: no intraprocedural edge
-	}
-	for _, a := range call.Args {
-		c.ArgBases = append(c.ArgBases, w.basesOf(a))
 	}
 	w.f.Calls = append(w.f.Calls, c)
 }
@@ -597,198 +560,8 @@ func (w *funcWalker) dynKeys(e ast.Expr) []string {
 	return nil
 }
 
-// typeHasRefs reports whether writes through a value of type t can be
-// observed outside a copy: pointers, slices, maps, channels, funcs,
-// interfaces — or aggregates containing any of those.
-func typeHasRefs(t types.Type) bool {
-	return typeHasRefs1(t, 0)
-}
-
-func typeHasRefs1(t types.Type, depth int) bool {
-	if t == nil || depth > 10 {
-		return true // be conservative on exotic/recursive shapes
-	}
-	switch t := t.Underlying().(type) {
-	case *types.Basic:
-		return false
-	case *types.Pointer, *types.Slice, *types.Map, *types.Chan,
-		*types.Signature, *types.Interface:
-		return true
-	case *types.Struct:
-		for i := 0; i < t.NumFields(); i++ {
-			if typeHasRefs1(t.Field(i).Type(), depth+1) {
-				return true
-			}
-		}
-		return false
-	case *types.Array:
-		return typeHasRefs1(t.Elem(), depth+1)
-	}
-	return true
-}
-
-// solveEnv runs the flow-insensitive base-set fixpoint over assignments:
-// each local variable accumulates the storage roots its value may alias.
-func (w *funcWalker) solveEnv() {
-	if w.f.RecvObj != nil && typeHasRefs(w.f.RecvObj.Type()) {
-		w.env[w.f.RecvObj] = BaseRecv
-	}
-	for i, p := range w.f.ParamObjs {
-		if typeHasRefs(p.Type()) {
-			w.env[p] = BaseParam(i)
-		}
-	}
-	for changed := true; changed; {
-		changed = false
-		merge := func(id *ast.Ident, b Bases) {
-			obj := w.info().Defs[id]
-			if obj == nil {
-				obj = w.info().Uses[id]
-			}
-			if obj == nil || !w.declared[obj] {
-				return
-			}
-			if t := obj.Type(); t != nil && !typeHasRefs(t) {
-				return // value copies of pure-value types break aliasing
-			}
-			if w.env[obj]|b != w.env[obj] {
-				w.env[obj] |= b
-				changed = true
-			}
-		}
-		ast.Inspect(w.f.Body, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncLit:
-				return false
-			case *ast.AssignStmt:
-				if len(n.Rhs) == 1 && len(n.Lhs) > 1 {
-					b := w.basesOf(n.Rhs[0])
-					for _, lhs := range n.Lhs {
-						if id, ok := lhs.(*ast.Ident); ok {
-							merge(id, b)
-						}
-					}
-				} else {
-					for i, lhs := range n.Lhs {
-						if i >= len(n.Rhs) {
-							break
-						}
-						if id, ok := lhs.(*ast.Ident); ok {
-							merge(id, w.basesOf(n.Rhs[i]))
-						}
-					}
-				}
-			case *ast.RangeStmt:
-				b := w.basesOf(n.X)
-				if id, ok := n.Key.(*ast.Ident); ok {
-					merge(id, b)
-				}
-				if id, ok := n.Value.(*ast.Ident); ok {
-					merge(id, b)
-				}
-			case *ast.ValueSpec:
-				for i, name := range n.Names {
-					if i < len(n.Values) {
-						merge(name, w.basesOf(n.Values[i]))
-					}
-				}
-			}
-			return true
-		})
-	}
-}
-
-// basesOf computes the storage roots an expression's value may alias.
-func (w *funcWalker) basesOf(e ast.Expr) Bases {
-	if e == nil {
-		return 0
-	}
-	if t := w.info().TypeOf(e); t != nil {
-		if b, ok := t.Underlying().(*types.Basic); ok && b.Kind() != types.Invalid {
-			return 0 // basic values are copies; strings are immutable
-		}
-	}
-	switch e := e.(type) {
-	case *ast.Ident:
-		obj := w.info().Uses[e]
-		if obj == nil {
-			obj = w.info().Defs[e]
-		}
-		v, ok := obj.(*types.Var)
-		if !ok {
-			return 0
-		}
-		if isGlobalVar(v) {
-			return BaseGlobal
-		}
-		if !w.declared[obj] {
-			return BaseCapture
-		}
-		return w.env[obj]
-	case *ast.SelectorExpr:
-		if sel := w.info().Selections[e]; sel != nil {
-			if sel.Kind() == types.FieldVal {
-				return w.basesOf(e.X)
-			}
-			return 0 // method value: calling it is modeled via flows
-		}
-		// Qualified identifier pkg.Var.
-		if v, ok := w.info().Uses[e.Sel].(*types.Var); ok && isGlobalVar(v) {
-			return BaseGlobal
-		}
-		return 0
-	case *ast.IndexExpr:
-		return w.basesOf(e.X)
-	case *ast.SliceExpr:
-		return w.basesOf(e.X)
-	case *ast.StarExpr:
-		return w.basesOf(e.X)
-	case *ast.ParenExpr:
-		return w.basesOf(e.X)
-	case *ast.UnaryExpr:
-		return w.basesOf(e.X)
-	case *ast.TypeAssertExpr:
-		return w.basesOf(e.X)
-	case *ast.CompositeLit:
-		var b Bases
-		for _, el := range e.Elts {
-			if kv, ok := el.(*ast.KeyValueExpr); ok {
-				el = kv.Value
-			}
-			b |= w.basesOf(el)
-		}
-		return b
-	case *ast.CallExpr:
-		// A call's result may alias anything reachable from its receiver or
-		// arguments (interior pointers: ring.At, queue.Front, ...).
-		if tv, ok := w.info().Types[e.Fun]; ok && tv.IsType() {
-			if len(e.Args) == 1 {
-				return w.basesOf(e.Args[0])
-			}
-			return 0
-		}
-		var b Bases
-		if sel, ok := ast.Unparen(e.Fun).(*ast.SelectorExpr); ok {
-			if s := w.info().Selections[sel]; s != nil && s.Kind() == types.MethodVal {
-				b |= w.basesOf(sel.X)
-			}
-		}
-		for _, a := range e.Args {
-			b |= w.basesOf(a)
-		}
-		return b
-	}
-	return 0
-}
-
-// isGlobalVar reports whether v is a package-level variable.
-func isGlobalVar(v *types.Var) bool {
-	return v.Pkg() != nil && v.Parent() == v.Pkg().Scope()
-}
-
-// collectWritesAndFlows records write effects (for shardsafety's effect
-// composition) and func-value flows in one pass.
-func (w *funcWalker) collectWritesAndFlows() {
+// collectFlows records the function's func-value flows.
+func (w *funcWalker) collectFlows() {
 	info := w.info()
 	ast.Inspect(w.f.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
@@ -796,9 +569,6 @@ func (w *funcWalker) collectWritesAndFlows() {
 			return false
 		case *ast.AssignStmt:
 			for i, lhs := range n.Lhs {
-				if n.Tok != token.DEFINE {
-					w.writeTo(lhs, n.Pos())
-				}
 				var rhs ast.Expr
 				switch {
 				case len(n.Rhs) == len(n.Lhs):
@@ -810,8 +580,6 @@ func (w *funcWalker) collectWritesAndFlows() {
 					w.registerFlow(lhs, rhs)
 				}
 			}
-		case *ast.IncDecStmt:
-			w.writeTo(n.X, n.Pos())
 		case *ast.RangeStmt:
 			if id, ok := n.Value.(*ast.Ident); ok && id.Name != "_" {
 				if w.isFuncish(id) {
@@ -961,58 +729,5 @@ func (w *funcWalker) registerArgFlows(call *ast.CallExpr) {
 		for _, src := range srcs {
 			w.c.addFlow(paramKey(callee, pi), src)
 		}
-	}
-}
-
-// writeTo records the effect of writing through lhs.
-func (w *funcWalker) writeTo(lhs ast.Expr, pos token.Pos) {
-	info := w.info()
-	switch e := ast.Unparen(lhs).(type) {
-	case *ast.Ident:
-		if e.Name == "_" {
-			return
-		}
-		obj := info.Uses[e]
-		v, ok := obj.(*types.Var)
-		if !ok {
-			return
-		}
-		if isGlobalVar(v) {
-			w.recordWrite(BaseGlobal, pos, types.ExprString(lhs))
-		} else if !w.declared[obj] {
-			w.recordWrite(BaseCapture, pos, types.ExprString(lhs))
-		}
-		// Rebinding a local has no heap effect (env pass tracks aliasing).
-	case *ast.SelectorExpr:
-		if sel := info.Selections[e]; sel != nil {
-			w.recordWrite(w.basesOf(e.X), pos, types.ExprString(lhs))
-		} else if v, ok := info.Uses[e.Sel].(*types.Var); ok && isGlobalVar(v) {
-			w.recordWrite(BaseGlobal, pos, types.ExprString(lhs))
-		}
-	case *ast.IndexExpr:
-		w.recordWrite(w.basesOf(e.X), pos, types.ExprString(lhs))
-	case *ast.StarExpr:
-		w.recordWrite(w.basesOf(e.X), pos, types.ExprString(lhs))
-	}
-}
-
-// recordWrite translates a write through the given bases into effects.
-func (w *funcWalker) recordWrite(b Bases, pos token.Pos, what string) {
-	if b&BaseRecv != 0 {
-		w.f.Eff.WritesRecv = true
-	}
-	for i := range w.f.ParamObjs {
-		if b.HasParam(i) {
-			w.f.Eff.WritesParam[i] = true
-		}
-	}
-	waived := w.c.pf.Sheet.Line("shard-ok", pos)
-	if b&BaseGlobal != 0 {
-		w.f.Eff.GlobalWrites = append(w.f.Eff.GlobalWrites,
-			Site{Pos: pos, What: what, Waived: waived})
-	}
-	if b&BaseCapture != 0 {
-		w.f.Eff.CaptureWrites = append(w.f.Eff.CaptureWrites,
-			Site{Pos: pos, What: what, Waived: waived})
 	}
 }

@@ -8,13 +8,11 @@
 //
 // The analysis is flow-sensitive and interprocedural: the flow package
 // builds per-function summaries with CFG-based pruning, then a whole-tree
-// call graph is walked from the annotated entry points — //shm:tick-root
-// on the per-cycle drivers and //shm:fork-root on the shard tasks the
-// worker pool invokes through stored closures. Interface calls resolve to
-// every concrete method with the same name, and calls through func-typed
-// fields and parameters follow the recorded value flows, so the crossbar
-// accept/respond hooks and the shard engine's prebuilt task closures stay
-// on the graph.
+// call graph is walked from the per-cycle drivers annotated
+// //shm:tick-root. Interface calls resolve to every concrete method with
+// the same name, and calls through func-typed fields and parameters
+// follow the recorded value flows, so the crossbar accept/respond hooks
+// stay on the graph.
 //
 // Not every allocation on the path is a bug. Three pruning rules remove
 // paths that are not steady-state cost: CFG blocks from which every path
@@ -37,8 +35,8 @@ import (
 // Analyzer is the hotalloc check.
 var Analyzer = &analysis.Analyzer{
 	Name: "hotalloc",
-	Doc: "flag heap allocations reachable from the per-cycle tick and shard " +
-		"entry points (//shm:tick-root, //shm:fork-root)",
+	Doc: "flag heap allocations reachable from the per-cycle tick entry " +
+		"points (//shm:tick-root)",
 	Run:    run,
 	Finish: finish,
 }
@@ -49,13 +47,13 @@ func run(pass *analysis.Pass) (any, error) {
 
 func finish(f *analysis.Finishing) {
 	g := flow.BuildGraph(f.Results)
-	roots := g.Roots(func(fn *flow.Func) bool { return fn.TickRoot || fn.ForkRoot })
+	roots := g.Roots(func(fn *flow.Func) bool { return fn.TickRoot })
 	if len(roots) == 0 {
 		// Integrity guard: a tree with no roots silently checks nothing,
 		// which is indistinguishable from a clean run. Make it loud.
-		f.Reportf(0, "no //shm:tick-root or //shm:fork-root annotations found "+
-			"in the tree; hotalloc has nothing to anchor on — annotate the "+
-			"per-cycle entry points (tick loop, shard tasks)")
+		f.Reportf(0, "no //shm:tick-root annotations found in the tree; "+
+			"hotalloc has nothing to anchor on — annotate the per-cycle "+
+			"entry points (the tick loop)")
 		return
 	}
 	reach := g.Reach(roots)

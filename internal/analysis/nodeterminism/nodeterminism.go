@@ -13,10 +13,10 @@
 //
 // Goroutines have their own, stricter annotation: `//shm:parallel-ok` on the
 // spawning line marks a vetted fork/join worker (the fixed pool behind the
-// shard engine and the sweep prefetcher) whose batches join before model
-// state is read, so goroutine scheduling cannot leak into results. Ad-hoc
-// `go` statements in the core stay flagged; the distinct spelling keeps
-// parallel-engine waivers greppable separately from ordinary lint allows.
+// sweep prefetcher) whose batches join before model state is read, so
+// goroutine scheduling cannot leak into results. Ad-hoc `go` statements in
+// the core stay flagged; the distinct spelling keeps goroutine waivers
+// greppable separately from ordinary lint allows.
 package nodeterminism
 
 import (

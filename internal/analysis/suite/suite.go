@@ -9,13 +9,12 @@ import (
 	"shmgpu/internal/analysis/hotalloc"
 	"shmgpu/internal/analysis/nodeterminism"
 	"shmgpu/internal/analysis/probeguard"
-	"shmgpu/internal/analysis/shardsafety"
 	"shmgpu/internal/analysis/syncfree"
 	"shmgpu/internal/analysis/unitcheck"
 )
 
 // All returns every analyzer in the shmlint suite. The flow-sensitive
-// analyzers (hotalloc, syncfree, shardsafety) report only from their
+// analyzers (hotalloc, syncfree) report only from their
 // Finish hooks, so they surface findings in standalone whole-tree runs
 // and stay silent under the per-package vet protocol.
 func All() []*analysis.Analyzer {
@@ -26,6 +25,5 @@ func All() []*analysis.Analyzer {
 		unitcheck.Analyzer,
 		hotalloc.Analyzer,
 		syncfree.Analyzer,
-		shardsafety.Analyzer,
 	}
 }

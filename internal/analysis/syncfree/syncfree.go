@@ -1,23 +1,22 @@
 // Package syncfree flags synchronization operations on the simulator's
-// per-cycle hot path. The deterministic core is single-threaded within a
-// tick by construction — cross-shard communication happens at the
-// fork/join barrier, not through locks — so a mutex, atomic, or channel
-// operation reachable from the tick loop is either dead weight (cost per
-// cycle with nothing to protect) or, worse, evidence of hidden
-// cross-thread sharing that the determinism argument does not cover.
+// per-cycle hot path. The deterministic core is single-threaded by
+// construction — parallelism lives at the cell level, one whole run per
+// worker — so a mutex, atomic, or channel operation reachable from the
+// tick loop is either dead weight (cost per cycle with nothing to
+// protect) or, worse, evidence of hidden cross-thread sharing that the
+// determinism argument does not cover.
 //
 // The walk shares hotalloc's machinery: flow summaries with CFG pruning,
-// a whole-tree call graph from //shm:tick-root and //shm:fork-root entry
-// points, interface resolution by method name, and func-value flows.
+// a whole-tree call graph from //shm:tick-root entry points, interface
+// resolution by method name, and func-value flows.
 // Flagged operations are mutex/atomic/Cond/WaitGroup/Once calls (anything
 // in sync and sync/atomic), channel sends, receives, closes, ranges and
 // selects, goroutine spawns, and time.Sleep.
 //
-// The exceptions are the point of the analyzer, not a weakness: the
-// worker pool's wake/join channel pair IS the fork/join barrier, and the
-// ops heartbeat publishes one atomic snapshot per tick by design. Those
-// sites carry `//shm:sync-ok <why>` so the waiver is the documentation,
-// and anything else that shows up is a finding. Panic-only blocks,
+// A vetted exception carries `//shm:sync-ok <why>` so the waiver is the
+// documentation, and anything else that shows up is a finding. The tree
+// currently needs none: the ops heartbeat, the one synchronizing call in
+// the tick, sits on an interval-throttled //shm:cold path. Panic-only blocks,
 // invariant.Enabled() branches, and //shm:cold paths are pruned exactly
 // as in hotalloc — but note //shm:cold does not waive correctness checks,
 // only cost accounting; syncfree findings on cold paths are still
@@ -36,7 +35,7 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "syncfree",
 	Doc: "flag mutex/atomic/channel operations reachable from the per-cycle " +
-		"tick and shard entry points; the core synchronizes only at the fork/join barrier",
+		"tick entry points; the simulation core is single-threaded",
 	Run:    run,
 	Finish: finish,
 }
@@ -47,7 +46,7 @@ func run(pass *analysis.Pass) (any, error) {
 
 func finish(f *analysis.Finishing) {
 	g := flow.BuildGraph(f.Results)
-	roots := g.Roots(func(fn *flow.Func) bool { return fn.TickRoot || fn.ForkRoot })
+	roots := g.Roots(func(fn *flow.Func) bool { return fn.TickRoot })
 	if len(roots) == 0 {
 		return // hotalloc owns the missing-root integrity diagnostic
 	}
@@ -59,8 +58,8 @@ func finish(f *analysis.Finishing) {
 				continue
 			}
 			f.Reportf(site.Pos,
-				"hot-path synchronization: %s (path: %s); the core synchronizes only at the "+
-					"fork/join barrier — annotate //shm:sync-ok with a justification for vetted sites",
+				"hot-path synchronization: %s (path: %s); the simulation core is "+
+					"single-threaded — annotate //shm:sync-ok with a justification for vetted sites",
 				site.What, g.Witness(reach, key))
 		}
 	}

@@ -7,17 +7,15 @@
 //     lint escape hatch.
 //
 //   - `//shm:<name> [justification]` is a structural marker consumed by the
-//     flow-sensitive analyzers: entry-point roots (`//shm:tick-root`,
-//     `//shm:fork-root`), field classifications (`//shm:sharded`,
-//     `//shm:shard-bounds`), path pruning (`//shm:cold`), vetted-goroutine
-//     waivers (`//shm:parallel-ok`), and per-site waivers
-//     (`//shm:alloc-ok`, `//shm:sync-ok`, `//shm:shard-ok`). The distinct
-//     prefix keeps load-bearing contract annotations greppable separately
-//     from ordinary allows.
+//     flow-sensitive analyzers: entry-point roots (`//shm:tick-root`), path
+//     pruning (`//shm:cold`), vetted-goroutine waivers
+//     (`//shm:parallel-ok`), and per-site waivers (`//shm:alloc-ok`,
+//     `//shm:sync-ok`). The distinct prefix keeps load-bearing contract
+//     annotations greppable separately from ordinary allows.
 //
 // Both spellings attach to source positions the same way: a line annotation
-// applies to the nodes starting on its line, and declaration annotations
-// (functions, struct fields) may also sit in the declaration's doc comment.
+// applies to the nodes starting on its line, and function annotations may
+// also sit in the declaration's doc comment.
 // Every analyzer resolves annotations through a Sheet so the syntax is
 // defined exactly once.
 package waiver
@@ -138,13 +136,4 @@ func (s *Sheet) Func(name string, fn ast.Node) bool {
 		return true
 	}
 	return s.Line(name, fn.Pos())
-}
-
-// Field reports whether a struct field declaration carries `//shm:<name>`
-// in its doc comment, trailing line comment, or anywhere on its line.
-func (s *Sheet) Field(name string, f *ast.Field) bool {
-	if commentsHave(name, f.Doc) || commentsHave(name, f.Comment) {
-		return true
-	}
-	return s.Line(name, f.Pos())
 }

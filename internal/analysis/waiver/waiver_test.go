@@ -21,16 +21,7 @@ func f() {
 	_ = z
 }
 
-func g() { //shm:fork-root
-}
-
-type s struct {
-	// a is per-shard.
-	//
-	//shm:sharded
-	a []int
-	b []int //shm:shard-bounds
-	c []int
+func g() { //shm:cold
 }
 `
 
@@ -44,17 +35,14 @@ func parse(t *testing.T) (*token.FileSet, *ast.File) {
 	return fset, f
 }
 
-func decls(f *ast.File) (fn, gn *ast.FuncDecl, st *ast.StructType) {
+func decls(f *ast.File) (fn, gn *ast.FuncDecl) {
 	for _, d := range f.Decls {
-		switch d := d.(type) {
-		case *ast.FuncDecl:
+		if d, ok := d.(*ast.FuncDecl); ok {
 			if d.Name.Name == "f" {
 				fn = d
 			} else {
 				gn = d
 			}
-		case *ast.GenDecl:
-			st = d.Specs[0].(*ast.TypeSpec).Type.(*ast.StructType)
 		}
 	}
 	return
@@ -65,7 +53,7 @@ func stmtPos(fn *ast.FuncDecl, i int) token.Pos { return fn.Body.List[i].Pos() }
 func TestLineMarkers(t *testing.T) {
 	fset, f := parse(t)
 	sh := New(fset, []*ast.File{f})
-	fn, _, _ := decls(f)
+	fn, _ := decls(f)
 
 	if !sh.Line("alloc-ok", stmtPos(fn, 0)) {
 		t.Error("alloc-ok marker on statement line not found")
@@ -84,7 +72,7 @@ func TestLineMarkers(t *testing.T) {
 func TestAllow(t *testing.T) {
 	fset, f := parse(t)
 	sh := New(fset, []*ast.File{f})
-	fn, _, _ := decls(f)
+	fn, _ := decls(f)
 
 	pos := stmtPos(fn, 2)
 	if !sh.Allow("maprange", pos) || !sh.Allow("unitcheck", pos) {
@@ -101,32 +89,16 @@ func TestAllow(t *testing.T) {
 func TestFuncMarkers(t *testing.T) {
 	fset, f := parse(t)
 	sh := New(fset, []*ast.File{f})
-	fn, gn, _ := decls(f)
+	fn, gn := decls(f)
 
 	if !sh.Func("tick-root", fn) {
 		t.Error("doc-comment tick-root marker not found")
 	}
-	if sh.Func("fork-root", fn) {
-		t.Error("fork-root reported on f, which only has tick-root")
+	if sh.Func("cold", fn) {
+		t.Error("cold reported on f, which only has tick-root")
 	}
-	if !sh.Func("fork-root", gn) {
-		t.Error("same-line fork-root marker on g not found")
-	}
-}
-
-func TestFieldMarkers(t *testing.T) {
-	fset, f := parse(t)
-	sh := New(fset, []*ast.File{f})
-	_, _, st := decls(f)
-
-	if !sh.Field("sharded", st.Fields.List[0]) {
-		t.Error("doc-comment sharded marker on field a not found")
-	}
-	if !sh.Field("shard-bounds", st.Fields.List[1]) {
-		t.Error("trailing-comment shard-bounds marker on field b not found")
-	}
-	if sh.Field("sharded", st.Fields.List[2]) {
-		t.Error("unannotated field c reported as sharded")
+	if !sh.Func("cold", gn) {
+		t.Error("same-line cold marker on g not found")
 	}
 }
 

@@ -54,10 +54,8 @@ type Runner struct {
 }
 
 // SetWorkers bounds the Prefetch worker pool (paperbench -workers).
-// 0 restores the default, runtime.NumCPU(). Note that sweep-level workers
-// multiply with Config.ParallelShards — each prefetched run ticks on its
-// own shard pool — so a machine-sized -workers with shards enabled
-// oversubscribes; prefer one or the other at full width.
+// 0 restores the default, runtime.NumCPU(). Each worker runs one whole
+// simulation at a time; a run itself is single-threaded.
 func (r *Runner) SetWorkers(n int) { r.workers = n }
 
 // SetTelemetrySink instruments every subsequent uncached run with a fresh
@@ -197,8 +195,7 @@ type job struct {
 }
 
 // Prefetch runs the given (workload × scheme) cross product on the shared
-// fixed worker pool (internal/pool — the same implementation the sharded
-// tick engine uses), filling the cache. Worker count comes from
+// fixed worker pool (internal/pool), filling the cache. Worker count comes from
 // SetWorkers, defaulting to runtime.NumCPU().
 func (r *Runner) Prefetch(schemes []scheme.Scheme, accuracy bool) {
 	var jobs []job

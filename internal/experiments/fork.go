@@ -13,21 +13,18 @@ import (
 // Fork-based sweeps: warm one parent run to a cycle boundary, capture its
 // complete state once, and fork one child per execution variant from the
 // snapshot instead of re-simulating the warmup for every cell. Children
-// may vary exactly the knobs the equivalence corpora prove byte-neutral —
-// the sharded tick engine and event-horizon fast-forward — so every
-// forked child is byte-identical to the same variant run from scratch
-// (the fork-equivalence fuzz oracle and TestForkMatchesScratch pin this).
+// may vary exactly the knob the equivalence corpora prove byte-neutral —
+// event-horizon fast-forward — so every forked child is byte-identical to
+// the same variant run from scratch (the fork-equivalence fuzz oracle and
+// TestForkMatchesScratch pin this).
 
 // ForkSpec selects one child's execution strategy.
 type ForkSpec struct {
-	// Shards is the child's ParallelShards (0 = sequential).
-	Shards int
 	// DisableFastForward forces the child to tick every cycle.
 	DisableFastForward bool
 }
 
 func applyFork(cfg gpu.Config, spec ForkSpec) gpu.Config {
-	cfg.ParallelShards = spec.Shards
 	cfg.DisableFastForward = spec.DisableFastForward
 	return cfg
 }
@@ -85,9 +82,7 @@ func warmSnapshot(cfg gpu.Config, wl string, seed int64, sch scheme.Scheme, warm
 		return nil, res, nil
 	}
 	enc := snapshot.NewEncoder()
-	err = sys.SaveState(enc, bench)
-	sys.Shutdown()
-	if err != nil {
+	if err := sys.SaveState(enc, bench); err != nil {
 		return nil, gpu.Result{}, err
 	}
 	return enc.Data(), gpu.Result{}, nil
@@ -112,8 +107,8 @@ func resumeFromSnapshot(cfg gpu.Config, wl string, seed int64, sch scheme.Scheme
 }
 
 // RunForkedFamily is the Runner-level fork sweep: cells sharing a warmup
-// prefix — same (workload, scheme), differing only in execution-strategy
-// knobs — are produced from one warmed parent instead of one full run
+// prefix — same (workload, scheme), differing only in the fast-forward
+// mode — are produced from one warmed parent instead of one full run
 // each. Every result is byte-identical to a from-scratch run, so the
 // sequential fast-forward variant (the zero ForkSpec) also primes the
 // runner's figure cache for that cell.
@@ -160,7 +155,7 @@ func WriteSnapshotSeeded(cfg gpu.Config, wl string, seed int64, sch scheme.Schem
 // resumes it to completion under cfg. The workload, scheme, seed, and
 // collector configuration must match the capturing run (the snapshot's
 // fingerprint and the collector's own config check reject mismatches);
-// cfg may vary only the execution-strategy knobs.
+// cfg may vary only the execution-strategy knob (fast-forward).
 func RestoreRunSeeded(cfg gpu.Config, wl string, seed int64, sch scheme.Scheme, tcfg telemetry.Config, path string) (gpu.Result, *telemetry.Collector, error) {
 	blob, err := snapshot.ReadFile(path)
 	if err != nil {

@@ -17,7 +17,7 @@ func TestRunForkedFamilyPrimesCache(t *testing.T) {
 	r := quickRunner()
 	scratch := NewRunner(QuickConfig(), []string{"bfs"}).Run("bfs", scheme.SHM)
 
-	specs := []ForkSpec{{}, {Shards: 2}}
+	specs := []ForkSpec{{}, {DisableFastForward: true}}
 	results, err := r.RunForkedFamily("bfs", scheme.SHM, scratch.Cycles/4, specs)
 	if err != nil {
 		t.Fatal(err)

@@ -64,11 +64,6 @@ type ConfigSpec struct {
 	MaxKCycles     int `json:"max_kcycles,omitempty"`
 	DRAMQueueDepth int `json:"dram_queue,omitempty"`
 	DRAMBanks      int `json:"dram_banks,omitempty"`
-	// ParallelShards runs the cell under the sharded parallel engine (0 =
-	// sequential). The parallel-equivalence oracle forces its own shard
-	// counts regardless; this field lets a repro pin the mode it failed in.
-	ParallelShards int `json:"parallel_shards,omitempty"`
-
 	// UVM host-tier knobs. OversubPct > 0 enables the host-backed tier
 	// with a device frame budget covering OversubPct percent of the
 	// working set (100 ⇒ everything fits, which the migration-equivalence
@@ -202,7 +197,6 @@ func (c Case) GPUConfig() gpu.Config {
 		MaxWarpInflightSectors:  orInt(s.MaxInflight, baseMaxInflight),
 		DeviceMemoryBytes:       uint64(orInt(s.DeviceMemMB, baseDeviceMemMB)) << 20,
 		MaxCycles:               uint64(orInt(s.MaxKCycles, baseMaxKCycles)) * 1000,
-		ParallelShards:          s.ParallelShards,
 		VictimMissRateThreshold: 0.90,
 		VictimSampleWindow:      1024,
 		DRAM: dram.Config{

@@ -20,7 +20,7 @@ import (
 // Violation is one oracle failure for a cell.
 type Violation struct {
 	// Oracle names the violated property ("ff-equivalence",
-	// "parallel-equivalence", "fork-equivalence", "determinism",
+	// "fork-equivalence", "determinism",
 	// "sanitizer-transparency", "detector-ablation",
 	// "migration-equivalence", "prefetch-equivalence", "metamorphic-ipc",
 	// "metamorphic-metadata", "conservation", "invariant").
@@ -92,18 +92,13 @@ func resultLine(res gpu.Result) string {
 // oracle runs SHM-derived options under PSSM's label so the byte
 // comparison sees identical manifests). When sanitize is set the runtime
 // invariant sanitizer is armed for the run and its violations returned.
-// shards overrides the cell's ParallelShards for this run (0 =
-// sequential); the parallel-equivalence oracle is the only caller that
-// passes a non-zero value, so every other oracle compares runs of the
-// reference sequential engine.
-func (c Case) runArtifacts(orun *obs.Run, schemeLabel string, opts secmem.Options, disableFF, sanitize bool, shards int) (artifacts, []invariant.Violation, error) {
+func (c Case) runArtifacts(orun *obs.Run, schemeLabel string, opts secmem.Options, disableFF, sanitize bool) (artifacts, []invariant.Violation, error) {
 	bench, err := c.Bench()
 	if err != nil {
 		return artifacts{}, nil, err
 	}
 	cfg := c.GPUConfig()
 	cfg.DisableFastForward = disableFF
-	cfg.ParallelShards = shards
 
 	var collected []invariant.Violation
 	if sanitize {
@@ -159,14 +154,13 @@ func (c Case) renderArtifacts(res gpu.Result, col *telemetry.Collector, cfg gpu.
 // artifacts diff byte-for-byte against the scratch side. This is the fuzz
 // battery's own inline fork path (the package deliberately does not
 // import experiments; see summarize).
-func (c Case) resumeArtifacts(schemeLabel string, opts secmem.Options, blob []byte, disableFF bool, shards int) (artifacts, error) {
+func (c Case) resumeArtifacts(schemeLabel string, opts secmem.Options, blob []byte, disableFF bool) (artifacts, error) {
 	bench, err := c.Bench()
 	if err != nil {
 		return artifacts{}, err
 	}
 	cfg := c.GPUConfig()
 	cfg.DisableFastForward = disableFF
-	cfg.ParallelShards = shards
 
 	col := telemetry.New(telemetry.Config{SampleInterval: 500, CaptureEvents: true})
 	sys := gpu.NewSystem(cfg, opts)
@@ -181,9 +175,9 @@ func (c Case) resumeArtifacts(schemeLabel string, opts secmem.Options, blob []by
 
 // forkEquivalence is the checkpoint/fork oracle: warm one run of the cell
 // to the midpoint of its from-scratch cycle count, capture the complete
-// simulator state once, and fork one child per execution variant — both
-// fast-forward modes crossed with shard counts {1, 4}. Every child must
-// be byte-indistinguishable (Result, stats snapshot, telemetry JSONL)
+// simulator state once, and fork one child per execution variant — the
+// fast-forward and the every-cycle loop. Every child must be
+// byte-indistinguishable (Result, stats snapshot, telemetry JSONL)
 // from the matching from-scratch run. Any divergence is simulator state
 // the snapshot captured wrongly, partially, or not at all.
 func (c Case) forkEquivalence(schemeName string, opts secmem.Options, ff, ref artifacts) ([]Violation, error) {
@@ -205,29 +199,22 @@ func (c Case) forkEquivalence(schemeName string, opts secmem.Options, ff, ref ar
 		return nil, nil
 	}
 	enc := snapshot.NewEncoder()
-	err = sys.SaveState(enc, bench)
-	sys.Shutdown()
-	if err != nil {
+	if err := sys.SaveState(enc, bench); err != nil {
 		return nil, err
 	}
 	blob := enc.Data()
 
 	var vs []Violation
-	for _, child := range []struct {
-		disableFF bool
-		shards    int
-	}{
-		{false, 1}, {false, 4}, {true, 1}, {true, 4},
-	} {
-		got, err := c.resumeArtifacts(schemeName, opts, blob, child.disableFF, child.shards)
+	for _, disableFF := range []bool{false, true} {
+		got, err := c.resumeArtifacts(schemeName, opts, blob, disableFF)
 		if err != nil {
 			return nil, err
 		}
 		scratch, base := ff, "scratch(fast-forward)"
-		if child.disableFF {
+		if disableFF {
 			scratch, base = ref, "scratch(every-cycle)"
 		}
-		name := fmt.Sprintf("forked(ff=%v,shards=%d)", !child.disableFF, child.shards)
+		name := fmt.Sprintf("forked(ff=%v)", !disableFF)
 		vs = append(vs, diffArtifacts("fork-equivalence", schemeName, name, base, got, scratch)...)
 	}
 	return vs, nil
@@ -305,24 +292,15 @@ func CheckCaseOpts(c Case, opts CheckOptions) ([]Violation, error) {
 		if err != nil {
 			return nil, err
 		}
-		ff, _, err := c.runArtifacts(opts.Obs, name, sch.Options, false, false, 0)
+		ff, _, err := c.runArtifacts(opts.Obs, name, sch.Options, false, false)
 		if err != nil {
 			return nil, err
 		}
-		ref, _, err := c.runArtifacts(opts.Obs, name, sch.Options, true, false, 0)
+		ref, _, err := c.runArtifacts(opts.Obs, name, sch.Options, true, false)
 		if err != nil {
 			return nil, err
 		}
 		vs = append(vs, diffArtifacts("ff-equivalence", name, "fast-forward", "every-cycle", ff, ref)...)
-		// The sharded engine must be invisible: same Result, same stats,
-		// same telemetry bytes. Schemes whose metadata mapping is not
-		// partition-local fall back to the sequential engine under the
-		// gate, so the comparison also pins the fallback path.
-		par, _, err := c.runArtifacts(opts.Obs, name, sch.Options, false, false, 2)
-		if err != nil {
-			return nil, err
-		}
-		vs = append(vs, diffArtifacts("parallel-equivalence", name, "shards=2", "sequential", par, ff)...)
 		vs = append(vs, conservation(c, sch.Options, name, ff.res)...)
 		arts[name] = ff
 		refs[name] = ref
@@ -340,13 +318,13 @@ func CheckCaseOpts(c Case, opts CheckOptions) ([]Violation, error) {
 	if err != nil {
 		return nil, err
 	}
-	again, _, err := c.runArtifacts(opts.Obs, det, detSch.Options, false, false, 0)
+	again, _, err := c.runArtifacts(opts.Obs, det, detSch.Options, false, false)
 	if err != nil {
 		return nil, err
 	}
 	vs = append(vs, diffArtifacts("determinism", det, "first-run", "second-run", arts[det], again)...)
 
-	san, ivs, err := c.runArtifacts(opts.Obs, det, detSch.Options, false, true, 0)
+	san, ivs, err := c.runArtifacts(opts.Obs, det, detSch.Options, false, true)
 	if err != nil {
 		return nil, err
 	}
@@ -356,8 +334,7 @@ func CheckCaseOpts(c Case, opts CheckOptions) ([]Violation, error) {
 	vs = append(vs, diffArtifacts("sanitizer-transparency", det, "unchecked", "sanitized", arts[det], san)...)
 
 	// Checkpoint/fork equivalence on the same scheme: forked children must
-	// be byte-identical to from-scratch runs across both fast-forward
-	// modes and shard counts {1, 4}.
+	// be byte-identical to from-scratch runs in both fast-forward modes.
 	fvs, err := c.forkEquivalence(det, detSch.Options, arts[det], refs[det])
 	if err != nil {
 		return nil, err
@@ -376,7 +353,7 @@ func CheckCaseOpts(c Case, opts CheckOptions) ([]Violation, error) {
 		if c.Config.OversubPct < 100 {
 			fit := c
 			fit.Config.OversubPct = 100
-			fitArts, _, err := fit.runArtifacts(opts.Obs, det, detSch.Options, false, false, 0)
+			fitArts, _, err := fit.runArtifacts(opts.Obs, det, detSch.Options, false, false)
 			if err != nil {
 				return nil, err
 			}
@@ -385,7 +362,7 @@ func CheckCaseOpts(c Case, opts CheckOptions) ([]Violation, error) {
 		if c.Config.OversubPct != 0 {
 			bare := c
 			bare.Config.OversubPct = 0
-			bareArts, _, err := bare.runArtifacts(opts.Obs, det, detSch.Options, false, false, 0)
+			bareArts, _, err := bare.runArtifacts(opts.Obs, det, detSch.Options, false, false)
 			if err != nil {
 				return nil, err
 			}
@@ -403,7 +380,7 @@ func CheckCaseOpts(c Case, opts CheckOptions) ([]Violation, error) {
 			pf := c
 			pf.Config.OversubPct = 100
 			pf.Config.UVMPrefetch = pol
-			pfArts, _, err := pf.runArtifacts(opts.Obs, det, detSch.Options, false, false, 0)
+			pfArts, _, err := pf.runArtifacts(opts.Obs, det, detSch.Options, false, false)
 			if err != nil {
 				return nil, err
 			}
@@ -424,7 +401,7 @@ func CheckCaseOpts(c Case, opts CheckOptions) ([]Violation, error) {
 		abl := shm.Options
 		abl.ReadOnlyOpt = false
 		abl.DualGranMAC = false
-		ablArts, _, err := c.runArtifacts(opts.Obs, "PSSM", abl, false, false, 0)
+		ablArts, _, err := c.runArtifacts(opts.Obs, "PSSM", abl, false, false)
 		if err != nil {
 			return nil, err
 		}

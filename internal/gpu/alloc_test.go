@@ -71,15 +71,12 @@ func (p *fixedWarp) Next() (int, MemInst, bool) {
 
 // steadyState builds a system mid-kernel: the kernel is launched and warmed
 // long enough that every pool, ring buffer, and table has reached its
-// steady-state capacity. shards > 0 runs the warm-up and measurement under
-// the sharded parallel engine (its outboxes and shard buffers must likewise
-// reach capacity during warm-up, not grow per tick).
+// steady-state capacity.
 // oversub > 0 additionally enables the UVM host tier at that ratio, so
 // the measured ticks cover the fault/replay/migration path too.
-func steadyState(t *testing.T, opts secmem.Options, shards int, oversub float64, prefetch string) *System {
+func steadyState(t *testing.T, opts secmem.Options, oversub float64, prefetch string) *System {
 	t.Helper()
 	cfg := smallConfig()
-	cfg.ParallelShards = shards
 	if oversub > 0 {
 		cfg.HostTier = true
 		cfg.OversubRatio = oversub
@@ -92,11 +89,6 @@ func steadyState(t *testing.T, opts secmem.Options, shards int, oversub float64,
 	s.startUVM(wl)
 	for _, sm := range s.sms {
 		sm.launch(0, wl)
-	}
-	s.startParallel()
-	t.Cleanup(s.stopParallel)
-	if shards > 0 && s.par == nil {
-		t.Fatal("parallel engine did not start; measurement would cover the sequential loop")
 	}
 	for i := 0; i < 30_000; i++ {
 		s.tickOnce(s.cycle)
@@ -122,42 +114,35 @@ func TestTickSteadyStateAllocFree(t *testing.T) {
 	cases := []struct {
 		name     string
 		opts     secmem.Options
-		shards   int
 		observed bool
 		oversub  float64
 		prefetch string
 	}{
-		{"Baseline", secmem.Options{}, 0, false, 0, ""},
-		{"Naive", secmem.Options{Enabled: true}, 0, false, 0, ""},
-		{"PSSM", secmem.Options{Enabled: true, LocalMetadata: true, SectoredMetadata: true}, 0, false, 0, ""},
-		{"SHM", shmOpts, 0, false, 0, ""},
-		// The sharded engine must be allocation-free too: shard scratch
-		// (outboxes, horizons, pool batches) is preallocated, not per-tick.
-		{"Baseline/shards=4", secmem.Options{}, 4, false, 0, ""},
-		{"SHM/shards=4", shmOpts, 4, false, 0, ""},
+		{"Baseline", secmem.Options{}, false, 0, ""},
+		{"Naive", secmem.Options{Enabled: true}, false, 0, ""},
+		{"PSSM", secmem.Options{Enabled: true, LocalMetadata: true, SectoredMetadata: true}, false, 0, ""},
+		{"SHM", shmOpts, false, 0, ""},
 		// The live ops plane must honour the same contract: a progress
 		// heartbeat is one comparison per tick plus an atomic store per
 		// interval, never an allocation.
-		{"SHM/observed", shmOpts, 0, true, 0, ""},
+		{"SHM/observed", shmOpts, true, 0, ""},
 		// The UVM host tier is preallocated at construction: neither the
 		// non-faulting admit path (ratio ≥ 1.0, everything resident) nor
 		// the fault/replay/eviction/migration machinery itself (ratio
-		// 0.5, faulting throughout the measurement) may allocate, under
-		// either engine.
-		{"SHM/oversub-fit", shmOpts, 0, false, 1.5, ""},
-		{"SHM/oversub=0.5", shmOpts, 0, false, 0.5, ""},
-		{"SHM/oversub=0.5/shards=4", shmOpts, 4, false, 0.5, ""},
+		// 0.5, faulting throughout the measurement) may allocate.
+		{"SHM/oversub-fit", shmOpts, false, 1.5, ""},
+		{"SHM/oversub=0.5", shmOpts, false, 0.5, ""},
 		// The migration-ahead engine reuses the same preallocated
 		// structures: fault-stream tables are fixed arrays, prefetch
 		// candidates coalesce into the existing migration ring, and the
 		// lazy eviction heap is sized at construction — prefetching on
 		// the hot path must not allocate either.
-		{"SHM/oversub=0.5/stride", shmOpts, 0, false, 0.5, "stride"},
-		{"SHM/oversub=0.5/stream", shmOpts, 0, false, 0.5, "stream"},
+		{"SHM/oversub=0.5/stride", shmOpts, false, 0.5, "stride"},
+		{"SHM/oversub=0.5/stream", shmOpts, false, 0.5, "stream"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			s := steadyState(t, tc.opts, tc.shards, tc.oversub, tc.prefetch)
+			s := steadyState(t, tc.opts, tc.oversub, tc.prefetch)
 			if tc.observed {
 				p, err := obs.Start(obs.Options{Tool: "alloc-test"})
 				if err != nil {

@@ -72,17 +72,6 @@ type Config struct {
 	// after defaults are applied — the hook ablation studies use to sweep
 	// tracker counts, metadata-cache sizes, timeouts, etc.
 	MEETune func(*secmem.Config)
-	// ParallelShards, when positive, runs each tick's work sharded across
-	// a fixed worker pool: SM clusters on one axis, {L2 banks + MEE + DRAM
-	// channel} partition stacks on the other, with a deterministic
-	// double-buffered queue exchange between phases (see parallel.go).
-	// Results are byte-identical to the sequential loop. 0 (the default)
-	// keeps the single-goroutine loop. Designs that route metadata across
-	// partitions (Options.Enabled without LocalMetadata) and runs with the
-	// runtime sanitizer armed fall back to sequential execution, as does
-	// XbarLatency 0 (the exchange relies on responses maturing strictly
-	// after the tick that produced them).
-	ParallelShards int
 	// HostTier enables the host-backed memory tier (UVM demand paging):
 	// the workload's footprint starts host-resident behind a
 	// page-granularity migration boundary, and crossbar admission faults
@@ -170,6 +159,9 @@ func (c Config) Validate() error {
 	if c.Partitions <= 0 || c.L2BanksPerPartition <= 0 {
 		return fmt.Errorf("gpu: partitions and banks must be positive")
 	}
+	if c.DeviceMemoryBytes == 0 {
+		return fmt.Errorf("gpu: DeviceMemoryBytes must be positive")
+	}
 	if c.DeviceMemoryBytes%uint64(c.Partitions) != 0 {
 		return fmt.Errorf("gpu: device memory %d not divisible by %d partitions", c.DeviceMemoryBytes, c.Partitions)
 	}
@@ -183,8 +175,8 @@ func (c Config) Validate() error {
 	if err := c.l1Config().Validate(); err != nil {
 		return fmt.Errorf("gpu: %w", err)
 	}
-	if c.ParallelShards < 0 {
-		return fmt.Errorf("gpu: ParallelShards must be non-negative, got %d", c.ParallelShards)
+	if err := c.l2Config().Validate(); err != nil {
+		return fmt.Errorf("gpu: %w", err)
 	}
 	if c.HostTier {
 		if !(c.OversubRatio > 0) {

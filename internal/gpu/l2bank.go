@@ -59,13 +59,18 @@ func newL2Bank(partition, bank int, cfg *Config) *L2Bank {
 		partition: partition,
 		bank:      bank,
 		cfg:       cfg,
-		c: cache.New(cache.Config{
-			Name:             "l2",
-			SizeBytes:        cfg.L2BankBytes,
-			Ways:             cfg.L2Ways,
-			MSHRs:            cfg.L2MSHRs,
-			MaxMergesPerMSHR: cfg.L2Merges,
-		}),
+		c:         cache.New(cfg.l2Config()),
+	}
+}
+
+// l2Config is the cache configuration of every L2 bank.
+func (c *Config) l2Config() cache.Config {
+	return cache.Config{
+		Name:             "l2",
+		SizeBytes:        c.L2BankBytes,
+		Ways:             c.L2Ways,
+		MSHRs:            c.L2MSHRs,
+		MaxMergesPerMSHR: c.L2Merges,
 	}
 }
 

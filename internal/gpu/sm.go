@@ -179,12 +179,8 @@ func (s *SM) finished() bool {
 	return true
 }
 
-// tick issues at most one instruction and retries queued L1 misses.
-// Sector requests that need the crossbar are appended to out (bounded by
-// the caller's acceptance). The two halves are split so the parallel
-// engine can run the crossbar drains sequentially (admission depends on
-// other SMs' same-tick drains) and the issue stage per-shard (issue only
-// touches SM-local state; it never calls accept).
+// tick retries queued L1 misses against the crossbar, then issues at most
+// one instruction.
 func (s *SM) tick(now uint64, accept func(smRequest) bool) {
 	s.drainMisses(accept)
 	s.issueTick(now)
@@ -295,44 +291,17 @@ func (s *SM) onFill(addr memdef.Addr, now uint64) {
 	s.l1.Fill(addr)
 	s.l1Waiters.Drain(uint64(addr), func(wi int32) { //shm:alloc-ok drain callback capturing two words, built once per fill (not per waiter)
 		w := &s.warps[wi]
-		w.outstanding-- //shm:shard-ok warps belong to this SM, which is owned by one shard
+		w.outstanding--
 		if w.outstanding == 0 {
-			w.readyAt = now + 1 //shm:shard-ok warps belong to this SM, which is owned by one shard
+			w.readyAt = now + 1
 		}
 	})
 }
 
-// nextEvent returns the earliest cycle after now at which this SM can act
-// on its own: queued crossbar retries and issuable warps mean the very next
-// cycle; otherwise the earliest warp wake-up (post-hit latency or back-off)
-// is the horizon. Warps capped on in-flight sectors wake via fills, which
-// the response network's horizon accounts for. This is the conservative
-// horizon the sharded engine's SM tasks use; the sequential engine uses
-// System.smNextEvent.
-func (s *SM) nextEvent(now uint64) uint64 {
-	if s.missQueue.Len() > 0 {
-		return now + 1
-	}
-	next := ^uint64(0)
-	for i := range s.warps {
-		w := &s.warps[i]
-		if w.done || w.outstanding >= s.cfg.MaxWarpInflightSectors {
-			continue
-		}
-		if w.readyAt > now {
-			if w.readyAt < next {
-				next = w.readyAt
-			}
-			continue
-		}
-		return now + 1
-	}
-	return next
-}
-
-// warpNextEvent is the warp half of nextEvent with bubble warps taken out:
-// their wake-ups do not count as events and are listed in s.bubbles
-// instead, for replayBubbles to play through any cycles the horizon skips.
+// warpNextEvent is the warp half of System.smNextEvent: the earliest
+// issuable or waking warp, with bubble warps taken out. Their wake-ups do
+// not count as events and are listed in s.bubbles instead, for
+// replayBubbles to play through any cycles the horizon skips.
 // Warps with a Stall pending are set aside in a first pass and asked
 // StallsAgain only if no ordinary warp is issuable now and their wake-up
 // precedes every ordinary one; a later wake-up is never eligible in a

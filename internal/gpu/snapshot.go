@@ -16,9 +16,9 @@ import (
 // (per-tick scratch like dram doneBuf or the MEE's response buffer is
 // empty between ticks). The restore target must be a freshly built
 // NewSystem whose configuration matches the snapshot's fingerprint up to
-// the execution-strategy knobs (ParallelShards, DisableFastForward) that
-// are proven byte-neutral by the equivalence corpus — forking one warmed
-// parent across those knobs is the whole point. Cold path only.
+// the execution-strategy knob (DisableFastForward) that is proven
+// byte-neutral by the equivalence corpus — forking one warmed parent
+// across it is the whole point. Cold path only.
 
 // StatefulWorkload is the optional Workload extension checkpointing
 // requires: the workload captures its cross-warp state (e.g. the pacing
@@ -40,12 +40,11 @@ type StatefulWarpProgram interface {
 
 // fingerprint hashes the configuration a snapshot is only valid for:
 // everything in Config and the secure-memory design except the
-// execution-strategy knobs children are allowed to vary. MEETune is a
+// execution-strategy knob children are allowed to vary. MEETune is a
 // func (it would hash as a pointer), so the tuned partition-0 MEE config
 // stands in for it.
 func (s *System) fingerprint(wlName string) uint64 {
 	c := s.cfg
-	c.ParallelShards = 0
 	c.DisableFastForward = false
 	c.MEETune = nil
 	h := fnv.New64a()
@@ -243,13 +242,6 @@ func (s *System) SaveState(e *snapshot.Encoder, wl Workload) error {
 	if !ok {
 		return fmt.Errorf("gpu: workload %T is not snapshottable", wl)
 	}
-	if s.par != nil && s.tele != nil {
-		// Shard counter buffers must fold into the collector before its
-		// state is captured (event captures are replayed every tick, so
-		// only counters are outstanding between ticks).
-		s.par.flushCounters()
-	}
-
 	e.U64(s.fingerprint(wl.Name()))
 	e.U64(s.cycle)
 	e.U64(s.instr)

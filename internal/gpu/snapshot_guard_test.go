@@ -36,7 +36,6 @@ func TestSaveStateGuards(t *testing.T) {
 	if _, finished := paused.RunUntil(wl, 50); finished {
 		t.Fatal("workload finished before cycle 50; cannot exercise the paused guards")
 	}
-	defer paused.Shutdown()
 	if err := paused.SaveState(snapshot.NewEncoder(), wl); err == nil {
 		t.Error("SaveState with a non-stateful workload succeeded; want rejection")
 	} else if !strings.Contains(err.Error(), "workload") {

@@ -91,17 +91,17 @@ func (v partitionVictim) VictimActive() bool {
 type System struct {
 	cfg      Config
 	opts     secmem.Options
-	sms      []*SM           //shm:sharded one SM per element; owned by the SM shard covering its index
-	l2       [][]*L2Bank     //shm:sharded outer index is the partition; owned by that partition's shard
-	mees     []*secmem.MEE   //shm:sharded one MEE per partition
-	channels []*dram.Channel //shm:sharded one DRAM channel per partition
+	sms      []*SM
+	l2       [][]*L2Bank // outer index is the partition
+	mees     []*secmem.MEE
+	channels []*dram.Channel
 	pmap     *memdef.PartitionMap
 
 	// toPart and toSM are the crossbar request queues and the response
 	// network. Both are rings ordered by maturity cycle: entries are pushed
 	// with `at = now + XbarLatency` and now is monotonic, so the front is
 	// always the earliest-maturing entry.
-	toPart []ringbuf.Ring[xbarEntry] //shm:sharded per-partition request queues, drained by the owning shard
+	toPart []ringbuf.Ring[xbarEntry]
 	toSM   ringbuf.Ring[respEntry]
 
 	cycle uint64
@@ -148,12 +148,9 @@ type System struct {
 	// syncer, when non-nil, is notified at the top of every tick so the
 	// workload can freeze its cross-warp pacing state (see TickSynced).
 	syncer TickSynced
-	// par, when non-nil, is the sharded parallel tick engine (parallel.go);
-	// tickOnce and nextEventCycle dispatch to it.
-	par *parEngine
 	// uvm, when non-nil, is the host-backed memory tier (Config.HostTier;
 	// see uvm.go): crossbar admission faults on non-resident pages and the
-	// tier's migrations tick in the sequential pre-phase of both engines.
+	// tier's migrations tick at the top of every tick.
 	uvm *uvmState
 	// blockedReplays is the number of SMs whose miss-queue head the last
 	// horizon evaluation found blocked by the host tier: each skipped
@@ -325,18 +322,17 @@ func (s *System) applySetup(k int, setup KernelSetup) {
 	}
 }
 
-// GridAware is an optional Workload extension: workloads that shard work
-// across warps receive the simulated grid dimensions before the run.
+// GridAware is an optional Workload extension: workloads that partition
+// work across warps receive the simulated grid dimensions before the run.
 type GridAware interface {
 	SetGrid(sms, warpsPerSM int)
 }
 
 // TickSynced is an optional Workload extension: the system calls SyncTick
-// once at the top of every tick (in both the sequential and the sharded
-// loop), letting the workload freeze cross-warp state — e.g. the pacing
-// frontier — so that warp programs observe a per-tick snapshot instead of
-// other warps' same-tick progress. Required for workloads whose programs
-// share state, since the parallel engine ticks SMs concurrently.
+// once at the top of every tick, letting the workload freeze cross-warp
+// state — e.g. the pacing frontier — so that warp programs observe a
+// per-tick snapshot instead of other warps' same-tick progress. The
+// committed results depend on this frozen-frontier order.
 type TickSynced interface {
 	SyncTick()
 }
@@ -366,17 +362,8 @@ func (s *System) Resume(wl Workload) Result {
 	if ts, ok := wl.(TickSynced); ok {
 		s.syncer = ts
 	}
-	s.startParallel()
 	res, _ := s.drive(wl, 0)
 	return res
-}
-
-// Shutdown releases the parallel engine's workers after a paused run
-// (RunUntil returning done=false) when the System will not be resumed.
-// Completed runs release them on their own.
-func (s *System) Shutdown() {
-	s.stopParallel()
-	s.syncer = nil
 }
 
 // beginRun performs the one-time setup shared by Run and RunUntil.
@@ -388,7 +375,6 @@ func (s *System) beginRun(wl Workload) {
 		s.syncer = ts
 	}
 	s.startUVM(wl)
-	s.startParallel()
 }
 
 // drive is the kernel loop behind Run, RunUntil, and Resume. It starts (or
@@ -451,7 +437,6 @@ func (s *System) drive(wl Workload, stopCycle uint64) (Result, bool) {
 	}
 	res := s.collect(wl.Name(), completed)
 	res.Cancelled = s.cancelled
-	s.stopParallel()
 	s.syncer = nil
 	return res, true
 }
@@ -557,7 +542,7 @@ func (s *System) drainLoop() {
 // (when nonzero) caps the jump so MaxCycles expiry fires at the same cycle
 // as under every-cycle ticking.
 //
-// The horizon contract each component implements (SM.nextEvent,
+// The horizon contract each component implements (System.smNextEvent,
 // L2Bank.nextEvent, MEE.NextEvent, Channel.NextEvent, and the queue fronts
 // here): return the earliest cycle strictly after now at which ticking the
 // component is not a no-op, or ^uint64(0) if only another component's
@@ -566,7 +551,7 @@ func (s *System) drainLoop() {
 // component's horizon would change no state and emit no event, which is
 // what makes the skip transparent.
 //
-// The sequential engine also skips two kinds of tick whose only effects
+// The horizon also skips two kinds of tick whose only effects
 // are known in advance, and replays those effects here in bulk (see
 // smNextEvent): host-tier replays of blocked miss-queue heads, and the
 // back-offs of warps re-asking a pacing-stalled program.
@@ -595,23 +580,25 @@ func (s *System) advanceCycle(now, deadline uint64) uint64 {
 			}
 		}
 	}
-	if s.par == nil {
-		// A skip means the evaluation visited every SM, so blockedReplays
-		// and each SM's bubble list are this evaluation's.
-		if s.blockedReplays != 0 {
-			s.uvm.tier.ChargeReplays(s.blockedReplays * skipped)
-		}
-		for _, sm := range s.sms {
-			if len(sm.bubbles) != 0 {
-				sm.replayBubbles(now, next)
-			}
+	// A skip means the evaluation visited every SM, so blockedReplays and
+	// each SM's bubble list are this evaluation's.
+	if s.blockedReplays != 0 {
+		s.uvm.tier.ChargeReplays(s.blockedReplays * skipped)
+	}
+	for _, sm := range s.sms {
+		if len(sm.bubbles) != 0 {
+			sm.replayBubbles(now, next)
 		}
 	}
 	return next
 }
 
-// smNextEvent is the sequential engine's exact SM horizon. It refines
-// SM.nextEvent in two ways, each resting on the fact that no other
+// smNextEvent returns the earliest cycle after now at which sm can act:
+// a queued crossbar retry or an issuable warp means the very next cycle,
+// otherwise the earliest warp wake-up (post-hit latency or back-off).
+// Warps capped on in-flight sectors wake via fills, which the response
+// network's horizon accounts for. Two refinements make the horizon exact
+// rather than conservative, each resting on the fact that no other
 // component acts before the horizon it returns:
 //
 //   - A miss-queue head that can only be rejected does not pin now+1. It
@@ -650,25 +637,13 @@ func (s *System) smNextEvent(sm *SM, now uint64) uint64 {
 // cycle (samples must be taken at exactly the cycles an every-cycle run
 // would take them). now+1 short-circuits — nothing can be earlier.
 func (s *System) nextEventCycle(now uint64) uint64 {
-	// The parallel engine reduces the shard-local horizons during the tick
-	// itself; advanceCycle asks right afterwards, so the cache is hot.
-	if s.par != nil && s.par.horizonOK && s.par.horizonFor == now {
-		return s.par.horizonMin
-	}
 	next := ^uint64(0)
 	s.blockedReplays = 0
 	// Start at the SM that pinned the last horizon: while warps issue, it
 	// usually pins the next one too, which spares the scans of the others.
 	for i := range s.sms {
 		k := (s.smHint + i) % len(s.sms)
-		sm := s.sms[k]
-		var v uint64
-		if s.par == nil {
-			v = s.smNextEvent(sm, now)
-		} else {
-			v = sm.nextEvent(now)
-		}
-		if v < next {
+		if v := s.smNextEvent(s.sms[k], now); v < next {
 			next = v
 			if next <= now+1 {
 				s.smHint = k
@@ -822,17 +797,13 @@ func (s *System) tickOnce(now uint64) {
 	if s.syncer != nil {
 		s.syncer.SyncTick()
 	}
-	if s.par != nil {
-		s.par.tick(now)
-		return
-	}
 	if s.tele != nil {
 		s.tele.MaybeSample(now, s.snapFn)
 	}
 	s.tickNow = now
 
 	// 0. The host tier completes due page migrations, so a page ready at
-	// cycle N admits this tick's retries (same position in both engines).
+	// cycle N admits this tick's retries.
 	if s.uvm != nil {
 		s.uvm.tick(now)
 	}
@@ -948,11 +919,6 @@ func (s *System) drained() bool {
 
 func (s *System) collect(workload string, completed bool) Result {
 	if s.tele != nil {
-		if s.par != nil {
-			// Shard counter buffers must fold into the collector before the
-			// terminal sample stamps the counter array.
-			s.par.flushCounters()
-		}
 		s.tele.FinishRun(s.cycle, s.snapshot)
 	}
 	res := Result{Workload: workload, Cycles: s.cycle, Completed: completed}

@@ -6,10 +6,10 @@ package gpu
 // PCIe-modeled migration, and leaves the request at the head of its
 // SM's miss queue, which retries it every cycle until the page arrives
 // (XNACK-style pause-and-replay; drainMisses already stops at the first
-// rejected request). The sharded engine ticks every retry. The
-// sequential engine skips the retries of a head the tier reports
-// Blocked up to the next event and charges their replays in bulk
-// (System.smNextEvent, advanceCycle), so both engines count identically.
+// rejected request). Fast-forward skips the retries of a head the tier
+// reports Blocked up to the next event and charges their replays in bulk
+// (System.smNextEvent, advanceCycle), so an every-cycle run counts
+// identically.
 //
 // Security metadata travels with pages: under the "rebuild" integrity
 // mode a fault-in re-encrypts the migrated range with fresh counters,
@@ -17,11 +17,9 @@ package gpu
 // (MigrationOverwrite); under "hostside" a trusted host-side MEE keeps
 // coverage valid and fault-in only re-keys, so detectors see nothing.
 //
-// Determinism: every tier mutation happens in the sequential parts of
-// the tick — Access inside the SM-ordered crossbar drains (phase 1 in
-// the parallel engine) and Tick right after the sample boundary — so
-// sharded runs are byte-identical to sequential ones. When the working
-// set fits (OversubRatio >= 1) the tier prepopulates every page, never
+// Determinism: every tier mutation happens at a fixed point in the tick
+// — Access inside the SM-ordered crossbar drains and Tick right after the
+// sample boundary. When the working set fits (OversubRatio >= 1) the tier prepopulates every page, never
 // faults, touches no counters, and emits no events: results are
 // byte-identical to HostTier=false.
 
@@ -151,10 +149,9 @@ func (u *uvmState) admit(addr memdef.Addr, write bool, now uint64) bool {
 	}
 }
 
-// tick completes due migrations. Runs in the sequential pre-phase of
-// both engines, after the telemetry sample boundary and before the SM
-// crossbar drains, so a page ready at cycle N admits retries at N in
-// sequential and sharded runs alike.
+// tick completes due migrations. Runs after the telemetry sample
+// boundary and before the SM crossbar drains, so a page ready at cycle N
+// admits retries at N.
 func (u *uvmState) tick(now uint64) { u.tier.Tick(now) }
 
 // onFaultIn fires from tier.Tick when a migration completes: emit the

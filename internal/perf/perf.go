@@ -56,11 +56,8 @@ type Baseline struct {
 	// Quick records whether the scaled-down configuration was used.
 	Quick bool `json:"quick"`
 	// TotalWallNs is the wall time of the whole sweep, including cells.
-	TotalWallNs int64 `json:"total_wall_ns"`
-	// Shards records the parallel shard count the sweep's "shards=N" cells
-	// were measured with (0 when only sequential cells were measured).
-	Shards     int         `json:"shards,omitempty"`
-	Benchmarks []Benchmark `json:"benchmarks"`
+	TotalWallNs int64       `json:"total_wall_ns"`
+	Benchmarks  []Benchmark `json:"benchmarks"`
 }
 
 // New returns a Baseline stamped with the current environment.

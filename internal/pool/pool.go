@@ -1,20 +1,18 @@
 // Package pool provides the repository's one fixed worker-pool
-// implementation, shared by the sweep-level prefetcher
-// (experiments.Runner.Prefetch) and the intra-run shard engine
-// (gpu.Config.ParallelShards). A Pool owns a fixed set of long-lived
-// worker goroutines and executes batches of tasks with fork/join
-// semantics: Run returns only after every task has completed, and the
-// channel handoffs give the caller the happens-before edges it needs to
-// read the tasks' results without further synchronization.
+// implementation, used for cell-level parallelism: the sweep prefetcher
+// (experiments.Runner.Prefetch) runs whole simulations on it, one cell
+// per task. A Pool owns a fixed set of long-lived worker goroutines and
+// executes batches of tasks with fork/join semantics: Run returns only
+// after every task has completed, and the channel handoffs give the
+// caller the happens-before edges it needs to read the tasks' results
+// without further synchronization.
 //
 // The steady-state Run path performs no allocations — workers are
 // spawned once at construction, the wake/join channels are buffered, and
-// task dispatch is a single atomic counter — which is what lets the
-// cycle-sharded tick loop sit inside testing.AllocsPerRun with a zero
-// budget. Determinism is the caller's problem by construction: the pool
-// promises only that every task runs exactly once between fork and join;
-// engines built on it (the shard engine's two-phase barrier) must make
-// their results independent of which worker runs which task.
+// task dispatch is a single atomic counter. Determinism is the caller's
+// problem by construction: the pool promises only that every task runs
+// exactly once between fork and join, so callers must make their results
+// independent of which worker runs which task.
 package pool
 
 import "sync/atomic"
@@ -76,18 +74,18 @@ func (p *Pool) worker(id int) {
 // tasks.
 func (p *Pool) drain(id int) {
 	for {
-		i := int(p.next.Add(1)) - 1 //shm:sync-ok single atomic cursor is the task-claim protocol of the fork/join barrier
+		i := int(p.next.Add(1)) - 1
 		if p.tagged != nil {
 			if i >= len(p.tagged) {
 				return
 			}
-			p.tagged[i](id) //shm:fork-dispatch tagged tasks run under their own fork roots
+			p.tagged[i](id)
 			continue
 		}
 		if i >= len(p.tasks) {
 			return
 		}
-		p.tasks[i]() //shm:fork-dispatch batch tasks run under their own //shm:fork-root entry points
+		p.tasks[i]()
 	}
 }
 
@@ -97,13 +95,13 @@ func (p *Pool) drain(id int) {
 // shared atomic cursor.
 func (p *Pool) Run(tasks []func()) {
 	p.tasks = tasks
-	p.next.Store(0) //shm:sync-ok resets the batch cursor before the fork
+	p.next.Store(0)
 	for i := 0; i < p.workers; i++ {
-		p.wake <- struct{}{} //shm:sync-ok fork barrier: one buffered wake per worker per batch
+		p.wake <- struct{}{}
 	}
 	p.drain(0)
 	for i := 0; i < p.workers; i++ {
-		<-p.join //shm:sync-ok join barrier: one receive per worker per batch
+		<-p.join
 	}
 	p.tasks = nil
 }

@@ -1135,8 +1135,8 @@ func (m *MEE) OnDRAMComplete(token uint64, now uint64) {
 	case pkCounter:
 		m.ctrCache.Fill(pe.key)
 		m.ctrWait.Drain(uint64(pe.key), func(t *txn) { //shm:alloc-ok drain callback capturing two words; fills happen once per counter miss, not per access
-			t.otpAt = m.aesSchedule(now) //shm:shard-ok the MEE is partition-private; one shard owns each partition
-			m.scheduleOTPKnown(t)        //shm:shard-ok the MEE is partition-private; one shard owns each partition
+			t.otpAt = m.aesSchedule(now)
+			m.scheduleOTPKnown(t)
 		})
 	case pkMAC:
 		m.macCache.Fill(pe.key)

@@ -1,6 +1,6 @@
 // Package testutil is the byte-compare harness shared by the
-// equivalence test corpora (fast-forward, parallel shards,
-// checkpoint/fork, UVM migration): it runs one instrumented cell and
+// equivalence test corpora (fast-forward, checkpoint/fork, UVM
+// migration): it runs one instrumented cell and
 // renders everything observable about it — the full Result fields, the
 // marshaled stats registry, and the telemetry JSONL stream — into a
 // directly diffable Artifacts value. Two runs are "byte-identical" in
@@ -79,20 +79,18 @@ func RunCellCfg(t testing.TB, cfg shmgpu.Config, workload, scheme string, seed i
 	t.Helper()
 	res, col, err := shmgpu.RunWithTelemetrySeeded(cfg, workload, scheme, seed, QuickTelemetry())
 	if err != nil {
-		t.Fatalf("run %s/%s seed %d (shards=%d disableFF=%v): %v",
-			workload, scheme, seed, cfg.ParallelShards, cfg.DisableFastForward, err)
+		t.Fatalf("run %s/%s seed %d (disableFF=%v): %v",
+			workload, scheme, seed, cfg.DisableFastForward, err)
 	}
 	return Collect(t, cfg, workload, scheme, seed, res, col)
 }
 
-// RunCell executes one quick-config cell with the given shard count
-// (0 = sequential) and fast-forward mode — the shared artifact
-// collector behind the fast-forward, parallel, and fork corpora.
-func RunCell(t testing.TB, workload, scheme string, seed int64, shards int, disableFF bool) Artifacts {
+// RunCell executes one quick-config cell in the given fast-forward mode —
+// the shared artifact collector behind the fast-forward and fork corpora.
+func RunCell(t testing.TB, workload, scheme string, seed int64, disableFF bool) Artifacts {
 	t.Helper()
 	cfg := shmgpu.QuickConfig()
 	cfg.DisableFastForward = disableFF
-	cfg.ParallelShards = shards
 	return RunCellCfg(t, cfg, workload, scheme, seed)
 }
 

@@ -155,12 +155,10 @@ type Bench struct {
 // frontierState keeps per-SM histograms ("lanes") of registered warps'
 // progress through their memory-instruction streams. The slowest step
 // across lanes is frozen once per tick (syncTick) and every warp paces
-// against that frozen value, so the pacing decision is identical whether
-// the SMs tick sequentially or sharded across goroutines: a warp's lane
-// is only ever advanced from its own SM's tick, and reads go through the
-// tick-start snapshot. (The previous design advanced one shared histogram
-// mid-tick, making later SMs observe earlier SMs' same-tick progress —
-// an order dependence the parallel engine cannot reproduce.)
+// against that frozen value, so the pacing decision does not depend on
+// the order the SMs tick in: a warp's lane is only ever advanced from its
+// own SM's tick, and reads go through the tick-start snapshot. The
+// committed results depend on this frozen-frontier order.
 type frontierState struct {
 	lanes  []frontierLane
 	frozen int
@@ -176,13 +174,11 @@ type frontierState struct {
 	nextOK bool
 }
 
-// frontierLane is one SM's progress histogram, padded so lanes written
-// concurrently by different shard workers do not share cache lines.
+// frontierLane is one SM's progress histogram.
 type frontierLane struct {
 	counts []int
 	min    int
 	warps  int
-	_      [64 - 24 - 8 - 8]byte
 }
 
 func newFrontierState(steps, lanes int) *frontierState {
@@ -375,9 +371,7 @@ func (b *Bench) Setup(k int) gpu.KernelSetup {
 
 // SyncTick implements gpu.TickSynced: the system calls it once at the top
 // of every tick to freeze the pacing frontier the coming tick's warps
-// read. Required for order-independence under the sharded parallel
-// engine; the sequential loop calls it too so both modes share one
-// pacing semantics (and stay byte-identical).
+// read, so no warp observes another SM's same-tick progress.
 func (b *Bench) SyncTick() {
 	if b.frontier != nil {
 		b.frontier.syncTick()

@@ -16,8 +16,7 @@ type program struct {
 	rngSrc  *countingSource
 	warpIdx int
 	// lane is the warp's SM index: the frontier lane it advances. Only the
-	// owning SM's tick calls Next, so lane writes are single-writer even
-	// when SMs tick on different shard workers.
+	// owning SM's tick calls Next, so each lane has a single writer.
 	lane    int
 	total   int
 	cursors []memdef.Addr // per-buffer streaming cursor (buffer-relative)

@@ -131,9 +131,9 @@ func RunObservedSeeded(cfg Config, workloadName, schemeName string, seed int64, 
 	return experiments.RunObservedSeeded(cfg, workloadName, seed, sch, tcfg, orun)
 }
 
-// ForkSpec selects one forked child's execution strategy (shard count and
-// fast-forward mode) — the knobs proven byte-neutral by the equivalence
-// corpora, and therefore the only ones a forked child may vary.
+// ForkSpec selects one forked child's execution strategy (fast-forward
+// mode) — the knob proven byte-neutral by the equivalence corpora, and
+// therefore the only one a forked child may vary.
 type ForkSpec = experiments.ForkSpec
 
 // RunForkedSeeded warms one (workload, scheme, seed) run to warmCycle,
@@ -164,8 +164,8 @@ func WriteSnapshot(cfg Config, workloadName, schemeName string, seed int64, warm
 
 // RestoreRun loads a snapshot written by WriteSnapshot and resumes it to
 // completion. Workload, scheme, seed, and telemetry configuration must
-// match the capturing run; cfg may vary only the execution-strategy knobs
-// (shards, fast-forward).
+// match the capturing run; cfg may vary only the execution-strategy knob
+// (fast-forward).
 func RestoreRun(cfg Config, workloadName, schemeName string, seed int64, tcfg TelemetryConfig, path string) (Result, *Collector, error) {
 	sch, err := scheme.ByName(schemeName)
 	if err != nil {

@@ -58,6 +58,10 @@ func TestRunRejectsBadConfig(t *testing.T) {
 		{"L1Ways<0", func(c *Config) { c.L1Ways = -2 }},
 		{"L1MSHRs=0", func(c *Config) { c.L1MSHRs = 0 }},
 		{"L1MSHRs<0", func(c *Config) { c.L1MSHRs = -1 }},
+		{"L2Ways=0", func(c *Config) { c.L2Ways = 0 }},
+		{"L2BankBytes=0", func(c *Config) { c.L2BankBytes = 0 }},
+		{"L2BankBytes=100", func(c *Config) { c.L2BankBytes = 100 }},
+		{"DeviceMemoryBytes=0", func(c *Config) { c.DeviceMemoryBytes = 0 }},
 	}
 	for _, c := range cases {
 		c := c

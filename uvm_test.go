@@ -57,7 +57,7 @@ func TestHostTierFitByteIdentical(t *testing.T) {
 			c, ratio := c, ratio
 			t.Run(fmt.Sprintf("%s_%s_ratio%.1f", c.workload, c.scheme, ratio), func(t *testing.T) {
 				on := testutil.RunCellCfg(t, oversubQuickConfig(ratio), c.workload, c.scheme, c.seed)
-				off := testutil.RunCell(t, c.workload, c.scheme, c.seed, 0, false)
+				off := testutil.RunCell(t, c.workload, c.scheme, c.seed, false)
 				testutil.AssertEqual(t, "host-tier(fit)", on, "host-tier-off", off)
 			})
 		}
@@ -205,7 +205,7 @@ func TestPrefetchFitByteIdentical(t *testing.T) {
 		{"stride_batch4", func(c *shmgpu.Config) { c.UVMPrefetch = "stride"; c.UVMBatchPages = 4 }},
 		{"stream_largepage", func(c *shmgpu.Config) { c.UVMPrefetch = "stream"; c.UVMLargePages = true }},
 	}
-	off := testutil.RunCell(t, "atax", "SHM", 1, 0, false)
+	off := testutil.RunCell(t, "atax", "SHM", 1, false)
 	for _, v := range variants {
 		v := v
 		t.Run(v.name, func(t *testing.T) {

@@ -9,16 +9,47 @@
 // bus for SectorBytes/BytesPerCycle cycles, so sustained throughput
 // converges to the configured bytes-per-cycle figure regardless of request
 // mix, while row hits/misses shape latency.
+//
+// # Scheduling state
+//
+// A tick costs O(banks with queued work) and a completion O(1):
+//
+//   - The queue is a fixed slab of QueueDepth slots threaded into one
+//     intrusive FIFO list per bank plus a free list. Every entry carries a
+//     global enqueue sequence number. Arrivals never decrease (Enqueue and
+//     Tick see a non-decreasing clock), so "oldest" in FR-FCFS is "lowest
+//     sequence number": the pick is the lowest-sequence row hit among free
+//     banks, else the lowest-sequence bank head among free banks. Ties on
+//     arrival go to the earlier enqueue, as in a linear scan of an
+//     arrival-ordered queue.
+//   - A bitmask names the banks with queued work, and minFree caches the
+//     earliest freeAt among them. A tick at which no such bank is free
+//     skips the scan, and NextEvent reads minFree instead of the queue.
+//   - Completions sit in a FIFO ring. Each issue starts its transfer no
+//     earlier than the bus frees and moves busFreeFP forward by transferFP,
+//     so done cycles never decrease in issue order and the ring's front is
+//     always the earliest completion. With transferFP ≥ 256 (a bus of at
+//     most one sector per cycle, BytesPerCycleFP ≤ 8192, which covers the
+//     default 4759) every issue moves the bus by at least one cycle and
+//     done cycles strictly increase. On a faster bus, completions that fall
+//     in the same cycle pop in issue order, the order the serialized bus
+//     transferred them.
 package dram
 
 import (
 	"fmt"
+	"math/bits"
 
 	"shmgpu/internal/invariant"
 	"shmgpu/internal/memdef"
+	"shmgpu/internal/ringbuf"
 	"shmgpu/internal/stats"
 	"shmgpu/internal/telemetry"
 )
+
+// maxQueueDepth bounds QueueDepth: the queue is one slab allocated up front
+// and indexed by int32 slot numbers.
+const maxQueueDepth = 1 << 16
 
 // Config describes one DRAM channel (one memory partition).
 type Config struct {
@@ -61,8 +92,8 @@ func (c Config) Validate() error {
 	if c.BytesPerCycleFP == 0 {
 		return fmt.Errorf("dram: bus throughput must be positive")
 	}
-	if c.QueueDepth <= 0 {
-		return fmt.Errorf("dram: queue depth must be positive")
+	if c.QueueDepth <= 0 || c.QueueDepth > maxQueueDepth {
+		return fmt.Errorf("dram: queue depth %d must be in [1, %d]", c.QueueDepth, maxQueueDepth)
 	}
 	return nil
 }
@@ -79,69 +110,20 @@ type Req struct {
 	Token uint64
 }
 
+// pendingReq is one queue slot. next links it into its bank's FIFO list
+// while queued, and into the free list otherwise (-1 ends either list).
 type pendingReq struct {
 	Req
 	arrival uint64
-	bank    int
+	seq     uint64
 	row     uint64
+	bank    int32
+	next    int32
 }
 
 type completion struct {
 	req   Req
 	cycle uint64
-}
-
-// completionHeap is a binary min-heap on completion cycle. The sift
-// routines mirror container/heap's up/down exactly (same comparisons, same
-// swaps) so the pop order of equal-cycle completions is unchanged from the
-// previous container/heap implementation — that tie order reaches the MEE
-// and is observable in results. Specializing removes the interface{} boxing
-// that allocated on every push.
-type completionHeap []completion
-
-func (h completionHeap) up(j int) {
-	for {
-		i := (j - 1) / 2 // parent
-		if i == j || h[j].cycle >= h[i].cycle {
-			break
-		}
-		h[i], h[j] = h[j], h[i]
-		j = i
-	}
-}
-
-func (h completionHeap) down(i0, n int) {
-	i := i0
-	for {
-		j1 := 2*i + 1
-		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
-			break
-		}
-		j := j1 // left child
-		if j2 := j1 + 1; j2 < n && h[j2].cycle < h[j1].cycle {
-			j = j2 // right child
-		}
-		if h[j].cycle >= h[i].cycle {
-			break
-		}
-		h[i], h[j] = h[j], h[i]
-		i = j
-	}
-}
-
-func (h *completionHeap) push(c completion) {
-	*h = append(*h, c) //shm:alloc-ok amortized heap growth, bounded by in-flight completions
-	h.up(len(*h) - 1)
-}
-
-func (h *completionHeap) pop() completion {
-	old := *h
-	n := len(old) - 1
-	old[0], old[n] = old[n], old[0]
-	old.down(0, n)
-	c := old[n]
-	*h = old[:n]
-	return c
 }
 
 type bank struct {
@@ -150,15 +132,27 @@ type bank struct {
 	freeAt   uint64
 	rowHits  uint64
 	rowMisss uint64
+	// head and tail are this bank's queued slots in sequence order, -1
+	// when the bank has no queued work.
+	head, tail int32
 }
 
 // Channel is one memory partition's DRAM channel.
 type Channel struct {
-	cfg       Config
-	queue     []pendingReq
-	banks     []bank
+	cfg   Config
+	slots []pendingReq // the queue slab, cfg.QueueDepth slots
+	free  int32        // head of the free slot list, -1 when the queue is full
+	// nQueued counts queued (not yet issued) requests; nextSeq numbers the
+	// next enqueue.
+	nQueued int
+	nextSeq uint64
+	banks   []bank
+	// active has bit b set while bank b has queued work; minFree is the
+	// earliest freeAt over those banks, meaningful only while nQueued > 0.
+	active    []uint64
+	minFree   uint64
 	busFreeFP uint64 // fixed-point cycle (×256) when the data bus frees
-	completed completionHeap
+	completed ringbuf.Ring[completion]
 	// doneBuf backs the slice returned by Tick; see the validity note there.
 	doneBuf []Req
 
@@ -193,51 +187,100 @@ func NewChannel(cfg Config) *Channel {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	return &Channel{
-		cfg:   cfg,
-		banks: make([]bank, cfg.Banks),
+	ch := &Channel{
+		cfg:    cfg,
+		slots:  make([]pendingReq, cfg.QueueDepth),
+		banks:  make([]bank, cfg.Banks),
+		active: make([]uint64, (cfg.Banks+63)/64),
 	}
+	ch.resetQueue()
+	return ch
+}
+
+// resetQueue empties the queue: every slot on the free list, every bank
+// list empty.
+func (ch *Channel) resetQueue() {
+	for i := range ch.slots {
+		ch.slots[i] = pendingReq{next: int32(i + 1)}
+	}
+	ch.slots[len(ch.slots)-1].next = -1
+	ch.free = 0
+	ch.nQueued = 0
+	ch.nextSeq = 0
+	for i := range ch.banks {
+		ch.banks[i].head, ch.banks[i].tail = -1, -1
+	}
+	clear(ch.active)
 }
 
 // Config returns the channel configuration.
 func (ch *Channel) Config() Config { return ch.cfg }
 
 // CanAccept reports whether Enqueue would succeed.
-func (ch *Channel) CanAccept() bool { return len(ch.queue) < ch.cfg.QueueDepth }
+func (ch *Channel) CanAccept() bool { return ch.free >= 0 }
 
 // QueueLen returns the number of queued (not yet issued) requests.
-func (ch *Channel) QueueLen() int { return len(ch.queue) }
+func (ch *Channel) QueueLen() int { return ch.nQueued }
 
 // Pending returns queued plus in-flight (issued, not yet completed) requests.
-func (ch *Channel) Pending() int { return len(ch.queue) + len(ch.completed) }
+func (ch *Channel) Pending() int { return ch.nQueued + ch.completed.Len() }
+
+// bankRow maps a partition-local address to its bank and row.
+func (ch *Channel) bankRow(local memdef.Addr) (int, uint64) {
+	slice := uint64(local) / memdef.PartitionStride
+	b := int(slice % uint64(ch.cfg.Banks))
+	slicesPerRow := uint64(ch.cfg.RowBytes / memdef.PartitionStride)
+	return b, (slice / uint64(ch.cfg.Banks)) / slicesPerRow
+}
 
 // Enqueue adds a sector request at cycle now. It returns false when the
 // queue is full (the caller must retry; this is the back-pressure that
-// creates bandwidth contention upstream).
+// creates bandwidth contention upstream). now must not be earlier than any
+// earlier Enqueue's or Tick's.
 func (ch *Channel) Enqueue(r Req, now uint64) bool {
 	if !ch.CanAccept() {
 		return false
 	}
-	slice := uint64(r.Local) / memdef.PartitionStride
-	b := int(slice % uint64(ch.cfg.Banks))
-	slicesPerRow := uint64(ch.cfg.RowBytes / memdef.PartitionStride)
-	row := (slice / uint64(ch.cfg.Banks)) / slicesPerRow
-	ch.queue = append(ch.queue, pendingReq{Req: r, arrival: now, bank: b, row: row}) //shm:alloc-ok amortized growth, capacity bounded by cfg.QueueDepth
+	b, row := ch.bankRow(r.Local)
+	ch.push(pendingReq{Req: r, arrival: now, row: row, bank: int32(b)})
 	if invariant.Enabled() {
 		ch.enqueued++
-		if len(ch.queue) > ch.cfg.QueueDepth {
-			invariant.Failf("queue-occupancy", fmt.Sprintf("dram[%d]", ch.part), now,
-				"queue holds %d requests, capacity %d (local %#x token %d)",
-				len(ch.queue), ch.cfg.QueueDepth, uint64(r.Local), r.Token)
+		if now < ch.lastTick {
+			invariant.Failf("clock-monotonic", fmt.Sprintf("dram[%d]", ch.part), now,
+				"Enqueue at now=%d before the last Tick at %d (local %#x token %d)",
+				now, ch.lastTick, uint64(r.Local), r.Token)
 		}
 	}
 	if ch.probe != nil {
 		ch.probe.Emit(telemetry.Event{
 			Cycle: now, Kind: telemetry.EvDRAMEnqueue, Part: ch.part,
-			Class: uint8(r.Class), Value: uint64(len(ch.queue)),
+			Class: uint8(r.Class), Value: uint64(ch.nQueued),
 		})
 	}
 	return true
+}
+
+// push takes a free slot for p, gives it the next sequence number and
+// appends it to its bank's list. The caller has checked CanAccept.
+func (ch *Channel) push(p pendingReq) {
+	idx := ch.free
+	ch.free = ch.slots[idx].next
+	p.seq = ch.nextSeq
+	p.next = -1
+	ch.nextSeq++
+	ch.slots[idx] = p
+	bk := &ch.banks[p.bank]
+	if bk.tail < 0 {
+		bk.head = idx
+		ch.active[p.bank>>6] |= 1 << (p.bank & 63)
+		if ch.nQueued == 0 || bk.freeAt < ch.minFree {
+			ch.minFree = bk.freeAt
+		}
+	} else {
+		ch.slots[bk.tail].next = idx
+	}
+	bk.tail = idx
+	ch.nQueued++
 }
 
 // Tick advances the channel to cycle now: issues eligible requests (FR-FCFS:
@@ -256,12 +299,14 @@ func (ch *Channel) Tick(now uint64) []Req {
 	}
 	// Issue as long as a request can start this cycle. Several issues per
 	// cycle are allowed; the bus reservation serializes actual transfers.
-	for len(ch.queue) > 0 {
-		idx := ch.pickNext(now)
+	// Each pick refreshes minFree, so a tick at which every bank with
+	// queued work is busy costs one comparison.
+	for ch.nQueued > 0 && ch.minFree <= now {
+		idx, prev := ch.pickNext(now)
 		if idx < 0 {
 			break // every queued request's bank is busy
 		}
-		p := ch.queue[idx]
+		p := ch.unlink(idx, prev)
 		bk := &ch.banks[p.bank]
 		// Column accesses to an open row are pipelined: they add CAS
 		// latency but do not occupy the bank. A row miss additionally
@@ -288,8 +333,7 @@ func (ch *Channel) Tick(now uint64) []Req {
 		ch.busyFP += transferFP
 		doneCycle := (startFP + transferFP + 255) / 256
 
-		ch.completed.push(completion{req: p.Req, cycle: doneCycle})
-		ch.queue = append(ch.queue[:idx], ch.queue[idx+1:]...) //shm:alloc-ok removal compacts in place; the result never exceeds the existing backing array
+		ch.completed.Push(completion{req: p.Req, cycle: doneCycle})
 		if ch.probe != nil {
 			ch.probe.Emit(telemetry.Event{
 				Cycle: now, Kind: telemetry.EvDRAMService, Part: ch.part,
@@ -305,8 +349,8 @@ func (ch *Channel) Tick(now uint64) []Req {
 	}
 
 	done := ch.doneBuf[:0]
-	for len(ch.completed) > 0 && ch.completed[0].cycle <= now {
-		c := ch.completed.pop()
+	for !ch.completed.Empty() && ch.completed.Front().cycle <= now {
+		c := ch.completed.PopFront()
 		if c.req.Kind == memdef.Read {
 			ch.ReadsServed++
 		} else {
@@ -326,13 +370,11 @@ func (ch *Channel) Tick(now uint64) []Req {
 // strictly in the future.
 func (ch *Channel) NextEvent(now uint64) uint64 {
 	next := ^uint64(0)
-	for i := range ch.queue {
-		if fa := ch.banks[ch.queue[i].bank].freeAt; fa < next {
-			next = fa
-		}
+	if ch.nQueued > 0 {
+		next = ch.minFree
 	}
-	if len(ch.completed) > 0 && ch.completed[0].cycle < next {
-		next = ch.completed[0].cycle
+	if !ch.completed.Empty() && ch.completed.Front().cycle < next {
+		next = ch.completed.Front().cycle
 	}
 	if next <= now {
 		return now + 1
@@ -342,32 +384,75 @@ func (ch *Channel) NextEvent(now uint64) uint64 {
 
 // pickNext implements FR-FCFS-lite over requests whose bank is free at
 // cycle now: the oldest row hit wins; otherwise the oldest such request.
-// It returns -1 when every queued request targets a busy bank.
-func (ch *Channel) pickNext(now uint64) int {
-	bestHit, bestAny := -1, -1
-	for i := range ch.queue {
-		p := &ch.queue[i]
-		bk := &ch.banks[p.bank]
-		if bk.freeAt > now {
-			continue
-		}
-		if bk.hasRow && bk.openRow == p.row {
-			if bestHit < 0 || p.arrival < ch.queue[bestHit].arrival {
-				bestHit = i
+// It returns the chosen slot and its predecessor in its bank's list (-1 at
+// the head), or slot -1 when every queued request targets a busy bank. It
+// also recomputes minFree over the banks with queued work.
+func (ch *Channel) pickNext(now uint64) (slot, prev int32) {
+	hit, hitPrev, head := int32(-1), int32(-1), int32(-1)
+	hitSeq, headSeq := ^uint64(0), ^uint64(0)
+	minFree := ^uint64(0)
+	for w, word := range ch.active {
+		for word != 0 {
+			bk := &ch.banks[w<<6|bits.TrailingZeros64(word)]
+			word &= word - 1
+			if bk.freeAt < minFree {
+				minFree = bk.freeAt
+			}
+			if bk.freeAt > now {
+				continue
+			}
+			if s := ch.slots[bk.head].seq; s < headSeq {
+				head, headSeq = bk.head, s
+			}
+			if !bk.hasRow {
+				continue
+			}
+			// The bank's list is in sequence order: its first entry on
+			// the open row is its oldest hit, and nothing past an entry
+			// younger than the best hit so far can win.
+			for i, pi := bk.head, int32(-1); i >= 0; pi, i = i, ch.slots[i].next {
+				p := &ch.slots[i]
+				if p.seq >= hitSeq {
+					break
+				}
+				if p.row == bk.openRow {
+					hit, hitPrev, hitSeq = i, pi, p.seq
+					break
+				}
 			}
 		}
-		if bestAny < 0 || p.arrival < ch.queue[bestAny].arrival {
-			bestAny = i
-		}
 	}
-	if bestHit >= 0 {
-		return bestHit
+	ch.minFree = minFree
+	if hit >= 0 {
+		return hit, hitPrev
 	}
-	return bestAny
+	return head, -1
+}
+
+// unlink removes slot idx (whose predecessor in its bank's list is prev)
+// from the queue, returns its request and puts the slot on the free list.
+func (ch *Channel) unlink(idx, prev int32) pendingReq {
+	p := ch.slots[idx]
+	bk := &ch.banks[p.bank]
+	if prev < 0 {
+		bk.head = p.next
+	} else {
+		ch.slots[prev].next = p.next
+	}
+	if bk.tail == idx {
+		bk.tail = prev
+	}
+	if bk.head < 0 {
+		ch.active[p.bank>>6] &^= 1 << (p.bank & 63)
+	}
+	ch.slots[idx].next = ch.free
+	ch.free = idx
+	ch.nQueued--
+	return p
 }
 
 // Drained reports whether no requests are queued or in flight.
-func (ch *Channel) Drained() bool { return len(ch.queue) == 0 && len(ch.completed) == 0 }
+func (ch *Channel) Drained() bool { return ch.nQueued == 0 && ch.completed.Empty() }
 
 // CheckConserved verifies the request-conservation invariant at a drain
 // point: every request accepted by Enqueue must have been returned by Tick.
@@ -379,7 +464,7 @@ func (ch *Channel) CheckConserved(component string, now uint64) {
 	if ch.enqueued != served || !ch.Drained() {
 		invariant.Failf("request-conservation", component, now,
 			"%d enqueued, %d served, %d queued, %d in flight",
-			ch.enqueued, served, len(ch.queue), len(ch.completed))
+			ch.enqueued, served, ch.nQueued, ch.completed.Len())
 	}
 }
 

@@ -221,3 +221,45 @@ func TestWriteConsumesBandwidth(t *testing.T) {
 		t.Errorf("write bandwidth = %.2f B/cycle, too low", gotBPC)
 	}
 }
+
+// saturate keeps ch's queue full with requests to pseudo-random banks and
+// rows (a xorshift stream in *x) and ticks it once at cycle *now.
+func saturate(ch *Channel, now, x *uint64) {
+	for ch.CanAccept() {
+		*x ^= *x << 13
+		*x ^= *x >> 7
+		*x ^= *x << 17
+		ch.Enqueue(Req{Local: memdef.Addr(*x % (1 << 24) &^ (memdef.SectorSize - 1)), Kind: memdef.AccessKind(*x >> 63), Token: *x}, *now)
+	}
+	ch.Tick(*now)
+	*now++
+}
+
+// TestChannelTickAllocFree pins the channel's steady state at zero
+// allocations: the queue is a fixed slab and the completion ring and the
+// Tick result buffer stop growing at their high-water marks.
+func TestChannelTickAllocFree(t *testing.T) {
+	ch := NewChannel(DefaultConfig())
+	now, x := uint64(0), uint64(88172645463325252)
+	for i := 0; i < 20000; i++ {
+		saturate(ch, &now, &x)
+	}
+	if allocs := testing.AllocsPerRun(2000, func() { saturate(ch, &now, &x) }); allocs != 0 {
+		t.Errorf("saturated Enqueue+Tick allocates %v times per cycle, want 0", allocs)
+	}
+}
+
+// BenchmarkChannelSaturated is the DRAM layer's own number: one op is one
+// cycle of a channel kept full with random-bank requests.
+func BenchmarkChannelSaturated(b *testing.B) {
+	ch := NewChannel(DefaultConfig())
+	now, x := uint64(0), uint64(88172645463325252)
+	for i := 0; i < 20000; i++ {
+		saturate(ch, &now, &x)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		saturate(ch, &now, &x)
+	}
+}

@@ -66,9 +66,8 @@ func SetEnabled(v bool) { enabled = v }
 // Violation is one detected invariant violation with its full context.
 type Violation struct {
 	// Check names the violated invariant ("request-conservation",
-	// "clock-monotonic", "mshr-occupancy", "queue-occupancy",
-	// "bmt-consistency", "counter-overflow", "drain-convergence",
-	// "warp-residency").
+	// "clock-monotonic", "mshr-occupancy", "bmt-consistency",
+	// "counter-overflow", "drain-convergence", "warp-residency").
 	Check string
 	// Component identifies the violating instance ("dram[3]", "cache l2",
 	// "sm[12]", "bmt[p0]", "system").

@@ -76,10 +76,19 @@ func New(quick bool) *Baseline {
 // Measure runs fn iters times and returns the cell measurement. A GC runs
 // before the timed region so prior garbage is not attributed to the cell;
 // allocation counts come from the runtime's monotonic malloc counters.
+//
+// The counters are process-wide, so Measure runs with GOMAXPROCS pinned to
+// 1, as testing.AllocsPerRun does. With more Ps, restarting the world after
+// ReadMemStats can start an OS thread for an idle P; the runtime's five
+// allocations for that thread (its m, g0, signal stack and profiling
+// stacks) then land in the window, more often on a loaded machine. fn
+// runs on that one P, so it must be single-threaded, as the simulator
+// core is.
 func Measure(name string, iters int, fn func()) Benchmark {
 	if iters <= 0 {
 		iters = 1
 	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var ms runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&ms)

@@ -16,7 +16,9 @@ import (
 // newer snapshot (or vice versa) into silently wrong simulator state.
 // Version 2: hostmem tier gained prefetch/batch/sub-page state and the
 // telemetry collector a prefetch batch-size histogram.
-const FormatVersion = 2
+// Version 3: DRAM channels store in-flight completions in pop order (a
+// FIFO ring) instead of as a binary-heap array.
+const FormatVersion = 3
 
 // magic identifies a shmgpu snapshot file.
 var magic = [8]byte{'S', 'H', 'M', 'S', 'N', 'A', 'P', 0}

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"shmgpu/internal/scheme"
 )
 
 // The benchmark harness regenerates every table and figure of the paper's
@@ -105,8 +107,9 @@ func BenchmarkFigOversub(b *testing.B) { benchFigure(b, "oversub") }
 // (the unit everything above is built from).
 func BenchmarkSingleRun(b *testing.B) {
 	b.ReportAllocs()
+	spec := RunSpec{Config: QuickConfig(), Workload: "atax", Scheme: scheme.SHM}
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(QuickConfig(), "atax", "SHM"); err != nil {
+		if _, err := Execute(spec); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -118,10 +121,10 @@ func BenchmarkSingleRun(b *testing.B) {
 // nothing else).
 func BenchmarkSingleRunEveryCycle(b *testing.B) {
 	b.ReportAllocs()
-	cfg := QuickConfig()
-	cfg.DisableFastForward = true
+	spec := RunSpec{Config: QuickConfig(), Workload: "atax", Scheme: scheme.SHM}
+	spec.Config.DisableFastForward = true
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(cfg, "atax", "SHM"); err != nil {
+		if _, err := Execute(spec); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -240,6 +240,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
+	if err := r.Err(); err != nil {
+		log.Errorf("%v", err)
+		if code == 0 {
+			code = 1
+		}
+	}
 	stalled := plane.Stalled()
 	m := telemetry.Manifest{
 		Tool:          "paperbench",
@@ -336,18 +342,19 @@ func runBench(cfg gpu.Config, quick bool, wls []string, outPath, comparePath str
 	sweepStart := time.Now()
 	for _, wl := range wls {
 		for _, sch := range benchSchemes() {
-			bench, err := workload.ByName(wl)
+			spec := experiments.RunSpec{Config: cfg, Workload: wl, Scheme: sch}
+			var err error
+			cell := perf.Measure("run/"+wl+"/"+sch.Name, 1, func() {
+				var out experiments.RunOutput
+				out, err = experiments.Execute(spec)
+				if err == nil && !out.Result.Completed {
+					log.Errorf("warning: %s/%s hit MaxCycles", wl, sch.Name)
+				}
+			})
 			if err != nil {
 				log.Errorf("%v", err)
 				return 2
 			}
-			opts := sch.Options
-			cell := perf.Measure("run/"+wl+"/"+sch.Name, 1, func() {
-				res := gpu.NewSystem(cfg, opts).Run(bench)
-				if !res.Completed {
-					log.Errorf("warning: %s/%s hit MaxCycles", wl, sch.Name)
-				}
-			})
 			b.Add(cell)
 		}
 	}

@@ -39,6 +39,7 @@ import (
 	"shmgpu/internal/obs"
 	"shmgpu/internal/report"
 	"shmgpu/internal/scheme"
+	"shmgpu/internal/snapshot"
 	"shmgpu/internal/stats"
 	"shmgpu/internal/telemetry"
 )
@@ -126,7 +127,8 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		log.Errorf("%v", err)
 		return 2
 	}
-	if _, err := scheme.ByName(*sch); err != nil {
+	schObj, err := scheme.ByName(*sch)
+	if err != nil {
 		log.Errorf("%v (run with -list to see valid names)", err)
 		return 2
 	}
@@ -144,6 +146,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		SampleInterval: *sampleInterval,
 		CaptureEvents:  *traceOut != "" || *jsonlOut != "",
 	}
+	spec := shmgpu.RunSpec{Config: cfg, Workload: *wl, Seed: *seed, Scheme: schObj}
 
 	// Snapshot capture is its own mode: warm, serialize, exit. The snapshot
 	// embeds the collector state, so the restoring invocation must pass the
@@ -160,22 +163,34 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			log.Errorf("-snapshot-out requires -snapshot-at <cycle>")
 			return 2
 		}
-		written, err := shmgpu.WriteSnapshot(cfg, *wl, *sch, *seed, *snapshotAt, tcfg, *snapshotOut)
+		spec.Telemetry = &tcfg
+		spec.StopAt = *snapshotAt
+		out, err := shmgpu.Execute(spec)
 		if err != nil {
 			log.Errorf("%v", err)
 			return 1
 		}
-		if !written {
+		if out.Snapshot == nil {
 			log.Errorf("workload %s completed before cycle %d; no snapshot written", *wl, *snapshotAt)
+			return 1
+		}
+		if err := snapshot.WriteFile(*snapshotOut, out.Snapshot); err != nil {
+			log.Errorf("%v", err)
 			return 1
 		}
 		fmt.Fprintf(stdout, "snapshot written to %s (cycle %d, workload=%s scheme=%s seed=%d)\n",
 			*snapshotOut, *snapshotAt, *wl, *sch, effSeed)
 		return 0
 	}
-	if *restorePath != "" && *accuracy {
-		log.Errorf("-restore cannot be combined with -accuracy")
-		return 2
+	if *restorePath != "" {
+		if *accuracy {
+			log.Errorf("-restore cannot be combined with -accuracy")
+			return 2
+		}
+		if spec.Restore, err = snapshot.ReadFile(*restorePath); err != nil {
+			log.Errorf("%v", err)
+			return 1
+		}
 	}
 
 	// Two observable cells: the baseline reference run and the requested
@@ -202,12 +217,24 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		}
 	}()
 
+	// observed executes s as the named ops-plane cell.
+	observed := func(s shmgpu.RunSpec, cell string) (shmgpu.RunOutput, error) {
+		s.Observe = plane.BeginRun(cell)
+		out, err := shmgpu.Execute(s)
+		s.Observe.Done(out.Result.Cycles, out.Result.Completed)
+		return out, err
+	}
+
 	started := time.Now()
-	base, _, err := shmgpu.RunObservedSeeded(cfg, *wl, "Baseline", *seed, telemetry.Config{}, plane.BeginRun(*wl+"/Baseline"))
+	baseSpec := spec
+	baseSpec.Scheme = scheme.Baseline
+	baseSpec.Restore = nil
+	baseOut, err := observed(baseSpec, *wl+"/Baseline")
 	if err != nil {
 		log.Errorf("%v (run with -list to see valid names)", err)
 		return 2
 	}
+	base := baseOut.Result
 	if base.Cancelled {
 		log.Errorf("baseline run %s stalled and was cancelled by the watchdog", *wl)
 		return 4
@@ -215,18 +242,18 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 
 	var res shmgpu.Result
 	var col *shmgpu.Collector
-	switch {
-	case *restorePath != "":
-		res, col, err = shmgpu.RestoreRun(cfg, *wl, *sch, *seed, tcfg, *restorePath)
-	case *accuracy:
-		schObj, _ := scheme.ByName(*sch)
+	if *accuracy {
 		r := shmgpu.NewRunner(cfg, []string{*wl})
 		r.SetOps(plane)
 		res = r.RunWithAccuracy(*wl, schObj)
-	case instrument:
-		res, col, err = shmgpu.RunObservedSeeded(cfg, *wl, *sch, *seed, tcfg, plane.BeginRun(*wl+"/"+*sch))
-	default:
-		res, _, err = shmgpu.RunObservedSeeded(cfg, *wl, *sch, *seed, telemetry.Config{}, plane.BeginRun(*wl+"/"+*sch))
+		err = r.Err()
+	} else {
+		if instrument || spec.Restore != nil {
+			spec.Telemetry = &tcfg
+		}
+		var out shmgpu.RunOutput
+		out, err = observed(spec, *wl+"/"+*sch)
+		res, col = out.Result, out.Collector
 	}
 	if err != nil {
 		log.Errorf("%v (run with -list to see valid names)", err)

@@ -2,49 +2,28 @@ package shmgpu_test
 
 import (
 	"bytes"
-	"encoding/json"
 	"testing"
 
 	"shmgpu"
-	"shmgpu/internal/telemetry"
+	"shmgpu/internal/experiments"
+	"shmgpu/internal/testutil"
 )
 
-// runArtifacts captures everything a run exports that must be reproducible:
-// the marshaled stats.Registry snapshot and the full JSONL trace stream.
-type runArtifacts struct {
-	snapshot []byte
-	jsonl    []byte
-	cycles   uint64
-}
-
-func runOnce(t *testing.T, seed int64) runArtifacts {
+// runOnce executes atax/SHM at seed and renders everything it exports
+// that must be reproducible: the Result fields, the marshaled
+// stats.Registry snapshot and the full JSONL trace stream (under a fixed
+// manifest with no wall-clock fields, so the comparison tests the
+// simulation stream, not the timestamps around it).
+func runOnce(t *testing.T, seed int64) (experiments.Artifacts, shmgpu.Result) {
 	t.Helper()
-	cfg := shmgpu.QuickConfig()
-	tcfg := shmgpu.TelemetryConfig{SampleInterval: 1000, CaptureEvents: true}
-	res, col, err := shmgpu.RunWithTelemetrySeeded(cfg, "atax", "SHM", seed, tcfg)
+	spec := testutil.Spec(t, shmgpu.QuickConfig(), "atax", "SHM", seed)
+	spec.Telemetry = &shmgpu.TelemetryConfig{SampleInterval: 1000, CaptureEvents: true}
+	out := testutil.Execute(t, spec)
+	arts, err := experiments.Render("determinism-test", spec, out)
 	if err != nil {
-		t.Fatalf("run failed: %v", err)
+		t.Fatal(err)
 	}
-	snap, err := json.Marshal(res.Reg.Snapshot())
-	if err != nil {
-		t.Fatalf("marshaling snapshot: %v", err)
-	}
-	// A fixed manifest (no wall-clock fields) so the JSONL comparison tests
-	// the simulation stream, not the timestamps around it.
-	m := shmgpu.Manifest{
-		Tool:          "determinism-test",
-		SchemaVersion: telemetry.SchemaVersion,
-		Workload:      "atax",
-		Scheme:        "SHM",
-		SMs:           cfg.SMs,
-		Partitions:    cfg.Partitions,
-		Seed:          seed,
-	}
-	var buf bytes.Buffer
-	if err := telemetry.WriteJSONL(&buf, col, shmgpu.Summarize(res), m); err != nil {
-		t.Fatalf("writing JSONL: %v", err)
-	}
-	return runArtifacts{snapshot: snap, jsonl: buf.Bytes(), cycles: res.Cycles}
+	return arts, out.Result
 }
 
 // TestRunsAreByteIdentical is the determinism regression gate: two
@@ -53,25 +32,18 @@ func runOnce(t *testing.T, seed int64) runArtifacts {
 // streams. Any nondeterminism source that slips past the static checks
 // (shmlint's nodeterminism analyzer) lands here.
 func TestRunsAreByteIdentical(t *testing.T) {
-	first := runOnce(t, 424242)
-	second := runOnce(t, 424242)
-	if !bytes.Equal(first.snapshot, second.snapshot) {
-		t.Errorf("stats.Registry snapshots differ between identical runs:\nfirst:  %s\nsecond: %s",
-			first.snapshot, second.snapshot)
-	}
-	if !bytes.Equal(first.jsonl, second.jsonl) {
-		t.Errorf("JSONL export streams differ between identical runs (first %d bytes vs %d bytes)",
-			len(first.jsonl), len(second.jsonl))
-	}
+	first, _ := runOnce(t, 424242)
+	second, _ := runOnce(t, 424242)
+	testutil.AssertEqual(t, "first", first, "second", second)
 }
 
 // TestSeedChangesTheRun asserts the seed actually threads through to the
 // warp programs: two different seeds must not produce the same simulation.
 func TestSeedChangesTheRun(t *testing.T) {
-	a := runOnce(t, 7)
-	b := runOnce(t, 8)
-	if a.cycles == b.cycles && bytes.Equal(a.snapshot, b.snapshot) {
+	a, aRes := runOnce(t, 7)
+	b, bRes := runOnce(t, 8)
+	if aRes.Cycles == bRes.Cycles && bytes.Equal(a.Counters, b.Counters) {
 		t.Errorf("seed 7 and seed 8 produced identical runs (%d cycles, same counters); seed is not reaching the workload",
-			a.cycles)
+			aRes.Cycles)
 	}
 }

@@ -16,14 +16,19 @@ func main() {
 
 	const workload = "fdtd2d" // the paper's streaming showcase benchmark
 
-	base, err := shmgpu.Run(cfg, workload, "Baseline")
-	if err != nil {
-		log.Fatal(err)
+	run := func(design string) shmgpu.Result {
+		sch, err := shmgpu.SchemeByName(design)
+		if err != nil {
+			log.Fatal(err)
+		}
+		out, err := shmgpu.Execute(shmgpu.RunSpec{Config: cfg, Workload: workload, Scheme: sch})
+		if err != nil {
+			log.Fatal(err)
+		}
+		return out.Result
 	}
-	shm, err := shmgpu.Run(cfg, workload, "SHM")
-	if err != nil {
-		log.Fatal(err)
-	}
+	base := run("Baseline")
+	shm := run("SHM")
 
 	fmt.Printf("workload: %s\n", workload)
 	fmt.Printf("baseline IPC:        %.3f\n", base.IPC())

@@ -7,9 +7,9 @@ package main
 
 import (
 	"fmt"
+	"log"
 
 	"shmgpu"
-	"shmgpu/internal/gpu"
 	"shmgpu/internal/memdef"
 	"shmgpu/internal/scheme"
 	"shmgpu/internal/stats"
@@ -19,7 +19,7 @@ import (
 func main() {
 	// A synthetic kernel: 70% of memory instructions stream a 12 MiB
 	// read-only buffer, 30% randomly poke a 4 MiB table.
-	bench := workload.MustNew(workload.Spec{
+	bench := workload.Spec{
 		BenchName: "mixed-demo",
 		Buffers: []workload.Buffer{
 			{Name: "stream-in", Bytes: 12 << 20, Space: memdef.SpaceGlobal,
@@ -30,13 +30,15 @@ func main() {
 		ComputePerMem:   10,
 		MemInstsPerWarp: 160,
 		Seed:            7,
-	})
+	}
 
 	cfg := shmgpu.QuickConfig()
-	run := func(opts scheme.Scheme) shmgpu.Result {
-		res := gpu.NewSystem(cfg, opts.Options).Run(bench)
-		res.Scheme = opts.Name
-		return res
+	run := func(sch scheme.Scheme) shmgpu.Result {
+		out, err := shmgpu.Execute(shmgpu.RunSpec{Config: cfg, Generated: &bench, Scheme: sch})
+		if err != nil {
+			log.Fatal(err)
+		}
+		return out.Result
 	}
 
 	shm := run(scheme.SHM)               // dual-granularity MACs

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"shmgpu"
+	"shmgpu/internal/experiments"
 	"shmgpu/internal/gpu"
 	"shmgpu/internal/scheme"
 	"shmgpu/internal/testutil"
@@ -14,7 +15,7 @@ import (
 
 // runMode executes one (workload, scheme, seed) cell with fast-forward either
 // enabled (the default) or disabled (reference every-cycle ticking).
-func runMode(t *testing.T, workload, scheme string, seed int64, disableFF bool) testutil.Artifacts {
+func runMode(t *testing.T, workload, scheme string, seed int64, disableFF bool) experiments.Artifacts {
 	t.Helper()
 	return testutil.RunCell(t, workload, scheme, seed, disableFF)
 }

@@ -6,14 +6,33 @@ import (
 	"testing"
 
 	"shmgpu"
+	"shmgpu/internal/experiments"
+	"shmgpu/internal/snapshot"
 	"shmgpu/internal/testutil"
 )
 
-// forkSpecs are the child variants one warmed parent fans out to: both
-// fast-forward modes.
-var forkSpecs = []shmgpu.ForkSpec{
-	{DisableFastForward: false},
-	{DisableFastForward: true},
+// forkChildren warms spec to cycle at, captures its state once, and
+// restores one child per fast-forward mode from the snapshot — a fork is
+// a StopAt spec plus Restore specs. It returns the children's artifacts,
+// fast-forward first, and the configs they ran under.
+func forkChildren(t *testing.T, spec shmgpu.RunSpec, at uint64) ([]experiments.Artifacts, []shmgpu.Config) {
+	t.Helper()
+	warm := spec
+	warm.StopAt = at
+	parent := testutil.Execute(t, warm)
+	if parent.Snapshot == nil {
+		t.Fatalf("workload finished before cycle %d; nothing to fork", at)
+	}
+	var arts []experiments.Artifacts
+	var cfgs []shmgpu.Config
+	for _, disableFF := range []bool{false, true} {
+		child := spec
+		child.Config.DisableFastForward = disableFF
+		child.Restore = parent.Snapshot
+		arts = append(arts, testutil.Render(t, child, testutil.Execute(t, child)))
+		cfgs = append(cfgs, child.Config)
+	}
+	return arts, cfgs
 }
 
 // TestForkMatchesScratch is the checkpoint/fork equivalence gate: over a
@@ -42,10 +61,7 @@ func TestForkMatchesScratch(t *testing.T) {
 		c := c
 		// One probe run sizes the fork points; its cycle count is
 		// deterministic, so the fractions below land at reproducible spots.
-		probe, err := shmgpu.RunSeeded(shmgpu.QuickConfig(), c.workload, c.scheme, c.seed)
-		if err != nil {
-			t.Fatalf("probe run %s/%s: %v", c.workload, c.scheme, err)
-		}
+		probe := testutil.RunResult(t, shmgpu.QuickConfig(), c.workload, c.scheme, c.seed)
 		warmPoints := []struct {
 			name string
 			at   uint64
@@ -59,15 +75,12 @@ func TestForkMatchesScratch(t *testing.T) {
 				continue
 			}
 			t.Run(fmt.Sprintf("%s_%s_seed%d_%s", c.workload, c.scheme, c.seed, wp.name), func(t *testing.T) {
-				results, cols, err := shmgpu.RunForkedSeeded(shmgpu.QuickConfig(), c.workload, c.scheme, c.seed, wp.at, testutil.QuickTelemetry(), forkSpecs)
-				if err != nil {
-					t.Fatalf("forked run: %v", err)
-				}
-				for i, spec := range forkSpecs {
-					forked := testutil.Collect(t, shmgpu.QuickConfig(), c.workload, c.scheme, c.seed, results[i], cols[i])
-					scratch := testutil.RunCell(t, c.workload, c.scheme, c.seed, spec.DisableFastForward)
-					label := fmt.Sprintf("forked ff=%v", !spec.DisableFastForward)
-					testutil.AssertEqual(t, label, forked, "scratch", scratch)
+				spec := testutil.Spec(t, shmgpu.QuickConfig(), c.workload, c.scheme, c.seed)
+				forked, cfgs := forkChildren(t, spec, wp.at)
+				for i, cfg := range cfgs {
+					scratch := testutil.RunCell(t, c.workload, c.scheme, c.seed, cfg.DisableFastForward)
+					label := fmt.Sprintf("forked ff=%v", !cfg.DisableFastForward)
+					testutil.AssertEqual(t, label, forked[i], "scratch", scratch)
 				}
 			})
 		}
@@ -97,10 +110,7 @@ func TestForkMatchesScratchOversubscribed(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			cfg := oversubQuickConfig(0.5)
 			cfg.UVMPrefetch = prefetch
-			probe, err := shmgpu.RunSeeded(cfg, "atax", "SHM", 1)
-			if err != nil {
-				t.Fatalf("probe run: %v", err)
-			}
+			probe := testutil.RunResult(t, cfg, "atax", "SHM", 1)
 			for _, frac := range []struct {
 				name string
 				at   uint64
@@ -113,17 +123,11 @@ func TestForkMatchesScratchOversubscribed(t *testing.T) {
 					continue
 				}
 				t.Run(frac.name, func(t *testing.T) {
-					results, cols, err := shmgpu.RunForkedSeeded(cfg, "atax", "SHM", 1, frac.at, testutil.QuickTelemetry(), forkSpecs)
-					if err != nil {
-						t.Fatalf("forked run: %v", err)
-					}
-					for i, spec := range forkSpecs {
-						scfg := cfg
-						scfg.DisableFastForward = spec.DisableFastForward
-						forked := testutil.Collect(t, cfg, "atax", "SHM", 1, results[i], cols[i])
+					forked, cfgs := forkChildren(t, testutil.Spec(t, cfg, "atax", "SHM", 1), frac.at)
+					for i, scfg := range cfgs {
 						scratch := testutil.RunCellCfg(t, scfg, "atax", "SHM", 1)
-						label := fmt.Sprintf("forked ff=%v", !spec.DisableFastForward)
-						testutil.AssertEqual(t, label, forked, "scratch", scratch)
+						label := fmt.Sprintf("forked ff=%v", !scfg.DisableFastForward)
+						testutil.AssertEqual(t, label, forked[i], "scratch", scratch)
 					}
 				})
 			}
@@ -131,48 +135,69 @@ func TestForkMatchesScratchOversubscribed(t *testing.T) {
 	}
 }
 
+// snapshotFile warms spec to cycle at and round-trips the captured state
+// through a snapshot file (checksummed, atomically renamed), returning the
+// bytes read back.
+func snapshotFile(t *testing.T, spec shmgpu.RunSpec, at uint64) []byte {
+	t.Helper()
+	warm := spec
+	warm.StopAt = at
+	out := testutil.Execute(t, warm)
+	if out.Snapshot == nil {
+		t.Fatalf("workload finished before cycle %d; nothing captured", at)
+	}
+	path := filepath.Join(t.TempDir(), "warm.snap")
+	if err := snapshot.WriteFile(path, out.Snapshot); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := snapshot.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return blob
+}
+
+// assertRestoreRejected requires restoring blob under spec to fail the
+// configuration fingerprint rather than silently diverge.
+func assertRestoreRejected(t *testing.T, what string, spec shmgpu.RunSpec, blob []byte) {
+	t.Helper()
+	spec.Restore = blob
+	if _, err := shmgpu.Execute(spec); err == nil {
+		t.Errorf("restoring under a different %s succeeded; want fingerprint rejection", what)
+	}
+}
+
+// assertRestoresToScratch requires blob restored under spec to complete
+// byte-identically to spec run from scratch.
+func assertRestoresToScratch(t *testing.T, spec shmgpu.RunSpec, blob []byte) {
+	t.Helper()
+	child := spec
+	child.Restore = blob
+	restored := testutil.Render(t, child, testutil.Execute(t, child))
+	scratch := testutil.Render(t, spec, testutil.Execute(t, spec))
+	testutil.AssertEqual(t, "restored", restored, "scratch", scratch)
+}
+
 // TestSnapshotFileRoundTrip pins the file-based warm/restore path shmsim
 // exposes: a snapshot written to disk restores into a byte-identical
-// completion, and restoring under a mismatched scheme or seed is rejected
-// by the configuration fingerprint rather than silently diverging.
+// completion, and restoring under a mismatched scheme, seed or GPU config
+// is rejected by the configuration fingerprint rather than silently
+// diverging.
 func TestSnapshotFileRoundTrip(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full simulations; skipped in -short")
 	}
 	cfg := shmgpu.QuickConfig()
-	tcfg := testutil.QuickTelemetry()
-	probe, err := shmgpu.RunSeeded(cfg, "atax", "SHM", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "warm.snap")
-	written, err := shmgpu.WriteSnapshot(cfg, "atax", "SHM", 1, probe.Cycles/2, tcfg, path)
-	if err != nil {
-		t.Fatalf("WriteSnapshot: %v", err)
-	}
-	if !written {
-		t.Fatalf("workload finished before cycle %d; nothing captured", probe.Cycles/2)
-	}
+	probe := testutil.RunResult(t, cfg, "atax", "SHM", 1)
+	spec := testutil.Spec(t, cfg, "atax", "SHM", 1)
+	blob := snapshotFile(t, spec, probe.Cycles/2)
+	assertRestoresToScratch(t, spec, blob)
 
-	res, col, err := shmgpu.RestoreRun(cfg, "atax", "SHM", 1, tcfg, path)
-	if err != nil {
-		t.Fatalf("RestoreRun: %v", err)
-	}
-	restored := testutil.Collect(t, cfg, "atax", "SHM", 1, res, col)
-	scratch := testutil.RunCell(t, "atax", "SHM", 1, false)
-	testutil.AssertEqual(t, "restored", restored, "scratch", scratch)
-
-	if _, _, err := shmgpu.RestoreRun(cfg, "atax", "PSSM", 1, tcfg, path); err == nil {
-		t.Error("restoring under a different scheme succeeded; want fingerprint rejection")
-	}
-	if _, _, err := shmgpu.RestoreRun(cfg, "atax", "SHM", 99, tcfg, path); err == nil {
-		t.Error("restoring under a different seed succeeded; want fingerprint rejection")
-	}
+	assertRestoreRejected(t, "scheme", testutil.Spec(t, cfg, "atax", "PSSM", 1), blob)
+	assertRestoreRejected(t, "seed", testutil.Spec(t, cfg, "atax", "SHM", 99), blob)
 	bigger := cfg
 	bigger.SMs++
-	if _, _, err := shmgpu.RestoreRun(bigger, "atax", "SHM", 1, tcfg, path); err == nil {
-		t.Error("restoring under a different GPU config succeeded; want fingerprint rejection")
-	}
+	assertRestoreRejected(t, "GPU config", testutil.Spec(t, bigger, "atax", "SHM", 1), blob)
 }
 
 // TestSnapshotRejectsPageSizeMismatch extends the fingerprint gate to the
@@ -184,38 +209,18 @@ func TestSnapshotRejectsPageSizeMismatch(t *testing.T) {
 		t.Skip("full simulations; skipped in -short")
 	}
 	cfg := oversubQuickConfig(0.5)
-	tcfg := testutil.QuickTelemetry()
-	probe, err := shmgpu.RunSeeded(cfg, "atax", "SHM", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "uvm.snap")
-	written, err := shmgpu.WriteSnapshot(cfg, "atax", "SHM", 1, probe.Cycles/2, tcfg, path)
-	if err != nil {
-		t.Fatalf("WriteSnapshot: %v", err)
-	}
-	if !written {
-		t.Fatalf("workload finished before cycle %d; nothing captured", probe.Cycles/2)
-	}
+	probe := testutil.RunResult(t, cfg, "atax", "SHM", 1)
+	spec := testutil.Spec(t, cfg, "atax", "SHM", 1)
+	blob := snapshotFile(t, spec, probe.Cycles/2)
 
 	smaller := cfg
 	smaller.UVMPageBytes = 32 << 10
-	if _, _, err := shmgpu.RestoreRun(smaller, "atax", "SHM", 1, tcfg, path); err == nil {
-		t.Error("restoring under a different page size succeeded; want fingerprint rejection")
-	}
+	assertRestoreRejected(t, "page size", testutil.Spec(t, smaller, "atax", "SHM", 1), blob)
 	tighter := cfg
 	tighter.OversubRatio = 0.25
-	if _, _, err := shmgpu.RestoreRun(tighter, "atax", "SHM", 1, tcfg, path); err == nil {
-		t.Error("restoring under a different oversubscription ratio succeeded; want fingerprint rejection")
-	}
+	assertRestoreRejected(t, "oversubscription ratio", testutil.Spec(t, tighter, "atax", "SHM", 1), blob)
 
 	// Sanity: the matching configuration still restores and completes
 	// byte-identically to scratch.
-	res, col, err := shmgpu.RestoreRun(cfg, "atax", "SHM", 1, tcfg, path)
-	if err != nil {
-		t.Fatalf("RestoreRun: %v", err)
-	}
-	restored := testutil.Collect(t, cfg, "atax", "SHM", 1, res, col)
-	scratch := testutil.RunCellCfg(t, cfg, "atax", "SHM", 1)
-	testutil.AssertEqual(t, "restored", restored, "scratch", scratch)
+	assertRestoresToScratch(t, spec, blob)
 }

@@ -3,11 +3,9 @@ package experiments
 import (
 	"fmt"
 
-	"shmgpu/internal/gpu"
 	"shmgpu/internal/report"
 	"shmgpu/internal/scheme"
 	"shmgpu/internal/secmem"
-	"shmgpu/internal/workload"
 )
 
 // Ablation studies sweep the design parameters DESIGN.md calls out:
@@ -23,14 +21,14 @@ func (r *Runner) ablate(tune func(*secmem.Config)) float64 {
 	cfg.MEETune = tune
 	var sum float64
 	for _, wl := range r.workloads {
-		bench, err := workload.ByName(wl)
-		if err != nil {
-			panic(err)
-		}
 		base := r.Run(wl, scheme.Baseline) // cached, shared across points
-		res := gpu.NewSystem(cfg, scheme.SHM.Options).Run(bench)
+		out, err := Execute(RunSpec{Config: cfg, Workload: wl, Scheme: scheme.SHM})
+		if err != nil {
+			r.fail(fmt.Errorf("experiments: ablation %s: %w", wl, err))
+			continue
+		}
 		if base.IPC() > 0 {
-			sum += res.IPC() / base.IPC()
+			sum += out.Result.IPC() / base.IPC()
 		}
 	}
 	return sum / float64(len(r.workloads))

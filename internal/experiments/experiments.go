@@ -51,6 +51,7 @@ type Runner struct {
 
 	mu    sync.Mutex
 	cache map[string]gpu.Result
+	err   error // first refused run, see Err
 }
 
 // SetWorkers bounds the Prefetch worker pool (paperbench -workers).
@@ -116,7 +117,9 @@ func (r *Runner) run(wl string, sch scheme.Scheme, accuracy bool) gpu.Result {
 }
 
 // runOn is run with the identity of the pool worker executing it (-1 when
-// not on a pool), threaded into the cell span.
+// not on a pool), threaded into the cell span. A run Execute refuses (an
+// invalid configuration or workload) is recorded for Err and yields an
+// empty Result.
 func (r *Runner) runOn(worker int, wl string, sch scheme.Scheme, accuracy bool) gpu.Result {
 	k := key(wl, sch, accuracy)
 	r.mu.Lock()
@@ -126,33 +129,30 @@ func (r *Runner) runOn(worker int, wl string, sch scheme.Scheme, accuracy bool) 
 	}
 	r.mu.Unlock()
 
-	bench, err := workload.ByName(wl)
-	if err != nil {
-		panic(err)
-	}
-	opts := sch.Options
-	opts.TrackAccuracy = accuracy
-	sys := gpu.NewSystem(r.cfg, opts)
-	var col *telemetry.Collector
+	spec := RunSpec{Config: r.cfg, Workload: wl, Scheme: sch, Observe: r.ops.BeginRun(k)}
+	spec.Scheme.Options.TrackAccuracy = accuracy
 	if r.sink != nil {
-		col = telemetry.New(r.tcfg)
-		sys.AttachTelemetry(col)
+		spec.Telemetry = &r.tcfg
 	}
-	orun := r.ops.BeginRun(k)
-	if orun != nil {
-		if worker >= 0 {
-			orun.Span().Annotate("worker", strconv.Itoa(worker))
-		}
-		sys.SetObserver(orun, 0)
-		sys.SetCancel(orun.CancelFlag())
+	orun := spec.Observe
+	if orun != nil && worker >= 0 {
+		orun.Span().Annotate("worker", strconv.Itoa(worker))
 	}
-	res := r.runSystem(sys, bench, wl, orun)
-	res.Scheme = sch.Name
-	if orun != nil {
-		orun.Done(res.Cycles, res.Completed)
+	var out RunOutput
+	var err error
+	if orun == nil || !r.ops.CanCancel() {
+		out, err = Execute(spec)
+	} else {
+		s := spec // the goroutine's copy, heap-allocated only on this path
+		out, err = r.abandonable(orun, func() (RunOutput, error) { return Execute(s) })
 	}
-	if r.sink != nil && !res.Cancelled {
-		r.sink(res, col)
+	res := out.Result
+	res.Workload, res.Scheme = wl, sch.Name
+	orun.Done(res.Cycles, res.Completed)
+	if err != nil {
+		r.fail(fmt.Errorf("experiments: %s: %w", k, err))
+	} else if r.sink != nil && !res.Cancelled {
+		r.sink(res, out.Collector)
 	}
 
 	r.mu.Lock()
@@ -161,28 +161,46 @@ func (r *Runner) runOn(worker int, wl string, sch scheme.Scheme, accuracy bool) 
 	return res
 }
 
-// runSystem executes one simulation, honouring the plane's abandon path:
-// when the stall watchdog is armed to cancel, the simulation runs on its
-// own goroutine and the watchdog's abandon signal (plus a grace period for
-// the tick loop to notice the cancel flag) unblocks the sweep with a
-// placeholder Result marked Cancelled. A run that never reaches another
-// tick boundary leaks its goroutine — that is exactly the wedged state the
-// diagnostic bundle documents.
-func (r *Runner) runSystem(sys *gpu.System, bench gpu.Workload, wl string, orun *obs.Run) gpu.Result {
-	if orun == nil || !r.ops.CanCancel() {
-		return sys.Run(bench)
+// fail records the first refused run for Err.
+func (r *Runner) fail(err error) {
+	r.mu.Lock()
+	if r.err == nil {
+		r.err = err
 	}
-	ch := make(chan gpu.Result, 1)
-	go func() { ch <- sys.Run(bench) }() //shm:parallel-ok — joined via ch or deliberately abandoned on watchdog cancel
+	r.mu.Unlock()
+}
+
+// Err reports the first run the runner could not start (an invalid
+// configuration or workload). Figures built after such a run used an
+// empty Result for that cell.
+func (r *Runner) Err() error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.err
+}
+
+// abandonable executes run under a stall watchdog armed to cancel: the
+// simulation runs on its own goroutine, and the watchdog's abandon signal
+// (plus a grace period for the tick loop to notice the cancel flag)
+// unblocks the sweep with a placeholder Result marked Cancelled. A run
+// that never reaches another tick boundary leaks its goroutine — that is
+// exactly the wedged state the diagnostic bundle documents.
+func (r *Runner) abandonable(orun *obs.Run, run func() (RunOutput, error)) (RunOutput, error) {
+	type ran struct {
+		out RunOutput
+		err error
+	}
+	ch := make(chan ran, 1)
+	go func() { out, err := run(); ch <- ran{out, err} }() //shm:parallel-ok — joined via ch or deliberately abandoned on watchdog cancel
 	select {
-	case res := <-ch:
-		return res
+	case x := <-ch:
+		return x.out, x.err
 	case <-orun.Abandoned():
 		select {
-		case res := <-ch:
-			return res
+		case x := <-ch:
+			return x.out, x.err
 		case <-time.After(r.ops.CancelGrace()):
-			return gpu.Result{Workload: wl, Cancelled: true}
+			return RunOutput{Result: gpu.Result{Cancelled: true}}, nil
 		}
 	}
 }

@@ -33,10 +33,12 @@ func TestOpsPlaneDoesNotPerturbExports(t *testing.T) {
 	tcfg := telemetry.Config{SampleInterval: 5000, CaptureEvents: true}
 
 	export := func(orun *obs.Run) (plainRes gpu.Result, jsonl, prom []byte) {
-		res, col, err := RunObservedSeeded(QuickConfig(), "atax", 0, scheme.SHM, tcfg, orun)
+		out, err := Execute(RunSpec{Config: QuickConfig(), Workload: "atax", Scheme: scheme.SHM, Telemetry: &tcfg, Observe: orun})
 		if err != nil {
 			t.Fatal(err)
 		}
+		res, col := out.Result, out.Collector
+		orun.Done(res.Cycles, res.Completed)
 		sum := TelemetrySummary(res)
 		var jb, pb bytes.Buffer
 		if err := telemetry.WriteJSONL(&jb, col, sum, fixedManifest()); err != nil {
@@ -120,7 +122,10 @@ func TestWatchdogCancelsStalledCell(t *testing.T) {
 	sys.SetCancel(orun.CancelFlag())
 
 	done := make(chan gpu.Result, 1)
-	go func() { done <- r.runSystem(sys, wl, "wedge", orun) }()
+	go func() {
+		out, _ := r.abandonable(orun, func() (RunOutput, error) { return RunOutput{Result: sys.Run(wl)}, nil })
+		done <- out.Result
+	}()
 	var res gpu.Result
 	select {
 	case res = <-done:
@@ -183,11 +188,14 @@ func TestMetricsEndpointMatchesBatchExport(t *testing.T) {
 	}
 
 	tcfg := telemetry.Config{SampleInterval: 5000}
-	res, col, err := RunObservedSeeded(QuickConfig(), "atax", 0, scheme.SHM, tcfg, p.BeginRun("atax/SHM"))
+	orun := p.BeginRun("atax/SHM")
+	out, err := Execute(RunSpec{Config: QuickConfig(), Workload: "atax", Scheme: scheme.SHM, Telemetry: &tcfg, Observe: orun})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum := TelemetrySummary(res)
+	orun.Done(out.Result.Cycles, out.Result.Completed)
+	col := out.Collector
+	sum := TelemetrySummary(out.Result)
 	m := fixedManifest()
 	p.SetMetrics(func(w io.Writer) error { return telemetry.WritePrometheus(w, col, sum, m) })
 

@@ -210,6 +210,13 @@ func shrunkSummary(c Case) string {
 	return truncate(string(data), 200)
 }
 
+func truncate(s string, n int) string {
+	if len(s) <= n {
+		return s
+	}
+	return s[:n] + "..."
+}
+
 func writeFinding(dir string, n int, f Finding) error {
 	data, err := json.MarshalIndent(f, "", "  ")
 	if err != nil {

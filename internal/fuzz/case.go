@@ -282,7 +282,8 @@ func parseSpace(name string) (memdef.Space, error) {
 	return memdef.SpaceGlobal, fmt.Errorf("fuzz: unknown memory space %q", name)
 }
 
-// WorkloadSpec materializes the cell's workload.Spec.
+// workloadSpec materializes the cell's workload.Spec; Execute builds a
+// fresh benchmark from it for every run.
 func (c Case) workloadSpec() (workload.Spec, error) {
 	w := c.Workload
 	spec := workload.Spec{
@@ -329,16 +330,6 @@ func (c Case) workloadSpec() (workload.Spec, error) {
 	return spec, nil
 }
 
-// Bench builds a fresh runnable benchmark from the cell. Each simulation
-// run needs its own Bench: the frontier-pacing state inside is per-run.
-func (c Case) Bench() (*workload.Bench, error) {
-	spec, err := c.workloadSpec()
-	if err != nil {
-		return nil, err
-	}
-	return workload.New(spec)
-}
-
 // Footprint returns the device-memory bytes the cell's buffers occupy
 // after region rounding.
 func (c Case) Footprint() uint64 {
@@ -372,7 +363,11 @@ func (c Case) Validate() error {
 	if len(c.Workload.Buffers) == 0 {
 		return fmt.Errorf("fuzz: case has no buffers")
 	}
-	if _, err := c.Bench(); err != nil {
+	spec, err := c.workloadSpec()
+	if err != nil {
+		return err
+	}
+	if _, err := workload.New(spec); err != nil {
 		return err
 	}
 	if fp := c.Footprint(); fp > cfg.DeviceMemoryBytes {

@@ -1,10 +1,9 @@
 package fuzz
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 
+	"shmgpu/internal/experiments"
 	"shmgpu/internal/gpu"
 	"shmgpu/internal/invariant"
 	"shmgpu/internal/memdef"
@@ -12,7 +11,6 @@ import (
 	"shmgpu/internal/obs"
 	"shmgpu/internal/scheme"
 	"shmgpu/internal/secmem"
-	"shmgpu/internal/snapshot"
 	"shmgpu/internal/stats"
 	"shmgpu/internal/telemetry"
 )
@@ -68,109 +66,58 @@ func DefaultCheckOptions() CheckOptions {
 	return CheckOptions{IPCTolerance: 0.10, MetaTolerance: 0.10}
 }
 
-// artifacts is everything observable about one run, in directly
-// byte-comparable form.
+// artifacts is one finished run in directly byte-comparable form, plus
+// the Result the metamorphic and conservation oracles read.
 type artifacts struct {
-	res   gpu.Result
-	line  string // rendered Result value fields
-	snap  []byte // stats-registry snapshot JSON
-	jsonl []byte // full telemetry JSONL export
+	res gpu.Result
+	experiments.Artifacts
 }
 
-// resultLine renders every Result value field (the Reg pointer is rendered
-// via its snapshot instead).
-func resultLine(res gpu.Result) string {
-	return fmt.Sprintf(
-		"cycles=%d insts=%d traffic=%+v l1=%+v l2=%+v ctr=%+v mac=%+v bmt=%+v ro=%+v stream=%+v bus=%.9f victim=%d/%d completed=%v",
-		res.Cycles, res.Instructions, res.Traffic, res.L1, res.L2,
-		res.Ctr, res.MAC, res.BMT, res.ROAccuracy, res.StreamAccuracy,
-		res.BusUtilization, res.VictimHits, res.VictimPushes, res.Completed)
-}
-
-// runArtifacts executes the cell once under the given options.
-// schemeLabel only names the run in exported artifacts (the ablation
-// oracle runs SHM-derived options under PSSM's label so the byte
-// comparison sees identical manifests). When sanitize is set the runtime
-// invariant sanitizer is armed for the run and its violations returned.
-func (c Case) runArtifacts(orun *obs.Run, schemeLabel string, opts secmem.Options, disableFF, sanitize bool) (artifacts, []invariant.Violation, error) {
-	bench, err := c.Bench()
+// spec builds the run spec of the cell under one design and fast-forward
+// mode. sch.Name only labels the run (the ablation oracle runs
+// SHM-derived options under PSSM's label so the byte comparison sees
+// identical manifests). orun receives heartbeats and phase spans; its
+// cancel flag is never tripped, because the fuzz watchdog is dump-only
+// (a run cancelled mid-battery would poison the byte comparisons).
+func (c Case) spec(orun *obs.Run, sch scheme.Scheme, disableFF bool) (experiments.RunSpec, error) {
+	wspec, err := c.workloadSpec()
 	if err != nil {
-		return artifacts{}, nil, err
+		return experiments.RunSpec{}, err
 	}
 	cfg := c.GPUConfig()
 	cfg.DisableFastForward = disableFF
+	tcfg := telemetry.Config{SampleInterval: 500, CaptureEvents: true}
+	return experiments.RunSpec{Config: cfg, Generated: &wspec, Scheme: sch, Telemetry: &tcfg, Observe: orun}, nil
+}
 
+// execute runs spec and renders its artifacts.
+func execute(spec experiments.RunSpec) (artifacts, error) {
+	out, err := experiments.Execute(spec)
+	if err != nil {
+		return artifacts{}, err
+	}
+	arts, err := experiments.Render("shmfuzz", spec, out)
+	if err != nil {
+		return artifacts{}, err
+	}
+	return artifacts{res: out.Result, Artifacts: arts}, nil
+}
+
+// run executes the cell once under the given design and fast-forward
+// mode. When sanitize is set the runtime invariant sanitizer is armed for
+// the run and its violations returned.
+func (c Case) run(orun *obs.Run, sch scheme.Scheme, disableFF, sanitize bool) (artifacts, []invariant.Violation, error) {
+	spec, err := c.spec(orun, sch, disableFF)
+	if err != nil {
+		return artifacts{}, nil, err
+	}
 	var collected []invariant.Violation
 	if sanitize {
 		restore := invariant.CollectInto(&collected)
 		defer restore()
 	}
-
-	col := telemetry.New(telemetry.Config{SampleInterval: 500, CaptureEvents: true})
-	sys := gpu.NewSystem(cfg, opts)
-	sys.AttachTelemetry(col)
-	if orun != nil {
-		// Heartbeats and phase spans only — never the cancel flag: a run
-		// cancelled mid-battery would poison the byte comparisons, so the
-		// fuzz watchdog is strictly dump-only.
-		sys.SetObserver(orun, 0)
-	}
-	res := sys.Run(bench)
-	res.Scheme = schemeLabel
-
-	arts, err := c.renderArtifacts(res, col, cfg, schemeLabel)
-	if err != nil {
-		return artifacts{}, nil, err
-	}
-	return arts, collected, nil
-}
-
-// renderArtifacts renders one finished run into the byte-comparable form
-// every equivalence oracle diffs.
-func (c Case) renderArtifacts(res gpu.Result, col *telemetry.Collector, cfg gpu.Config, schemeLabel string) (artifacts, error) {
-	snap, err := json.Marshal(res.Reg.Snapshot())
-	if err != nil {
-		return artifacts{}, err
-	}
-	m := telemetry.Manifest{
-		Tool:          "shmfuzz",
-		SchemaVersion: telemetry.SchemaVersion,
-		Workload:      res.Workload,
-		Scheme:        schemeLabel,
-		SMs:           cfg.SMs,
-		Partitions:    cfg.Partitions,
-		Seed:          c.Seed,
-	}
-	var buf bytes.Buffer
-	if err := telemetry.WriteJSONL(&buf, col, summarize(res), m); err != nil {
-		return artifacts{}, err
-	}
-	return artifacts{res: res, line: resultLine(res), snap: snap, jsonl: buf.Bytes()}, nil
-}
-
-// resumeArtifacts restores a snapshot blob into a fresh system under the
-// child's execution strategy and runs it to completion. The fresh
-// collector and bench mirror a from-scratch run exactly, so the rendered
-// artifacts diff byte-for-byte against the scratch side. This is the fuzz
-// battery's own inline fork path (the package deliberately does not
-// import experiments; see summarize).
-func (c Case) resumeArtifacts(schemeLabel string, opts secmem.Options, blob []byte, disableFF bool) (artifacts, error) {
-	bench, err := c.Bench()
-	if err != nil {
-		return artifacts{}, err
-	}
-	cfg := c.GPUConfig()
-	cfg.DisableFastForward = disableFF
-
-	col := telemetry.New(telemetry.Config{SampleInterval: 500, CaptureEvents: true})
-	sys := gpu.NewSystem(cfg, opts)
-	sys.AttachTelemetry(col)
-	if err := sys.LoadState(snapshot.NewDecoder(blob), bench); err != nil {
-		return artifacts{}, err
-	}
-	res := sys.Resume(bench)
-	res.Scheme = schemeLabel
-	return c.renderArtifacts(res, col, cfg, schemeLabel)
+	arts, err := execute(spec)
+	return arts, collected, err
 }
 
 // forkEquivalence is the checkpoint/fork oracle: warm one run of the cell
@@ -180,33 +127,33 @@ func (c Case) resumeArtifacts(schemeLabel string, opts secmem.Options, blob []by
 // byte-indistinguishable (Result, stats snapshot, telemetry JSONL)
 // from the matching from-scratch run. Any divergence is simulator state
 // the snapshot captured wrongly, partially, or not at all.
-func (c Case) forkEquivalence(schemeName string, opts secmem.Options, ff, ref artifacts) ([]Violation, error) {
-	warmCycle := ff.res.Cycles / 2
-	if warmCycle == 0 {
-		return nil, nil
-	}
-	bench, err := c.Bench()
+func (c Case) forkEquivalence(orun *obs.Run, sch scheme.Scheme, ff, ref artifacts) ([]Violation, error) {
+	warm, err := c.spec(orun, sch, false)
 	if err != nil {
 		return nil, err
 	}
-	cfg := c.GPUConfig()
-	col := telemetry.New(telemetry.Config{SampleInterval: 500, CaptureEvents: true})
-	sys := gpu.NewSystem(cfg, opts)
-	sys.AttachTelemetry(col)
-	if _, done := sys.RunUntil(bench, warmCycle); done {
+	warm.StopAt = ff.res.Cycles / 2
+	if warm.StopAt == 0 {
+		return nil, nil
+	}
+	parent, err := experiments.Execute(warm)
+	if err != nil {
+		return nil, err
+	}
+	if parent.Snapshot == nil {
 		// The workload completed before the fork point: nothing to fork,
 		// and nothing to check — a fallback scratch run is scratch.
 		return nil, nil
 	}
-	enc := snapshot.NewEncoder()
-	if err := sys.SaveState(enc, bench); err != nil {
-		return nil, err
-	}
-	blob := enc.Data()
 
 	var vs []Violation
 	for _, disableFF := range []bool{false, true} {
-		got, err := c.resumeArtifacts(schemeName, opts, blob, disableFF)
+		child, err := c.spec(orun, sch, disableFF)
+		if err != nil {
+			return nil, err
+		}
+		child.Restore = parent.Snapshot
+		got, err := execute(child)
 		if err != nil {
 			return nil, err
 		}
@@ -215,58 +162,16 @@ func (c Case) forkEquivalence(schemeName string, opts secmem.Options, ff, ref ar
 			scratch, base = ref, "scratch(every-cycle)"
 		}
 		name := fmt.Sprintf("forked(ff=%v)", !disableFF)
-		vs = append(vs, diffArtifacts("fork-equivalence", schemeName, name, base, got, scratch)...)
+		vs = append(vs, diffArtifacts("fork-equivalence", sch.Name, name, base, got, scratch)...)
 	}
 	return vs, nil
-}
-
-// summarize mirrors experiments.TelemetrySummary without importing the
-// experiments package (which would drag the full figure harness into
-// every fuzz worker).
-func summarize(res gpu.Result) telemetry.RunSummary {
-	return telemetry.RunSummary{
-		Workload:       res.Workload,
-		Scheme:         res.Scheme,
-		Cycles:         res.Cycles,
-		Instructions:   res.Instructions,
-		IPC:            res.IPC(),
-		Completed:      res.Completed,
-		BusUtilization: res.BusUtilization,
-		Traffic:        res.Traffic,
-		Caches: []telemetry.NamedCache{
-			{Name: "l1", Stats: res.L1},
-			{Name: "l2", Stats: res.L2},
-			{Name: "ctr_mdc", Stats: res.Ctr},
-			{Name: "mac_mdc", Stats: res.MAC},
-			{Name: "bmt_mdc", Stats: res.BMT},
-		},
-		RO:       res.ROAccuracy,
-		Stream:   res.StreamAccuracy,
-		Counters: res.Reg.Snapshot(),
-	}
-}
-
-func truncate(s string, n int) string {
-	if len(s) <= n {
-		return s
-	}
-	return s[:n] + "..."
 }
 
 // diffArtifacts byte-compares two runs that must be indistinguishable.
 func diffArtifacts(oracle, schemeName, aName, bName string, a, b artifacts) []Violation {
 	var vs []Violation
-	if a.line != b.line {
-		vs = append(vs, Violation{Oracle: oracle, Scheme: schemeName, Detail: fmt.Sprintf(
-			"Result diverges:\n%s: %s\n%s: %s", aName, truncate(a.line, 400), bName, truncate(b.line, 400))})
-	}
-	if !bytes.Equal(a.snap, b.snap) {
-		vs = append(vs, Violation{Oracle: oracle, Scheme: schemeName, Detail: fmt.Sprintf(
-			"stats snapshots diverge:\n%s: %s\n%s: %s", aName, truncate(string(a.snap), 400), bName, truncate(string(b.snap), 400))})
-	}
-	if !bytes.Equal(a.jsonl, b.jsonl) {
-		vs = append(vs, Violation{Oracle: oracle, Scheme: schemeName, Detail: fmt.Sprintf(
-			"telemetry JSONL diverges (%d vs %d bytes)", len(a.jsonl), len(b.jsonl))})
+	for _, d := range experiments.DiffArtifacts(aName, a.Artifacts, bName, b.Artifacts) {
+		vs = append(vs, Violation{Oracle: oracle, Scheme: schemeName, Detail: d})
 	}
 	return vs
 }
@@ -292,11 +197,11 @@ func CheckCaseOpts(c Case, opts CheckOptions) ([]Violation, error) {
 		if err != nil {
 			return nil, err
 		}
-		ff, _, err := c.runArtifacts(opts.Obs, name, sch.Options, false, false)
+		ff, _, err := c.run(opts.Obs, sch, false, false)
 		if err != nil {
 			return nil, err
 		}
-		ref, _, err := c.runArtifacts(opts.Obs, name, sch.Options, true, false)
+		ref, _, err := c.run(opts.Obs, sch, true, false)
 		if err != nil {
 			return nil, err
 		}
@@ -318,13 +223,13 @@ func CheckCaseOpts(c Case, opts CheckOptions) ([]Violation, error) {
 	if err != nil {
 		return nil, err
 	}
-	again, _, err := c.runArtifacts(opts.Obs, det, detSch.Options, false, false)
+	again, _, err := c.run(opts.Obs, detSch, false, false)
 	if err != nil {
 		return nil, err
 	}
 	vs = append(vs, diffArtifacts("determinism", det, "first-run", "second-run", arts[det], again)...)
 
-	san, ivs, err := c.runArtifacts(opts.Obs, det, detSch.Options, false, true)
+	san, ivs, err := c.run(opts.Obs, detSch, false, true)
 	if err != nil {
 		return nil, err
 	}
@@ -335,7 +240,7 @@ func CheckCaseOpts(c Case, opts CheckOptions) ([]Violation, error) {
 
 	// Checkpoint/fork equivalence on the same scheme: forked children must
 	// be byte-identical to from-scratch runs in both fast-forward modes.
-	fvs, err := c.forkEquivalence(det, detSch.Options, arts[det], refs[det])
+	fvs, err := c.forkEquivalence(opts.Obs, detSch, arts[det], refs[det])
 	if err != nil {
 		return nil, err
 	}
@@ -353,7 +258,7 @@ func CheckCaseOpts(c Case, opts CheckOptions) ([]Violation, error) {
 		if c.Config.OversubPct < 100 {
 			fit := c
 			fit.Config.OversubPct = 100
-			fitArts, _, err := fit.runArtifacts(opts.Obs, det, detSch.Options, false, false)
+			fitArts, _, err := fit.run(opts.Obs, detSch, false, false)
 			if err != nil {
 				return nil, err
 			}
@@ -362,7 +267,7 @@ func CheckCaseOpts(c Case, opts CheckOptions) ([]Violation, error) {
 		if c.Config.OversubPct != 0 {
 			bare := c
 			bare.Config.OversubPct = 0
-			bareArts, _, err := bare.runArtifacts(opts.Obs, det, detSch.Options, false, false)
+			bareArts, _, err := bare.run(opts.Obs, detSch, false, false)
 			if err != nil {
 				return nil, err
 			}
@@ -380,7 +285,7 @@ func CheckCaseOpts(c Case, opts CheckOptions) ([]Violation, error) {
 			pf := c
 			pf.Config.OversubPct = 100
 			pf.Config.UVMPrefetch = pol
-			pfArts, _, err := pf.runArtifacts(opts.Obs, det, detSch.Options, false, false)
+			pfArts, _, err := pf.run(opts.Obs, detSch, false, false)
 			if err != nil {
 				return nil, err
 			}
@@ -398,10 +303,11 @@ func CheckCaseOpts(c Case, opts CheckOptions) ([]Violation, error) {
 		if err != nil {
 			return nil, err
 		}
-		abl := shm.Options
-		abl.ReadOnlyOpt = false
-		abl.DualGranMAC = false
-		ablArts, _, err := c.runArtifacts(opts.Obs, "PSSM", abl, false, false)
+		abl := shm
+		abl.Name = "PSSM"
+		abl.Options.ReadOnlyOpt = false
+		abl.Options.DualGranMAC = false
+		ablArts, _, err := c.run(opts.Obs, abl, false, false)
 		if err != nil {
 			return nil, err
 		}

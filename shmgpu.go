@@ -16,7 +16,7 @@
 //     tampering and replay — including the paper's cross-kernel replay —
 //     with the adaptive mechanisms implemented faithfully.
 //
-//   - The timing simulator (this package's Run API over internal/gpu):
+//   - The timing simulator (this package's Execute over internal/gpu):
 //     a cycle-level GPU memory-hierarchy model (SMs, sectored L1/L2 with
 //     MSHRs, 12 GDDR partitions) with a Memory Encryption Engine per
 //     partition, used to reproduce every figure of the paper's evaluation:
@@ -25,9 +25,13 @@
 //
 // Quick start:
 //
-//	res, err := shmgpu.Run(shmgpu.QuickConfig(), "fdtd2d", "SHM")
-//	base, _ := shmgpu.Run(shmgpu.QuickConfig(), "fdtd2d", "Baseline")
-//	fmt.Printf("normalized IPC: %.3f\n", res.IPC()/base.IPC())
+//	shm, _ := shmgpu.SchemeByName("SHM")
+//	base, _ := shmgpu.SchemeByName("Baseline")
+//	spec := shmgpu.RunSpec{Config: shmgpu.QuickConfig(), Workload: "fdtd2d", Scheme: shm}
+//	out, _ := shmgpu.Execute(spec)
+//	spec.Scheme = base
+//	ref, _ := shmgpu.Execute(spec)
+//	fmt.Printf("normalized IPC: %.3f\n", out.Result.IPC()/ref.Result.IPC())
 //
 // The cmd/paperbench binary regenerates all paper tables and figures;
 // cmd/shmsim runs single simulations with detailed statistics; and
@@ -39,7 +43,6 @@ import (
 
 	"shmgpu/internal/experiments"
 	"shmgpu/internal/gpu"
-	"shmgpu/internal/obs"
 	"shmgpu/internal/report"
 	"shmgpu/internal/scheme"
 	"shmgpu/internal/telemetry"
@@ -100,106 +103,33 @@ type RunSummary = telemetry.RunSummary
 // Manifest identifies one run in every telemetry export.
 type Manifest = telemetry.Manifest
 
-// RunWithTelemetry simulates one workload under one design with the
-// observability layer attached: probe events, latency histograms and an
-// interval-sampled timeline accumulate in the returned Collector.
-func RunWithTelemetry(cfg Config, workloadName, schemeName string, tcfg TelemetryConfig) (Result, *Collector, error) {
-	return RunWithTelemetrySeeded(cfg, workloadName, schemeName, 0, tcfg)
-}
+// RunSpec describes one simulation: configuration, workload (a built-in
+// name plus seed, or a generated spec), design, and optionally telemetry,
+// a live-observability handle, a pause cycle that captures a snapshot,
+// or a snapshot to resume. See experiments.RunSpec for each field.
+type RunSpec = experiments.RunSpec
 
-// RunWithTelemetrySeeded is RunWithTelemetry with an explicit workload
-// seed. Seed 0 keeps the benchmark's built-in seed; any other value
-// rebases the warp programs' random streams. Runs with identical
-// (config, workload, scheme, seed) are bit-for-bit reproducible.
-func RunWithTelemetrySeeded(cfg Config, workloadName, schemeName string, seed int64, tcfg TelemetryConfig) (Result, *Collector, error) {
-	sch, err := scheme.ByName(schemeName)
-	if err != nil {
-		return Result{}, nil, err
-	}
-	return experiments.RunInstrumentedSeeded(cfg, workloadName, seed, sch, tcfg)
-}
+// RunOutput is one executed RunSpec: the Result, the filled Collector
+// when telemetry was requested, and the captured Snapshot of a paused run.
+type RunOutput = experiments.RunOutput
 
-// RunObservedSeeded is RunWithTelemetrySeeded with a live-observability
-// run handle attached (see internal/obs): the simulator feeds the run's
-// heartbeat and phase spans and honours its cancel flag. A nil orun is
-// exactly RunWithTelemetrySeeded.
-func RunObservedSeeded(cfg Config, workloadName, schemeName string, seed int64, tcfg TelemetryConfig, orun *obs.Run) (Result, *Collector, error) {
-	sch, err := scheme.ByName(schemeName)
-	if err != nil {
-		return Result{}, nil, err
-	}
-	return experiments.RunObservedSeeded(cfg, workloadName, seed, sch, tcfg, orun)
-}
+// Execute runs one RunSpec. It is the only way a simulation starts: it
+// validates the configuration (an invalid one is an error, never a
+// panic), builds a fresh workload and system, and runs, pauses or
+// resumes. Runs of identical specs are bit-for-bit reproducible. A fork
+// is a StopAt spec plus Restore specs that may flip
+// Config.DisableFastForward.
+func Execute(spec RunSpec) (RunOutput, error) { return experiments.Execute(spec) }
 
-// ForkSpec selects one forked child's execution strategy (fast-forward
-// mode) — the knob proven byte-neutral by the equivalence corpora, and
-// therefore the only one a forked child may vary.
-type ForkSpec = experiments.ForkSpec
+// Scheme is one secure-memory design (paper Table VIII) or the insecure
+// Baseline.
+type Scheme = scheme.Scheme
 
-// RunForkedSeeded warms one (workload, scheme, seed) run to warmCycle,
-// captures the complete simulator state once, and forks one child per
-// spec from the snapshot, amortizing the warmup across the specs. Every
-// child's Result, statistics, and telemetry are byte-identical to the
-// same configuration run from scratch. If the workload completes before
-// warmCycle, each spec silently falls back to a from-scratch run.
-func RunForkedSeeded(cfg Config, workloadName, schemeName string, seed int64, warmCycle uint64, tcfg TelemetryConfig, specs []ForkSpec) ([]Result, []*Collector, error) {
-	sch, err := scheme.ByName(schemeName)
-	if err != nil {
-		return nil, nil, err
-	}
-	return experiments.RunForkedSeeded(cfg, workloadName, seed, sch, warmCycle, tcfg, specs)
-}
-
-// WriteSnapshot warms a run to warmCycle and writes its state to path
-// (checksummed and atomically renamed — a killed writer never leaves a
-// loadable file). It reports whether a snapshot was written: a workload
-// finishing before warmCycle leaves nothing to capture.
-func WriteSnapshot(cfg Config, workloadName, schemeName string, seed int64, warmCycle uint64, tcfg TelemetryConfig, path string) (bool, error) {
-	sch, err := scheme.ByName(schemeName)
-	if err != nil {
-		return false, err
-	}
-	return experiments.WriteSnapshotSeeded(cfg, workloadName, seed, sch, warmCycle, tcfg, path)
-}
-
-// RestoreRun loads a snapshot written by WriteSnapshot and resumes it to
-// completion. Workload, scheme, seed, and telemetry configuration must
-// match the capturing run; cfg may vary only the execution-strategy knob
-// (fast-forward).
-func RestoreRun(cfg Config, workloadName, schemeName string, seed int64, tcfg TelemetryConfig, path string) (Result, *Collector, error) {
-	sch, err := scheme.ByName(schemeName)
-	if err != nil {
-		return Result{}, nil, err
-	}
-	return experiments.RestoreRunSeeded(cfg, workloadName, seed, sch, tcfg, path)
-}
+// SchemeByName looks a design up by its name (see Schemes).
+func SchemeByName(name string) (Scheme, error) { return scheme.ByName(name) }
 
 // Summarize converts a Result into the exporter-facing RunSummary.
 func Summarize(res Result) RunSummary { return experiments.TelemetrySummary(res) }
-
-// Run simulates one workload under one secure-memory design.
-func Run(cfg Config, workloadName, schemeName string) (Result, error) {
-	return RunSeeded(cfg, workloadName, schemeName, 0)
-}
-
-// RunSeeded is Run with an explicit workload seed (0 keeps the
-// benchmark's built-in seed).
-func RunSeeded(cfg Config, workloadName, schemeName string, seed int64) (Result, error) {
-	bench, err := workload.ByNameSeeded(workloadName, seed)
-	if err != nil {
-		return Result{}, err
-	}
-	sch, err := scheme.ByName(schemeName)
-	if err != nil {
-		return Result{}, err
-	}
-	if err := cfg.Validate(); err != nil {
-		return Result{}, err
-	}
-	res := gpu.NewSystem(cfg, sch.Options).Run(bench)
-	res.Scheme = sch.Name
-	return res, nil
-}
 
 // EffectiveSeed resolves the seed a run with the given workload and seed
 // argument will actually use (the benchmark's built-in seed when seed is

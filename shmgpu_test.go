@@ -3,6 +3,8 @@ package shmgpu
 import (
 	"strings"
 	"testing"
+
+	"shmgpu/internal/scheme"
 )
 
 func TestWorkloadAndSchemeListings(t *testing.T) {
@@ -32,19 +34,31 @@ func TestSchemeDescription(t *testing.T) {
 }
 
 func TestRunErrors(t *testing.T) {
-	if _, err := Run(QuickConfig(), "nope", "SHM"); err == nil {
+	shm, err := SchemeByName("SHM")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := SchemeByName("nope"); err == nil {
+		t.Fatal("unknown scheme accepted")
+	}
+	if _, err := Execute(RunSpec{Config: QuickConfig(), Workload: "nope", Scheme: shm}); err == nil {
 		t.Fatal("unknown workload accepted")
 	}
-	if _, err := Run(QuickConfig(), "atax", "nope"); err == nil {
-		t.Fatal("unknown scheme accepted")
+	if _, err := Execute(RunSpec{Config: QuickConfig(), Workload: "atax"}); err == nil {
+		t.Fatal("spec without a scheme accepted")
+	}
+	if _, err := Execute(RunSpec{Config: QuickConfig(), Workload: "atax", Scheme: shm, StopAt: 1, Restore: []byte{}}); err == nil {
+		t.Fatal("spec with both StopAt and Restore accepted")
 	}
 }
 
 // TestRunRejectsBadConfig drives configurations the simulator cannot run
-// through both facade entry points: each must come back as an error, not
-// a panic in a component constructor or a run that never ends. Every case
-// leaves MaxCycles at 0, so a config that slipped through and stalled
-// would hang until the test timeout.
+// through every way of running a spec — plain, instrumented, paused for a
+// snapshot, restored from one — and through a Runner: each must come
+// back as an error (or, for the Runner, a refused run reported by Err),
+// not a panic in a component constructor or a run that never ends. Every
+// case leaves MaxCycles at 0, so a config that slipped through and
+// stalled would hang until the test timeout.
 func TestRunRejectsBadConfig(t *testing.T) {
 	cases := []struct {
 		name string
@@ -63,6 +77,12 @@ func TestRunRejectsBadConfig(t *testing.T) {
 		{"L2BankBytes=100", func(c *Config) { c.L2BankBytes = 100 }},
 		{"DeviceMemoryBytes=0", func(c *Config) { c.DeviceMemoryBytes = 0 }},
 	}
+	tcfg := TelemetryConfig{}
+	valid := RunSpec{Config: QuickConfig(), Workload: "atax", Seed: 1, Scheme: scheme.SHM, Telemetry: &tcfg, StopAt: 2000}
+	warm, err := Execute(valid)
+	if err != nil || warm.Snapshot == nil {
+		t.Fatalf("capturing the restore snapshot from a valid config: err=%v, snapshot=%d bytes", err, len(warm.Snapshot))
+	}
 	for _, c := range cases {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
@@ -72,11 +92,24 @@ func TestRunRejectsBadConfig(t *testing.T) {
 			if err := cfg.Validate(); err == nil {
 				t.Fatal("Validate accepted the config")
 			}
-			if _, err := RunSeeded(cfg, "atax", "SHM", 1); err == nil {
-				t.Error("RunSeeded accepted the config")
+			plain := RunSpec{Config: cfg, Workload: "atax", Seed: 1, Scheme: scheme.SHM}
+			instrumented := plain
+			instrumented.Telemetry = &tcfg
+			capture := instrumented
+			capture.StopAt = 2000
+			restore := instrumented
+			restore.Restore = warm.Snapshot
+			for _, s := range []struct {
+				name string
+				spec RunSpec
+			}{{"plain", plain}, {"instrumented", instrumented}, {"StopAt", capture}, {"Restore", restore}} {
+				if _, err := Execute(s.spec); err == nil {
+					t.Errorf("Execute accepted the config as a %s spec", s.name)
+				}
 			}
-			if _, _, err := RunWithTelemetrySeeded(cfg, "atax", "SHM", 1, TelemetryConfig{}); err == nil {
-				t.Error("RunWithTelemetrySeeded accepted the config")
+			r := NewRunner(cfg, []string{"atax"})
+			if res := r.Run("atax", scheme.SHM); res.Cycles != 0 || r.Err() == nil {
+				t.Errorf("Runner ran the config (%d cycles, Err %v); want a refused run", res.Cycles, r.Err())
 			}
 		})
 	}
@@ -86,15 +119,19 @@ func TestRunEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation")
 	}
-	res, err := Run(QuickConfig(), "atax", "SHM")
+	out, err := Execute(RunSpec{Config: QuickConfig(), Workload: "atax", Scheme: scheme.SHM})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := out.Result
 	if res.Instructions == 0 || res.Cycles == 0 {
 		t.Fatalf("empty result: %+v", res)
 	}
 	if res.Scheme != "SHM" || res.Workload != "atax" {
 		t.Fatalf("labels wrong: %q %q", res.Scheme, res.Workload)
+	}
+	if out.Collector != nil || out.Snapshot != nil {
+		t.Fatalf("plain run returned a collector (%v) or snapshot (%d bytes)", out.Collector != nil, len(out.Snapshot))
 	}
 }
 

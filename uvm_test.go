@@ -77,10 +77,7 @@ func TestOversubscribedAccounting(t *testing.T) {
 	// The quick deadline truncates atax/SHM mid-run; give the cell room
 	// to finish so drain invariants (every fault completed) are checkable.
 	cfg.MaxCycles = 1_000_000
-	res, err := shmgpu.RunSeeded(cfg, "atax", "SHM", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := testutil.RunResult(t, cfg, "atax", "SHM", 1)
 	if !res.Completed {
 		t.Fatalf("oversubscribed quick cell did not complete in %d cycles", res.Cycles)
 	}
@@ -117,16 +114,10 @@ func TestHostIntegrityModes(t *testing.T) {
 		t.Skip("full simulations; skipped in -short")
 	}
 	rebuildCfg := oversubQuickConfig(0.5)
-	rebuild, err := shmgpu.RunSeeded(rebuildCfg, "atax", "SHM", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rebuild := testutil.RunResult(t, rebuildCfg, "atax", "SHM", 1)
 	hostCfg := oversubQuickConfig(0.5)
 	hostCfg.UVMHostIntegrity = "hostside"
-	hostside, err := shmgpu.RunSeeded(hostCfg, "atax", "SHM", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	hostside := testutil.RunResult(t, hostCfg, "atax", "SHM", 1)
 
 	for _, r := range []struct {
 		name string
@@ -164,16 +155,10 @@ func TestNoPhantomAccesses(t *testing.T) {
 	}
 	overCfg := oversubQuickConfig(0.5)
 	overCfg.MaxCycles = 1_000_000
-	over, err := shmgpu.RunSeeded(overCfg, "atax", "SHM", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	over := testutil.RunResult(t, overCfg, "atax", "SHM", 1)
 	offCfg := shmgpu.QuickConfig()
 	offCfg.MaxCycles = 1_000_000
-	off, err := shmgpu.RunSeeded(offCfg, "atax", "SHM", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	off := testutil.RunResult(t, offCfg, "atax", "SHM", 1)
 	if !over.Completed || !off.Completed {
 		t.Fatalf("both runs must complete (oversub=%v off=%v)", over.Completed, off.Completed)
 	}
@@ -229,10 +214,7 @@ func TestPrefetchClosesCliff(t *testing.T) {
 	}
 	base := oversubQuickConfig(0.5)
 	base.MaxCycles = 1_000_000
-	demand, err := shmgpu.RunSeeded(base, "atax", "SHM", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	demand := testutil.RunResult(t, base, "atax", "SHM", 1)
 	demandFaults, _ := counter(demand, "uvm_faults")
 	if demandFaults == 0 {
 		t.Fatal("demand-only reference did not fault; cliff test needs an oversubscribed cell")
@@ -242,10 +224,7 @@ func TestPrefetchClosesCliff(t *testing.T) {
 		t.Run(policy, func(t *testing.T) {
 			cfg := base
 			cfg.UVMPrefetch = policy
-			res, err := shmgpu.RunSeeded(cfg, "atax", "SHM", 1)
-			if err != nil {
-				t.Fatal(err)
-			}
+			res := testutil.RunResult(t, cfg, "atax", "SHM", 1)
 			if !res.Completed {
 				t.Fatalf("prefetch run did not complete in %d cycles", res.Cycles)
 			}

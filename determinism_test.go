@@ -6,24 +6,18 @@ import (
 
 	"shmgpu"
 	"shmgpu/internal/experiments"
-	"shmgpu/internal/testutil"
 )
 
-// runOnce executes atax/SHM at seed and renders everything it exports
-// that must be reproducible: the Result fields, the marshaled
+// determinismSpec is atax/SHM at seed, rendered with everything it
+// exports that must be reproducible: the Result fields, the marshaled
 // stats.Registry snapshot and the full JSONL trace stream (under a fixed
 // manifest with no wall-clock fields, so the comparison tests the
 // simulation stream, not the timestamps around it).
-func runOnce(t *testing.T, seed int64) (experiments.Artifacts, shmgpu.Result) {
+func determinismSpec(t *testing.T, seed int64) shmgpu.RunSpec {
 	t.Helper()
-	spec := testutil.Spec(t, shmgpu.QuickConfig(), "atax", "SHM", seed)
+	spec := cellSpec(t, shmgpu.QuickConfig(), "atax", "SHM", seed)
 	spec.Telemetry = &shmgpu.TelemetryConfig{SampleInterval: 1000, CaptureEvents: true}
-	out := testutil.Execute(t, spec)
-	arts, err := experiments.Render("determinism-test", spec, out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return arts, out.Result
+	return spec
 }
 
 // TestRunsAreByteIdentical is the determinism regression gate: two
@@ -32,18 +26,19 @@ func runOnce(t *testing.T, seed int64) (experiments.Artifacts, shmgpu.Result) {
 // streams. Any nondeterminism source that slips past the static checks
 // (shmlint's nodeterminism analyzer) lands here.
 func TestRunsAreByteIdentical(t *testing.T) {
-	first, _ := runOnce(t, 424242)
-	second, _ := runOnce(t, 424242)
-	testutil.AssertEqual(t, "first", first, "second", second)
+	checkRow(t, experiments.NewHarness("determinism-test"), experiments.Determinism, determinismSpec(t, 424242))
 }
 
 // TestSeedChangesTheRun asserts the seed actually threads through to the
 // warp programs: two different seeds must not produce the same simulation.
 func TestSeedChangesTheRun(t *testing.T) {
-	a, aRes := runOnce(t, 7)
-	b, bRes := runOnce(t, 8)
-	if aRes.Cycles == bRes.Cycles && bytes.Equal(a.Counters, b.Counters) {
+	h := experiments.NewHarness("determinism-test")
+	a, b := h.Run(determinismSpec(t, 7)), h.Run(determinismSpec(t, 8))
+	if err := h.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if a.Result.Cycles == b.Result.Cycles && bytes.Equal(a.Counters, b.Counters) {
 		t.Errorf("seed 7 and seed 8 produced identical runs (%d cycles, same counters); seed is not reaching the workload",
-			aRes.Cycles)
+			a.Result.Cycles)
 	}
 }

@@ -1,24 +1,14 @@
 package shmgpu_test
 
 import (
-	"fmt"
-	"strings"
 	"testing"
 
 	"shmgpu"
 	"shmgpu/internal/experiments"
 	"shmgpu/internal/gpu"
 	"shmgpu/internal/scheme"
-	"shmgpu/internal/testutil"
 	"shmgpu/internal/workload"
 )
-
-// runMode executes one (workload, scheme, seed) cell with fast-forward either
-// enabled (the default) or disabled (reference every-cycle ticking).
-func runMode(t *testing.T, workload, scheme string, seed int64, disableFF bool) experiments.Artifacts {
-	t.Helper()
-	return testutil.RunCell(t, workload, scheme, seed, disableFF)
-}
 
 // TestFastForwardMatchesEveryCycle is the event-horizon equivalence gate:
 // over a corpus of (workload, scheme, seed) cells, a run with event-horizon
@@ -32,11 +22,7 @@ func TestFastForwardMatchesEveryCycle(t *testing.T) {
 	if testing.Short() {
 		t.Skip("corpus of full simulations; skipped in -short")
 	}
-	cells := []struct {
-		workload string
-		scheme   string
-		seed     int64
-	}{
+	cells := []corpusCell{
 		// Schemes chosen to cover every mechanism the horizon must model:
 		// no MEE at all, full metadata traffic, sectored+local metadata,
 		// RO-counter transitions, dual-granularity MACs with MAT trackers,
@@ -51,11 +37,8 @@ func TestFastForwardMatchesEveryCycle(t *testing.T) {
 		{"streamcluster", "SHM", 5},
 	}
 	for _, c := range cells {
-		c := c
-		t.Run(fmt.Sprintf("%s_%s_seed%d", c.workload, c.scheme, c.seed), func(t *testing.T) {
-			ff := runMode(t, c.workload, c.scheme, c.seed, false)
-			ref := runMode(t, c.workload, c.scheme, c.seed, true)
-			testutil.AssertEqual(t, "fast-forward", ff, "every-cycle", ref)
+		t.Run(c.String(), func(t *testing.T) {
+			checkRow(t, experiments.NewHarness(corpusTool), experiments.FastForwardEquivalence, cellSpec(t, shmgpu.QuickConfig(), c.workload, c.scheme, c.seed))
 		})
 	}
 }
@@ -111,13 +94,14 @@ func TestFastForwardMatchesEveryCycleOversubscribed(t *testing.T) {
 	for _, c := range cells {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
-			cfg := c.cfg
-			ff := testutil.RunCellCfg(t, cfg, c.workload, c.scheme, 1)
-			cfg.DisableFastForward = true
-			ref := testutil.RunCellCfg(t, cfg, c.workload, c.scheme, 1)
-			testutil.AssertEqual(t, "fast-forward", ff, "every-cycle", ref)
-			if c.full && !strings.Contains(ff.Result, "completed=true") {
-				t.Errorf("full-length cell did not complete: %s", ff.Result)
+			h := experiments.NewHarness(corpusTool)
+			spec := cellSpec(t, c.cfg, c.workload, c.scheme, 1)
+			checkRow(t, h, experiments.FastForwardEquivalence, spec)
+			if !c.full {
+				return
+			}
+			if ff := h.Run(spec); !ff.Result.Completed {
+				t.Errorf("full-length cell did not complete: %s", ff.Artifacts.Result)
 			}
 		})
 	}

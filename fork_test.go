@@ -1,38 +1,23 @@
 package shmgpu_test
 
 import (
-	"fmt"
 	"path/filepath"
 	"testing"
 
 	"shmgpu"
 	"shmgpu/internal/experiments"
 	"shmgpu/internal/snapshot"
-	"shmgpu/internal/testutil"
 )
 
-// forkChildren warms spec to cycle at, captures its state once, and
-// restores one child per fast-forward mode from the snapshot — a fork is
-// a StopAt spec plus Restore specs. It returns the children's artifacts,
-// fast-forward first, and the configs they ran under.
-func forkChildren(t *testing.T, spec shmgpu.RunSpec, at uint64) ([]experiments.Artifacts, []shmgpu.Config) {
+// checkFork checks the fork row on spec, forked at its scratch run's
+// cycle count divided by depth, and fails the test if nothing was forked.
+func checkFork(t *testing.T, h *experiments.Harness, spec shmgpu.RunSpec, depth uint64) {
 	t.Helper()
-	warm := spec
-	warm.StopAt = at
-	parent := testutil.Execute(t, warm)
-	if parent.Snapshot == nil {
-		t.Fatalf("workload finished before cycle %d; nothing to fork", at)
+	forks := h.Forks
+	checkRow(t, h, experiments.ForkAt(depth), spec)
+	if h.Forks == forks {
+		t.Fatalf("workload finished before 1/%d of its cycles; nothing to fork", depth)
 	}
-	var arts []experiments.Artifacts
-	var cfgs []shmgpu.Config
-	for _, disableFF := range []bool{false, true} {
-		child := spec
-		child.Config.DisableFastForward = disableFF
-		child.Restore = parent.Snapshot
-		arts = append(arts, testutil.Render(t, child, testutil.Execute(t, child)))
-		cfgs = append(cfgs, child.Config)
-	}
-	return arts, cfgs
 }
 
 // TestForkMatchesScratch is the checkpoint/fork equivalence gate: over a
@@ -46,11 +31,7 @@ func TestForkMatchesScratch(t *testing.T) {
 	if testing.Short() {
 		t.Skip("corpus of full simulations; skipped in -short")
 	}
-	cells := []struct {
-		workload string
-		scheme   string
-		seed     int64
-	}{
+	cells := []corpusCell{
 		{"atax", "Baseline", 1},
 		{"atax", "SHM", 1},
 		{"bfs", "SHM", 2},
@@ -58,32 +39,11 @@ func TestForkMatchesScratch(t *testing.T) {
 		{"mvt", "Common_ctr", 4},
 	}
 	for _, c := range cells {
-		c := c
-		// One probe run sizes the fork points; its cycle count is
-		// deterministic, so the fractions below land at reproducible spots.
-		probe := testutil.RunResult(t, shmgpu.QuickConfig(), c.workload, c.scheme, c.seed)
-		warmPoints := []struct {
-			name string
-			at   uint64
-		}{
-			{"warmup", probe.Cycles / 8},
-			{"steady", probe.Cycles / 2},
-		}
-		for _, wp := range warmPoints {
-			wp := wp
-			if wp.at == 0 {
-				continue
-			}
-			t.Run(fmt.Sprintf("%s_%s_seed%d_%s", c.workload, c.scheme, c.seed, wp.name), func(t *testing.T) {
-				spec := testutil.Spec(t, shmgpu.QuickConfig(), c.workload, c.scheme, c.seed)
-				forked, cfgs := forkChildren(t, spec, wp.at)
-				for i, cfg := range cfgs {
-					scratch := testutil.RunCell(t, c.workload, c.scheme, c.seed, cfg.DisableFastForward)
-					label := fmt.Sprintf("forked ff=%v", !cfg.DisableFastForward)
-					testutil.AssertEqual(t, label, forked[i], "scratch", scratch)
-				}
-			})
-		}
+		// One harness per cell: both fork depths share its scratch runs,
+		// whose deterministic cycle counts place the fork points.
+		h, spec := experiments.NewHarness(corpusTool), cellSpec(t, shmgpu.QuickConfig(), c.workload, c.scheme, c.seed)
+		t.Run(c.String()+"_warmup", func(t *testing.T) { checkFork(t, h, spec, 8) })
+		t.Run(c.String()+"_steady", func(t *testing.T) { checkFork(t, h, spec, 2) })
 	}
 }
 
@@ -102,7 +62,6 @@ func TestForkMatchesScratchOversubscribed(t *testing.T) {
 		t.Skip("corpus of full simulations; skipped in -short")
 	}
 	for _, prefetch := range []string{"", "stream"} {
-		prefetch := prefetch
 		name := "demand"
 		if prefetch != "" {
 			name = prefetch
@@ -110,27 +69,9 @@ func TestForkMatchesScratchOversubscribed(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			cfg := oversubQuickConfig(0.5)
 			cfg.UVMPrefetch = prefetch
-			probe := testutil.RunResult(t, cfg, "atax", "SHM", 1)
-			for _, frac := range []struct {
-				name string
-				at   uint64
-			}{
-				{"early", probe.Cycles / 16},
-				{"steady", probe.Cycles / 2},
-			} {
-				frac := frac
-				if frac.at == 0 {
-					continue
-				}
-				t.Run(frac.name, func(t *testing.T) {
-					forked, cfgs := forkChildren(t, testutil.Spec(t, cfg, "atax", "SHM", 1), frac.at)
-					for i, scfg := range cfgs {
-						scratch := testutil.RunCellCfg(t, scfg, "atax", "SHM", 1)
-						label := fmt.Sprintf("forked ff=%v", !scfg.DisableFastForward)
-						testutil.AssertEqual(t, label, forked[i], "scratch", scratch)
-					}
-				})
-			}
+			h, spec := experiments.NewHarness(corpusTool), cellSpec(t, cfg, "atax", "SHM", 1)
+			t.Run("early", func(t *testing.T) { checkFork(t, h, spec, 16) })
+			t.Run("steady", func(t *testing.T) { checkFork(t, h, spec, 2) })
 		})
 	}
 }
@@ -142,7 +83,7 @@ func snapshotFile(t *testing.T, spec shmgpu.RunSpec, at uint64) []byte {
 	t.Helper()
 	warm := spec
 	warm.StopAt = at
-	out := testutil.Execute(t, warm)
+	out := execute(t, warm)
 	if out.Snapshot == nil {
 		t.Fatalf("workload finished before cycle %d; nothing captured", at)
 	}
@@ -173,9 +114,14 @@ func assertRestoresToScratch(t *testing.T, spec shmgpu.RunSpec, blob []byte) {
 	t.Helper()
 	child := spec
 	child.Restore = blob
-	restored := testutil.Render(t, child, testutil.Execute(t, child))
-	scratch := testutil.Render(t, spec, testutil.Execute(t, spec))
-	testutil.AssertEqual(t, "restored", restored, "scratch", scratch)
+	h := experiments.NewHarness(corpusTool)
+	restored, scratch := h.Run(child), h.Run(spec)
+	if err := h.Err(); err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range experiments.DiffArtifacts("restore", "restored", restored.Artifacts, "scratch", scratch.Artifacts) {
+		t.Error(d)
+	}
 }
 
 // TestSnapshotFileRoundTrip pins the file-based warm/restore path shmsim
@@ -188,16 +134,16 @@ func TestSnapshotFileRoundTrip(t *testing.T) {
 		t.Skip("full simulations; skipped in -short")
 	}
 	cfg := shmgpu.QuickConfig()
-	probe := testutil.RunResult(t, cfg, "atax", "SHM", 1)
-	spec := testutil.Spec(t, cfg, "atax", "SHM", 1)
+	probe := result(t, cfg, "atax", "SHM", 1)
+	spec := cellSpec(t, cfg, "atax", "SHM", 1)
 	blob := snapshotFile(t, spec, probe.Cycles/2)
 	assertRestoresToScratch(t, spec, blob)
 
-	assertRestoreRejected(t, "scheme", testutil.Spec(t, cfg, "atax", "PSSM", 1), blob)
-	assertRestoreRejected(t, "seed", testutil.Spec(t, cfg, "atax", "SHM", 99), blob)
+	assertRestoreRejected(t, "scheme", cellSpec(t, cfg, "atax", "PSSM", 1), blob)
+	assertRestoreRejected(t, "seed", cellSpec(t, cfg, "atax", "SHM", 99), blob)
 	bigger := cfg
 	bigger.SMs++
-	assertRestoreRejected(t, "GPU config", testutil.Spec(t, bigger, "atax", "SHM", 1), blob)
+	assertRestoreRejected(t, "GPU config", cellSpec(t, bigger, "atax", "SHM", 1), blob)
 }
 
 // TestSnapshotRejectsPageSizeMismatch extends the fingerprint gate to the
@@ -209,16 +155,16 @@ func TestSnapshotRejectsPageSizeMismatch(t *testing.T) {
 		t.Skip("full simulations; skipped in -short")
 	}
 	cfg := oversubQuickConfig(0.5)
-	probe := testutil.RunResult(t, cfg, "atax", "SHM", 1)
-	spec := testutil.Spec(t, cfg, "atax", "SHM", 1)
+	probe := result(t, cfg, "atax", "SHM", 1)
+	spec := cellSpec(t, cfg, "atax", "SHM", 1)
 	blob := snapshotFile(t, spec, probe.Cycles/2)
 
 	smaller := cfg
 	smaller.UVMPageBytes = 32 << 10
-	assertRestoreRejected(t, "page size", testutil.Spec(t, smaller, "atax", "SHM", 1), blob)
+	assertRestoreRejected(t, "page size", cellSpec(t, smaller, "atax", "SHM", 1), blob)
 	tighter := cfg
 	tighter.OversubRatio = 0.25
-	assertRestoreRejected(t, "oversubscription ratio", testutil.Spec(t, tighter, "atax", "SHM", 1), blob)
+	assertRestoreRejected(t, "oversubscription ratio", cellSpec(t, tighter, "atax", "SHM", 1), blob)
 
 	// Sanity: the matching configuration still restores and completes
 	// byte-identically to scratch.

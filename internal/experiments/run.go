@@ -213,23 +213,24 @@ func Render(tool string, spec RunSpec, out RunOutput) (Artifacts, error) {
 }
 
 // DiffArtifacts byte-compares two runs that must be indistinguishable and
-// returns one message per diverging part (nil when they match). aName and
-// bName label the sides ("fast-forward" vs "every-cycle", ...).
-func DiffArtifacts(aName string, a Artifacts, bName string, b Artifacts) []string {
-	var diffs []string
+// returns one divergence per diverging part, under oracle's name (nil when
+// they match). aName and bName label the sides ("fast-forward" vs
+// "every-cycle", ...).
+func DiffArtifacts(oracle, aName string, a Artifacts, bName string, b Artifacts) []Divergence {
+	var ds []Divergence
 	if a.Result != b.Result {
-		diffs = append(diffs, fmt.Sprintf("Result diverges:\n%s: %s\n%s: %s",
-			aName, truncate(a.Result), bName, truncate(b.Result)))
+		ds = append(ds, Divergence{oracle, fmt.Sprintf("Result diverges:\n%s: %s\n%s: %s",
+			aName, truncate(a.Result), bName, truncate(b.Result))})
 	}
 	if !bytes.Equal(a.Counters, b.Counters) {
-		diffs = append(diffs, fmt.Sprintf("stats snapshots diverge:\n%s: %s\n%s: %s",
-			aName, truncate(string(a.Counters)), bName, truncate(string(b.Counters))))
+		ds = append(ds, Divergence{oracle, fmt.Sprintf("stats snapshots diverge:\n%s: %s\n%s: %s",
+			aName, truncate(string(a.Counters)), bName, truncate(string(b.Counters)))})
 	}
 	if !bytes.Equal(a.JSONL, b.JSONL) {
-		diffs = append(diffs, fmt.Sprintf("telemetry JSONL diverges (%s: %d bytes, %s: %d bytes)",
-			aName, len(a.JSONL), bName, len(b.JSONL)))
+		ds = append(ds, Divergence{oracle, fmt.Sprintf("telemetry JSONL diverges (%s: %d bytes, %s: %d bytes)",
+			aName, len(a.JSONL), bName, len(b.JSONL))})
 	}
-	return diffs
+	return ds
 }
 
 func truncate(s string) string {

@@ -48,7 +48,7 @@ func TestExecuteSpecTwiceIsByteIdentical(t *testing.T) {
 		t.Fatalf("run did not complete cleanly (completed=%v, snapshot=%d bytes)", out.Result.Completed, len(out.Snapshot))
 	}
 	second, _ := render(spec)
-	for _, d := range DiffArtifacts("first", first, "second", second) {
+	for _, d := range DiffArtifacts("determinism", "first", first, "second", second) {
 		t.Error(d)
 	}
 
@@ -58,7 +58,7 @@ func TestExecuteSpecTwiceIsByteIdentical(t *testing.T) {
 	if lateOut.Snapshot != nil {
 		t.Errorf("StopAt past completion returned a %d-byte snapshot; want nil", len(lateOut.Snapshot))
 	}
-	for _, d := range DiffArtifacts("stop-past-end", stopped, "scratch", first) {
+	for _, d := range DiffArtifacts("stop-at", "stop-past-end", stopped, "scratch", first) {
 		t.Error(d)
 	}
 }

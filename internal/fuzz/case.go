@@ -158,13 +158,6 @@ func orInt(v, def int) int {
 	return v
 }
 
-func orU64(v, def uint64) uint64 {
-	if v == 0 {
-		return def
-	}
-	return v
-}
-
 // SchemeNames returns the cell's scheme list with the default applied.
 func (c Case) SchemeNames() []string {
 	if len(c.Schemes) == 0 {
@@ -208,23 +201,26 @@ func (c Case) GPUConfig() gpu.Config {
 			QueueDepth:      orInt(s.DRAMQueueDepth, baseDRAMQueue),
 		},
 	}
+	// The host-tier knobs are set even with the tier off, where they are
+	// inert: a battery row that turns the tier on at fit then runs the
+	// cell's own page size, policies and prefetch knobs.
 	if s.OversubPct > 0 {
 		cfg.HostTier = true
 		cfg.OversubRatio = float64(s.OversubPct) / 100
-		if s.UVMLargePage {
-			cfg.UVMLargePages = true
-		} else {
-			cfg.UVMPageBytes = uint64(orInt(s.UVMPageKB, baseUVMPageKB)) << 10
-		}
-		if s.UVMFIFO {
-			cfg.UVMMigrationPolicy = "fifo"
-		}
-		if s.UVMHostSide {
-			cfg.UVMHostIntegrity = "hostside"
-		}
-		cfg.UVMPrefetch = s.UVMPrefetch
-		cfg.UVMBatchPages = s.UVMBatchPages
 	}
+	if s.UVMLargePage {
+		cfg.UVMLargePages = true
+	} else {
+		cfg.UVMPageBytes = uint64(orInt(s.UVMPageKB, baseUVMPageKB)) << 10
+	}
+	if s.UVMFIFO {
+		cfg.UVMMigrationPolicy = "fifo"
+	}
+	if s.UVMHostSide {
+		cfg.UVMHostIntegrity = "hostside"
+	}
+	cfg.UVMPrefetch = s.UVMPrefetch
+	cfg.UVMBatchPages = s.UVMBatchPages
 	if s.needsMEETune() {
 		s := s // capture the spec, not the loop/receiver variable
 		cfg.MEETune = func(mc *secmem.Config) {
@@ -342,18 +338,12 @@ func (c Case) Footprint() uint64 {
 }
 
 // Validate checks the cell is runnable: the GPU config passes its own
-// validation, the metadata layout tiles the protected space, every scheme
+// validation (which includes the metadata geometry), every scheme
 // name resolves, the workload builds, and the buffers fit device memory.
 func (c Case) Validate() error {
 	cfg := c.GPUConfig()
 	if err := cfg.Validate(); err != nil {
 		return err
-	}
-	// Counter blocks must tile the protected space in both addressing
-	// modes (metadata.NewLayout's 8 KB CounterCoverage rule).
-	perPart := cfg.DeviceMemoryBytes / uint64(cfg.Partitions)
-	if perPart == 0 || perPart%8192 != 0 {
-		return fmt.Errorf("fuzz: per-partition memory %d not a multiple of 8 KB", perPart)
 	}
 	for _, name := range c.SchemeNames() {
 		if _, err := scheme.ByName(name); err != nil {

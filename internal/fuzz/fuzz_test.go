@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -96,7 +97,7 @@ func TestCheckCaseGreen(t *testing.T) {
 // TestCheckCaseGreenUVM runs the battery over hand-picked host-tier
 // cells on both sides of the fit boundary: the oversubscribed cells
 // push fault/replay/eviction traffic through every equivalence oracle
-// (fast-forward, parallel, fork, determinism) plus the
+// (fast-forward, determinism, sanitizer, fork) plus the
 // migration-equivalence oracle's forced ratio-1.0 comparison, across
 // both eviction policies and both integrity modes; the 100% cell sits
 // exactly on the boundary where the tier must be invisible.
@@ -128,6 +129,23 @@ func TestCheckCaseGreenUVM(t *testing.T) {
 				t.Errorf("%s", v)
 			}
 		})
+	}
+}
+
+// TestCheckCaseRunCount pins the battery's simulation budget on a
+// tier-off cell under the four default designs: 8 fast-forward and
+// every-cycle runs, 1 determinism rerun, 1 sanitized run, 3 for the fork
+// (the paused parent and one child per mode; the scratch runs are the
+// fast-forward row's), 1 run at fit (the tier-off side is the base), 2
+// prefetch runs at fit and 1 ablated SHM run (PSSM is already run).
+func TestCheckCaseRunCount(t *testing.T) {
+	if testing.Short() {
+		t.Skip("oracle battery in -short")
+	}
+	c := Case{Seed: 3, Workload: WorkloadSpec{Buffers: []BufferSpec{{KB: 32, Pattern: "random", WriteFrac: 0.3}}}}
+	vs, runs, err := c.check(DefaultCheckOptions())
+	if err != nil || runs != 17 || len(vs) != 0 {
+		t.Fatalf("battery ran %d simulations (want 17), err %v, violations %v", runs, err, vs)
 	}
 }
 
@@ -255,7 +273,7 @@ func TestShrinkOracleDriven(t *testing.T) {
 	// The metamorphic oracle needs both PSSM and SHM, so the scheme list
 	// cannot shrink below those two.
 	names := min1.SchemeNames()
-	if !contains(names, "PSSM") || !contains(names, "SHM") {
+	if !slices.Contains(names, "PSSM") || !slices.Contains(names, "SHM") {
 		t.Fatalf("shrunk scheme set %v lost a scheme the oracle needs", names)
 	}
 }

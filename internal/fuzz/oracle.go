@@ -2,10 +2,10 @@ package fuzz
 
 import (
 	"fmt"
+	"slices"
 
 	"shmgpu/internal/experiments"
 	"shmgpu/internal/gpu"
-	"shmgpu/internal/invariant"
 	"shmgpu/internal/memdef"
 	"shmgpu/internal/metadata"
 	"shmgpu/internal/obs"
@@ -17,11 +17,9 @@ import (
 
 // Violation is one oracle failure for a cell.
 type Violation struct {
-	// Oracle names the violated property ("ff-equivalence",
-	// "fork-equivalence", "determinism",
-	// "sanitizer-transparency", "detector-ablation",
-	// "migration-equivalence", "prefetch-equivalence", "metamorphic-ipc",
-	// "metamorphic-metadata", "conservation", "invariant").
+	// Oracle names the violated property: a row of
+	// experiments.Equivalences, "invariant", "conservation",
+	// "metamorphic-ipc" or "metamorphic-metadata".
 	Oracle string `json:"oracle"`
 	// Scheme is the design under which the violation surfaced.
 	Scheme string `json:"scheme,omitempty"`
@@ -66,116 +64,6 @@ func DefaultCheckOptions() CheckOptions {
 	return CheckOptions{IPCTolerance: 0.10, MetaTolerance: 0.10}
 }
 
-// artifacts is one finished run in directly byte-comparable form, plus
-// the Result the metamorphic and conservation oracles read.
-type artifacts struct {
-	res gpu.Result
-	experiments.Artifacts
-}
-
-// spec builds the run spec of the cell under one design and fast-forward
-// mode. sch.Name only labels the run (the ablation oracle runs
-// SHM-derived options under PSSM's label so the byte comparison sees
-// identical manifests). orun receives heartbeats and phase spans; its
-// cancel flag is never tripped, because the fuzz watchdog is dump-only
-// (a run cancelled mid-battery would poison the byte comparisons).
-func (c Case) spec(orun *obs.Run, sch scheme.Scheme, disableFF bool) (experiments.RunSpec, error) {
-	wspec, err := c.workloadSpec()
-	if err != nil {
-		return experiments.RunSpec{}, err
-	}
-	cfg := c.GPUConfig()
-	cfg.DisableFastForward = disableFF
-	tcfg := telemetry.Config{SampleInterval: 500, CaptureEvents: true}
-	return experiments.RunSpec{Config: cfg, Generated: &wspec, Scheme: sch, Telemetry: &tcfg, Observe: orun}, nil
-}
-
-// execute runs spec and renders its artifacts.
-func execute(spec experiments.RunSpec) (artifacts, error) {
-	out, err := experiments.Execute(spec)
-	if err != nil {
-		return artifacts{}, err
-	}
-	arts, err := experiments.Render("shmfuzz", spec, out)
-	if err != nil {
-		return artifacts{}, err
-	}
-	return artifacts{res: out.Result, Artifacts: arts}, nil
-}
-
-// run executes the cell once under the given design and fast-forward
-// mode. When sanitize is set the runtime invariant sanitizer is armed for
-// the run and its violations returned.
-func (c Case) run(orun *obs.Run, sch scheme.Scheme, disableFF, sanitize bool) (artifacts, []invariant.Violation, error) {
-	spec, err := c.spec(orun, sch, disableFF)
-	if err != nil {
-		return artifacts{}, nil, err
-	}
-	var collected []invariant.Violation
-	if sanitize {
-		restore := invariant.CollectInto(&collected)
-		defer restore()
-	}
-	arts, err := execute(spec)
-	return arts, collected, err
-}
-
-// forkEquivalence is the checkpoint/fork oracle: warm one run of the cell
-// to the midpoint of its from-scratch cycle count, capture the complete
-// simulator state once, and fork one child per execution variant — the
-// fast-forward and the every-cycle loop. Every child must be
-// byte-indistinguishable (Result, stats snapshot, telemetry JSONL)
-// from the matching from-scratch run. Any divergence is simulator state
-// the snapshot captured wrongly, partially, or not at all.
-func (c Case) forkEquivalence(orun *obs.Run, sch scheme.Scheme, ff, ref artifacts) ([]Violation, error) {
-	warm, err := c.spec(orun, sch, false)
-	if err != nil {
-		return nil, err
-	}
-	warm.StopAt = ff.res.Cycles / 2
-	if warm.StopAt == 0 {
-		return nil, nil
-	}
-	parent, err := experiments.Execute(warm)
-	if err != nil {
-		return nil, err
-	}
-	if parent.Snapshot == nil {
-		// The workload completed before the fork point: nothing to fork,
-		// and nothing to check — a fallback scratch run is scratch.
-		return nil, nil
-	}
-
-	var vs []Violation
-	for _, disableFF := range []bool{false, true} {
-		child, err := c.spec(orun, sch, disableFF)
-		if err != nil {
-			return nil, err
-		}
-		child.Restore = parent.Snapshot
-		got, err := execute(child)
-		if err != nil {
-			return nil, err
-		}
-		scratch, base := ff, "scratch(fast-forward)"
-		if disableFF {
-			scratch, base = ref, "scratch(every-cycle)"
-		}
-		name := fmt.Sprintf("forked(ff=%v)", !disableFF)
-		vs = append(vs, diffArtifacts("fork-equivalence", sch.Name, name, base, got, scratch)...)
-	}
-	return vs, nil
-}
-
-// diffArtifacts byte-compares two runs that must be indistinguishable.
-func diffArtifacts(oracle, schemeName, aName, bName string, a, b artifacts) []Violation {
-	var vs []Violation
-	for _, d := range experiments.DiffArtifacts(aName, a.Artifacts, bName, b.Artifacts) {
-		vs = append(vs, Violation{Oracle: oracle, Scheme: schemeName, Detail: d})
-	}
-	return vs
-}
-
 // CheckCase runs the full oracle battery on one cell with default
 // tolerances. It returns the violations found (nil when all oracles are
 // green) or an error when the cell itself is invalid.
@@ -185,158 +73,86 @@ func CheckCase(c Case) ([]Violation, error) {
 
 // CheckCaseOpts is CheckCase with explicit tolerances.
 func CheckCaseOpts(c Case, opts CheckOptions) ([]Violation, error) {
+	vs, _, err := c.check(opts)
+	return vs, err
+}
+
+// check runs the battery: every row of the equivalence table, with each
+// design's conservation laws (on its fast-forward run) reported right
+// after that design's fast-forward row, then the cross-design orderings. It also returns the
+// number of simulations the battery ran.
+func (c Case) check(opts CheckOptions) ([]Violation, int, error) {
 	if err := c.Validate(); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	var vs []Violation
-	arts := make(map[string]artifacts)
-	refs := make(map[string]artifacts)
+	wspec, err := c.workloadSpec()
+	if err != nil {
+		return nil, 0, err
+	}
+	cfg, tcfg := c.GPUConfig(), telemetry.Config{SampleInterval: 500, CaptureEvents: true}
+	h := experiments.NewHarness("shmfuzz")
 	names := c.SchemeNames()
+	specs := make(map[string]experiments.RunSpec)
+	runs := make(map[string]experiments.Rendered)
+	var vs []Violation
 	for _, name := range names {
 		sch, err := scheme.ByName(name)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		ff, _, err := c.run(opts.Obs, sch, false, false)
-		if err != nil {
-			return nil, err
-		}
-		ref, _, err := c.run(opts.Obs, sch, true, false)
-		if err != nil {
-			return nil, err
-		}
-		vs = append(vs, diffArtifacts("ff-equivalence", name, "fast-forward", "every-cycle", ff, ref)...)
-		vs = append(vs, conservation(c, sch.Options, name, ff.res)...)
-		arts[name] = ff
-		refs[name] = ref
+		// Observe gets heartbeats and phase spans; its cancel flag is never
+		// tripped, because the fuzz watchdog is dump-only (a run cancelled
+		// mid-battery would poison the byte comparisons).
+		spec := experiments.RunSpec{Config: cfg, Generated: &wspec, Scheme: sch, Telemetry: &tcfg, Observe: opts.Obs}
+		specs[name], runs[name] = spec, h.Run(spec)
 	}
-
-	// Double-run determinism plus the armed-sanitizer run on the scheme
-	// with the most machinery in play.
-	det := names[0]
-	for _, name := range names {
-		if name == "SHM" {
-			det = name
-		}
-	}
-	detSch, err := scheme.ByName(det)
-	if err != nil {
-		return nil, err
-	}
-	again, _, err := c.run(opts.Obs, detSch, false, false)
-	if err != nil {
-		return nil, err
-	}
-	vs = append(vs, diffArtifacts("determinism", det, "first-run", "second-run", arts[det], again)...)
-
-	san, ivs, err := c.run(opts.Obs, detSch, false, true)
-	if err != nil {
-		return nil, err
-	}
-	for _, iv := range ivs {
-		vs = append(vs, Violation{Oracle: "invariant", Scheme: det, Detail: iv.Error()})
-	}
-	vs = append(vs, diffArtifacts("sanitizer-transparency", det, "unchecked", "sanitized", arts[det], san)...)
-
-	// Checkpoint/fork equivalence on the same scheme: forked children must
-	// be byte-identical to from-scratch runs in both fast-forward modes.
-	fvs, err := c.forkEquivalence(opts.Obs, detSch, arts[det], refs[det])
-	if err != nil {
-		return nil, err
-	}
-	vs = append(vs, fvs...)
-
-	// Migration equivalence: a host tier whose frame budget covers the
-	// whole working set (ratio ≥ 1.0) prepopulates everything, never
-	// faults, and must be entirely invisible — byte-identical Result,
-	// stats registry, and telemetry versus the tier disabled outright.
-	// Checked on the detector-heavy scheme; each side reuses the
-	// battery's existing artifacts when the cell already sits on that
-	// side of the fit boundary, so the common case costs one extra run.
-	{
-		on, off := arts[det], arts[det]
-		if c.Config.OversubPct < 100 {
-			fit := c
-			fit.Config.OversubPct = 100
-			fitArts, _, err := fit.run(opts.Obs, detSch, false, false)
-			if err != nil {
-				return nil, err
+	for _, row := range experiments.Equivalences {
+		for _, name := range rowSchemes(row, names) {
+			for _, d := range row.Check(h, specs[name]) {
+				vs = append(vs, Violation{Oracle: d.Oracle, Scheme: name, Detail: d.Detail})
 			}
-			on = fitArts
-		}
-		if c.Config.OversubPct != 0 {
-			bare := c
-			bare.Config.OversubPct = 0
-			bareArts, _, err := bare.run(opts.Obs, detSch, false, false)
-			if err != nil {
-				return nil, err
+			if row.Name == experiments.FastForwardEquivalence.Name {
+				vs = append(vs, conservation(c, specs[name].Scheme.Options, name, runs[name].Result)...)
 			}
-			off = bareArts
-		}
-		vs = append(vs, diffArtifacts("migration-equivalence", det, "host-tier(ratio>=1.0)", "host-tier-off", on, off)...)
-
-		// Prefetch equivalence: at ratio ≥ 1.0 the tier never faults, no
-		// fault streams form, and every migration-ahead policy must be
-		// provably idle — byte-identical artifacts versus the tier being
-		// off, for each policy in turn. This pins the idle-at-fit half of
-		// the prefetcher contract for every generated cell, including the
-		// batch-size and large-page variants the cell happens to carry.
-		for _, pol := range []string{"stride", "stream"} {
-			pf := c
-			pf.Config.OversubPct = 100
-			pf.Config.UVMPrefetch = pol
-			pfArts, _, err := pf.run(opts.Obs, detSch, false, false)
-			if err != nil {
-				return nil, err
-			}
-			vs = append(vs, diffArtifacts("prefetch-equivalence", det,
-				"prefetch="+pol+"(ratio>=1.0)", "host-tier-off", pfArts, off)...)
 		}
 	}
-
-	// Detector ablation: SHM options with both adaptive mechanisms
-	// disabled must be indistinguishable from the PSSM preset — the two
-	// flags are the designs' entire delta, so any residue here means
-	// state is leaking between mechanisms (or across runs).
-	if _, ok := arts["PSSM"]; ok && contains(names, "SHM") {
-		shm, err := scheme.ByName("SHM")
-		if err != nil {
-			return nil, err
-		}
-		abl := shm
-		abl.Name = "PSSM"
-		abl.Options.ReadOnlyOpt = false
-		abl.Options.DualGranMAC = false
-		ablArts, _, err := c.run(opts.Obs, abl, false, false)
-		if err != nil {
-			return nil, err
-		}
-		vs = append(vs, diffArtifacts("detector-ablation", "SHM", "SHM-detectors-off", "PSSM", ablArts, arts["PSSM"])...)
+	if err := h.Err(); err != nil {
+		return nil, 0, err
 	}
-
-	vs = append(vs, metamorphic(c, arts, opts)...)
-	return vs, nil
+	return append(vs, metamorphic(c, runs, opts)...), h.Executed, nil
 }
 
-func contains(names []string, want string) bool {
-	for _, n := range names {
-		if n == want {
-			return true
+// rowSchemes picks the designs the battery checks a row under: the
+// fast-forward row runs under every design, the detector ablation under
+// SHM against PSSM when the cell runs both, and every other row under
+// SHM (or the cell's first design without it), the design with the most
+// machinery in play.
+func rowSchemes(row experiments.Equivalence, names []string) []string {
+	switch row.Name {
+	case experiments.FastForwardEquivalence.Name:
+		return names
+	case experiments.DetectorAblation.Name:
+		if slices.Contains(names, "SHM") && slices.Contains(names, "PSSM") {
+			return []string{"SHM"}
 		}
+		return nil
 	}
-	return false
+	if slices.Contains(names, "SHM") {
+		return []string{"SHM"}
+	}
+	return names[:1]
 }
 
 // metamorphic checks the cross-scheme orderings that hold by construction
 // of the designs, independent of the workload.
-func metamorphic(c Case, arts map[string]artifacts, opts CheckOptions) []Violation {
+func metamorphic(c Case, arts map[string]experiments.Rendered, opts CheckOptions) []Violation {
 	var vs []Violation
 	base, haveBase := arts["Baseline"]
 	naive, haveNaive := arts["Naive"]
-	if haveBase && haveNaive && base.res.Completed && naive.res.Completed {
+	if haveBase && haveNaive && base.Result.Completed && naive.Result.Completed {
 		// Security support only adds latency and traffic: the insecure
 		// baseline cannot be slower than the naive secure design.
-		if bIPC, nIPC := base.res.IPC(), naive.res.IPC(); bIPC < nIPC*(1-opts.IPCTolerance) {
+		if bIPC, nIPC := base.Result.IPC(), naive.Result.IPC(); bIPC < nIPC*(1-opts.IPCTolerance) {
 			vs = append(vs, Violation{Oracle: "metamorphic-ipc", Scheme: "Naive", Detail: fmt.Sprintf(
 				"Baseline IPC %.6f < Naive IPC %.6f (tolerance %.2f%%): secure memory cannot speed the GPU up",
 				bIPC, nIPC, opts.IPCTolerance*100)})
@@ -350,7 +166,7 @@ func metamorphic(c Case, arts map[string]artifacts, opts CheckOptions) []Violati
 	// hit this — PSSM stalled at the kernel cap with 1/3 of the
 	// instructions while SHM ran 3x further, so the byte totals compared
 	// different programs).
-	if havePSSM && haveSHM && pssm.res.Completed && shm.res.Completed {
+	if havePSSM && haveSHM && pssm.Result.Completed && shm.Result.Completed {
 		// SHM's whole point is less steady metadata traffic than PSSM:
 		// the shared RO counter removes counter fetches and BMT walks,
 		// dual-granularity MACs remove per-block MAC fetches. The
@@ -362,12 +178,12 @@ func metamorphic(c Case, arts map[string]artifacts, opts CheckOptions) []Violati
 		steady := func(t stats.Traffic) uint64 {
 			return t.Bytes(stats.TrafficCounter) + t.Bytes(stats.TrafficMAC) + t.Bytes(stats.TrafficBMT)
 		}
-		pMeta, sMeta := steady(pssm.res.Traffic), steady(shm.res.Traffic)
+		pMeta, sMeta := steady(pssm.Result.Traffic), steady(shm.Result.Traffic)
 		// InputReadOnlyReset's max-counter scan is charged to the counter
 		// class but is an SHM-only cost PSSM never pays (PSSM re-copies
 		// without the reset API); credit it here — the conservation
 		// oracle bounds it exactly from the reset events.
-		resetScan := shm.res.Reg.Get("input_readonly_reset") *
+		resetScan := shm.Result.Reg.Get("input_readonly_reset") *
 			(c.Footprint()/metadata.CounterCoverage + 2) * memdef.BlockSize
 		if float64(sMeta) > float64(pMeta)*(1+opts.MetaTolerance)+float64(memdef.ChunkSize+resetScan) {
 			vs = append(vs, Violation{Oracle: "metamorphic-metadata", Scheme: "SHM", Detail: fmt.Sprintf(

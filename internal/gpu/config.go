@@ -17,6 +17,7 @@ import (
 
 	"shmgpu/internal/dram"
 	"shmgpu/internal/hostmem"
+	"shmgpu/internal/metadata"
 	"shmgpu/internal/secmem"
 )
 
@@ -164,6 +165,11 @@ func (c Config) Validate() error {
 	}
 	if c.DeviceMemoryBytes%uint64(c.Partitions) != 0 {
 		return fmt.Errorf("gpu: device memory %d not divisible by %d partitions", c.DeviceMemoryBytes, c.Partitions)
+	}
+	// Counter blocks must tile each partition's protected space (and so
+	// the whole space the naive design protects).
+	if _, err := metadata.NewLayout(c.DeviceMemoryBytes / uint64(c.Partitions)); err != nil {
+		return fmt.Errorf("gpu: %w", err)
 	}
 	if c.XbarQueueDepth <= 0 {
 		return fmt.Errorf("gpu: XbarQueueDepth must be positive")

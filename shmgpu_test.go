@@ -76,6 +76,8 @@ func TestRunRejectsBadConfig(t *testing.T) {
 		{"L2BankBytes=0", func(c *Config) { c.L2BankBytes = 0 }},
 		{"L2BankBytes=100", func(c *Config) { c.L2BankBytes = 100 }},
 		{"DeviceMemoryBytes=0", func(c *Config) { c.DeviceMemoryBytes = 0 }},
+		{"DeviceMemoryBytes=12", func(c *Config) { c.DeviceMemoryBytes = 12 }},
+		{"DeviceMemoryBytes=12*4096", func(c *Config) { c.DeviceMemoryBytes = 12 * 4096 }},
 	}
 	tcfg := TelemetryConfig{}
 	valid := RunSpec{Config: QuickConfig(), Workload: "atax", Seed: 1, Scheme: scheme.SHM, Telemetry: &tcfg, StopAt: 2000}

@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"shmgpu"
-	"shmgpu/internal/testutil"
+	"shmgpu/internal/experiments"
 )
 
 // oversubQuickConfig returns the quick configuration with the UVM host
@@ -44,21 +44,16 @@ func TestHostTierFitByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full simulations; skipped in -short")
 	}
-	cells := []struct {
-		workload string
-		scheme   string
-		seed     int64
-	}{
+	cells := []corpusCell{
 		{"atax", "SHM", 1},
 		{"bfs", "Baseline", 2},
 	}
+	// One harness: both ratios of a cell share its tier-off run.
+	h := experiments.NewHarness(corpusTool)
 	for _, c := range cells {
 		for _, ratio := range []float64{1.0, 1.5} {
-			c, ratio := c, ratio
 			t.Run(fmt.Sprintf("%s_%s_ratio%.1f", c.workload, c.scheme, ratio), func(t *testing.T) {
-				on := testutil.RunCellCfg(t, oversubQuickConfig(ratio), c.workload, c.scheme, c.seed)
-				off := testutil.RunCell(t, c.workload, c.scheme, c.seed, false)
-				testutil.AssertEqual(t, "host-tier(fit)", on, "host-tier-off", off)
+				checkRow(t, h, experiments.MigrationEquivalence, cellSpec(t, oversubQuickConfig(ratio), c.workload, c.scheme, c.seed))
 			})
 		}
 	}
@@ -77,7 +72,7 @@ func TestOversubscribedAccounting(t *testing.T) {
 	// The quick deadline truncates atax/SHM mid-run; give the cell room
 	// to finish so drain invariants (every fault completed) are checkable.
 	cfg.MaxCycles = 1_000_000
-	res := testutil.RunResult(t, cfg, "atax", "SHM", 1)
+	res := result(t, cfg, "atax", "SHM", 1)
 	if !res.Completed {
 		t.Fatalf("oversubscribed quick cell did not complete in %d cycles", res.Cycles)
 	}
@@ -114,10 +109,10 @@ func TestHostIntegrityModes(t *testing.T) {
 		t.Skip("full simulations; skipped in -short")
 	}
 	rebuildCfg := oversubQuickConfig(0.5)
-	rebuild := testutil.RunResult(t, rebuildCfg, "atax", "SHM", 1)
+	rebuild := result(t, rebuildCfg, "atax", "SHM", 1)
 	hostCfg := oversubQuickConfig(0.5)
 	hostCfg.UVMHostIntegrity = "hostside"
-	hostside := testutil.RunResult(t, hostCfg, "atax", "SHM", 1)
+	hostside := result(t, hostCfg, "atax", "SHM", 1)
 
 	for _, r := range []struct {
 		name string
@@ -155,10 +150,10 @@ func TestNoPhantomAccesses(t *testing.T) {
 	}
 	overCfg := oversubQuickConfig(0.5)
 	overCfg.MaxCycles = 1_000_000
-	over := testutil.RunResult(t, overCfg, "atax", "SHM", 1)
+	over := result(t, overCfg, "atax", "SHM", 1)
 	offCfg := shmgpu.QuickConfig()
 	offCfg.MaxCycles = 1_000_000
-	off := testutil.RunResult(t, offCfg, "atax", "SHM", 1)
+	off := result(t, offCfg, "atax", "SHM", 1)
 	if !over.Completed || !off.Completed {
 		t.Fatalf("both runs must complete (oversub=%v off=%v)", over.Completed, off.Completed)
 	}
@@ -190,14 +185,14 @@ func TestPrefetchFitByteIdentical(t *testing.T) {
 		{"stride_batch4", func(c *shmgpu.Config) { c.UVMPrefetch = "stride"; c.UVMBatchPages = 4 }},
 		{"stream_largepage", func(c *shmgpu.Config) { c.UVMPrefetch = "stream"; c.UVMLargePages = true }},
 	}
-	off := testutil.RunCell(t, "atax", "SHM", 1, false)
+	// Each variant is a base at fit for the migration row; one harness
+	// runs their common tier-off side once.
+	h := experiments.NewHarness(corpusTool)
 	for _, v := range variants {
-		v := v
 		t.Run(v.name, func(t *testing.T) {
 			cfg := oversubQuickConfig(1.0)
 			v.mut(&cfg)
-			on := testutil.RunCellCfg(t, cfg, "atax", "SHM", 1)
-			testutil.AssertEqual(t, "prefetch(fit)", on, "host-tier-off", off)
+			checkRow(t, h, experiments.MigrationEquivalence, cellSpec(t, cfg, "atax", "SHM", 1))
 		})
 	}
 }
@@ -214,7 +209,7 @@ func TestPrefetchClosesCliff(t *testing.T) {
 	}
 	base := oversubQuickConfig(0.5)
 	base.MaxCycles = 1_000_000
-	demand := testutil.RunResult(t, base, "atax", "SHM", 1)
+	demand := result(t, base, "atax", "SHM", 1)
 	demandFaults, _ := counter(demand, "uvm_faults")
 	if demandFaults == 0 {
 		t.Fatal("demand-only reference did not fault; cliff test needs an oversubscribed cell")
@@ -224,7 +219,7 @@ func TestPrefetchClosesCliff(t *testing.T) {
 		t.Run(policy, func(t *testing.T) {
 			cfg := base
 			cfg.UVMPrefetch = policy
-			res := testutil.RunResult(t, cfg, "atax", "SHM", 1)
+			res := result(t, cfg, "atax", "SHM", 1)
 			if !res.Completed {
 				t.Fatalf("prefetch run did not complete in %d cycles", res.Cycles)
 			}

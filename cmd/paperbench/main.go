@@ -18,21 +18,13 @@
 //	paperbench -progress -ops-listen :8080     # live sweep observability
 //	paperbench -span-trace sweep.trace.json    # span tree for Perfetto
 //	paperbench -watchdog 30s -watchdog-dir diag/ -watchdog-cancel
-//	paperbench -quick -bench-out BENCH.json        # measure the sweep
-//	paperbench -quick -bench-out BENCH.json -bench-compare BENCH_14.json
 //
-// The bench mode runs the Fig. 12 scheme set over the workload list
-// serially, records wall time and allocation counts per (workload, scheme)
-// cell plus the total sweep wall-clock, and writes a perf.Baseline JSON.
-// With -bench-compare it then diffs against a committed baseline:
-// allocs/op is compared on every run (it is deterministic), ns/op only
-// with -bench-time (wall time is machine-dependent). Bench cells are
-// measured unobserved — the ops plane is not attached, so allocation
-// counts stay attributable.
+// The simulator's wall-time and allocation benchmark is bench/ (run it
+// with `sh bench/run.sh`), not this command.
 //
-// Exit codes: 0 on success, 1 on output errors, 2 on usage errors, 3 on
-// benchmark regressions, 4 when the watchdog declared cells stalled (and
-// -watchdog-cancel let the sweep complete without them).
+// Exit codes: 0 on success, 1 on output errors, 2 on usage errors, 4 when
+// the watchdog declared cells stalled (and -watchdog-cancel let the sweep
+// complete without them).
 package main
 
 import (
@@ -48,7 +40,6 @@ import (
 	"shmgpu/internal/experiments"
 	"shmgpu/internal/gpu"
 	"shmgpu/internal/obs"
-	"shmgpu/internal/perf"
 	"shmgpu/internal/report"
 	"shmgpu/internal/scheme"
 	"shmgpu/internal/telemetry"
@@ -71,10 +62,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		metricsOut     = fs.String("metrics-out", "", "directory for per-run Prometheus metrics dumps")
 		traceOut       = fs.String("trace-out", "", "directory for per-run Chrome trace-event JSON files")
 		sampleInterval = fs.Uint64("sample-interval", 5000, "timeline sampling period in cycles for instrumented runs")
-		benchOut       = fs.String("bench-out", "", "measure the simulation sweep and write a perf baseline JSON to this file")
-		benchCompare   = fs.String("bench-compare", "", "committed perf baseline JSON to diff the fresh measurement against")
-		benchTol       = fs.Float64("bench-tolerance", 0.05, "allowed fractional regression before -bench-compare fails")
-		benchTime      = fs.Bool("bench-time", false, "also fail -bench-compare on ns/op regressions (same-machine baselines only)")
 		workers        = fs.Int("workers", 0, "prefetch worker-pool size for figure sweeps (0 = NumCPU)")
 		quiet          = fs.Bool("q", false, "suppress informational logging (errors still print)")
 		verbose        = fs.Bool("v", false, "verbose logging")
@@ -105,13 +92,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			wls = append(wls, w)
 		}
 	}
-	if *benchOut != "" || *benchCompare != "" {
-		if opsFlags.Enabled() {
-			log.Infof("ops plane is not attached in bench mode (cells are measured unobserved)")
-		}
-		return runBench(cfg, *quick, wls, *benchOut, *benchCompare, *benchTol, *benchTime, stdout, log)
-	}
-
 	r := experiments.NewRunner(cfg, wls)
 	r.SetWorkers(*workers)
 
@@ -320,74 +300,4 @@ func installSink(r *experiments.Runner, plane *obs.Plane, cfg gpu.Config, quick 
 			return telemetry.WritePrometheus(w, col, sum, m)
 		})
 	})
-}
-
-// benchSchemes is the Fig. 12 scheme set the bench sweep measures: the
-// baseline plus every design on the paper's headline comparison.
-func benchSchemes() []scheme.Scheme {
-	return []scheme.Scheme{
-		scheme.Baseline, scheme.Naive, scheme.CommonCtr,
-		scheme.PSSM, scheme.SHM, scheme.SHMUpperBound,
-	}
-}
-
-// runBench measures the simulation sweep cell by cell (serially, so
-// allocation counts are attributable) as run/<wl>/<scheme> cells and
-// writes/compares perf baselines.
-func runBench(cfg gpu.Config, quick bool, wls []string, outPath, comparePath string, tol float64, checkTime bool, stdout io.Writer, log *obs.Logger) int {
-	if len(wls) == 0 {
-		wls = workload.MemoryIntensive()
-	}
-	b := perf.New(quick)
-	sweepStart := time.Now()
-	for _, wl := range wls {
-		for _, sch := range benchSchemes() {
-			spec := experiments.RunSpec{Config: cfg, Workload: wl, Scheme: sch}
-			var err error
-			cell := perf.Measure("run/"+wl+"/"+sch.Name, 1, func() {
-				var out experiments.RunOutput
-				out, err = experiments.Execute(spec)
-				if err == nil && !out.Result.Completed {
-					log.Errorf("warning: %s/%s hit MaxCycles", wl, sch.Name)
-				}
-			})
-			if err != nil {
-				log.Errorf("%v", err)
-				return 2
-			}
-			b.Add(cell)
-		}
-	}
-	b.TotalWallNs = time.Since(sweepStart).Nanoseconds()
-
-	fmt.Fprint(stdout, b.FormatGoBench())
-	fmt.Fprintf(stdout, "sweep total: %v over %d cells\n", time.Duration(b.TotalWallNs).Round(time.Millisecond), len(b.Benchmarks))
-
-	if outPath != "" {
-		if err := perf.WriteFile(outPath, b); err != nil {
-			log.Errorf("%v", err)
-			return 1
-		}
-	}
-	if comparePath != "" {
-		base, err := perf.ReadFile(comparePath)
-		if err != nil {
-			log.Errorf("%v", err)
-			return 1
-		}
-		timeTol := -1.0
-		if checkTime {
-			timeTol = tol
-		}
-		regs := perf.Compare(base, b, perf.Tolerance{AllocFrac: tol, TimeFrac: timeTol})
-		if len(regs) > 0 {
-			log.Errorf("%d benchmark regression(s) vs %s:", len(regs), comparePath)
-			for _, r := range regs {
-				log.Errorf("  %s", r)
-			}
-			return 3
-		}
-		fmt.Fprintf(stdout, "no regressions vs %s (tolerance %.0f%%, time check %v)\n", comparePath, 100*tol, checkTime)
-	}
-	return 0
 }

@@ -30,6 +30,14 @@ func DefaultReadOnlyConfig() ReadOnlyConfig {
 	return ReadOnlyConfig{Entries: 1024, RegionBytes: memdef.RegionSize}
 }
 
+// Validate reports a configuration NewReadOnlyPredictor cannot build.
+func (c ReadOnlyConfig) Validate() error {
+	if c.Entries <= 0 || c.RegionBytes == 0 {
+		return fmt.Errorf("detectors: bad read-only config %+v: Entries and RegionBytes must be positive", c)
+	}
+	return nil
+}
+
 // ReadOnlyPredictor is the per-partition read-only region detector: an
 // N-entry bit vector indexed by region ID over local addresses. Bit set
 // means "predicted read-only" (use the shared counter, skip the BMT).
@@ -47,8 +55,8 @@ type ReadOnlyPredictor struct {
 // NewReadOnlyPredictor builds a predictor; all entries start 0
 // (not-read-only by default, per the paper).
 func NewReadOnlyPredictor(cfg ReadOnlyConfig) *ReadOnlyPredictor {
-	if cfg.Entries <= 0 || cfg.RegionBytes == 0 {
-		panic(fmt.Sprintf("detectors: bad read-only config %+v", cfg))
+	if err := cfg.Validate(); err != nil {
+		panic(err)
 	}
 	return &ReadOnlyPredictor{
 		cfg:        cfg,

@@ -38,6 +38,18 @@ func DefaultStreamingConfig() StreamingConfig {
 	}
 }
 
+// Validate reports a configuration NewStreamingPredictor or NewMATFile
+// cannot build.
+func (c StreamingConfig) Validate() error {
+	if c.Entries <= 0 || c.ChunkBytes == 0 {
+		return fmt.Errorf("detectors: bad streaming config %+v: Entries and ChunkBytes must be positive", c)
+	}
+	if c.Trackers <= 0 || c.WindowAccesses <= 0 || c.WindowAccesses > 64 {
+		return fmt.Errorf("detectors: bad MAT config %+v: Trackers must be positive and WindowAccesses in [1, 64]", c)
+	}
+	return nil
+}
+
 // StreamingPredictor is the per-partition streaming-chunk bit vector,
 // indexed by chunk ID over local addresses. Bit set means "predicted
 // streaming" (use the per-chunk MAC). GPU workloads stream by default, so
@@ -53,8 +65,8 @@ type StreamingPredictor struct {
 // NewStreamingPredictor builds a predictor with all entries set to
 // streaming.
 func NewStreamingPredictor(cfg StreamingConfig) *StreamingPredictor {
-	if cfg.Entries <= 0 || cfg.ChunkBytes == 0 {
-		panic(fmt.Sprintf("detectors: bad streaming config %+v", cfg))
+	if err := cfg.Validate(); err != nil {
+		panic(err)
 	}
 	p := &StreamingPredictor{
 		cfg:       cfg,
@@ -160,8 +172,8 @@ type MATFile struct {
 
 // NewMATFile builds the tracker file.
 func NewMATFile(cfg StreamingConfig) *MATFile {
-	if cfg.Trackers <= 0 || cfg.WindowAccesses <= 0 || cfg.WindowAccesses > 64 {
-		panic(fmt.Sprintf("detectors: bad MAT config %+v", cfg))
+	if err := cfg.Validate(); err != nil {
+		panic(err)
 	}
 	return &MATFile{cfg: cfg, trackers: make([]tracker, cfg.Trackers)}
 }

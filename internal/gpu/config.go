@@ -184,6 +184,20 @@ func (c Config) Validate() error {
 	if err := c.l2Config().Validate(); err != nil {
 		return fmt.Errorf("gpu: %w", err)
 	}
+	if c.MEETune != nil {
+		// Without a tune every MEE field comes from secmem.DefaultConfig,
+		// whose inputs the checks above cover. A tune may set any field,
+		// and it sees the design only through the config it adjusts, so
+		// check its result for every partition under both metadata
+		// addressing modes.
+		for _, opts := range []secmem.Options{{Enabled: true}, {Enabled: true, LocalMetadata: true}} {
+			for p := 0; p < c.Partitions; p++ {
+				if err := c.MEEOptionsToConfig(opts, p).Validate(); err != nil {
+					return fmt.Errorf("gpu: MEETune: %w", err)
+				}
+			}
+		}
+	}
 	if c.HostTier {
 		if !(c.OversubRatio > 0) {
 			return fmt.Errorf("gpu: HostTier requires OversubRatio > 0, got %g", c.OversubRatio)

@@ -1,29 +1,28 @@
-package perf_test
+package hostmem
 
 import (
 	"fmt"
+	"math"
 	"testing"
-
-	"shmgpu/internal/hostmem"
-	"shmgpu/internal/perf"
+	"time"
 )
 
-// The UVM eviction microbenchmark pins the satellite claim that victim
-// selection is O(log n) in the frame count: a steady-state cyclic sweep
-// over a working set twice the frame budget makes every access a
-// fault+eviction (the LRU worst case), so per-fault cost is dominated by
-// the victim scan. The old implementation walked every frame per fault;
-// the lazy min-heap re-keys stale roots instead, so growing the frame
-// count 64× must not grow per-fault cost anywhere near 64×.
+// The eviction microbenchmark pins the claim that victim selection is
+// O(log n) in the frame count: a steady-state cyclic sweep over a working
+// set twice the frame budget makes every access a fault+eviction (the LRU
+// worst case), so per-fault cost is dominated by the victim scan. The old
+// implementation walked every frame per fault; the lazy min-heap re-keys
+// stale roots instead, so growing the frame count 64× must not grow
+// per-fault cost anywhere near 64×.
 
 const evictPageBytes = 4096
 
 // newEvictTier builds a demand-only tier with `frames` device frames and
 // a working set of 2×frames pages, warmed to a full frame budget so every
 // subsequent sweep access evicts.
-func newEvictTier(tb testing.TB, frames int) (*hostmem.Tier, *uint64) {
+func newEvictTier(tb testing.TB, frames int) (*Tier, *uint64) {
 	tb.Helper()
-	tier, err := hostmem.New(hostmem.Config{
+	tier, err := New(Config{
 		PageBytes:         evictPageBytes,
 		Frames:            frames,
 		PCIeLatency:       1,
@@ -43,9 +42,9 @@ func newEvictTier(tb testing.TB, frames int) (*hostmem.Tier, *uint64) {
 
 // faultIn drives one page to residency: Access until Admit, ticking the
 // tier forward a cycle per retry (pause-and-replay in miniature).
-func faultIn(tier *hostmem.Tier, cycle *uint64, page int) {
+func faultIn(tier *Tier, cycle *uint64, page int) {
 	addr := uint64(page) * evictPageBytes
-	for tier.Access(addr, false, *cycle) != hostmem.Admit {
+	for tier.Access(addr, false, *cycle) != Admit {
 		*cycle++
 		tier.Tick(*cycle)
 	}
@@ -53,7 +52,7 @@ func faultIn(tier *hostmem.Tier, cycle *uint64, page int) {
 
 // sweep faults `n` pages of the cyclic worst-case pattern starting at
 // *next, each one a miss that evicts the current LRU victim.
-func sweep(tier *hostmem.Tier, cycle *uint64, next *int, n int) {
+func sweep(tier *Tier, cycle *uint64, next *int, n int) {
 	span := tier.NumPages()
 	for i := 0; i < n; i++ {
 		faultIn(tier, cycle, *next)
@@ -61,25 +60,26 @@ func sweep(tier *hostmem.Tier, cycle *uint64, next *int, n int) {
 	}
 }
 
-// perFaultNs measures steady-state cost of one fault+eviction at the
-// given frame count, taking the best of `reps` measurements so scheduler
-// noise inflates neither side of the scaling comparison.
-func perFaultNs(tb testing.TB, frames, faults, reps int) (ns, allocs int64) {
+// perFaultNs measures the steady-state cost of one fault+eviction at the
+// given frame count, taking the best of `reps` timed sweeps so scheduler
+// noise inflates neither side of the scaling comparison. allocs is the
+// heap allocation count of one further sweep, from testing.AllocsPerRun
+// (which pins GOMAXPROCS to 1, so runtime thread starts cannot land in
+// the count).
+func perFaultNs(tb testing.TB, frames, faults, reps int) (ns int64, allocs float64) {
 	tb.Helper()
 	tier, cycle := newEvictTier(tb, frames)
 	next := frames // first non-resident page
-	best := int64(1<<63 - 1)
+	run := func() { sweep(tier, cycle, &next, faults) }
+	best := time.Duration(math.MaxInt64)
 	for r := 0; r < reps; r++ {
-		bm := perf.Measure(fmt.Sprintf("evict/frames=%d", frames), 1, func() {
-			sweep(tier, cycle, &next, faults)
-		})
-		per := bm.NsPerOp / int64(faults)
-		if per < best {
-			best = per
+		start := time.Now()
+		run()
+		if d := time.Since(start); d < best {
+			best = d
 		}
-		allocs = bm.AllocsPerOp
 	}
-	return best, allocs
+	return best.Nanoseconds() / int64(faults), testing.AllocsPerRun(1, run)
 }
 
 // TestEvictVictimScanSublinear is the scaling pin: 64× more frames may
@@ -105,7 +105,7 @@ func TestEvictVictimScanSublinear(t *testing.T) {
 			small, large, float64(large)/float64(small))
 	}
 	if allocs != 0 {
-		t.Errorf("steady-state fault+eviction allocates %d times per sweep, want 0", allocs)
+		t.Errorf("steady-state fault+eviction allocates %g times per sweep, want 0", allocs)
 	}
 }
 
@@ -113,7 +113,6 @@ func TestEvictVictimScanSublinear(t *testing.T) {
 // steady state, one op = one fault+eviction.
 func BenchmarkEvictFault(b *testing.B) {
 	for _, frames := range []int{1 << 10, 1 << 13, 1 << 16} {
-		frames := frames
 		b.Run(fmt.Sprintf("frames=%d", frames), func(b *testing.B) {
 			tier, cycle := newEvictTier(b, frames)
 			next := frames

@@ -18,6 +18,7 @@ import (
 	"shmgpu/internal/cache"
 	"shmgpu/internal/detectors"
 	"shmgpu/internal/memdef"
+	"shmgpu/internal/metadata"
 )
 
 // Options selects a secure-memory design (paper Table VIII).
@@ -109,6 +110,34 @@ func DefaultConfig(opts Options, partition, numPartitions int, protectedBytes ui
 		InputQueue:     64,
 		IssuePerCycle:  2,
 	}
+}
+
+// Validate reports a configuration NewMEE cannot build or that could never
+// issue a request: the partition count, the metadata layout over
+// ProtectedBytes, the three metadata caches, both detectors, and a
+// positive input queue and issue width.
+func (c Config) Validate() error {
+	if c.NumPartitions <= 0 {
+		return fmt.Errorf("secmem: NumPartitions must be positive, got %d", c.NumPartitions)
+	}
+	if _, err := metadata.NewLayout(c.ProtectedBytes); err != nil {
+		return fmt.Errorf("secmem: %w", err)
+	}
+	for _, mdc := range []cache.Config{c.CtrCache, c.MACCache, c.BMTCache} {
+		if err := mdc.Validate(); err != nil {
+			return fmt.Errorf("secmem: %w", err)
+		}
+	}
+	if err := c.ReadOnly.Validate(); err != nil {
+		return fmt.Errorf("secmem: %w", err)
+	}
+	if err := c.Streaming.Validate(); err != nil {
+		return fmt.Errorf("secmem: %w", err)
+	}
+	if c.InputQueue <= 0 || c.IssuePerCycle <= 0 {
+		return fmt.Errorf("secmem: InputQueue and IssuePerCycle must be positive, got %d and %d", c.InputQueue, c.IssuePerCycle)
+	}
+	return nil
 }
 
 // VictimCache is the hook the GPU layer provides for the L2-as-victim-cache

@@ -126,7 +126,10 @@ func (r *Recorder) WriteTo(w io.Writer) (int64, error) {
 	return n, bw.Flush()
 }
 
-// Read parses a serialized trace.
+// Read parses a serialized trace. The header's record count is not
+// trusted for allocation: events grow only as records are actually read,
+// so a short stream claiming billions of records fails with ErrFormat
+// instead of exhausting memory.
 func Read(r io.Reader) ([]Event, error) {
 	br := bufio.NewReader(r)
 	hdr := make([]byte, 16)
@@ -142,7 +145,7 @@ func Read(r io.Reader) ([]Event, error) {
 		return nil, fmt.Errorf("%w: version %d (want %d)", ErrFormat, v, Version)
 	}
 	count := binary.LittleEndian.Uint32(hdr[12:16])
-	events := make([]Event, 0, count)
+	var events []Event
 	buf := make([]byte, recordBytes)
 	for i := uint32(0); i < count; i++ {
 		if _, err := io.ReadFull(br, buf); err != nil {

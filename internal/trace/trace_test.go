@@ -2,7 +2,9 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"slices"
 	"testing"
 
 	"shmgpu/internal/detectors"
@@ -83,6 +85,63 @@ func TestReadRejectsGarbage(t *testing.T) {
 	if _, err := Read(bytes.NewReader(full)); !errors.Is(err, ErrFormat) {
 		t.Fatalf("wrong version accepted: %v", err)
 	}
+	// A bare header claiming 2^32-1 records: sizing the event slice from
+	// the untrusted count ran the process out of memory.
+	if _, err := Read(bytes.NewReader(header(0xFFFFFFFF))); !errors.Is(err, ErrFormat) {
+		t.Fatalf("header-only trace claiming 2^32-1 records accepted: %v", err)
+	}
+}
+
+// header returns a valid trace header announcing count records.
+func header(count uint32) []byte {
+	hdr := make([]byte, 16)
+	copy(hdr, Magic[:])
+	binary.LittleEndian.PutUint32(hdr[8:12], Version)
+	binary.LittleEndian.PutUint32(hdr[12:16], count)
+	return hdr
+}
+
+// encode serializes events the way a recording is written.
+func encode(tb testing.TB, evs []Event) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	if _, err := (&Recorder{events: evs}).WriteTo(&buf); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// FuzzTraceDecode feeds arbitrary bytes to Read. It must return events or
+// an ErrFormat error, never panic or exhaust memory, and whatever it
+// decodes must survive a WriteTo/Read round trip unchanged; what WriteTo
+// writes must re-encode to the same bytes.
+func FuzzTraceDecode(f *testing.F) {
+	valid := encode(f, sampleEvents())
+	f.Add(valid)
+	f.Add(valid[:len(valid)-5])
+	f.Add(header(0))
+	f.Add(header(0xFFFFFFFF))
+	f.Add([]byte("not a trace file at all"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		evs, err := Read(bytes.NewReader(data))
+		if err != nil {
+			if !errors.Is(err, ErrFormat) {
+				t.Fatalf("Read error %v does not wrap ErrFormat", err)
+			}
+			return
+		}
+		enc := encode(t, evs)
+		back, err := Read(bytes.NewReader(enc))
+		if err != nil {
+			t.Fatalf("re-reading a written trace: %v", err)
+		}
+		if !slices.Equal(back, evs) {
+			t.Fatalf("round trip changed the events: %d read, %d after WriteTo/Read", len(evs), len(back))
+		}
+		if !bytes.Equal(encode(t, back), enc) {
+			t.Fatal("a written trace does not re-encode to its own bytes")
+		}
+	})
 }
 
 func TestReplayDetectsPatterns(t *testing.T) {

@@ -347,10 +347,10 @@ func (c *collector) summarize(key FuncKey, display string, decl ast.Node, body *
 }
 
 // snapshotPkgPath is the checkpoint/restore serializer package. Everything
-// in it, and every function that takes one of its Encoder/Decoder streams,
-// runs once per snapshot — never on the per-cycle tick path — so the flow
-// analyzers treat such functions as implicitly //shm:cold instead of
-// demanding annotations on every SaveState/LoadState method in the tree.
+// in it, and every function that takes its *Codec, runs once per snapshot
+// — never on the per-cycle tick path — so the flow analyzers treat such
+// functions as implicitly //shm:cold instead of demanding annotations on
+// every state method in the tree.
 const snapshotPkgPath = "shmgpu/internal/snapshot"
 
 func isSnapshotCode(f *Func) bool {
@@ -366,7 +366,7 @@ func isSnapshotCode(f *Func) bool {
 		if !ok || named.Obj().Pkg() == nil || named.Obj().Pkg().Path() != snapshotPkgPath {
 			continue
 		}
-		if name := named.Obj().Name(); name == "Encoder" || name == "Decoder" {
+		if named.Obj().Name() == "Codec" {
 			return true
 		}
 	}

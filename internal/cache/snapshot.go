@@ -1,8 +1,6 @@
 package cache
 
 import (
-	"fmt"
-
 	"shmgpu/internal/flatmap"
 	"shmgpu/internal/snapshot"
 )
@@ -14,67 +12,33 @@ import (
 // the caller consuming the returned slice, and no snapshot is ever taken
 // inside that window. Cold path only.
 
-// SaveState writes the cache's mutable state.
-func (c *Cache) SaveState(e *snapshot.Encoder) {
-	e.String(c.cfg.Name)
-	e.Int(c.cfg.SizeBytes)
-	e.Int(c.cfg.Ways)
-	e.Int(c.cfg.MSHRs)
-	e.Int(c.cfg.MaxMergesPerMSHR)
-	e.Int(len(c.lines))
-	for i := range c.lines {
-		ln := &c.lines[i]
-		e.U64(ln.tag)
-		e.U8(ln.valid)
-		e.U8(ln.dirty)
-		e.U64(ln.lru)
-		e.Bool(ln.used)
+// State codes the cache's mutable state. Loading fails on any
+// configuration or geometry mismatch.
+func (cc *Cache) State(c *snapshot.Codec) {
+	cfg := cc.cfg
+	c.String(&cfg.Name)
+	c.Int(&cfg.SizeBytes)
+	c.Int(&cfg.Ways)
+	c.Int(&cfg.MSHRs)
+	c.Int(&cfg.MaxMergesPerMSHR)
+	if c.Loading() && c.Err() == nil && cfg != cc.cfg {
+		c.Failf("cache %s: snapshot was taken with config %+v, this cache has %+v", cc.cfg.Name, cfg, cc.cfg)
 	}
-	flatmap.SaveMap(e, &c.mshrs, func(e *snapshot.Encoder, m *mshr) {
-		e.U8(m.pending)
-		e.Int(m.merges)
+	if !c.Count(len(cc.lines), "cache "+cc.cfg.Name+": lines") {
+		return
+	}
+	for i := range cc.lines {
+		ln := &cc.lines[i]
+		c.U64(&ln.tag)
+		c.U8(&ln.valid)
+		c.U8(&ln.dirty)
+		c.U64(&ln.lru)
+		c.Bool(&ln.used)
+	}
+	flatmap.MapState(c, &cc.mshrs, func(c *snapshot.Codec, m *mshr) {
+		c.U8(&m.pending)
+		c.Int(&m.merges)
 	})
-	e.U64(c.lruClock)
-	c.Stats.SaveState(e)
-}
-
-// LoadState restores state saved by SaveState into a same-configured
-// cache, erroring on any configuration or geometry mismatch.
-func (c *Cache) LoadState(d *snapshot.Decoder) error {
-	name := d.String()
-	size := d.Int()
-	ways := d.Int()
-	mshrs := d.Int()
-	merges := d.Int()
-	nLines := d.Int()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if name != c.cfg.Name || size != c.cfg.SizeBytes || ways != c.cfg.Ways ||
-		mshrs != c.cfg.MSHRs || merges != c.cfg.MaxMergesPerMSHR {
-		return fmt.Errorf("cache %s: snapshot was taken with config {%s %d %d %d %d}, this cache has {%s %d %d %d %d}",
-			c.cfg.Name, name, size, ways, mshrs, merges,
-			c.cfg.Name, c.cfg.SizeBytes, c.cfg.Ways, c.cfg.MSHRs, c.cfg.MaxMergesPerMSHR)
-	}
-	if nLines != len(c.lines) {
-		return fmt.Errorf("cache %s: snapshot has %d lines, this cache has %d", c.cfg.Name, nLines, len(c.lines))
-	}
-	for i := range c.lines {
-		ln := &c.lines[i]
-		ln.tag = d.U64()
-		ln.valid = d.U8()
-		ln.dirty = d.U8()
-		ln.lru = d.U64()
-		ln.used = d.Bool()
-	}
-	err := flatmap.LoadMap(d, &c.mshrs, func(d *snapshot.Decoder, m *mshr) {
-		m.pending = d.U8()
-		m.merges = d.Int()
-	})
-	if err != nil {
-		return err
-	}
-	c.lruClock = d.U64()
-	c.Stats.LoadState(d)
-	return d.Err()
+	c.U64(&cc.lruClock)
+	cc.Stats.State(c)
 }

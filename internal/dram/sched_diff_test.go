@@ -226,15 +226,13 @@ func (g addrGen) next() memdef.Addr {
 // roundTrip saves ch and restores it into a fresh channel.
 func roundTrip(t *testing.T, ch *Channel) *Channel {
 	t.Helper()
-	e := snapshot.NewEncoder()
-	ch.SaveState(e)
+	saved, _ := snapshot.Save(ch.State)
 	got := NewChannel(ch.cfg)
-	if err := got.LoadState(snapshot.NewDecoder(e.Data())); err != nil {
+	if err := snapshot.Load(saved, got.State); err != nil {
 		t.Fatalf("LoadState of a saved channel: %v", err)
 	}
-	again := snapshot.NewEncoder()
-	got.SaveState(again)
-	if string(again.Data()) != string(e.Data()) {
+	again, _ := snapshot.Save(got.State)
+	if string(again) != string(saved) {
 		t.Fatal("restored channel saves different bytes")
 	}
 	return got

@@ -30,9 +30,8 @@ func midStreamPayload(seed int64, cycles uint64) []byte {
 		}
 		ch.Tick(now)
 	}
-	e := snapshot.NewEncoder()
-	ch.SaveState(e)
-	return e.Data()
+	payload, _ := snapshot.Save(ch.State)
+	return payload
 }
 
 // withInvariants runs f with invariant checking switched on or off.
@@ -56,7 +55,7 @@ func FuzzChannelLoadState(f *testing.F) {
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		withInvariants(true, func() {
 			ch := NewChannel(fuzzConfig())
-			if err := ch.LoadState(snapshot.NewDecoder(payload)); err != nil {
+			if err := snapshot.Load(payload, ch.State); err != nil {
 				return
 			}
 			now := ch.lastTick
@@ -91,12 +90,11 @@ func TestLoadStateRejectsDivergentState(t *testing.T) {
 		return ch
 	}
 	save := func(ch *Channel) []byte {
-		e := snapshot.NewEncoder()
-		ch.SaveState(e)
-		return e.Data()
+		payload, _ := snapshot.Save(ch.State)
+		return payload
 	}
 	load := func(payload []byte) error {
-		return NewChannel(cfg).LoadState(snapshot.NewDecoder(payload))
+		return snapshot.Load(payload, NewChannel(cfg).State)
 	}
 	if err := load(save(build())); err != nil {
 		t.Fatalf("valid payload rejected: %v", err)

@@ -101,18 +101,16 @@ func Execute(spec RunSpec) (RunOutput, error) {
 	}
 	switch {
 	case spec.Restore != nil:
-		if err := sys.LoadState(snapshot.NewDecoder(spec.Restore), bench); err != nil {
+		if err := snapshot.Load(spec.Restore, func(c *snapshot.Codec) { sys.State(c, bench) }); err != nil {
 			return RunOutput{}, err
 		}
 		out.Result = sys.Resume(bench)
 	case spec.StopAt != 0:
 		res, done := sys.RunUntil(bench, spec.StopAt)
 		if !done {
-			enc := snapshot.NewEncoder()
-			if err := sys.SaveState(enc, bench); err != nil {
+			if out.Snapshot, err = snapshot.Save(func(c *snapshot.Codec) { sys.State(c, bench) }); err != nil {
 				return RunOutput{}, err
 			}
-			out.Snapshot = enc.Data()
 			return out, nil
 		}
 		out.Result = res

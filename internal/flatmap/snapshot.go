@@ -16,58 +16,48 @@ import (
 
 // maxTableCap bounds restored table capacities so a corrupt capacity field
 // fails cleanly instead of driving a huge allocation.
-const maxTableCap = 1 << 30
+const maxTableCap = 1 << 20
 
-// SaveMap writes m's physical slot layout. saveVal encodes one value.
-func SaveMap[V any](e *snapshot.Encoder, m *Map[V], saveVal func(*snapshot.Encoder, *V)) {
-	e.Int(len(m.keys))
-	e.Int(m.n)
-	for i := range m.keys {
-		if !m.used[i] {
-			continue
+// MapState codes m's physical slot layout, el coding one value. Loading
+// replaces m's contents.
+func MapState[V any](c *snapshot.Codec, m *Map[V], el func(*snapshot.Codec, *V)) {
+	capN, n := len(m.keys), m.n
+	c.Int(&capN)
+	c.Int(&n)
+	if c.Loading() {
+		switch {
+		case c.Err() != nil:
+			return
+		case capN < 0 || capN > maxTableCap || (capN != 0 && capN&(capN-1) != 0):
+			c.Failf("flatmap: bad table capacity %d", capN)
+			return
+		case n < 0 || n > capN/4*3:
+			// Above the 3/4 load factor Put never lets a table reach, a
+			// probe for an absent key could find no free slot.
+			c.Failf("flatmap: bad entry count %d for capacity %d", n, capN)
+			return
 		}
-		e.Int(i)
-		e.U64(m.keys[i])
-		saveVal(e, &m.vals[i])
+		*m = Map[V]{keys: make([]uint64, capN), vals: make([]V, capN), used: make([]bool, capN), n: n}
 	}
-}
-
-// LoadMap restores a map saved by SaveMap, replacing m's contents.
-// loadVal decodes one value in place.
-func LoadMap[V any](d *snapshot.Decoder, m *Map[V], loadVal func(*snapshot.Decoder, *V)) error {
-	capN := d.Int()
-	n := d.Int()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if capN < 0 || capN > maxTableCap || (capN != 0 && capN&(capN-1) != 0) {
-		return fmt.Errorf("flatmap: bad table capacity %d", capN)
-	}
-	if n < 0 || n > capN {
-		return fmt.Errorf("flatmap: bad entry count %d for capacity %d", n, capN)
-	}
-	if capN == 0 {
-		*m = Map[V]{}
-		return nil
-	}
-	m.keys = make([]uint64, capN)
-	m.vals = make([]V, capN)
-	m.used = make([]bool, capN)
-	m.n = n
-	for j := 0; j < n; j++ {
-		slot := d.Int()
-		key := d.U64()
-		if err := d.Err(); err != nil {
-			return err
+	slot := -1
+	for j := 0; j < m.n; j++ {
+		if !c.Loading() {
+			for slot++; !m.used[slot]; slot++ {
+			}
 		}
-		if slot < 0 || slot >= capN || m.used[slot] {
-			return fmt.Errorf("flatmap: bad slot index %d for capacity %d", slot, capN)
+		c.Int(&slot)
+		if c.Loading() {
+			if c.Err() == nil && (slot < 0 || slot >= len(m.keys) || m.used[slot]) {
+				c.Failf("flatmap: bad slot index %d for capacity %d", slot, len(m.keys))
+			}
+			if c.Err() != nil {
+				return
+			}
+			m.used[slot] = true
 		}
-		m.used[slot] = true
-		m.keys[slot] = key
-		loadVal(d, &m.vals[slot])
+		c.U64(&m.keys[slot])
+		el(c, &m.vals[slot])
 	}
-	return d.Err()
 }
 
 // VisitMultiMapNodes calls fn for every node in mm's arena in index order
@@ -81,54 +71,67 @@ func VisitMultiMapNodes[V any](mm *MultiMap[V], fn func(v *V)) {
 	}
 }
 
-// SaveMultiMap writes mm's full physical state: the key table, the node
+// MultiMapState codes mm's full physical state: the key table, the node
 // arena (free-chain nodes are zero-valued — Drain and Reset zero released
-// values), the free-list head, and the bookkeeping counters.
-func SaveMultiMap[V any](e *snapshot.Encoder, mm *MultiMap[V], saveVal func(*snapshot.Encoder, *V)) {
-	SaveMap(e, &mm.m, func(e *snapshot.Encoder, r *listRef) {
-		e.I32(r.head)
-		e.I32(r.tail)
+// values), the free-list head, and the bookkeeping counters. Loading
+// replaces mm's contents.
+func MultiMapState[V any](c *snapshot.Codec, mm *MultiMap[V], el func(*snapshot.Codec, *V)) {
+	MapState(c, &mm.m, func(c *snapshot.Codec, r *listRef) {
+		c.I32(&r.head)
+		c.I32(&r.tail)
 	})
-	e.Int(len(mm.nodes))
-	for i := range mm.nodes {
-		saveVal(e, &mm.nodes[i].v)
-		e.I32(mm.nodes[i].next)
+	snapshot.Slice(c, &mm.nodes, func(c *snapshot.Codec, n *mmNode[V]) {
+		el(c, &n.v)
+		c.I32(&n.next)
+	})
+	c.I32(&mm.free)
+	c.Int(&mm.vals)
+	c.Bool(&mm.init)
+	if c.Loading() && c.Err() == nil {
+		if err := mm.check(); err != nil {
+			c.Failf("%v", err)
+		}
 	}
-	e.I32(mm.free)
-	e.Int(mm.vals)
-	e.Bool(mm.init)
 }
 
-// LoadMultiMap restores a multimap saved by SaveMultiMap, replacing mm's
-// contents.
-func LoadMultiMap[V any](d *snapshot.Decoder, mm *MultiMap[V], loadVal func(*snapshot.Decoder, *V)) error {
-	err := LoadMap(d, &mm.m, func(d *snapshot.Decoder, r *listRef) {
-		r.head = d.I32()
-		r.tail = d.I32()
+// check rejects a restored multimap whose chains a later Add or Drain
+// could not follow: a list or the free chain that leaves the arena, loops
+// or shares a node with another chain, a tail that is not its list's last
+// node, or a value count that disagrees with the lists.
+func (mm *MultiMap[V]) check() error {
+	// A never-initialized multimap is all zeros: free head 0, no arena.
+	if !mm.init && (len(mm.nodes) != 0 || mm.free != 0) {
+		return fmt.Errorf("flatmap: uninitialized multimap with %d nodes and free head %d", len(mm.nodes), mm.free)
+	}
+	seen := make([]bool, len(mm.nodes))
+	walk := func(i int32) (last int32, n int, ok bool) {
+		last = -1
+		for ; i >= 0; i = mm.nodes[i].next {
+			if int(i) >= len(mm.nodes) || seen[i] {
+				return 0, 0, false
+			}
+			seen[i] = true
+			last = i
+			n++
+		}
+		return last, n, i == -1
+	}
+	if _, _, ok := walk(mm.free); mm.init && !ok {
+		return fmt.Errorf("flatmap: bad multimap free chain from %d (%d nodes)", mm.free, len(mm.nodes))
+	}
+	total := 0
+	var err error
+	mm.m.Range(func(k uint64, r *listRef) bool {
+		last, n, ok := walk(r.head - 1)
+		if !ok || n == 0 || last != r.tail-1 {
+			err = fmt.Errorf("flatmap: bad multimap list %d..%d under key %#x (%d nodes)", r.head, r.tail, k, len(mm.nodes))
+			return false
+		}
+		total += n
+		return true
 	})
-	if err != nil {
-		return err
+	if err == nil && total != mm.vals {
+		err = fmt.Errorf("flatmap: multimap counts %d values, its lists hold %d", mm.vals, total)
 	}
-	nNodes := d.Len()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	mm.nodes = make([]mmNode[V], nNodes)
-	for i := range mm.nodes {
-		loadVal(d, &mm.nodes[i].v)
-		mm.nodes[i].next = d.I32()
-	}
-	mm.free = d.I32()
-	mm.vals = d.Int()
-	mm.init = d.Bool()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	// A never-initialized multimap is all zeros (free == 0 with an empty
-	// arena), so the free-head bound only applies once nodes exist.
-	if mm.free < -1 || (len(mm.nodes) > 0 && int(mm.free) >= len(mm.nodes)) ||
-		(len(mm.nodes) == 0 && mm.free > 0) || mm.vals < 0 {
-		return fmt.Errorf("flatmap: bad multimap free head %d or count %d (%d nodes)", mm.free, mm.vals, len(mm.nodes))
-	}
-	return nil
+	return err
 }

@@ -21,21 +21,18 @@ import (
 // across it is the whole point. Cold path only.
 
 // StatefulWorkload is the optional Workload extension checkpointing
-// requires: the workload captures its cross-warp state (e.g. the pacing
-// frontier) and restores it into a freshly built instance of the same
-// spec.
+// requires: the workload codes its cross-warp state (e.g. the pacing
+// frontier), restoring it into a freshly built instance of the same spec.
 type StatefulWorkload interface {
 	Workload
-	SaveState(*snapshot.Encoder)
-	LoadState(*snapshot.Decoder) error
+	State(*snapshot.Codec)
 }
 
-// StatefulWarpProgram is the per-warp analogue: LoadState fast-forwards a
+// StatefulWarpProgram is the per-warp analogue: loading fast-forwards a
 // freshly created program (wl.NewWarp) to the captured position.
 type StatefulWarpProgram interface {
 	WarpProgram
-	SaveState(*snapshot.Encoder)
-	LoadState(*snapshot.Decoder) error
+	State(*snapshot.Codec)
 }
 
 // fingerprint hashes the configuration a snapshot is only valid for:
@@ -52,373 +49,189 @@ func (s *System) fingerprint(wlName string) uint64 {
 	return h.Sum64()
 }
 
-func saveMemInst(e *snapshot.Encoder, mi *MemInst) {
-	e.Int(len(mi.Sectors))
-	for _, a := range mi.Sectors {
-		e.U64(uint64(a))
-	}
-	e.Bool(mi.Write)
-	e.U8(uint8(mi.Space))
-	e.Bool(mi.Stall)
+func requestState(c *snapshot.Codec, r *memdef.Request) { r.State(c) }
+
+func memInstState(c *snapshot.Codec, mi *MemInst) {
+	snapshot.Slice(c, &mi.Sectors, func(c *snapshot.Codec, a *memdef.Addr) { c.U64((*uint64)(a)) })
+	c.Bool(&mi.Write)
+	c.U8((*uint8)(&mi.Space))
+	c.Bool(&mi.Stall)
 }
 
-func loadMemInst(d *snapshot.Decoder, mi *MemInst) error {
-	n := d.Len()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	mi.Sectors = nil
-	if n > 0 {
-		mi.Sectors = make([]memdef.Addr, n)
-		for i := range mi.Sectors {
-			mi.Sectors[i] = memdef.Addr(d.U64())
-		}
-	}
-	mi.Write = d.Bool()
-	mi.Space = memdef.Space(d.U8())
-	mi.Stall = d.Bool()
-	return d.Err()
-}
-
-func (s *SM) saveState(e *snapshot.Encoder) error {
-	e.Int(s.lastWarp)
-	e.U64(s.Instructions)
-	e.U64(s.Loads)
-	e.U64(s.Stores)
-	s.l1.SaveState(e)
-	flatmap.SaveMultiMap(e, &s.l1Waiters, func(e *snapshot.Encoder, v *int32) {
-		e.I32(*v)
+// state codes an SM. Loading rebuilds the warp programs via wl.NewWarp for
+// kernel and immediately fast-forwards each from the stream.
+func (s *SM) state(c *snapshot.Codec, wl Workload, kernel int) {
+	c.Int(&s.lastWarp)
+	c.U64(&s.Instructions)
+	c.U64(&s.Loads)
+	c.U64(&s.Stores)
+	s.l1.State(c)
+	flatmap.MultiMapState(c, &s.l1Waiters, (*snapshot.Codec).I32)
+	ringbuf.State(c, &s.missQueue, func(c *snapshot.Codec, r *smRequest) {
+		c.U64((*uint64)(&r.addr))
+		c.Bool(&r.write)
+		c.U8((*uint8)(&r.space))
+		c.Int(&r.sm)
+		c.Int(&r.warp)
 	})
-	ringbuf.Save(e, &s.missQueue, func(e *snapshot.Encoder, r *smRequest) {
-		e.U64(uint64(r.addr))
-		e.Bool(r.write)
-		e.U8(uint8(r.space))
-		e.Int(r.sm)
-		e.Int(r.warp)
-	})
-	e.Int(len(s.warps))
+	if !c.Count(s.cfg.WarpsPerSM, fmt.Sprintf("gpu: sm %d warps", s.id)) {
+		return
+	}
+	if c.Loading() {
+		s.warps = make([]warpState, s.cfg.WarpsPerSM)
+	}
 	for w := range s.warps {
 		ws := &s.warps[w]
-		e.Int(ws.computeLeft)
-		saveMemInst(e, &ws.pendingMem)
-		e.Bool(ws.haveMem)
-		e.Int(ws.outstanding)
-		e.U64(ws.readyAt)
-		e.Bool(ws.done)
+		c.Int(&ws.computeLeft)
+		memInstState(c, &ws.pendingMem)
+		c.Bool(&ws.haveMem)
+		c.Int(&ws.outstanding)
+		c.U64(&ws.readyAt)
+		c.Bool(&ws.done)
+		if c.Err() != nil {
+			return
+		}
+		if c.Loading() {
+			ws.prog = wl.NewWarp(kernel, s.id, w)
+			ws.stalls, _ = ws.prog.(StallPredictor)
+		}
 		prog, ok := ws.prog.(StatefulWarpProgram)
 		if !ok {
-			return fmt.Errorf("gpu: sm %d warp %d program (%T) is not snapshottable", s.id, w, ws.prog)
+			c.Failf("gpu: sm %d warp %d program (%T) is not snapshottable", s.id, w, ws.prog)
+			return
 		}
-		prog.SaveState(e)
+		prog.State(c)
 	}
-	return nil
 }
 
-// loadState restores an SM; warp programs are rebuilt via wl.NewWarp for
-// kernel and immediately fast-forwarded from the stream.
-func (s *SM) loadState(d *snapshot.Decoder, wl Workload, kernel int) error {
-	s.lastWarp = d.Int()
-	s.Instructions = d.U64()
-	s.Loads = d.U64()
-	s.Stores = d.U64()
-	if err := s.l1.LoadState(d); err != nil {
-		return err
-	}
-	err := flatmap.LoadMultiMap(d, &s.l1Waiters, func(d *snapshot.Decoder, v *int32) {
-		*v = d.I32()
+func (b *L2Bank) state(c *snapshot.Codec) {
+	b.c.State(c)
+	flatmap.MultiMapState(c, &b.waiters, requestState)
+	ringbuf.State(c, &b.input, func(c *snapshot.Codec, lr *l2Request) {
+		lr.req.State(c)
+		c.U64(&lr.arrived)
 	})
-	if err != nil {
-		return err
-	}
-	err = ringbuf.Load(d, &s.missQueue, func(d *snapshot.Decoder, r *smRequest) {
-		r.addr = memdef.Addr(d.U64())
-		r.write = d.Bool()
-		r.space = memdef.Space(d.U8())
-		r.sm = d.Int()
-		r.warp = d.Int()
-	})
-	if err != nil {
-		return err
-	}
-	nWarps := d.Int()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if nWarps != s.cfg.WarpsPerSM {
-		return fmt.Errorf("gpu: sm %d snapshot has %d warps, config has %d", s.id, nWarps, s.cfg.WarpsPerSM)
-	}
-	s.warps = make([]warpState, nWarps)
-	for w := range s.warps {
-		ws := &s.warps[w]
-		ws.computeLeft = d.Int()
-		if err := loadMemInst(d, &ws.pendingMem); err != nil {
-			return err
-		}
-		ws.haveMem = d.Bool()
-		ws.outstanding = d.Int()
-		ws.readyAt = d.U64()
-		ws.done = d.Bool()
-		if err := d.Err(); err != nil {
-			return err
-		}
-		prog, ok := wl.NewWarp(kernel, s.id, w).(StatefulWarpProgram)
-		if !ok {
-			return fmt.Errorf("gpu: sm %d warp %d program is not snapshottable", s.id, w)
-		}
-		if err := prog.LoadState(d); err != nil {
-			return err
-		}
-		ws.prog = prog
-		ws.stalls, _ = prog.(StallPredictor)
-	}
-	return d.Err()
+	ringbuf.State(c, &b.toMEE, requestState)
+	c.U64(&b.sampleAccesses)
+	c.U64(&b.sampleMisses)
+	c.F64(&b.sampledRate)
+	c.Bool(&b.haveSample)
+	c.U64(&b.VictimHits)
+	c.U64(&b.VictimPushes)
 }
 
-func (b *L2Bank) saveState(e *snapshot.Encoder) {
-	b.c.SaveState(e)
-	flatmap.SaveMultiMap(e, &b.waiters, func(e *snapshot.Encoder, r *memdef.Request) {
-		r.SaveState(e)
-	})
-	ringbuf.Save(e, &b.input, func(e *snapshot.Encoder, lr *l2Request) {
-		lr.req.SaveState(e)
-		e.U64(lr.arrived)
-	})
-	ringbuf.Save(e, &b.toMEE, func(e *snapshot.Encoder, r *memdef.Request) {
-		r.SaveState(e)
-	})
-	e.U64(b.sampleAccesses)
-	e.U64(b.sampleMisses)
-	e.F64(b.sampledRate)
-	e.Bool(b.haveSample)
-	e.U64(b.VictimHits)
-	e.U64(b.VictimPushes)
-}
-
-func (b *L2Bank) loadState(d *snapshot.Decoder) error {
-	if err := b.c.LoadState(d); err != nil {
-		return err
+// State codes the complete simulator state at a paused RunUntil boundary;
+// wl must be the workload the run drives.
+//
+// Saving refuses a run that was never paused mid-kernel, or that was
+// cancelled (e.g. by the stall watchdog): it has nothing coherent to
+// capture, and a cancelled cell must never leave a loadable snapshot
+// behind.
+//
+// Loading needs a freshly built System and a fresh instance of the
+// captured workload (same spec and seed); if the parent run had a
+// telemetry collector attached, an equally configured collector must be
+// attached first. The workload's state loads last: SM restore rebuilds
+// warp programs via NewWarp, which repopulates shared workload state
+// (e.g. the pacing frontier) as a side effect, and the final workload
+// load overwrites all of it with the captured values.
+func (s *System) State(c *snapshot.Codec, wl Workload) {
+	if !c.Loading() && !s.midKernel {
+		c.Failf("gpu: saving state requires a run paused mid-kernel (use RunUntil)")
+		return
 	}
-	err := flatmap.LoadMultiMap(d, &b.waiters, func(d *snapshot.Decoder, r *memdef.Request) {
-		r.LoadState(d)
-	})
-	if err != nil {
-		return err
-	}
-	err = ringbuf.Load(d, &b.input, func(d *snapshot.Decoder, lr *l2Request) {
-		lr.req.LoadState(d)
-		lr.arrived = d.U64()
-	})
-	if err != nil {
-		return err
-	}
-	err = ringbuf.Load(d, &b.toMEE, func(d *snapshot.Decoder, r *memdef.Request) {
-		r.LoadState(d)
-	})
-	if err != nil {
-		return err
-	}
-	b.sampleAccesses = d.U64()
-	b.sampleMisses = d.U64()
-	b.sampledRate = d.F64()
-	b.haveSample = d.Bool()
-	b.VictimHits = d.U64()
-	b.VictimPushes = d.U64()
-	return d.Err()
-}
-
-// SaveState captures the complete simulator state at a paused RunUntil
-// boundary. wl must be the workload the run was driving. A run that was
-// never paused mid-kernel, or that was cancelled (e.g. by the stall
-// watchdog), has nothing coherent to capture and errors out — a cancelled
-// cell must never leave a loadable snapshot behind.
-func (s *System) SaveState(e *snapshot.Encoder, wl Workload) error {
-	if !s.midKernel {
-		return fmt.Errorf("gpu: SaveState requires a run paused mid-kernel (use RunUntil)")
-	}
-	if s.cancelled {
-		return fmt.Errorf("gpu: refusing to snapshot a cancelled run")
+	if !c.Loading() && s.cancelled {
+		c.Failf("gpu: refusing to snapshot a cancelled run")
+		return
 	}
 	swl, ok := wl.(StatefulWorkload)
 	if !ok {
-		return fmt.Errorf("gpu: workload %T is not snapshottable", wl)
+		c.Failf("gpu: workload %T is not snapshottable", wl)
+		return
 	}
-	e.U64(s.fingerprint(wl.Name()))
-	e.U64(s.cycle)
-	e.U64(s.instr)
-	e.Int(s.kernelIdx)
-	e.U64(s.runDeadline)
-
-	e.Int(len(s.sms))
-	for _, sm := range s.sms {
-		if err := sm.saveState(e); err != nil {
-			return err
+	want := s.fingerprint(wl.Name())
+	fp := want
+	c.U64(&fp)
+	if fp != want {
+		c.Failf("gpu: snapshot was taken on a different configuration or workload (fingerprint %#x, this system %#x)", fp, want)
+		return
+	}
+	c.U64(&s.cycle)
+	c.U64(&s.instr)
+	c.Int(&s.kernelIdx)
+	c.U64(&s.runDeadline)
+	if c.Loading() {
+		if c.Err() == nil && (s.kernelIdx < 0 || s.kernelIdx >= wl.Kernels()) {
+			c.Failf("gpu: snapshot kernel index %d out of range (%d kernels)", s.kernelIdx, wl.Kernels())
+		}
+		if c.Err() != nil {
+			return
+		}
+		s.midKernel = true
+		s.cancelled = false
+		if ga, ok := wl.(GridAware); ok {
+			ga.SetGrid(s.cfg.SMs, s.cfg.WarpsPerSM)
 		}
 	}
-	e.Int(len(s.toPart))
+
+	if !c.Count(len(s.sms), "gpu: SMs") {
+		return
+	}
+	for _, sm := range s.sms {
+		sm.state(c, wl, s.kernelIdx)
+	}
+	if !c.Count(len(s.toPart), "gpu: partitions") {
+		return
+	}
 	for p := range s.toPart {
-		ringbuf.Save(e, &s.toPart[p], func(e *snapshot.Encoder, x *xbarEntry) {
-			x.r.SaveState(e)
-			e.U64(x.at)
+		ringbuf.State(c, &s.toPart[p], func(c *snapshot.Codec, x *xbarEntry) {
+			x.r.State(c)
+			c.U64(&x.at)
 		})
 	}
-	ringbuf.Save(e, &s.toSM, func(e *snapshot.Encoder, r *respEntry) {
-		e.U64(uint64(r.phys))
-		e.Int(r.sm)
-		e.U64(r.at)
+	ringbuf.State(c, &s.toSM, func(c *snapshot.Codec, r *respEntry) {
+		c.U64((*uint64)(&r.phys))
+		c.Int(&r.sm)
+		c.U64(&r.at)
+		if c.Loading() && (r.sm < 0 || r.sm >= len(s.sms)) {
+			c.Failf("gpu: crossbar response for SM %d, this system has %d", r.sm, len(s.sms))
+		}
 	})
-	e.Int(len(s.l2))
+	if !c.Count(len(s.l2), "gpu: L2 partitions") {
+		return
+	}
 	for p := range s.l2 {
-		e.Int(len(s.l2[p]))
+		if !c.Count(len(s.l2[p]), fmt.Sprintf("gpu: partition %d L2 banks", p)) {
+			return
+		}
 		for _, b := range s.l2[p] {
-			b.saveState(e)
+			b.state(c)
 		}
 	}
 	for _, mee := range s.mees {
-		mee.SaveState(e)
+		mee.State(c)
 	}
 	for _, ch := range s.channels {
-		ch.SaveState(e)
+		ch.State(c)
 	}
 	// Host-tier presence is fully determined by cfg.HostTier, which the
-	// fingerprint covers, so the blob needs no presence marker.
-	if s.uvm != nil {
-		s.uvm.tier.SaveState(e)
-		e.U64(s.uvm.roTransitions)
-	}
-	swl.SaveState(e)
-	e.Bool(s.tele != nil)
-	if s.tele != nil {
-		s.tele.SaveState(e)
-	}
-	return nil
-}
-
-// LoadState restores a snapshot into a freshly built System. wl must be a
-// fresh instance of the captured workload (same spec and seed); if the
-// parent run had a telemetry collector attached, an equally configured
-// collector must be attached before loading. The workload's state loads
-// last: SM restore rebuilds warp programs via NewWarp, which repopulates
-// shared workload state (e.g. the pacing frontier) as a side effect, and
-// the final workload load overwrites all of it with the captured values.
-func (s *System) LoadState(d *snapshot.Decoder, wl Workload) error {
-	swl, ok := wl.(StatefulWorkload)
-	if !ok {
-		return fmt.Errorf("gpu: workload %T is not snapshottable", wl)
-	}
-	fp := d.U64()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if want := s.fingerprint(wl.Name()); fp != want {
-		return fmt.Errorf("gpu: snapshot was taken on a different configuration or workload (fingerprint %#x, this system %#x)", fp, want)
-	}
-	s.cycle = d.U64()
-	s.instr = d.U64()
-	s.kernelIdx = d.Int()
-	s.runDeadline = d.U64()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if s.kernelIdx < 0 || s.kernelIdx >= wl.Kernels() {
-		return fmt.Errorf("gpu: snapshot kernel index %d out of range (%d kernels)", s.kernelIdx, wl.Kernels())
-	}
-	s.midKernel = true
-	s.cancelled = false
-	if ga, ok := wl.(GridAware); ok {
-		ga.SetGrid(s.cfg.SMs, s.cfg.WarpsPerSM)
-	}
-
-	nSMs := d.Int()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if nSMs != len(s.sms) {
-		return fmt.Errorf("gpu: snapshot has %d SMs, this system has %d", nSMs, len(s.sms))
-	}
-	for _, sm := range s.sms {
-		if err := sm.loadState(d, wl, s.kernelIdx); err != nil {
-			return err
-		}
-	}
-	nParts := d.Int()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if nParts != len(s.toPart) {
-		return fmt.Errorf("gpu: snapshot has %d partitions, this system has %d", nParts, len(s.toPart))
-	}
-	for p := range s.toPart {
-		err := ringbuf.Load(d, &s.toPart[p], func(d *snapshot.Decoder, x *xbarEntry) {
-			x.r.LoadState(d)
-			x.at = d.U64()
-		})
-		if err != nil {
-			return err
-		}
-	}
-	err := ringbuf.Load(d, &s.toSM, func(d *snapshot.Decoder, r *respEntry) {
-		r.phys = memdef.Addr(d.U64())
-		r.sm = d.Int()
-		r.at = d.U64()
-	})
-	if err != nil {
-		return err
-	}
-	nL2Parts := d.Int()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if nL2Parts != len(s.l2) {
-		return fmt.Errorf("gpu: snapshot has %d L2 partitions, this system has %d", nL2Parts, len(s.l2))
-	}
-	for p := range s.l2 {
-		nBanks := d.Int()
-		if err := d.Err(); err != nil {
-			return err
-		}
-		if nBanks != len(s.l2[p]) {
-			return fmt.Errorf("gpu: snapshot partition %d has %d L2 banks, this system has %d", p, nBanks, len(s.l2[p]))
-		}
-		for _, b := range s.l2[p] {
-			if err := b.loadState(d); err != nil {
-				return err
-			}
-		}
-	}
-	for _, mee := range s.mees {
-		if err := mee.LoadState(d); err != nil {
-			return err
-		}
-	}
-	for _, ch := range s.channels {
-		if err := ch.LoadState(d); err != nil {
-			return err
-		}
-	}
+	// fingerprint covers, so the blob needs no presence marker; the
+	// fingerprint also guarantees the tier geometry matches.
 	if s.cfg.HostTier {
-		// The fingerprint guarantees the snapshot was captured with the
-		// same tier geometry; build the tier then restore its state.
-		s.startUVM(wl)
-		s.uvm.tier.LoadState(d)
-		s.uvm.roTransitions = d.U64()
-		if err := d.Err(); err != nil {
-			return err
+		if c.Loading() {
+			s.startUVM(wl)
 		}
+		s.uvm.tier.State(c)
+		c.U64(&s.uvm.roTransitions)
 	}
-	if err := swl.LoadState(d); err != nil {
-		return err
-	}
-	hadTele := d.Bool()
-	if err := d.Err(); err != nil {
-		return err
-	}
+	swl.State(c)
+	hadTele := s.tele != nil
+	c.Bool(&hadTele)
 	if hadTele != (s.tele != nil) {
-		return fmt.Errorf("gpu: snapshot telemetry mismatch (captured with collector: %v, this system: %v)", hadTele, s.tele != nil)
+		c.Failf("gpu: snapshot telemetry mismatch (captured with collector: %v, this system: %v)", hadTele, s.tele != nil)
+		return
 	}
 	if s.tele != nil {
-		if err := s.tele.LoadState(d); err != nil {
-			return err
-		}
+		s.tele.State(c)
 	}
-	return d.Err()
 }

@@ -134,7 +134,7 @@ type System struct {
 	obsCancel *obs.Cancel
 	cancelled bool
 
-	// Run-session state, serialized by SaveState so a restored run resumes
+	// Run-session state, serialized by State so a restored run resumes
 	// exactly where the parent paused. kernelIdx is the drive loop's
 	// position; midKernel marks a paused kernel-interior cycle loop;
 	// runDeadline is the absolute MaxCycles expiry for the current kernel.
@@ -347,7 +347,7 @@ func (s *System) Run(wl Workload) Result {
 // RunUntil simulates until the workload completes or the cycle counter
 // reaches stopCycle inside a kernel. It returns done=false when the run
 // paused at the boundary — the System is then exactly at a tick boundary
-// and can be captured with SaveState — or done=true with the final Result
+// and can be captured with State — or done=true with the final Result
 // when every kernel finished first (nothing was captured; callers fall
 // back to from-scratch runs). stopCycle of 0 never pauses.
 func (s *System) RunUntil(wl Workload, stopCycle uint64) (Result, bool) {
@@ -355,9 +355,9 @@ func (s *System) RunUntil(wl Workload, stopCycle uint64) (Result, bool) {
 	return s.drive(wl, stopCycle)
 }
 
-// Resume continues a run restored by LoadState through to completion. The
-// workload must be the one passed to LoadState. Unlike Run it performs no
-// grid setup — LoadState already rebuilt the warp programs.
+// Resume continues a run restored by State through to completion. The
+// workload must be the one the restore loaded. Unlike Run it performs no
+// grid setup — loading already rebuilt the warp programs.
 func (s *System) Resume(wl Workload) Result {
 	if ts, ok := wl.(TickSynced); ok {
 		s.syncer = ts
@@ -381,7 +381,7 @@ func (s *System) beginRun(wl Workload) {
 // re-enters, after a restore) kernel s.kernelIdx and runs to completion,
 // unless stopCycle is nonzero and a kernel-interior tick boundary at or
 // past it is reached first — then it returns done=false with the System
-// paused in a SaveState-able position.
+// paused in a position State can capture.
 func (s *System) drive(wl Workload, stopCycle uint64) (Result, bool) {
 	completed := true
 	for ; s.kernelIdx < wl.Kernels(); s.kernelIdx++ {

@@ -49,7 +49,7 @@ type uvmWorkingSet interface {
 }
 
 // startUVM builds the host tier at run start (idempotent; no-op unless
-// Config.HostTier). LoadState calls it too, before decoding tier state.
+// Config.HostTier). Loading State calls it too, before decoding tier state.
 func (s *System) startUVM(wl Workload) {
 	if !s.cfg.HostTier || s.uvm != nil {
 		return

@@ -74,21 +74,22 @@ func TestBlocked(t *testing.T) {
 
 // tierState renders everything Access could change: the serialized state
 // (with the replay counter set to replays) plus the victim heap, which
-// SaveState leaves out.
+// State leaves out.
 func tierState(tr *Tier, replays uint64) []byte {
 	saved := tr.stats.Replays
 	tr.stats.Replays = replays
-	var e snapshot.Encoder
-	tr.SaveState(&e)
+	state, _ := snapshot.Save(func(c *snapshot.Codec) {
+		tr.State(c)
+		c.Int(&tr.heapLen)
+		for i := range tr.heap[:tr.heapLen] {
+			c.I32(&tr.heap[i])
+		}
+		for i := range tr.hkey {
+			c.U64(&tr.hkey[i])
+		}
+	})
 	tr.stats.Replays = saved
-	e.Int(tr.heapLen)
-	for _, p := range tr.heap[:tr.heapLen] {
-		e.I32(p)
-	}
-	for _, k := range tr.hkey {
-		e.U64(k)
-	}
-	return e.Data()
+	return state
 }
 
 // TestBlockedAccessOnlyCountsReplay is the predicate's property check over

@@ -904,224 +904,114 @@ func (t *Tier) NextEvent(now uint64) uint64 {
 	return r
 }
 
-// SaveState serializes all mutable tier state, including in-flight
-// prefetch batches, the stride table, and the per-page prefetch
-// accounting. Geometry (page size, frame count, sub-page granularity)
-// is derived from config and covered by the snapshot fingerprint, so
-// only a consistency header is written. The victim heap is not
-// serialized: eviction order depends only on the stamps, so LoadState
-// rebuilds it.
-func (t *Tier) SaveState(e *snapshot.Encoder) {
-	e.U64(t.cfg.PageBytes)
-	e.Int(t.cfg.Frames)
-	e.Int(t.numPages)
-	e.U64(t.cfg.SubPageBytes)
-	e.U64(t.seq)
-	e.U64(t.eagerSeq)
-	e.U64(t.streamSeq)
-	e.U64(t.busyUntil)
-	e.Int(t.resident)
-	e.Int(t.inflight)
-	st := make([]byte, t.numPages)
-	for i, s := range t.state {
-		st[i] = byte(s)
+// State codes all mutable tier state, including in-flight prefetch
+// batches, the stride table, and the per-page prefetch accounting.
+// Geometry (page size, frame count, sub-page granularity) is derived from
+// config and covered by the snapshot fingerprint, so only a consistency
+// header is coded. The victim heap is not serialized: eviction order
+// depends only on the stamps, so loading rebuilds it. Loading also rejects
+// an in-flight migration outside the working set, which the next Tick
+// would index.
+func (t *Tier) State(c *snapshot.Codec) {
+	geom := [4]uint64{t.cfg.PageBytes, uint64(t.cfg.Frames), uint64(t.numPages), t.cfg.SubPageBytes}
+	saved := geom
+	for i := range saved {
+		c.U64(&saved[i])
 	}
-	e.Bytes(st)
-	db := make([]byte, t.numPages)
-	for i, d := range t.dirty {
-		if d {
-			db[i] = 1
-		}
-	}
-	e.Bytes(db)
-	pb := make([]byte, t.numPages)
-	for i, p := range t.pstate {
-		pb[i] = byte(p)
-	}
-	e.Bytes(pb)
-	eb := make([]byte, t.numPages)
-	for i, g := range t.eager {
-		if g {
-			eb[i] = 1
-		}
-	}
-	e.Bytes(eb)
-	if t.subPerPage > 1 {
-		for _, v := range t.subdirty {
-			e.U64(v)
-		}
-	}
-	for _, v := range t.stamp {
-		e.U64(v)
-	}
-	for _, v := range t.admitAt {
-		e.U64(v)
-	}
-	for i := range t.streams {
-		s := t.streams[i]
-		e.Int(int(s.last))
-		e.Int(int(s.stride))
-		e.Int(int(s.conf))
-		e.U64(s.used)
-	}
-	e.Int(t.ringLen)
-	for i := 0; i < t.ringLen; i++ {
-		m := t.ring[(t.ringHead+i)%len(t.ring)]
-		e.Int(m.page)
-		e.Int(m.pages)
-		if m.eager {
-			e.Int(1)
-		} else {
-			e.Int(0)
-		}
-		e.U64(m.faultAt)
-		e.U64(m.ready)
-	}
-	e.U64(t.stats.Faults)
-	e.U64(t.stats.Replays)
-	e.U64(t.stats.MigrationsIn)
-	e.U64(t.stats.Evictions)
-	e.U64(t.stats.WritebacksDirty)
-	e.U64(t.stats.WritebacksClean)
-	e.U64(t.stats.Thrash)
-	e.U64(t.stats.BytesIn)
-	e.U64(t.stats.BytesOut)
-	e.U64(t.stats.MetaCycles)
-	e.U64(t.stats.Prefetches)
-	e.U64(t.stats.PrefUseful)
-	e.U64(t.stats.PrefLate)
-	e.U64(t.stats.PrefUseless)
-	e.U64(t.stats.Batches)
-}
-
-// LoadState restores state saved by SaveState into a tier built from
-// the same configuration.
-func (t *Tier) LoadState(d *snapshot.Decoder) {
-	if pb := d.U64(); pb != t.cfg.PageBytes {
-		d.Failf("hostmem: snapshot page size %d, config %d", pb, t.cfg.PageBytes)
+	if saved != geom {
+		c.Failf("hostmem: snapshot geometry (page size, frames, pages, sub-page size) %v, config %v", saved, geom)
 		return
 	}
-	if fr := d.Int(); fr != t.cfg.Frames {
-		d.Failf("hostmem: snapshot frames %d, config %d", fr, t.cfg.Frames)
+	for _, v := range []*uint64{&t.seq, &t.eagerSeq, &t.streamSeq, &t.busyUntil} {
+		c.U64(v)
+	}
+	c.Int(&t.resident)
+	c.Int(&t.inflight)
+	// Per-page state: four length-prefixed byte strings.
+	if !c.Count(t.numPages, "hostmem: page states") {
 		return
 	}
-	if np := d.Int(); np != t.numPages {
-		d.Failf("hostmem: snapshot pages %d, config %d", np, t.numPages)
+	for i := range t.state {
+		c.U8((*uint8)(&t.state[i]))
+	}
+	if !c.Count(t.numPages, "hostmem: dirty flags") {
 		return
 	}
-	if sp := d.U64(); sp != t.cfg.SubPageBytes {
-		d.Failf("hostmem: snapshot sub-page size %d, config %d", sp, t.cfg.SubPageBytes)
+	for i := range t.dirty {
+		c.Bool(&t.dirty[i])
+	}
+	if !c.Count(t.numPages, "hostmem: prefetch states") {
 		return
 	}
-	t.seq = d.U64()
-	t.eagerSeq = d.U64()
-	t.streamSeq = d.U64()
-	t.busyUntil = d.U64()
-	t.resident = d.Int()
-	t.inflight = d.Int()
-	st := d.Bytes()
-	if d.Err() != nil {
+	for i := range t.pstate {
+		c.U8((*uint8)(&t.pstate[i]))
+	}
+	if !c.Count(t.numPages, "hostmem: eager flags") {
 		return
 	}
-	if len(st) != t.numPages {
-		d.Failf("hostmem: state length %d, want %d", len(st), t.numPages)
-		return
-	}
-	for i, b := range st {
-		t.state[i] = pageState(b)
-	}
-	db := d.Bytes()
-	if d.Err() != nil {
-		return
-	}
-	if len(db) != t.numPages {
-		d.Failf("hostmem: dirty length %d, want %d", len(db), t.numPages)
-		return
-	}
-	for i, b := range db {
-		t.dirty[i] = b != 0
-	}
-	pb := d.Bytes()
-	if d.Err() != nil {
-		return
-	}
-	if len(pb) != t.numPages {
-		d.Failf("hostmem: prefetch-state length %d, want %d", len(pb), t.numPages)
-		return
-	}
-	for i, b := range pb {
-		t.pstate[i] = prefState(b)
-	}
-	eb := d.Bytes()
-	if d.Err() != nil {
-		return
-	}
-	if len(eb) != t.numPages {
-		d.Failf("hostmem: eager length %d, want %d", len(eb), t.numPages)
-		return
-	}
-	for i, b := range eb {
-		t.eager[i] = b != 0
+	for i := range t.eager {
+		c.Bool(&t.eager[i])
 	}
 	if t.subPerPage > 1 {
 		for i := range t.subdirty {
-			t.subdirty[i] = d.U64()
+			c.U64(&t.subdirty[i])
 		}
 	}
 	for i := range t.stamp {
-		t.stamp[i] = d.U64()
+		c.U64(&t.stamp[i])
 	}
 	for i := range t.admitAt {
-		t.admitAt[i] = d.U64()
+		c.U64(&t.admitAt[i])
 	}
 	for i := range t.streams {
-		t.streams[i] = faultStream{
-			last:   int32(d.Int()),
-			stride: int32(d.Int()),
-			conf:   uint8(d.Int()),
-			used:   d.U64(),
+		fs := &t.streams[i]
+		last, stride, conf := int(fs.last), int(fs.stride), int(fs.conf)
+		c.Int(&last)
+		c.Int(&stride)
+		c.Int(&conf)
+		c.U64(&fs.used)
+		fs.last, fs.stride, fs.conf = int32(last), int32(stride), uint8(conf)
+	}
+	n := t.ringLen
+	c.Int(&n)
+	if c.Loading() {
+		if n < 0 || n > len(t.ring) {
+			c.Failf("hostmem: ring length %d, cap %d", n, len(t.ring))
+		}
+		if c.Err() != nil {
+			return
+		}
+		t.ringHead, t.ringLen = 0, n
+	}
+	for i := 0; i < t.ringLen; i++ {
+		m := &t.ring[(t.ringHead+i)%len(t.ring)]
+		eager := 0
+		if m.eager {
+			eager = 1
+		}
+		c.Int(&m.page)
+		c.Int(&m.pages)
+		c.Int(&eager)
+		c.U64(&m.faultAt)
+		c.U64(&m.ready)
+		m.eager = eager != 0
+		if c.Loading() && (m.pages <= 0 || m.page < 0 || m.page > t.numPages-m.pages) {
+			c.Failf("hostmem: in-flight migration of %d pages from page %d, the tier has %d", m.pages, m.page, t.numPages)
+			return
 		}
 	}
-	n := d.Int()
-	if d.Err() != nil {
-		return
+	st := &t.stats
+	for _, v := range []*uint64{&st.Faults, &st.Replays, &st.MigrationsIn, &st.Evictions,
+		&st.WritebacksDirty, &st.WritebacksClean, &st.Thrash, &st.BytesIn, &st.BytesOut,
+		&st.MetaCycles, &st.Prefetches, &st.PrefUseful, &st.PrefLate, &st.PrefUseless, &st.Batches} {
+		c.U64(v)
 	}
-	if n < 0 || n > len(t.ring) {
-		d.Failf("hostmem: ring length %d, cap %d", n, len(t.ring))
-		return
-	}
-	t.ringHead = 0
-	t.ringLen = n
-	for i := 0; i < n; i++ {
-		m := migration{page: d.Int(), pages: d.Int()}
-		m.eager = d.Int() != 0
-		m.faultAt = d.U64()
-		m.ready = d.U64()
-		t.ring[i] = m
-	}
-	t.stats = Stats{
-		Faults:          d.U64(),
-		Replays:         d.U64(),
-		MigrationsIn:    d.U64(),
-		Evictions:       d.U64(),
-		WritebacksDirty: d.U64(),
-		WritebacksClean: d.U64(),
-		Thrash:          d.U64(),
-		BytesIn:         d.U64(),
-		BytesOut:        d.U64(),
-		MetaCycles:      d.U64(),
-		Prefetches:      d.U64(),
-		PrefUseful:      d.U64(),
-		PrefLate:        d.U64(),
-		PrefUseless:     d.U64(),
-		Batches:         d.U64(),
-	}
-	// Rebuild the victim heap from the restored stamps: eviction order
-	// depends only on the stamp values, not on heap layout history.
-	t.heapLen = 0
-	for p := 0; p < t.numPages; p++ {
-		if t.state[p] == pageResident {
-			t.heapPush(p)
+	if c.Loading() {
+		t.heapLen = 0
+		for p := 0; p < t.numPages; p++ {
+			if t.state[p] == pageResident {
+				t.heapPush(p)
+			}
 		}
 	}
 }

@@ -337,13 +337,10 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatal("expected one in-flight migration at save time")
 	}
 
-	var e snapshot.Encoder
-	tr.SaveState(&e)
+	saved, _ := snapshot.Save(tr.State)
 
 	fresh := tier(t, cfg)
-	d := snapshot.NewDecoder(e.Data())
-	fresh.LoadState(d)
-	if err := d.Err(); err != nil {
+	if err := snapshot.Load(saved, fresh.State); err != nil {
 		t.Fatalf("LoadState: %v", err)
 	}
 	if fresh.Stats() != tr.Stats() {
@@ -368,9 +365,41 @@ func TestSnapshotRoundTrip(t *testing.T) {
 
 	// A tier built under different geometry must refuse the snapshot.
 	other := tier(t, Config{PageBytes: 128, Frames: 2, PCIeLatency: 10, PCIeBytesPerCycle: 16, MetaCycles: 6, ThrashWindow: 100})
-	d2 := snapshot.NewDecoder(e.Data())
-	other.LoadState(d2)
-	if d2.Err() == nil {
+	if snapshot.Load(saved, other.State) == nil {
 		t.Error("loading a 64 B-page snapshot into a 128 B-page tier succeeded")
+	}
+}
+
+// TestRestoreRejectsStrayMigration corrupts the one in-flight migration
+// before saving. Each would send the next Tick past the page tables, so
+// loading must fail instead.
+func TestRestoreRejectsStrayMigration(t *testing.T) {
+	cfg := Config{PageBytes: 64, Frames: 2, PCIeLatency: 10, PCIeBytesPerCycle: 16, MetaCycles: 6, ThrashWindow: 100}
+	cases := []struct {
+		name    string
+		corrupt func(m *migration, numPages int)
+	}{
+		{"page far beyond the working set", func(m *migration, _ int) { m.page = 1 << 40 }},
+		{"empty batch", func(m *migration, _ int) { m.pages = 0 }},
+		{"negative batch", func(m *migration, _ int) { m.pages = -1 }},
+		{"batch running off the last page", func(m *migration, n int) { m.page, m.pages = n-1, 2 }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tr := tier(t, cfg)
+			if tr.Access(2*64, false, 3) != Fault {
+				t.Fatal("page 2 did not fault")
+			}
+			tc.corrupt(&tr.ring[tr.ringHead], tr.numPages)
+			saved, err := snapshot.Save(tr.State)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh := tier(t, cfg)
+			if err := snapshot.Load(saved, fresh.State); err == nil {
+				fresh.Tick(1 << 40)
+				t.Error("restore accepted a migration outside the working set")
+			}
+		})
 	}
 }

@@ -458,13 +458,10 @@ func TestSnapshotRoundTripWithPrefetch(t *testing.T) {
 		t.Fatal("expected a 4-page prefetch batch in flight at save time")
 	}
 
-	var e snapshot.Encoder
-	tr.SaveState(&e)
+	saved, _ := snapshot.Save(tr.State)
 
 	fresh := ptier(t, cfg, 32)
-	d := snapshot.NewDecoder(e.Data())
-	fresh.LoadState(d)
-	if err := d.Err(); err != nil {
+	if err := snapshot.Load(saved, fresh.State); err != nil {
 		t.Fatalf("LoadState: %v", err)
 	}
 	if fresh.Stats() != tr.Stats() {
@@ -491,9 +488,7 @@ func TestSnapshotRoundTripWithPrefetch(t *testing.T) {
 	sub := cfg
 	sub.SubPageBytes = 32
 	other := ptier(t, sub, 32)
-	d2 := snapshot.NewDecoder(e.Data())
-	other.LoadState(d2)
-	if d2.Err() == nil {
+	if snapshot.Load(saved, other.State) == nil {
 		t.Error("loading a whole-page snapshot into a sub-page tier succeeded")
 	}
 }

@@ -16,9 +16,10 @@
 // Enabled() is a single package-level bool load, so the sanitizer-off
 // configuration adds one predictable branch per check site and nothing
 // else; this is the same zero-overhead contract the telemetry probes keep.
-// The default is off; it turns on under the `shmcheck` build tag, via the
-// SHMGPU_CHECK environment variable, or programmatically with SetEnabled
-// (shmsim exposes it as the -check flag).
+// The default is off; it turns on via the SHMGPU_CHECK environment
+// variable (`SHMGPU_CHECK=1 go test ./...` runs the whole suite with the
+// sanitizer armed) or programmatically with SetEnabled (shmsim exposes it
+// as the -check flag).
 //
 // # Panic policy (the panic / invariant split)
 //
@@ -49,9 +50,8 @@ import (
 )
 
 // enabled gates the expensive detection checks. Initialized from the
-// shmcheck build tag (see enabled_on.go / enabled_off.go) and the
 // SHMGPU_CHECK environment variable; mutable via SetEnabled.
-var enabled = defaultEnabled || os.Getenv("SHMGPU_CHECK") != ""
+var enabled = os.Getenv("SHMGPU_CHECK") != ""
 
 // Enabled reports whether expensive invariant checking is on. Check sites
 // on hot paths must consult this before doing any detection work.

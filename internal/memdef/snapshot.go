@@ -5,26 +5,14 @@ import "shmgpu/internal/snapshot"
 // Checkpoint/restore for requests, shared by every component that queues
 // them (crossbar rings, L2 waiter lists, MEE pipelines). Cold path only.
 
-// SaveState writes the request.
-func (r *Request) SaveState(e *snapshot.Encoder) {
-	e.U64(uint64(r.Phys))
-	e.U64(uint64(r.Local))
-	e.Int(r.Partition)
-	e.U8(uint8(r.Kind))
-	e.U8(uint8(r.Space))
-	e.Int(r.SM)
-	e.Int(r.Warp)
-	e.U64(r.ID)
-}
-
-// LoadState restores a request written by SaveState.
-func (r *Request) LoadState(d *snapshot.Decoder) {
-	r.Phys = Addr(d.U64())
-	r.Local = Addr(d.U64())
-	r.Partition = d.Int()
-	r.Kind = AccessKind(d.U8())
-	r.Space = Space(d.U8())
-	r.SM = d.Int()
-	r.Warp = d.Int()
-	r.ID = d.U64()
+// State codes the request.
+func (r *Request) State(c *snapshot.Codec) {
+	c.U64((*uint64)(&r.Phys))
+	c.U64((*uint64)(&r.Local))
+	c.Int(&r.Partition)
+	c.U8((*uint8)(&r.Kind))
+	c.U8((*uint8)(&r.Space))
+	c.Int(&r.SM)
+	c.Int(&r.Warp)
+	c.U64(&r.ID)
 }

@@ -1,55 +1,37 @@
 package ringbuf
 
-import (
-	"fmt"
-
-	"shmgpu/internal/snapshot"
-)
+import "shmgpu/internal/snapshot"
 
 // Checkpoint/restore for rings. Capacity and head are preserved verbatim
-// (elements are written in logical order and placed back at the same
+// (elements are coded in logical order and placed back at the same
 // physical slots); PopFront zeroes released slots, so the unoccupied part
 // of the backing array is zero-valued on both sides of a round trip. Cold
 // path only.
 
 // maxRingCap bounds restored capacities so a corrupt capacity field fails
 // cleanly instead of driving a huge allocation.
-const maxRingCap = 1 << 30
+const maxRingCap = 1 << 20
 
-// Save writes r's state. saveEl encodes one element.
-func Save[T any](e *snapshot.Encoder, r *Ring[T], saveEl func(*snapshot.Encoder, *T)) {
-	e.Int(len(r.buf))
-	e.Int(r.head)
-	e.Int(r.n)
+// State codes r, el coding one element. Loading replaces r's contents.
+func State[T any](c *snapshot.Codec, r *Ring[T], el func(*snapshot.Codec, *T)) {
+	capN, head, n := len(r.buf), r.head, r.n
+	c.Int(&capN)
+	c.Int(&head)
+	c.Int(&n)
+	if c.Loading() {
+		switch {
+		case c.Err() != nil:
+			return
+		case capN < 0 || capN > maxRingCap || (capN != 0 && capN&(capN-1) != 0):
+			c.Failf("ringbuf: bad capacity %d", capN)
+			return
+		case n < 0 || n > capN || head < 0 || head > capN || (head == capN && capN != 0):
+			c.Failf("ringbuf: bad head %d / length %d for capacity %d", head, n, capN)
+			return
+		}
+		*r = Ring[T]{buf: make([]T, capN), head: head, n: n}
+	}
 	for i := 0; i < r.n; i++ {
-		saveEl(e, r.At(i))
+		el(c, r.At(i))
 	}
-}
-
-// Load restores a ring saved by Save, replacing r's contents. loadEl
-// decodes one element in place.
-func Load[T any](d *snapshot.Decoder, r *Ring[T], loadEl func(*snapshot.Decoder, *T)) error {
-	capN := d.Int()
-	head := d.Int()
-	n := d.Int()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if capN < 0 || capN > maxRingCap || (capN != 0 && capN&(capN-1) != 0) {
-		return fmt.Errorf("ringbuf: bad capacity %d", capN)
-	}
-	if n < 0 || n > capN || head < 0 || head > capN || (head == capN && capN != 0) {
-		return fmt.Errorf("ringbuf: bad head %d / length %d for capacity %d", head, n, capN)
-	}
-	if capN == 0 {
-		*r = Ring[T]{}
-		return nil
-	}
-	r.buf = make([]T, capN)
-	r.head = head
-	r.n = n
-	for i := 0; i < n; i++ {
-		loadEl(d, r.At(i))
-	}
-	return d.Err()
 }

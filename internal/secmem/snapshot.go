@@ -1,9 +1,7 @@
 package secmem
 
 import (
-	"fmt"
-	"sort"
-
+	"shmgpu/internal/cache"
 	"shmgpu/internal/dram"
 	"shmgpu/internal/flatmap"
 	"shmgpu/internal/memdef"
@@ -31,38 +29,6 @@ import (
 // serialized anyway and asserted empty on restore via Idle-compatible
 // content). Cold path only.
 
-func saveOracle(e *snapshot.Encoder, m map[uint64]bool) {
-	keys := make([]uint64, 0, len(m))
-	for k := range m { //shmlint:allow maprange — keys are sorted before use
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	e.Int(len(keys))
-	for _, k := range keys {
-		e.U64(k)
-		e.Bool(m[k])
-	}
-}
-
-func loadOracle(d *snapshot.Decoder, m map[uint64]bool) error {
-	n := d.Len()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	for k := range m { //shmlint:allow maprange — clearing; order-insensitive
-		delete(m, k)
-	}
-	for i := 0; i < n; i++ {
-		k := d.U64()
-		v := d.Bool()
-		if err := d.Err(); err != nil {
-			return err
-		}
-		m[k] = v
-	}
-	return nil
-}
-
 // collectTxns walks every structure holding *txn references in canonical
 // order and returns the distinct transactions in first-encounter order
 // plus the pointer→identifier index.
@@ -89,219 +55,103 @@ func (m *MEE) collectTxns() ([]*txn, map[*txn]int) {
 	return order, ids
 }
 
-// SaveState writes the MEE's mutable state.
-func (m *MEE) SaveState(e *snapshot.Encoder) {
-	e.Bool(m.cfg.Enabled)
-	e.Bool(m.cfg.OracleDetectors)
-	e.Bool(m.cfg.TrackAccuracy)
-	if m.cfg.Enabled {
-		m.ctrCache.SaveState(e)
-		m.macCache.SaveState(e)
-		m.bmtCache.SaveState(e)
-		m.roPred.SaveState(e)
-		m.stPred.SaveState(e)
-		m.mats.SaveState(e)
-		if m.cfg.OracleDetectors {
-			saveOracle(e, m.roOracle)
-			saveOracle(e, m.stOracle)
-		}
-		if m.cfg.TrackAccuracy {
-			m.roAcc.SaveState(e)
-			m.stAcc.SaveState(e)
-		}
-	}
-	flatmap.SaveMap(e, &m.diverged, func(*snapshot.Encoder, *struct{}) {})
-	e.U64(m.sharedCounter)
-	ringbuf.Save(e, &m.input, func(e *snapshot.Encoder, en *inputEntry) {
-		en.req.SaveState(e)
-		e.U64(en.at)
-	})
-	ringbuf.Save(e, &m.outgoing, func(e *snapshot.Encoder, o *outgoing) {
-		e.Int(o.part)
-		dram.SaveReq(e, &o.req)
-	})
-
-	order, ids := m.collectTxns()
-	id := func(t *txn) int {
-		if t == nil {
-			return -1
-		}
-		return ids[t]
-	}
-	e.Int(len(order))
-	for _, t := range order {
-		t.req.SaveState(e)
-		e.Bool(t.haveData)
-		e.Bool(t.haveOTP)
-		e.U64(t.otpAt)
-		e.U64(t.dataAt)
-		e.U64(t.submitAt)
-		e.Bool(t.enqueued)
-	}
-	flatmap.SaveMap(e, &m.pending, func(e *snapshot.Encoder, pe *pendingEntry) {
-		e.U8(uint8(pe.kind))
-		e.U64(uint64(pe.key))
-		e.Int(id(pe.txn))
-	})
-	flatmap.SaveMultiMap(e, &m.ctrWait, func(e *snapshot.Encoder, v **txn) {
-		e.Int(id(*v))
-	})
-	e.Int(len(m.ready))
-	for i := range m.ready {
-		e.U64(m.ready[i].at)
-		e.Int(id(m.ready[i].t))
-	}
-	e.Int(len(m.responses))
-	for i := range m.responses {
-		m.responses[i].SaveState(e)
-	}
-	e.U64(m.nextToken)
-	e.U64(m.aesFree)
-	e.U64(m.lastTick)
-	m.Reg.SaveState(e)
-}
-
-// LoadState restores state saved by SaveState into a same-configured MEE.
-func (m *MEE) LoadState(d *snapshot.Decoder) error {
-	enabled := d.Bool()
-	oracle := d.Bool()
-	accuracy := d.Bool()
-	if err := d.Err(); err != nil {
-		return err
-	}
+// State codes the MEE's mutable state. Loading needs an MEE built with the
+// identical config and rejects a transaction reference a later
+// OnDRAMComplete or Tick would dereference as nil.
+func (m *MEE) State(c *snapshot.Codec) {
+	enabled, oracle, accuracy := m.cfg.Enabled, m.cfg.OracleDetectors, m.cfg.TrackAccuracy
+	c.Bool(&enabled)
+	c.Bool(&oracle)
+	c.Bool(&accuracy)
 	if enabled != m.cfg.Enabled || oracle != m.cfg.OracleDetectors || accuracy != m.cfg.TrackAccuracy {
-		return fmt.Errorf("secmem[%d]: snapshot MEE features {enabled=%v oracle=%v accuracy=%v} do not match target {%v %v %v}",
+		c.Failf("secmem[%d]: snapshot MEE features {enabled=%v oracle=%v accuracy=%v} do not match target {%v %v %v}",
 			m.cfg.Partition, enabled, oracle, accuracy, m.cfg.Enabled, m.cfg.OracleDetectors, m.cfg.TrackAccuracy)
+		return
 	}
 	if m.cfg.Enabled {
-		for _, step := range []func(*snapshot.Decoder) error{
-			m.ctrCache.LoadState, m.macCache.LoadState, m.bmtCache.LoadState,
-			m.roPred.LoadState, m.stPred.LoadState, m.mats.LoadState,
-		} {
-			if err := step(d); err != nil {
-				return err
-			}
+		for _, mdc := range []*cache.Cache{m.ctrCache, m.macCache, m.bmtCache} {
+			mdc.State(c)
 		}
+		m.roPred.State(c)
+		m.stPred.State(c)
+		m.mats.State(c)
 		if m.cfg.OracleDetectors {
-			if err := loadOracle(d, m.roOracle); err != nil {
-				return err
-			}
-			if err := loadOracle(d, m.stOracle); err != nil {
-				return err
-			}
+			snapshot.SortedMap(c, &m.roOracle, (*snapshot.Codec).U64, (*snapshot.Codec).Bool)
+			snapshot.SortedMap(c, &m.stOracle, (*snapshot.Codec).U64, (*snapshot.Codec).Bool)
 		}
 		if m.cfg.TrackAccuracy {
-			if err := m.roAcc.LoadState(d); err != nil {
-				return err
-			}
-			if err := m.stAcc.LoadState(d); err != nil {
-				return err
-			}
+			m.roAcc.State(c)
+			m.stAcc.State(c)
 		}
 	}
-	err := flatmap.LoadMap(d, &m.diverged, func(*snapshot.Decoder, *struct{}) {})
-	if err != nil {
-		return err
-	}
-	m.sharedCounter = d.U64()
-	err = ringbuf.Load(d, &m.input, func(d *snapshot.Decoder, en *inputEntry) {
-		en.req.LoadState(d)
-		en.at = d.U64()
+	flatmap.MapState(c, &m.diverged, func(*snapshot.Codec, *struct{}) {})
+	c.U64(&m.sharedCounter)
+	ringbuf.State(c, &m.input, func(c *snapshot.Codec, en *inputEntry) {
+		en.req.State(c)
+		c.U64(&en.at)
 	})
-	if err != nil {
-		return err
-	}
-	err = ringbuf.Load(d, &m.outgoing, func(d *snapshot.Decoder, o *outgoing) {
-		o.part = d.Int()
-		dram.LoadReq(d, &o.req)
+	ringbuf.State(c, &m.outgoing, func(c *snapshot.Codec, o *outgoing) {
+		c.Int(&o.part)
+		dram.ReqState(c, &o.req)
 	})
-	if err != nil {
-		return err
-	}
 
-	nTxns := d.Len()
-	if err := d.Err(); err != nil {
-		return err
+	var table []*txn
+	var ids map[*txn]int
+	if !c.Loading() {
+		table, ids = m.collectTxns()
 	}
-	table := make([]*txn, nTxns)
-	for i := range table {
-		t := &txn{}
-		t.req.LoadState(d)
-		t.haveData = d.Bool()
-		t.haveOTP = d.Bool()
-		t.otpAt = d.U64()
-		t.dataAt = d.U64()
-		t.submitAt = d.U64()
-		t.enqueued = d.Bool()
-		table[i] = t
-	}
-	if err := d.Err(); err != nil {
-		return err
-	}
-	byID := func(id int) (*txn, error) {
-		if id == -1 {
-			return nil, nil
+	snapshot.Slice(c, &table, func(c *snapshot.Codec, t **txn) {
+		if *t == nil {
+			*t = new(txn)
 		}
-		if id < 0 || id >= nTxns {
-			return nil, fmt.Errorf("secmem[%d]: transaction id %d out of range (%d transactions)", m.cfg.Partition, id, nTxns)
-		}
-		return table[id], nil
-	}
-	var refErr error
-	err = flatmap.LoadMap(d, &m.pending, func(d *snapshot.Decoder, pe *pendingEntry) {
-		pe.kind = pendingKind(d.U8())
-		pe.key = memdef.Addr(d.U64())
-		t, err := byID(d.Int())
-		if err != nil && refErr == nil {
-			refErr = err
-		}
-		pe.txn = t
+		(*t).req.State(c)
+		c.Bool(&(*t).haveData)
+		c.Bool(&(*t).haveOTP)
+		c.U64(&(*t).otpAt)
+		c.U64(&(*t).dataAt)
+		c.U64(&(*t).submitAt)
+		c.Bool(&(*t).enqueued)
 	})
-	if err != nil {
-		return err
-	}
-	err = flatmap.LoadMultiMap(d, &m.ctrWait, func(d *snapshot.Decoder, v **txn) {
-		t, err := byID(d.Int())
-		if err != nil && refErr == nil {
-			refErr = err
+	// ref codes a transaction reference as its table index, -1 for nil.
+	ref := func(c *snapshot.Codec, t **txn) {
+		id := -1
+		if *t != nil {
+			id = ids[*t]
 		}
-		*v = t
+		c.Int(&id)
+		if !c.Loading() {
+			return
+		}
+		if id < -1 || id >= len(table) {
+			c.Failf("secmem[%d]: transaction id %d out of range (%d transactions)", m.cfg.Partition, id, len(table))
+			return
+		}
+		if id >= 0 {
+			*t = table[id]
+		}
+	}
+	flatmap.MapState(c, &m.pending, func(c *snapshot.Codec, pe *pendingEntry) {
+		c.U8((*uint8)(&pe.kind))
+		c.U64((*uint64)(&pe.key))
+		ref(c, &pe.txn)
+		if c.Loading() && pe.kind == pkData && pe.txn == nil {
+			c.Failf("secmem[%d]: pending data read has no transaction", m.cfg.Partition)
+		}
 	})
-	if err != nil {
-		return err
-	}
-	nReady := d.Len()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	m.ready = m.ready[:0]
-	for i := 0; i < nReady; i++ {
-		at := d.U64()
-		t, err := byID(d.Int())
-		if err != nil && refErr == nil {
-			refErr = err
+	flatmap.MultiMapState(c, &m.ctrWait, ref)
+	snapshot.Slice(c, (*[]readyTxn)(&m.ready), func(c *snapshot.Codec, r *readyTxn) {
+		c.U64(&r.at)
+		ref(c, &r.t)
+		if c.Loading() && r.t == nil {
+			c.Failf("secmem[%d]: ready entry has no transaction", m.cfg.Partition)
 		}
-		m.ready = append(m.ready, readyTxn{at: at, t: t})
+	})
+	snapshot.Slice(c, &m.responses, func(c *snapshot.Codec, r *memdef.Request) { r.State(c) })
+	c.U64(&m.nextToken)
+	c.U64(&m.aesFree)
+	c.U64(&m.lastTick)
+	if c.Loading() {
+		m.txnFree = m.txnFree[:0]
 	}
-	if refErr != nil {
-		return refErr
-	}
-	nResp := d.Len()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	m.responses = m.responses[:0]
-	for i := 0; i < nResp; i++ {
-		var r memdef.Request
-		r.LoadState(d)
-		m.responses = append(m.responses, r)
-	}
-	m.nextToken = d.U64()
-	m.aesFree = d.U64()
-	m.lastTick = d.U64()
-	m.txnFree = m.txnFree[:0]
-	if err := m.Reg.LoadState(d); err != nil {
-		return err
-	}
-	return d.Err()
+	m.Reg.State(c)
 }

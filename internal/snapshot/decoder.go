@@ -7,9 +7,9 @@ import (
 
 // Decoder reads the fixed-width values written by Encoder, in order, with a
 // sticky error: after the first failure every further read returns the zero
-// value, so callers can decode a whole section and check Err once. Callers
-// performing semantic validation (config identity, slot bounds) report
-// their own errors or use Failf to poison the decoder.
+// value, so callers can decode a whole section and check Err once.
+// Semantic validation (config identity, slot bounds) poisons the decoder
+// the same way, through Failf or Codec.Failf.
 type Decoder struct {
 	buf []byte
 	off int

@@ -2,8 +2,10 @@
 // serialization format used to checkpoint and fork complete simulator
 // state. The format is a flat little-endian byte stream with no
 // self-description: every reader must consume exactly the fields the
-// writer produced, in the same order, which is enforced end-to-end by the
-// fork-vs-scratch byte-equality tests rather than by per-field tags.
+// writer produced, in the same order. Components guarantee that by coding
+// their state through a Codec (codec.go), which runs one field list in
+// either direction; the fork-vs-scratch byte-equality tests check it end
+// to end.
 //
 // The file container (file.go) wraps a payload with a magic string, an
 // explicit format version, the payload length, and an FNV-1a content

@@ -4,87 +4,33 @@ import "shmgpu/internal/snapshot"
 
 // Checkpoint/restore for the counter types. All cold path.
 
-// SaveState writes the per-class byte counters.
-func (t *Traffic) SaveState(e *snapshot.Encoder) {
-	for i := 0; i < NumTrafficClasses; i++ {
-		e.U64(t.ReadBytes[i])
+// State codes the per-class byte counters.
+func (t *Traffic) State(c *snapshot.Codec) {
+	for i := range t.ReadBytes {
+		c.U64(&t.ReadBytes[i])
 	}
-	for i := 0; i < NumTrafficClasses; i++ {
-		e.U64(t.WriteBytes[i])
-	}
-}
-
-// LoadState restores counters saved by SaveState; check the decoder's Err
-// after the containing section.
-func (t *Traffic) LoadState(d *snapshot.Decoder) {
-	for i := 0; i < NumTrafficClasses; i++ {
-		t.ReadBytes[i] = d.U64()
-	}
-	for i := 0; i < NumTrafficClasses; i++ {
-		t.WriteBytes[i] = d.U64()
+	for i := range t.WriteBytes {
+		c.U64(&t.WriteBytes[i])
 	}
 }
 
-// SaveState writes the cache counters.
-func (c *CacheStats) SaveState(e *snapshot.Encoder) {
-	e.U64(c.Hits)
-	e.U64(c.Misses)
-	e.U64(c.MSHRMerges)
-	e.U64(c.Evictions)
-	e.U64(c.Writebacks)
-	e.U64(c.SectorFills)
+// State codes the cache counters.
+func (s *CacheStats) State(c *snapshot.Codec) {
+	for _, v := range []*uint64{&s.Hits, &s.Misses, &s.MSHRMerges, &s.Evictions, &s.Writebacks, &s.SectorFills} {
+		c.U64(v)
+	}
 }
 
-// LoadState restores counters saved by SaveState.
-func (c *CacheStats) LoadState(d *snapshot.Decoder) {
-	c.Hits = d.U64()
-	c.Misses = d.U64()
-	c.MSHRMerges = d.U64()
-	c.Evictions = d.U64()
-	c.Writebacks = d.U64()
-	c.SectorFills = d.U64()
-}
-
-// SaveState writes the outcome breakdown.
-func (p *PredictorStats) SaveState(e *snapshot.Encoder) {
+// State codes the outcome breakdown.
+func (p *PredictorStats) State(c *snapshot.Codec) {
 	for i := range p.Counts {
-		e.U64(p.Counts[i])
+		c.U64(&p.Counts[i])
 	}
 }
 
-// LoadState restores a breakdown saved by SaveState.
-func (p *PredictorStats) LoadState(d *snapshot.Decoder) {
-	for i := range p.Counts {
-		p.Counts[i] = d.U64()
-	}
-}
-
-// SaveState writes every counter in sorted-name order. Zero-valued
-// counters are included: the key set itself is observable through
-// Snapshot, so it must survive the round trip exactly.
-func (r *Registry) SaveState(e *snapshot.Encoder) {
-	snap := r.Snapshot()
-	e.Int(len(snap))
-	for _, cv := range snap {
-		e.String(cv.Name)
-		e.U64(cv.Value)
-	}
-}
-
-// LoadState replaces r's counters with the saved set.
-func (r *Registry) LoadState(d *snapshot.Decoder) error {
-	n := d.Len()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	r.counters = nil
-	for i := 0; i < n; i++ {
-		name := d.String()
-		v := d.U64()
-		if err := d.Err(); err != nil {
-			return err
-		}
-		r.Add(name, v)
-	}
-	return nil
+// State codes every counter in sorted-name order. Zero-valued counters
+// are included: the key set itself is observable through Snapshot, so it
+// must survive the round trip exactly.
+func (r *Registry) State(c *snapshot.Codec) {
+	snapshot.SortedMap(c, &r.counters, (*snapshot.Codec).String, (*snapshot.Codec).U64)
 }

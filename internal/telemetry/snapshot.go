@@ -1,9 +1,8 @@
 package telemetry
 
 import (
-	"fmt"
-
 	"shmgpu/internal/snapshot"
+	"shmgpu/internal/stats"
 )
 
 // Checkpoint/restore for the collector. A forked run must produce
@@ -13,142 +12,64 @@ import (
 // simulator state proper. The restore target must be a collector built by
 // New with the identical (normalized) config. Cold path only.
 
-func (h *Histogram) saveState(e *snapshot.Encoder) {
+func (h *Histogram) state(c *snapshot.Codec) {
 	for i := range h.counts {
-		e.U64(h.counts[i])
+		c.U64(&h.counts[i])
 	}
-	e.U64(h.n)
-	e.U64(h.sum)
-	e.U64(h.max)
+	c.U64(&h.n)
+	c.U64(&h.sum)
+	c.U64(&h.max)
 }
 
-func (h *Histogram) loadState(d *snapshot.Decoder) {
-	for i := range h.counts {
-		h.counts[i] = d.U64()
+func eventState(c *snapshot.Codec, ev *Event) {
+	c.U64(&ev.Cycle)
+	c.U8((*uint8)(&ev.Kind))
+	c.U8(&ev.Class)
+	c.I16(&ev.Part)
+	c.I16(&ev.Unit)
+	c.U64(&ev.Value)
+	if c.Loading() && int(ev.Kind) >= NumEventKinds {
+		c.Failf("telemetry: captured event of unknown kind %d", ev.Kind)
 	}
-	h.n = d.U64()
-	h.sum = d.U64()
-	h.max = d.U64()
 }
 
-func saveEvent(e *snapshot.Encoder, ev *Event) {
-	e.U64(ev.Cycle)
-	e.U8(uint8(ev.Kind))
-	e.U8(ev.Class)
-	e.I16(ev.Part)
-	e.I16(ev.Unit)
-	e.U64(ev.Value)
-}
-
-func loadEvent(d *snapshot.Decoder, ev *Event) {
-	ev.Cycle = d.U64()
-	ev.Kind = EventKind(d.U8())
-	ev.Class = d.U8()
-	ev.Part = d.I16()
-	ev.Unit = d.I16()
-	ev.Value = d.U64()
-}
-
-func saveSample(e *snapshot.Encoder, s *Snapshot) {
-	e.U64(s.Cycle)
-	e.U64(s.Instructions)
-	s.Traffic.SaveState(e)
-	s.L1.SaveState(e)
-	s.L2.SaveState(e)
-	s.Ctr.SaveState(e)
-	s.MAC.SaveState(e)
-	s.BMT.SaveState(e)
-	e.Int(s.DRAMPending)
+func sampleState(c *snapshot.Codec, s *Snapshot) {
+	c.U64(&s.Cycle)
+	c.U64(&s.Instructions)
+	s.Traffic.State(c)
+	for _, cs := range []*stats.CacheStats{&s.L1, &s.L2, &s.Ctr, &s.MAC, &s.BMT} {
+		cs.State(c)
+	}
+	c.Int(&s.DRAMPending)
 	for i := range s.Events {
-		e.U64(s.Events[i])
+		c.U64(&s.Events[i])
 	}
 }
 
-func loadSample(d *snapshot.Decoder, s *Snapshot) {
-	s.Cycle = d.U64()
-	s.Instructions = d.U64()
-	s.Traffic.LoadState(d)
-	s.L1.LoadState(d)
-	s.L2.LoadState(d)
-	s.Ctr.LoadState(d)
-	s.MAC.LoadState(d)
-	s.BMT.LoadState(d)
-	s.DRAMPending = d.Int()
-	for i := range s.Events {
-		s.Events[i] = d.U64()
+// State codes the collector's full state. Loading fails unless the
+// snapshot's collector had this one's config (MaxEvents is compared
+// post-normalization: New maps 0 to DefaultMaxEvents on both sides).
+func (col *Collector) State(c *snapshot.Codec) {
+	cfg := col.cfg
+	c.U64(&cfg.SampleInterval)
+	c.Bool(&cfg.CaptureEvents)
+	c.Int(&cfg.MaxEvents)
+	if cfg != col.cfg {
+		c.Failf("telemetry: snapshot collector config %+v does not match target %+v", cfg, col.cfg)
+		return
 	}
-}
-
-// SaveState writes the collector's full state.
-func (c *Collector) SaveState(e *snapshot.Encoder) {
-	e.U64(c.cfg.SampleInterval)
-	e.Bool(c.cfg.CaptureEvents)
-	e.Int(c.cfg.MaxEvents)
-	for i := range c.counts {
-		e.U64(c.counts[i])
+	for i := range col.counts {
+		c.U64(&col.counts[i])
 	}
-	c.DRAMQueueDepth.saveState(e)
-	c.DRAMServiceLatency.saveState(e)
-	c.MEEReadLatency.saveState(e)
-	c.UVMMigrationLatency.saveState(e)
-	c.UVMPrefetchBatch.saveState(e)
-	e.Int(len(c.events))
-	for i := range c.events {
-		saveEvent(e, &c.events[i])
+	for _, h := range []*Histogram{&col.DRAMQueueDepth, &col.DRAMServiceLatency, &col.MEEReadLatency,
+		&col.UVMMigrationLatency, &col.UVMPrefetchBatch} {
+		h.state(c)
 	}
-	e.U64(c.dropped)
-	e.U64(c.timeline.Interval)
-	e.Int(len(c.timeline.Samples))
-	for i := range c.timeline.Samples {
-		saveSample(e, &c.timeline.Samples[i])
-	}
-	e.U64(c.nextSampleAt)
-	e.U64(c.endCycle)
-	e.Bool(c.finished)
-}
-
-// LoadState restores state saved by SaveState into a same-configured
-// collector. (Config.MaxEvents is compared post-normalization: New maps
-// 0 to DefaultMaxEvents on both sides.)
-func (c *Collector) LoadState(d *snapshot.Decoder) error {
-	interval := d.U64()
-	capture := d.Bool()
-	maxEvents := d.Int()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if interval != c.cfg.SampleInterval || capture != c.cfg.CaptureEvents || maxEvents != c.cfg.MaxEvents {
-		return fmt.Errorf("telemetry: snapshot collector config {%d %v %d} does not match target {%d %v %d}",
-			interval, capture, maxEvents, c.cfg.SampleInterval, c.cfg.CaptureEvents, c.cfg.MaxEvents)
-	}
-	for i := range c.counts {
-		c.counts[i] = d.U64()
-	}
-	c.DRAMQueueDepth.loadState(d)
-	c.DRAMServiceLatency.loadState(d)
-	c.MEEReadLatency.loadState(d)
-	c.UVMMigrationLatency.loadState(d)
-	c.UVMPrefetchBatch.loadState(d)
-	nEvents := d.Len()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	c.events = make([]Event, nEvents)
-	for i := range c.events {
-		loadEvent(d, &c.events[i])
-	}
-	c.dropped = d.U64()
-	c.timeline.Interval = d.U64()
-	nSamples := d.Len()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	c.timeline.Samples = make([]Snapshot, nSamples)
-	for i := range c.timeline.Samples {
-		loadSample(d, &c.timeline.Samples[i])
-	}
-	c.nextSampleAt = d.U64()
-	c.endCycle = d.U64()
-	c.finished = d.Bool()
-	return d.Err()
+	snapshot.Slice(c, &col.events, eventState)
+	c.U64(&col.dropped)
+	c.U64(&col.timeline.Interval)
+	snapshot.Slice(c, &col.timeline.Samples, sampleState)
+	c.U64(&col.nextSampleAt)
+	c.U64(&col.endCycle)
+	c.Bool(&col.finished)
 }

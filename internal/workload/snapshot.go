@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"hash/fnv"
 
-	"shmgpu/internal/memdef"
 	"shmgpu/internal/snapshot"
 )
 
@@ -15,6 +14,13 @@ import (
 // state last — which overwrites the frontier that those NewWarp calls
 // populated with the captured one. Cold path only.
 
+// maxDrawsPerInst bounds the RNG draws a restored warp may claim per
+// issued instruction, so a corrupt draw count fails instead of replaying
+// the generator for ever. The widest generator draws 9 values per
+// instruction; Int63n's rejection loop redraws with probability below
+// n/2^63, so no saved run comes near the bound.
+const maxDrawsPerInst = 64
+
 // specFingerprint hashes the full spec (including the seed and every
 // buffer) plus the grid, so a snapshot can only be restored into a
 // benchmark that generates the identical instruction streams.
@@ -24,113 +30,82 @@ func (b *Bench) specFingerprint() uint64 {
 	return h.Sum64()
 }
 
-// SaveState implements gpu.StatefulWorkload: the spec fingerprint plus
-// the mutable pacing state (everything else in Bench is immutable layout
+// State implements gpu.StatefulWorkload: the spec fingerprint plus the
+// mutable pacing state (everything else in Bench is immutable layout
 // derived from the spec).
-func (b *Bench) SaveState(e *snapshot.Encoder) {
-	e.U64(b.specFingerprint())
-	e.Int(b.frontierKernel)
-	e.Bool(b.frontier != nil)
+func (b *Bench) State(c *snapshot.Codec) {
+	want := b.specFingerprint()
+	fp := want
+	c.U64(&fp)
+	if fp != want {
+		c.Failf("workload %s: snapshot was taken with a different spec/seed/grid (fingerprint %#x, this benchmark %#x)",
+			b.spec.BenchName, fp, want)
+		return
+	}
+	c.Int(&b.frontierKernel)
+	has := b.frontier != nil
+	c.Bool(&has)
+	if c.Loading() {
+		b.frontier = nil
+		if has && c.Err() == nil {
+			b.frontier = newFrontierState(b.spec.MemInstsPerWarp, b.sms)
+		}
+	}
 	if b.frontier == nil {
 		return
 	}
 	f := b.frontier
-	e.Int(len(f.lanes))
+	if !c.Count(len(f.lanes), "workload "+b.spec.BenchName+": frontier lanes") {
+		return
+	}
 	for i := range f.lanes {
 		l := &f.lanes[i]
-		e.Int(len(l.counts))
-		for _, c := range l.counts {
-			e.Int(c)
+		if !c.Count(len(l.counts), "workload "+b.spec.BenchName+": frontier steps") {
+			return
 		}
-		e.Int(l.min)
-		e.Int(l.warps)
-	}
-	e.Int(f.frozen)
-	e.Bool(f.synced)
-}
-
-// LoadState implements gpu.StatefulWorkload.
-func (b *Bench) LoadState(d *snapshot.Decoder) error {
-	fp := d.U64()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if fp != b.specFingerprint() {
-		return fmt.Errorf("workload %s: snapshot was taken with a different spec/seed/grid (fingerprint %#x, this benchmark %#x)",
-			b.spec.BenchName, fp, b.specFingerprint())
-	}
-	b.frontierKernel = d.Int()
-	if !d.Bool() {
-		b.frontier = nil
-		return d.Err()
-	}
-	nLanes := d.Len()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	f := &frontierState{lanes: make([]frontierLane, nLanes)}
-	for i := range f.lanes {
-		l := &f.lanes[i]
-		nCounts := d.Len()
-		if err := d.Err(); err != nil {
-			return err
-		}
-		l.counts = make([]int, nCounts)
 		for j := range l.counts {
-			l.counts[j] = d.Int()
+			c.Int(&l.counts[j])
 		}
-		l.min = d.Int()
-		l.warps = d.Int()
-		if l.min < 0 || l.min >= len(l.counts) && len(l.counts) > 0 {
-			return fmt.Errorf("workload %s: frontier lane %d min %d out of range", b.spec.BenchName, i, l.min)
+		c.Int(&l.min)
+		c.Int(&l.warps)
+		if c.Loading() && (l.min < 0 || l.min >= len(l.counts)) {
+			c.Failf("workload %s: frontier lane %d min %d out of range", b.spec.BenchName, i, l.min)
+			return
 		}
 	}
-	f.frozen = d.Int()
-	f.synced = d.Bool()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	b.frontier = f
-	return nil
+	c.Int(&f.frozen)
+	c.Bool(&f.synced)
 }
 
-// SaveState implements gpu.StatefulWarpProgram: the issue position, the
+// State implements gpu.StatefulWarpProgram: the issue position, the
 // per-buffer cursors, and the RNG draw count. secBuf is scratch (only
 // valid between a generator call and the SM consuming the sectors, never
 // at a cycle boundary) and bench/warpIdx/lane/total are rebuilt by
-// NewWarp.
-func (p *program) SaveState(e *snapshot.Encoder) {
-	e.Int(p.issued)
-	e.Int(len(p.cursors))
-	for _, c := range p.cursors {
-		e.U64(uint64(c))
-	}
-	e.U64(p.rngSrc.n)
-}
-
-// LoadState implements gpu.StatefulWarpProgram on a program freshly
-// created by NewWarp: it overwrites the cursors and fast-forwards the
-// deterministic RNG to the captured draw count.
-func (p *program) LoadState(d *snapshot.Decoder) error {
-	p.issued = d.Int()
-	n := d.Len()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if n != len(p.cursors) {
-		return fmt.Errorf("workload: warp %d snapshot has %d cursors, program has %d", p.warpIdx, n, len(p.cursors))
+// NewWarp. Loading needs a program freshly created by NewWarp: it
+// overwrites the cursors and fast-forwards the deterministic RNG to the
+// captured draw count.
+func (p *program) State(c *snapshot.Codec) {
+	c.Int(&p.issued)
+	if !c.Count(len(p.cursors), fmt.Sprintf("workload: warp %d cursors", p.warpIdx)) {
+		return
 	}
 	for i := range p.cursors {
-		p.cursors[i] = memdef.Addr(d.U64())
+		c.U64((*uint64)(&p.cursors[i]))
 	}
-	draws := d.U64()
-	if err := d.Err(); err != nil {
-		return err
+	draws := p.rngSrc.n
+	c.U64(&draws)
+	if !c.Loading() || c.Err() != nil {
+		return
 	}
-	if p.rngSrc.n > draws {
-		return fmt.Errorf("workload: warp %d RNG already at draw %d, snapshot wants %d (program not fresh)",
+	switch {
+	case p.issued < 0 || p.issued > p.bench.spec.MemInstsPerWarp:
+		c.Failf("workload: warp %d issued %d of %d instructions", p.warpIdx, p.issued, p.bench.spec.MemInstsPerWarp)
+	case p.rngSrc.n > draws:
+		c.Failf("workload: warp %d RNG already at draw %d, snapshot wants %d (program not fresh)",
 			p.warpIdx, p.rngSrc.n, draws)
+	case draws-p.rngSrc.n > uint64(p.issued+1)*maxDrawsPerInst:
+		c.Failf("workload: warp %d RNG at draw %d after %d instructions", p.warpIdx, draws, p.issued)
+	default:
+		p.rngSrc.skipTo(draws)
 	}
-	p.rngSrc.skipTo(draws)
-	return nil
 }

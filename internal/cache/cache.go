@@ -103,12 +103,12 @@ type Writeback struct {
 // DirtySectors returns the number of dirty sectors in the writeback.
 func (w Writeback) DirtySectors() int { return bits.OnesCount8(w.SectorMask) }
 
+// line is one way's per-line state. Its tag and occupancy live in
+// Cache.keys, which a lookup scans; line is read only for the way found.
 type line struct {
-	tag   uint64
+	lru   uint64
 	valid uint8 // per-sector valid bits
 	dirty uint8 // per-sector dirty bits
-	lru   uint64
-	used  bool
 }
 
 // mshr tracks one block's outstanding sector fetches. Entries live in an
@@ -123,8 +123,14 @@ type mshr struct {
 // Cache is one sectored cache instance. Create with New; the zero value is
 // not usable.
 type Cache struct {
-	cfg      Config
-	lines    []line // numSets × Ways, row-major
+	cfg Config
+	// keys holds each way's block tag plus one, 0 for a free way, numSets ×
+	// Ways row-major. It is the authoritative tag and occupancy array: a
+	// set's keys are contiguous (8 ways fill one 64-byte host cache line),
+	// so a lookup reads one cache line and touches lines only for the way
+	// it finds or claims.
+	keys     []uint64
+	lines    []line // per-way state, indexed like keys
 	ways     int
 	setMask  uint64
 	mshrs    flatmap.Map[mshr]
@@ -153,6 +159,7 @@ func New(cfg Config) *Cache {
 	numSets := blocks / cfg.Ways
 	return &Cache{
 		cfg:     cfg,
+		keys:    make([]uint64, blocks),
 		lines:   make([]line, blocks),
 		ways:    cfg.Ways,
 		setMask: uint64(numSets - 1),
@@ -164,26 +171,49 @@ func New(cfg Config) *Cache {
 // Config returns the cache's configuration.
 func (c *Cache) Config() Config { return c.cfg }
 
-func (c *Cache) setIndex(block memdef.Addr) uint64 {
-	return (uint64(block) / memdef.BlockSize) & c.setMask
+// keyOf returns the keys entry of block: its tag plus one, so 0 is free.
+func keyOf(block memdef.Addr) uint64 { return uint64(block)/memdef.BlockSize + 1 }
+
+// setBase returns the index in keys and lines of way 0 of block's set.
+func (c *Cache) setBase(block memdef.Addr) int {
+	return int((uint64(block)/memdef.BlockSize)&c.setMask) * c.ways
 }
 
-// set returns the ways of the set holding block, a window into the flat
-// line array (better locality than per-set slices, and one fewer pointer
-// hop on the per-access path).
-func (c *Cache) set(si uint64) []line {
-	return c.lines[si*uint64(c.ways) : (si+1)*uint64(c.ways)]
-}
-
-func (c *Cache) findLine(block memdef.Addr) *line {
-	set := c.set(c.setIndex(block))
-	tag := uint64(block) / memdef.BlockSize
-	for i := range set {
-		if set[i].used && set[i].tag == tag {
-			return &set[i]
+// find returns the index of the way holding block, or -1.
+func (c *Cache) find(block memdef.Addr) int {
+	base, key := c.setBase(block), keyOf(block)
+	for i, k := range c.keys[base : base+c.ways] {
+		if k == key {
+			return base + i
 		}
 	}
-	return nil
+	return -1
+}
+
+// wayFor scans block's set once and returns the way holding it (hit), or
+// else the way allocation claims: the first free way, or with none free the
+// first least-recently-used way. Only that last case reads the LRU stamps.
+func (c *Cache) wayFor(block memdef.Addr) (way int, hit bool) {
+	base, key := c.setBase(block), keyOf(block)
+	free := -1
+	for i, k := range c.keys[base : base+c.ways] {
+		if k == key {
+			return base + i, true
+		}
+		if k == 0 && free < 0 {
+			free = base + i
+		}
+	}
+	if free >= 0 {
+		return free, false
+	}
+	victim := base
+	for i := base + 1; i < base+c.ways; i++ {
+		if c.lines[i].lru < c.lines[victim].lru {
+			victim = i
+		}
+	}
+	return victim, false
 }
 
 func sectorBit(addr memdef.Addr) uint8 {
@@ -193,8 +223,8 @@ func sectorBit(addr memdef.Addr) uint8 {
 // Probe reports whether the sector containing addr is present, without
 // touching LRU state or stats.
 func (c *Cache) Probe(addr memdef.Addr) bool {
-	ln := c.findLine(memdef.BlockAddr(addr))
-	return ln != nil && ln.valid&sectorBit(addr) != 0
+	w := c.find(memdef.BlockAddr(addr))
+	return w >= 0 && c.lines[w].valid&sectorBit(addr) != 0
 }
 
 // Read looks up the sector containing addr. On MissNew the caller must issue
@@ -203,8 +233,8 @@ func (c *Cache) Probe(addr memdef.Addr) bool {
 func (c *Cache) Read(addr memdef.Addr) Outcome {
 	block := memdef.BlockAddr(addr)
 	bit := sectorBit(addr)
-	if ln := c.findLine(block); ln != nil && ln.valid&bit != 0 {
-		c.touch(ln)
+	if w := c.find(block); w >= 0 && c.lines[w].valid&bit != 0 {
+		c.touch(&c.lines[w])
 		c.Stats.Hits++
 		return Hit
 	}
@@ -248,14 +278,16 @@ func (c *Cache) Read(addr memdef.Addr) Outcome {
 func (c *Cache) Write(addr memdef.Addr) (Outcome, []Writeback) {
 	block := memdef.BlockAddr(addr)
 	bit := sectorBit(addr)
-	if ln := c.findLine(block); ln != nil {
+	w, hit := c.wayFor(block)
+	ln := &c.lines[w]
+	if hit {
 		ln.valid |= bit
 		ln.dirty |= bit
 		c.touch(ln)
 		c.Stats.Hits++
 		return Hit, nil
 	}
-	ln, wb := c.allocate(block)
+	wb := c.claim(w, block)
 	ln.valid = bit
 	ln.dirty = bit
 	c.Stats.Misses++
@@ -282,10 +314,11 @@ func (c *Cache) Fill(addr memdef.Addr) (wb []Writeback, waiters int) {
 			c.mshrs.Delete(uint64(block))
 		}
 	}
-	ln := c.findLine(block)
-	if ln == nil {
-		ln, wb = c.allocate(block)
+	w, hit := c.wayFor(block)
+	if !hit {
+		wb = c.claim(w, block)
 	}
+	ln := &c.lines[w]
 	ln.valid |= bit
 	ln.dirty &^= bit
 	c.touch(ln)
@@ -293,41 +326,31 @@ func (c *Cache) Fill(addr memdef.Addr) (wb []Writeback, waiters int) {
 	return wb, waiters
 }
 
-// allocate claims a line for block, evicting the LRU way. Victim dirty
-// sectors become write-backs.
-func (c *Cache) allocate(block memdef.Addr) (*line, []Writeback) {
-	set := c.set(c.setIndex(block))
-	victim := &set[0]
-	for i := range set {
-		if !set[i].used {
-			victim = &set[i]
-			break
-		}
-		if set[i].lru < victim.lru {
-			victim = &set[i]
-		}
-	}
+// claim evicts whatever way w holds and installs block there with no valid
+// sectors. Victim dirty sectors become write-backs.
+func (c *Cache) claim(w int, block memdef.Addr) []Writeback {
+	ln := &c.lines[w]
 	var wb []Writeback
-	if victim.used {
+	if old := c.keys[w]; old != 0 {
+		victim := memdef.Addr((old - 1) * memdef.BlockSize)
 		c.Stats.Evictions++
-		if c.OnEvict != nil && victim.valid != 0 {
-			c.OnEvict(memdef.Addr(victim.tag*memdef.BlockSize), victim.valid)
+		if c.OnEvict != nil && ln.valid != 0 {
+			c.OnEvict(victim, ln.valid)
 		}
-		if victim.dirty != 0 {
+		if ln.dirty != 0 {
 			c.Stats.Writebacks++
 			c.wbScratch = append(c.wbScratch[:0], Writeback{ //shm:alloc-ok single-entry scratch: capacity 1 after the first dirty eviction
-				BlockAddr:  memdef.Addr(victim.tag * memdef.BlockSize),
-				SectorMask: victim.dirty,
+				BlockAddr:  victim,
+				SectorMask: ln.dirty,
 			})
 			wb = c.wbScratch
 		}
 	}
-	victim.tag = uint64(block) / memdef.BlockSize
-	victim.valid = 0
-	victim.dirty = 0
-	victim.used = true
-	c.touch(victim)
-	return victim, wb
+	c.keys[w] = keyOf(block)
+	ln.valid = 0
+	ln.dirty = 0
+	c.touch(ln)
+	return wb
 }
 
 func (c *Cache) touch(ln *line) {
@@ -344,12 +367,13 @@ func (c *Cache) MSHRFull() bool { return c.mshrs.Len() >= c.mshrCap }
 // CleanInvalidate drops the sector containing addr if present, without
 // writing back. Used when a downstream owner revokes a cached copy.
 func (c *Cache) CleanInvalidate(addr memdef.Addr) {
-	if ln := c.findLine(memdef.BlockAddr(addr)); ln != nil {
+	if w := c.find(memdef.BlockAddr(addr)); w >= 0 {
 		bit := sectorBit(addr)
+		ln := &c.lines[w]
 		ln.valid &^= bit
 		ln.dirty &^= bit
 		if ln.valid == 0 {
-			ln.used = false
+			c.keys[w] = 0
 		}
 	}
 }
@@ -377,17 +401,17 @@ func (c *Cache) FlushAll() []Writeback {
 			c.mshrs.Len(), uint64(first))
 	}
 	var wbs []Writeback
-	for i := range c.lines {
-		ln := &c.lines[i]
-		if ln.used && ln.dirty != 0 {
+	for i, k := range c.keys {
+		if k != 0 && c.lines[i].dirty != 0 {
 			c.Stats.Writebacks++
 			wbs = append(wbs, Writeback{
-				BlockAddr:  memdef.Addr(ln.tag * memdef.BlockSize),
-				SectorMask: ln.dirty,
+				BlockAddr:  memdef.Addr((k - 1) * memdef.BlockSize),
+				SectorMask: c.lines[i].dirty,
 			})
 		}
-		*ln = line{}
 	}
+	clear(c.keys)
+	clear(c.lines)
 	return wbs
 }
 
@@ -395,8 +419,8 @@ func (c *Cache) FlushAll() []Writeback {
 // mostly for tests and occupancy stats.
 func (c *Cache) DirtySectorCount() int {
 	n := 0
-	for i := range c.lines {
-		if c.lines[i].used {
+	for i, k := range c.keys {
+		if k != 0 {
 			n += bits.OnesCount8(c.lines[i].dirty)
 		}
 	}
@@ -406,8 +430,8 @@ func (c *Cache) DirtySectorCount() int {
 // ValidSectorCount returns the number of valid sectors currently held.
 func (c *Cache) ValidSectorCount() int {
 	n := 0
-	for i := range c.lines {
-		if c.lines[i].used {
+	for i, k := range c.keys {
+		if k != 0 {
 			n += bits.OnesCount8(c.lines[i].valid)
 		}
 	}

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"shmgpu/internal/flatmap"
+	"shmgpu/internal/memdef"
 	"shmgpu/internal/snapshot"
 )
 
@@ -29,11 +30,13 @@ func (cc *Cache) State(c *snapshot.Codec) {
 	}
 	for i := range cc.lines {
 		ln := &cc.lines[i]
-		c.U64(&ln.tag)
+		c.U64(&cc.keys[i])
 		c.U8(&ln.valid)
 		c.U8(&ln.dirty)
 		c.U64(&ln.lru)
-		c.Bool(&ln.used)
+		if k := cc.keys[i]; c.Loading() && c.Err() == nil && k != 0 && int((k-1)&cc.setMask) != i/cc.ways {
+			c.Failf("cache %s: way %d holds block %#x of another set", cc.cfg.Name, i, (k-1)*memdef.BlockSize)
+		}
 	}
 	flatmap.MapState(c, &cc.mshrs, func(c *snapshot.Codec, m *mshr) {
 		c.U8(&m.pending)

@@ -6,9 +6,9 @@
 // storage) and cannot reuse its memory across a delete/insert cycle, so
 // structures like cache.mshrs — which churn through entries every few
 // simulated cycles — generated garbage proportional to simulated time.
-// Map stores keys and values in flat parallel arrays with linear probing
-// and backward-shift deletion: once the table has grown to its high-water
-// occupancy, insert and delete never allocate again.
+// Map stores key, occupancy flag and value side by side in one slot array
+// with linear probing and backward-shift deletion: once the table has grown
+// to its high-water occupancy, insert and delete never allocate again.
 //
 // Determinism: iteration (Range) walks the backing array in slot order.
 // That order is a pure function of the insert/delete history, so identical
@@ -20,17 +20,24 @@
 // for concurrent use.
 package flatmap
 
-// offset64 and prime64 are the FNV-1a parameters; splitmix-style mixing
+// fibMix is the 64-bit golden-ratio constant; the Fibonacci-style mixing
 // below gives good dispersion for the address- and token-shaped keys the
 // simulator uses (low entropy in the low bits).
 const fibMix = 0x9e3779b97f4a7c15
 
-// Map is an open-addressed uint64→V hash table with linear probing.
+// Map is an open-addressed uint64→V hash table with linear probing. Each
+// slot holds its key, occupancy flag and value together, so a probe that
+// hits touches one slot (one cache line for small values) instead of one
+// element in each of three parallel arrays.
 type Map[V any] struct {
-	keys []uint64
-	vals []V
-	used []bool
-	n    int
+	slots []slot[V]
+	n     int
+}
+
+type slot[V any] struct {
+	key  uint64
+	used bool
+	val  V
 }
 
 // NewMap returns a map pre-sized so that sizeHint entries fit without
@@ -56,7 +63,7 @@ func tableSize(n int) int {
 func (m *Map[V]) slot(k uint64) int {
 	h := k * fibMix
 	h ^= h >> 29
-	return int(h & uint64(len(m.keys)-1))
+	return int(h & uint64(len(m.slots)-1))
 }
 
 // Len returns the number of entries.
@@ -68,13 +75,14 @@ func (m *Map[V]) Get(k uint64) *V {
 	if m.n == 0 {
 		return nil
 	}
-	mask := len(m.keys) - 1
+	mask := len(m.slots) - 1
 	for i := m.slot(k); ; i = (i + 1) & mask {
-		if !m.used[i] {
+		s := &m.slots[i]
+		if !s.used {
 			return nil
 		}
-		if m.keys[i] == k {
-			return &m.vals[i]
+		if s.key == k {
+			return &s.val
 		}
 	}
 }
@@ -86,21 +94,19 @@ func (m *Map[V]) Has(k uint64) bool { return m.Get(k) != nil }
 // stored value (existing or new). The pointer is valid until the next Put,
 // Delete, or Reset.
 func (m *Map[V]) Put(k uint64) *V {
-	if len(m.keys) == 0 || (m.n+1)*4 > len(m.keys)*3 {
+	if len(m.slots) == 0 || (m.n+1)*4 > len(m.slots)*3 {
 		m.grow()
 	}
-	mask := len(m.keys) - 1
+	mask := len(m.slots) - 1
 	for i := m.slot(k); ; i = (i + 1) & mask {
-		if !m.used[i] {
-			m.used[i] = true
-			m.keys[i] = k
-			var zero V
-			m.vals[i] = zero
+		s := &m.slots[i]
+		if !s.used {
+			*s = slot[V]{key: k, used: true}
 			m.n++
-			return &m.vals[i]
+			return &s.val
 		}
-		if m.keys[i] == k {
-			return &m.vals[i]
+		if s.key == k {
+			return &s.val
 		}
 	}
 }
@@ -112,38 +118,34 @@ func (m *Map[V]) Delete(k uint64) bool {
 	if m.n == 0 {
 		return false
 	}
-	mask := len(m.keys) - 1
+	mask := len(m.slots) - 1
 	i := m.slot(k)
 	for {
-		if !m.used[i] {
+		if !m.slots[i].used {
 			return false
 		}
-		if m.keys[i] == k {
+		if m.slots[i].key == k {
 			break
 		}
 		i = (i + 1) & mask
 	}
 	// Backward-shift: pull each following cluster member into the hole if
 	// doing so shortens (or keeps) its probe distance.
-	var zero V
 	j := i
 	for {
 		j = (j + 1) & mask
-		if !m.used[j] {
+		if !m.slots[j].used {
 			break
 		}
-		ideal := m.slot(m.keys[j])
-		// keys[j] may move into the hole at i only if its ideal slot does
+		ideal := m.slot(m.slots[j].key)
+		// slots[j] may move into the hole at i only if its ideal slot does
 		// not lie strictly inside (i, j] on the probe circle.
 		if ((j - ideal) & mask) >= ((j - i) & mask) {
-			m.keys[i] = m.keys[j]
-			m.vals[i] = m.vals[j]
+			m.slots[i] = m.slots[j]
 			i = j
 		}
 	}
-	m.used[i] = false
-	m.keys[i] = 0
-	m.vals[i] = zero
+	m.slots[i] = slot[V]{}
 	m.n--
 	return true
 }
@@ -151,9 +153,9 @@ func (m *Map[V]) Delete(k uint64) bool {
 // Range calls fn for each entry in backing-array slot order (deterministic
 // for a deterministic insert/delete history) until fn returns false.
 func (m *Map[V]) Range(fn func(k uint64, v *V) bool) {
-	for i := range m.keys {
-		if m.used[i] {
-			if !fn(m.keys[i], &m.vals[i]) {
+	for i := range m.slots {
+		if s := &m.slots[i]; s.used {
+			if !fn(s.key, &s.val) {
 				return
 			}
 		}
@@ -165,35 +167,26 @@ func (m *Map[V]) Reset() {
 	if m.n == 0 {
 		return
 	}
-	var zero V
-	for i := range m.keys {
-		if m.used[i] {
-			m.used[i] = false
-			m.keys[i] = 0
-			m.vals[i] = zero
-		}
-	}
+	clear(m.slots)
 	m.n = 0
 }
 
 func (m *Map[V]) grow() {
 	size := 16
-	if len(m.keys) > 0 {
-		size = len(m.keys) * 2
+	if len(m.slots) > 0 {
+		size = len(m.slots) * 2
 	}
 	m.rehash(size)
 }
 
 //shm:cold rehash is the amortized doubling event, not per-access work
 func (m *Map[V]) rehash(size int) {
-	oldKeys, oldVals, oldUsed := m.keys, m.vals, m.used
-	m.keys = make([]uint64, size)
-	m.vals = make([]V, size)
-	m.used = make([]bool, size)
+	old := m.slots
+	m.slots = make([]slot[V], size)
 	m.n = 0
-	for i := range oldKeys {
-		if oldUsed[i] {
-			*m.Put(oldKeys[i]) = oldVals[i]
+	for i := range old {
+		if old[i].used {
+			*m.Put(old[i].key) = old[i].val
 		}
 	}
 }

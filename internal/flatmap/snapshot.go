@@ -21,7 +21,7 @@ const maxTableCap = 1 << 20
 // MapState codes m's physical slot layout, el coding one value. Loading
 // replaces m's contents.
 func MapState[V any](c *snapshot.Codec, m *Map[V], el func(*snapshot.Codec, *V)) {
-	capN, n := len(m.keys), m.n
+	capN, n := len(m.slots), m.n
 	c.Int(&capN)
 	c.Int(&n)
 	if c.Loading() {
@@ -37,26 +37,26 @@ func MapState[V any](c *snapshot.Codec, m *Map[V], el func(*snapshot.Codec, *V))
 			c.Failf("flatmap: bad entry count %d for capacity %d", n, capN)
 			return
 		}
-		*m = Map[V]{keys: make([]uint64, capN), vals: make([]V, capN), used: make([]bool, capN), n: n}
+		*m = Map[V]{slots: make([]slot[V], capN), n: n}
 	}
-	slot := -1
+	i := -1
 	for j := 0; j < m.n; j++ {
 		if !c.Loading() {
-			for slot++; !m.used[slot]; slot++ {
+			for i++; !m.slots[i].used; i++ {
 			}
 		}
-		c.Int(&slot)
+		c.Int(&i)
 		if c.Loading() {
-			if c.Err() == nil && (slot < 0 || slot >= len(m.keys) || m.used[slot]) {
-				c.Failf("flatmap: bad slot index %d for capacity %d", slot, len(m.keys))
+			if c.Err() == nil && (i < 0 || i >= len(m.slots) || m.slots[i].used) {
+				c.Failf("flatmap: bad slot index %d for capacity %d", i, len(m.slots))
 			}
 			if c.Err() != nil {
 				return
 			}
-			m.used[slot] = true
+			m.slots[i].used = true
 		}
-		c.U64(&m.keys[slot])
-		el(c, &m.vals[slot])
+		c.U64(&m.slots[i].key)
+		el(c, &m.slots[i].val)
 	}
 }
 
@@ -69,6 +69,18 @@ func VisitMultiMapNodes[V any](mm *MultiMap[V], fn func(v *V)) {
 	for i := range mm.nodes {
 		fn(&mm.nodes[i].v)
 	}
+}
+
+// VisitMultiMapValues calls fn for every queued value of mm, list by list
+// in key slot order and FIFO within a list; free-chain nodes are skipped.
+// Loaders use it to check restored values.
+func VisitMultiMapValues[V any](mm *MultiMap[V], fn func(v *V)) {
+	mm.m.Range(func(_ uint64, r *listRef) bool {
+		for i := r.head - 1; i >= 0; i = mm.nodes[i].next {
+			fn(&mm.nodes[i].v)
+		}
+		return true
+	})
 }
 
 // MultiMapState codes mm's full physical state: the key table, the node

@@ -945,6 +945,7 @@ func (s *System) collect(workload string, completed bool) Result {
 		res.Ctr.Merge(&ctr)
 		res.MAC.Merge(&mac)
 		res.BMT.Merge(&bmtS)
+		mee.FoldCounters()
 		res.Reg.Merge(&mee.Reg)
 		mon, skip := mee.MATStats()
 		res.Reg.Add("mat_monitored", mon)

@@ -5,6 +5,7 @@ import (
 
 	"shmgpu/internal/dram"
 	"shmgpu/internal/memdef"
+	"shmgpu/internal/snapshot"
 	"shmgpu/internal/stats"
 )
 
@@ -574,3 +575,113 @@ func TestTokenRoundTrip(t *testing.T) {
 		t.Error("zero token should have no owner")
 	}
 }
+
+// TestMergeCapOverflowCountsMdcBlocked sends 18 reads under one counter
+// sector (16 blocks, 2 KB) before its fetch returns: the first allocates
+// the MSHR, the next 16 merge into it up to MaxMergesPerMSHR, and the
+// last overflows the merge cap. That one overflow is the only Blocked
+// lookup (the reads spread over four MAC sectors, and the BMT walk stops
+// at the overflowing read), so the merged registry counts mdc_blocked
+// once; a run without an overflow has no mdc_blocked counter at all.
+func TestMergeCapOverflowCountsMdcBlocked(t *testing.T) {
+	merged := func(m *MEE) *stats.Registry {
+		m.FoldCounters()
+		var reg stats.Registry
+		reg.Merge(&m.Reg)
+		return &reg
+	}
+	run := func(reads int) *MEE {
+		m, p := newMEE(t, pssmOpts())
+		for i := 0; i < reads; i++ {
+			a := memdef.Addr(i%16*memdef.BlockSize + i/16*memdef.SectorSize)
+			if !m.SubmitRead(rd(a), 0) {
+				t.Fatalf("read %d refused", i)
+			}
+		}
+		runUntilResponse(t, m, p, 0, reads)
+		return m
+	}
+	m := run(18)
+	if st, _, _ := m.CacheStats(); st.MSHRMerges != 16 {
+		t.Fatalf("counter cache merged %d reads, want 16", st.MSHRMerges)
+	}
+	payload, err := snapshot.Save(m.State)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := merged(m).Get("mdc_blocked"); got != 1 {
+		t.Errorf("mdc_blocked = %d, want 1", got)
+	}
+	restored, _ := newMEE(t, pssmOpts())
+	if err := snapshot.Load(payload, restored.State); err != nil {
+		t.Fatal(err)
+	}
+	if got := merged(restored).Get("mdc_blocked"); got != 1 {
+		t.Errorf("mdc_blocked after a snapshot round trip = %d, want 1", got)
+	}
+	for _, n := range merged(run(17)).Names() {
+		if n == "mdc_blocked" {
+			t.Error("mdc_blocked present without an overflow")
+		}
+	}
+}
+
+// TestPendingSlabTokens completes DRAM requests out of order and checks
+// that the pending slab reuses released slots, answers each live token
+// once, and ignores stale, foreign and out-of-range tokens.
+func TestPendingSlabTokens(t *testing.T) {
+	m, p := newMEE(t, Options{})
+	for i := 0; i < 4; i++ {
+		m.SubmitRead(rd(memdef.Addr(i)*memdef.BlockSize), 0)
+	}
+	for c := uint64(0); c < 4; c++ {
+		m.Tick(c)
+	}
+	if len(p.inj) != 4 || m.pendLive != 4 {
+		t.Fatalf("%d requests sent, %d pending; want 4 and 4", len(p.inj), m.pendLive)
+	}
+	tokens := make([]uint64, 4)
+	for i, in := range p.inj {
+		tokens[i] = in.token
+	}
+	p.inj = p.inj[:0]
+	ignored := func(what string, tok uint64) {
+		t.Helper()
+		live := m.pendLive
+		m.OnDRAMComplete(tok, 10)
+		if m.pendLive != live {
+			t.Errorf("%s token %#x completed a request", what, tok)
+		}
+	}
+	// Out of order: the third, then the first.
+	m.OnDRAMComplete(tokens[2], 10)
+	m.OnDRAMComplete(tokens[0], 10)
+	if m.pendLive != 2 {
+		t.Fatalf("%d pending after two completions, want 2", m.pendLive)
+	}
+	ignored("repeated", tokens[2])
+	ignored("foreign", TokenFor(1, tokens[1]))
+	ignored("out-of-range", TokenFor(0, len64(m.pending)))
+	// A new request reuses the last released slot under a new generation;
+	// the old token for that slot stays dead.
+	m.SubmitRead(rd(0x10000), 10)
+	done := len(m.Tick(10))
+	done += len(m.Tick(11))
+	if len(m.pending) != 4 || len(p.inj) != 1 {
+		t.Fatalf("slab grew to %d slots for %d new requests", len(m.pending), len(p.inj))
+	}
+	fresh := p.inj[0].token
+	if fresh&slotMask != tokens[0]&slotMask || fresh == tokens[0] {
+		t.Fatalf("new token %#x does not reuse slot of %#x under a new generation", fresh, tokens[0])
+	}
+	ignored("stale", tokens[0])
+	for _, tok := range []uint64{tokens[1], tokens[3], fresh} {
+		m.OnDRAMComplete(tok, 12)
+	}
+	resp, _ := runUntilResponse(t, m, p, 12, 5-done)
+	if done+len(resp) != 5 || !m.Idle() {
+		t.Fatalf("%d responses, idle %v; want 5 and idle", done+len(resp), m.Idle())
+	}
+}
+
+func len64[T any](s []T) uint64 { return uint64(len(s)) }

@@ -14,12 +14,14 @@ import (
 // by the embedded cache/predictor loaders plus the feature flags here.
 //
 // The pooled transactions need special handling: live *txn pointers are
-// shared between the pending table, the counter-wait lists, and the ready
+// shared between the pending slab, the counter-wait lists, and the ready
 // heap, so the serializer assigns each distinct transaction a canonical
 // identifier (first-encounter order over a deterministic walk: pending
-// table slot order, then the wait-list node arena in index order, then
-// the ready heap array), writes one transaction table, and encodes every
-// reference as an identifier. The free pool (txnFree) is not serialized —
+// slab order, then the wait-list node arena in index order, then the ready
+// heap array), writes one transaction table, and encodes every reference
+// as an identifier. The slab is saved whole — released slots keep their
+// generation — with its free stack in order, so restored tokens and slot
+// reuse match the saved run's. The free pool (txnFree) is not serialized —
 // releaseTxn fully zeroes recycled transactions, so an empty pool after
 // restore is behaviorally identical.
 //
@@ -44,10 +46,9 @@ func (m *MEE) collectTxns() ([]*txn, map[*txn]int) {
 			order = append(order, t)
 		}
 	}
-	m.pending.Range(func(_ uint64, pe *pendingEntry) bool {
-		visit(pe.txn)
-		return true
-	})
+	for i := range m.pending {
+		visit(m.pending[i].txn)
+	}
 	flatmap.VisitMultiMapNodes(&m.ctrWait, func(v **txn) { visit(*v) })
 	for i := range m.ready {
 		visit(m.ready[i].t)
@@ -57,7 +58,9 @@ func (m *MEE) collectTxns() ([]*txn, map[*txn]int) {
 
 // State codes the MEE's mutable state. Loading needs an MEE built with the
 // identical config and rejects a transaction reference a later
-// OnDRAMComplete or Tick would dereference as nil.
+// OnDRAMComplete or Tick would dereference as nil, a buffered request for
+// a partition that does not exist, and a pending slab whose free stack or
+// buffered tokens disagree with its slots.
 func (m *MEE) State(c *snapshot.Codec) {
 	enabled, oracle, accuracy := m.cfg.Enabled, m.cfg.OracleDetectors, m.cfg.TrackAccuracy
 	c.Bool(&enabled)
@@ -93,6 +96,9 @@ func (m *MEE) State(c *snapshot.Codec) {
 	ringbuf.State(c, &m.outgoing, func(c *snapshot.Codec, o *outgoing) {
 		c.Int(&o.part)
 		dram.ReqState(c, &o.req)
+		if c.Loading() && c.Err() == nil && (o.part < 0 || o.part >= m.cfg.NumPartitions) {
+			c.Failf("secmem[%d]: buffered request for partition %d of %d", m.cfg.Partition, o.part, m.cfg.NumPartitions)
+		}
 	})
 
 	var table []*txn
@@ -130,15 +136,38 @@ func (m *MEE) State(c *snapshot.Codec) {
 			*t = table[id]
 		}
 	}
-	flatmap.MapState(c, &m.pending, func(c *snapshot.Codec, pe *pendingEntry) {
+	snapshot.Slice(c, &m.pending, func(c *snapshot.Codec, pe *pendingEntry) {
 		c.U8((*uint8)(&pe.kind))
+		c.Bool(&pe.live)
+		gen := uint64(pe.gen)
+		c.U64(&gen)
+		pe.gen = uint32(gen)
 		c.U64((*uint64)(&pe.key))
 		ref(c, &pe.txn)
-		if c.Loading() && pe.kind == pkData && pe.txn == nil {
+		if !c.Loading() || c.Err() != nil {
+			return
+		}
+		switch {
+		case gen > genMask:
+			c.Failf("secmem[%d]: pending slot generation %d exceeds %d", m.cfg.Partition, gen, genMask)
+		case !pe.live && *pe != (pendingEntry{gen: pe.gen}):
+			c.Failf("secmem[%d]: released pending slot holds an entry", m.cfg.Partition)
+		case pe.live && pe.kind == pkData && pe.txn == nil:
 			c.Failf("secmem[%d]: pending data read has no transaction", m.cfg.Partition)
 		}
 	})
+	snapshot.Slice(c, &m.pendFree, func(c *snapshot.Codec, s *int32) { c.I32(s) })
+	if c.Loading() && c.Err() == nil {
+		m.checkPending(c)
+	}
 	flatmap.MultiMapState(c, &m.ctrWait, ref)
+	if c.Loading() && c.Err() == nil {
+		flatmap.VisitMultiMapValues(&m.ctrWait, func(v **txn) {
+			if *v == nil && c.Err() == nil {
+				c.Failf("secmem[%d]: counter-wait entry has no transaction", m.cfg.Partition)
+			}
+		})
+	}
 	snapshot.Slice(c, (*[]readyTxn)(&m.ready), func(c *snapshot.Codec, r *readyTxn) {
 		c.U64(&r.at)
 		ref(c, &r.t)
@@ -147,11 +176,47 @@ func (m *MEE) State(c *snapshot.Codec) {
 		}
 	})
 	snapshot.Slice(c, &m.responses, func(c *snapshot.Codec, r *memdef.Request) { r.State(c) })
-	c.U64(&m.nextToken)
 	c.U64(&m.aesFree)
 	c.U64(&m.lastTick)
 	if c.Loading() {
 		m.txnFree = m.txnFree[:0]
+	} else {
+		m.FoldCounters()
 	}
 	m.Reg.State(c)
+}
+
+// checkPending rejects a restored pending slab that a later send or
+// completion could not use: a free stack naming a live, repeated or
+// nonexistent slot or leaving a released slot off, and a buffered request
+// whose token names another MEE, a released slot, another generation, or
+// the same slot as an earlier request. It recounts pendLive.
+func (m *MEE) checkPending(c *snapshot.Codec) {
+	m.pendLive = 0
+	for i := range m.pending {
+		if m.pending[i].live {
+			m.pendLive++
+		}
+	}
+	seen := make([]bool, len(m.pending))
+	for _, s := range m.pendFree {
+		if s < 0 || int(s) >= len(m.pending) || m.pending[s].live || seen[s] {
+			c.Failf("secmem[%d]: pending free stack names slot %d (%d slots)", m.cfg.Partition, s, len(m.pending))
+			return
+		}
+		seen[s] = true
+	}
+	if m.pendLive+len(m.pendFree) != len(m.pending) {
+		c.Failf("secmem[%d]: %d live and %d free pending slots, slab holds %d", m.cfg.Partition, m.pendLive, len(m.pendFree), len(m.pending))
+		return
+	}
+	for i := 0; i < m.outgoing.Len(); i++ {
+		tok := m.outgoing.At(i).req.Token
+		slot := m.slotOf(tok)
+		if slot < 0 || seen[slot] {
+			c.Failf("secmem[%d]: buffered request token %#x names no live pending slot of its own", m.cfg.Partition, tok)
+			return
+		}
+		seen[slot] = true
+	}
 }

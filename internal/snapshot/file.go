@@ -18,7 +18,12 @@ import (
 // telemetry collector a prefetch batch-size histogram.
 // Version 3: DRAM channels store in-flight completions in pop order (a
 // FIFO ring) instead of as a binary-heap array.
-const FormatVersion = 3
+// Version 4: caches store each way's tag as a packed key (tag+1, 0 free)
+// instead of a tag and a used flag; the MEE's pending table is a slab
+// indexed by the slot its DRAM tokens carry (with a free stack and per-slot
+// generations) instead of a hash table keyed by token sequence numbers;
+// flatmap tables are unchanged.
+const FormatVersion = 4
 
 // magic identifies a shmgpu snapshot file.
 var magic = [8]byte{'S', 'H', 'M', 'S', 'N', 'A', 'P', 0}

@@ -177,6 +177,20 @@ func TestUnpackRejectsVersionSkew(t *testing.T) {
 	}
 }
 
+// TestUnpackRejectsVersion3 pins the version 3 → 4 bump: a file written
+// before caches packed their tags and the MEE indexed its pending table by
+// token slot must be refused, not misparsed.
+func TestUnpackRejectsVersion3(t *testing.T) {
+	if FormatVersion != 4 {
+		t.Fatalf("FormatVersion = %d; update this test with the next bump", FormatVersion)
+	}
+	old := Pack([]byte("payload"))
+	binary.LittleEndian.PutUint32(old[8:12], 3)
+	if _, err := Unpack(old); !errors.Is(err, ErrVersion) {
+		t.Fatalf("version 3 file: err = %v, want ErrVersion", err)
+	}
+}
+
 func TestWriteReadFile(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "state.snap")

@@ -13,8 +13,6 @@
 //	shmsim -workload fdtd2d -scheme SHM -quick -json
 //	shmsim -workload fdtd2d -scheme SHM -progress -ops-listen :8080
 //	shmsim -workload fdtd2d -scheme SHM -watchdog 30s -watchdog-cancel
-//	shmsim -workload fdtd2d -scheme SHM -quick -snapshot-out warm.snap -snapshot-at 50000
-//	shmsim -workload fdtd2d -scheme SHM -quick -restore warm.snap
 //	shmsim -workload atax -scheme SHM -host-tier -oversub-ratio 0.5
 //	shmsim -workload atax -scheme SHM -host-tier -oversub-ratio 0.5 -migration-policy fifo -host-integrity hostside
 //	shmsim -workload streamcluster -scheme SHM -host-tier -oversub-ratio 0.5 -prefetch stream -batch-pages 8
@@ -39,7 +37,6 @@ import (
 	"shmgpu/internal/obs"
 	"shmgpu/internal/report"
 	"shmgpu/internal/scheme"
-	"shmgpu/internal/snapshot"
 	"shmgpu/internal/stats"
 	"shmgpu/internal/telemetry"
 )
@@ -66,9 +63,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		check          = fs.Bool("check", false, "enable the runtime invariant sanitizer (model self-checks; slower)")
 		quiet          = fs.Bool("q", false, "suppress informational logging (errors still print)")
 		verbose        = fs.Bool("v", false, "verbose logging")
-		snapshotOut    = fs.String("snapshot-out", "", "warm the run to -snapshot-at, write a resumable state snapshot to this path, and exit")
-		snapshotAt     = fs.Uint64("snapshot-at", 0, "cycle boundary for -snapshot-out (must be positive)")
-		restorePath    = fs.String("restore", "", "resume a snapshot written by -snapshot-out instead of simulating the warmup (workload, scheme, seed and telemetry flags must match the capturing run)")
 		hostTier       = fs.Bool("host-tier", false, "enable the host-backed memory tier (UVM demand paging over a modeled PCIe link)")
 		oversubRatio   = fs.Float64("oversub-ratio", 0, "device frame capacity as a fraction of the workload footprint (required with -host-tier; >= 1.0 fits entirely)")
 		pageBytes      = fs.Uint64("page-bytes", 0, "UVM migration page size in bytes (0 = the 64 KiB default; must be a power of two)")
@@ -148,51 +142,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	}
 	spec := shmgpu.RunSpec{Config: cfg, Workload: *wl, Seed: *seed, Scheme: schObj}
 
-	// Snapshot capture is its own mode: warm, serialize, exit. The snapshot
-	// embeds the collector state, so the restoring invocation must pass the
-	// same telemetry flags (the restore path validates this).
-	if *snapshotOut != "" {
-		switch {
-		case *restorePath != "":
-			log.Errorf("-snapshot-out and -restore are mutually exclusive")
-			return 2
-		case *accuracy:
-			log.Errorf("-snapshot-out cannot be combined with -accuracy")
-			return 2
-		case *snapshotAt == 0:
-			log.Errorf("-snapshot-out requires -snapshot-at <cycle>")
-			return 2
-		}
-		spec.Telemetry = &tcfg
-		spec.StopAt = *snapshotAt
-		out, err := shmgpu.Execute(spec)
-		if err != nil {
-			log.Errorf("%v", err)
-			return 1
-		}
-		if out.Snapshot == nil {
-			log.Errorf("workload %s completed before cycle %d; no snapshot written", *wl, *snapshotAt)
-			return 1
-		}
-		if err := snapshot.WriteFile(*snapshotOut, out.Snapshot); err != nil {
-			log.Errorf("%v", err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "snapshot written to %s (cycle %d, workload=%s scheme=%s seed=%d)\n",
-			*snapshotOut, *snapshotAt, *wl, *sch, effSeed)
-		return 0
-	}
-	if *restorePath != "" {
-		if *accuracy {
-			log.Errorf("-restore cannot be combined with -accuracy")
-			return 2
-		}
-		if spec.Restore, err = snapshot.ReadFile(*restorePath); err != nil {
-			log.Errorf("%v", err)
-			return 1
-		}
-	}
-
 	// Two observable cells: the baseline reference run and the requested
 	// run. The shutdown writes the span trace with whatever manifest fields
 	// are known by then, so it is deferred against every return path.
@@ -228,7 +177,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	started := time.Now()
 	baseSpec := spec
 	baseSpec.Scheme = scheme.Baseline
-	baseSpec.Restore = nil
 	baseOut, err := observed(baseSpec, *wl+"/Baseline")
 	if err != nil {
 		log.Errorf("%v (run with -list to see valid names)", err)
@@ -248,7 +196,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		res = r.RunWithAccuracy(*wl, schObj)
 		err = r.Err()
 	} else {
-		if instrument || spec.Restore != nil {
+		if instrument {
 			spec.Telemetry = &tcfg
 		}
 		var out shmgpu.RunOutput

@@ -104,8 +104,8 @@ type Func struct {
 	Syncs          []Site
 
 	// RecvObj/ParamObjs are the declared receiver/parameter objects (a
-	// receiver makes the function a method; parameters identify snapshot
-	// code).
+	// receiver makes the function a method; parameters key the function
+	// values that flow into them).
 	RecvObj   types.Object
 	ParamObjs []types.Object
 }
@@ -334,9 +334,6 @@ func (c *collector) summarize(key FuncKey, display string, decl ast.Node, body *
 			}
 		}
 	}
-	if !f.Cold && isSnapshotCode(f) {
-		f.Cold = true
-	}
 	c.pf.Funcs = append(c.pf.Funcs, f)
 	if body == nil {
 		return
@@ -344,31 +341,4 @@ func (c *collector) summarize(key FuncKey, display string, decl ast.Node, body *
 
 	w := &funcWalker{c: c, f: f}
 	w.run()
-}
-
-// snapshotPkgPath is the checkpoint/restore serializer package. Everything
-// in it, and every function that takes its *Codec, runs once per snapshot
-// — never on the per-cycle tick path — so the flow analyzers treat such
-// functions as implicitly //shm:cold instead of demanding annotations on
-// every state method in the tree.
-const snapshotPkgPath = "shmgpu/internal/snapshot"
-
-func isSnapshotCode(f *Func) bool {
-	if f.PkgPath == snapshotPkgPath {
-		return true
-	}
-	for _, obj := range f.ParamObjs {
-		ptr, ok := obj.Type().(*types.Pointer)
-		if !ok {
-			continue
-		}
-		named, ok := ptr.Elem().(*types.Named)
-		if !ok || named.Obj().Pkg() == nil || named.Obj().Pkg().Path() != snapshotPkgPath {
-			continue
-		}
-		if named.Obj().Name() == "Codec" {
-			return true
-		}
-	}
-	return false
 }

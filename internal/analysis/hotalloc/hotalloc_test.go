@@ -14,7 +14,6 @@ func TestHotalloc(t *testing.T) {
 	}{
 		{name: "flagged categories and pruning", pkgs: []string{"hot"}},
 		{name: "accepted allocation-free tick", pkgs: []string{"hotok"}},
-		{name: "snapshot codec code is implicitly cold", pkgs: []string{"snapcold"}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

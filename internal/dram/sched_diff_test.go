@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"shmgpu/internal/memdef"
-	"shmgpu/internal/snapshot"
 	"shmgpu/internal/stats"
 )
 
@@ -223,24 +222,8 @@ func (g addrGen) next() memdef.Addr {
 	return memdef.Addr(slice*memdef.PartitionStride + sector*memdef.SectorSize)
 }
 
-// roundTrip saves ch and restores it into a fresh channel.
-func roundTrip(t *testing.T, ch *Channel) *Channel {
-	t.Helper()
-	saved, _ := snapshot.Save(ch.State)
-	got := NewChannel(ch.cfg)
-	if err := snapshot.Load(saved, got.State); err != nil {
-		t.Fatalf("LoadState of a saved channel: %v", err)
-	}
-	again, _ := snapshot.Save(got.State)
-	if string(again) != string(saved) {
-		t.Fatal("restored channel saves different bytes")
-	}
-	return got
-}
-
 // runDiff drives ch and a reference through one seeded stream of `steps`
-// cycles, restoring ch from a snapshot halfway, and fails on the first
-// divergence.
+// cycles and fails on the first divergence.
 func runDiff(t *testing.T, cfg Config, seed int64, steps int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -251,9 +234,6 @@ func runDiff(t *testing.T, cfg Config, seed int64, steps int) {
 	burst := 1 + rng.Intn(4)
 	var now, token uint64
 	for step := 0; step < steps; step++ {
-		if step == steps/2 {
-			ch = roundTrip(t, ch)
-		}
 		if step%64 == 0 {
 			burst = rng.Intn(5)
 		}

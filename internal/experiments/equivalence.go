@@ -27,7 +27,7 @@ func (d Divergence) String() string { return "[" + d.Oracle + "] " + d.Detail }
 // the fuzz battery checks it. The root corpora check its rows on named
 // cells.
 var Equivalences = []Equivalence{
-	FastForwardEquivalence, Determinism, SanitizerTransparency, ForkEquivalence,
+	FastForwardEquivalence, Determinism, SanitizerTransparency,
 	MigrationEquivalence, PrefetchEquivalence, DetectorAblation,
 }
 
@@ -59,36 +59,6 @@ var SanitizerTransparency = Equivalence{"sanitizer-transparency", func(h *Harnes
 	}
 	return append(ds, DiffArtifacts("sanitizer-transparency", "unchecked", unchecked.Artifacts, "sanitized", sanitized.Artifacts)...)
 }}
-
-// ForkEquivalence forks at the midpoint of the base run.
-var ForkEquivalence = ForkAt(2)
-
-// ForkAt is the fork row forking at the base run's cycle count divided
-// by depth: the run paused there is restored once per fast-forward mode
-// and compared with the scratch run in that mode. Any divergence is state
-// the snapshot captured wrongly or not at all. A workload that finishes
-// before the fork point has nothing to fork.
-func ForkAt(depth uint64) Equivalence {
-	return Equivalence{"fork-equivalence", func(h *Harness, base RunSpec) []Divergence {
-		warm := base
-		if warm.StopAt = h.Run(base).Result.Cycles / depth; warm.StopAt == 0 {
-			return nil
-		}
-		snap := h.execute(warm).Snapshot
-		if snap == nil {
-			return nil
-		}
-		var ds []Divergence
-		for _, ff := range []bool{true, false} {
-			child := base.withFastForward(ff)
-			child.Restore = snap
-			h.Forks++
-			ds = append(ds, DiffArtifacts("fork-equivalence", fmt.Sprintf("forked(ff=%v)", ff), h.Run(child).Artifacts,
-				"scratch("+modeName[ff]+")", h.Run(base.withFastForward(ff)).Artifacts)...)
-		}
-		return ds
-	}}
-}
 
 // MigrationEquivalence: a host tier whose frame budget covers the whole
 // working set (ratio ≥ 1.0) prepopulates everything, never faults, and
@@ -157,17 +127,16 @@ type Rendered struct {
 
 // Harness executes and renders the runs the rows compare, each distinct
 // spec once: rows checked on one cell share its base runs (the
-// fast-forward row's runs are the fork row's scratch runs, a tier-off
-// base is the migration row's tier-off side). Errors are sticky: after
-// the first the harness runs nothing, so callers check Err after a row.
+// fast-forward row's run in the base's own mode is the determinism row's
+// first run, a tier-off base is the migration row's tier-off side).
+// Errors are sticky: after the first the harness runs nothing, so callers
+// check Err after a row.
 type Harness struct {
 	tool string
 	runs map[string]Rendered
 	err  error
-	// Executed counts the simulations run. Forks counts the children the
-	// fork row compared, so a corpus can tell a fork point past its
-	// workload's end from a pass.
-	Executed, Forks int
+	// Executed counts the simulations run.
+	Executed int
 }
 
 // NewHarness returns an empty harness whose renders stamp tool into the
@@ -180,11 +149,8 @@ func NewHarness(tool string) *Harness {
 func (h *Harness) Err() error { return h.err }
 
 // Run returns spec's rendered run, executing it the first time the
-// harness sees spec. A restored run is never reused.
+// harness sees spec.
 func (h *Harness) Run(spec RunSpec) Rendered {
-	if spec.Restore != nil {
-		return h.fresh(spec)
-	}
 	key := spec.key()
 	if _, ok := h.runs[key]; !ok {
 		h.runs[key] = h.fresh(spec)
@@ -194,23 +160,18 @@ func (h *Harness) Run(spec RunSpec) Rendered {
 
 // fresh executes and renders spec without reuse.
 func (h *Harness) fresh(spec RunSpec) Rendered {
-	out := h.execute(spec)
 	if h.err != nil {
+		return Rendered{}
+	}
+	h.Executed++
+	out, err := Execute(spec)
+	if err != nil {
+		h.err = err
 		return Rendered{}
 	}
 	arts, err := Render(h.tool, spec, out)
 	h.err = err
 	return Rendered{Result: out.Result, Artifacts: arts}
-}
-
-func (h *Harness) execute(spec RunSpec) RunOutput {
-	if h.err != nil {
-		return RunOutput{}
-	}
-	h.Executed++
-	out, err := Execute(spec)
-	h.err = err
-	return out
 }
 
 // compare runs both sides and byte-compares them under oracle's name.
@@ -220,8 +181,8 @@ func (h *Harness) compare(oracle, aName string, a RunSpec, bName string, b RunSp
 
 // key identifies spec's run by value. The generated workload and the
 // telemetry configuration are compared by content; MEETune is a func, so
-// the tuned partition-0 MEE config stands in for it, as in the snapshot
-// fingerprint. Observe is passive and left out.
+// the tuned partition-0 MEE config stands in for it. Observe is passive
+// and left out.
 func (spec RunSpec) key() string {
 	mee := spec.Config.MEEOptionsToConfig(spec.Scheme.Options, 0)
 	gen, tel := spec.Generated, spec.Telemetry

@@ -8,7 +8,6 @@ import (
 	"shmgpu/internal/gpu"
 	"shmgpu/internal/obs"
 	"shmgpu/internal/scheme"
-	"shmgpu/internal/snapshot"
 	"shmgpu/internal/telemetry"
 	"shmgpu/internal/workload"
 )
@@ -17,12 +16,6 @@ import (
 // GPU configuration. Execute is the only way to run it, so every caller —
 // the Runner, the CLIs, the fuzz battery, the equivalence corpora — shares
 // one validation and one system build.
-//
-// A checkpoint/fork is two kinds of spec: a StopAt spec captures the
-// warmed state once, and Restore specs resume it, each free to flip the
-// one knob the equivalence corpora prove byte-neutral
-// (Config.DisableFastForward). Every restored child is byte-identical to
-// the same spec run from scratch.
 type RunSpec struct {
 	Config gpu.Config
 
@@ -47,40 +40,23 @@ type RunSpec struct {
 	// spans, and its cancel flag is honoured. Observation is passive. The
 	// caller owns the run handle and closes it with Done.
 	Observe *obs.Run
-
-	// StopAt, when nonzero, pauses the run at the first kernel-interior
-	// tick boundary at or past this cycle and returns the captured state
-	// in RunOutput.Snapshot. A workload that finishes first returns its
-	// finished Result and a nil Snapshot.
-	StopAt uint64
-	// Restore, when non-nil, resumes a Snapshot captured by a StopAt run
-	// of the same workload, scheme, seed, configuration and telemetry
-	// configuration; only Config.DisableFastForward may differ.
-	Restore []byte
 }
 
 // RunOutput is what Execute produced.
 type RunOutput struct {
-	// Result is the finished run. It is empty when the run paused at
-	// StopAt (Snapshot is then non-nil).
+	// Result is the finished run.
 	Result gpu.Result
 	// Collector is the filled collector, nil unless RunSpec.Telemetry
 	// was set.
 	Collector *telemetry.Collector
-	// Snapshot is the state a StopAt run captured.
-	Snapshot []byte
 }
 
 // Execute validates spec, builds a fresh workload and GPU system, and
-// runs it to completion, pauses it at StopAt, or resumes it from Restore.
-// Running the same spec twice is byte-identical: nothing is shared
-// between calls.
+// runs it to completion. Running the same spec twice is byte-identical:
+// nothing is shared between calls.
 func Execute(spec RunSpec) (RunOutput, error) {
 	if spec.Scheme.Name == "" {
 		return RunOutput{}, fmt.Errorf("experiments: RunSpec has no scheme")
-	}
-	if spec.StopAt != 0 && spec.Restore != nil {
-		return RunOutput{}, fmt.Errorf("experiments: StopAt and Restore are mutually exclusive")
 	}
 	bench, err := spec.bench()
 	if err != nil {
@@ -99,24 +75,7 @@ func Execute(spec RunSpec) (RunOutput, error) {
 		sys.SetObserver(spec.Observe, 0)
 		sys.SetCancel(spec.Observe.CancelFlag())
 	}
-	switch {
-	case spec.Restore != nil:
-		if err := snapshot.Load(spec.Restore, func(c *snapshot.Codec) { sys.State(c, bench) }); err != nil {
-			return RunOutput{}, err
-		}
-		out.Result = sys.Resume(bench)
-	case spec.StopAt != 0:
-		res, done := sys.RunUntil(bench, spec.StopAt)
-		if !done {
-			if out.Snapshot, err = snapshot.Save(func(c *snapshot.Codec) { sys.State(c, bench) }); err != nil {
-				return RunOutput{}, err
-			}
-			return out, nil
-		}
-		out.Result = res
-	default:
-		out.Result = sys.Run(bench)
-	}
+	out.Result = sys.Run(bench)
 	out.Result.Scheme = spec.Scheme.Name
 	return out, nil
 }

@@ -97,7 +97,7 @@ func TestCheckCaseGreen(t *testing.T) {
 // TestCheckCaseGreenUVM runs the battery over hand-picked host-tier
 // cells on both sides of the fit boundary: the oversubscribed cells
 // push fault/replay/eviction traffic through every equivalence oracle
-// (fast-forward, determinism, sanitizer, fork) plus the
+// (fast-forward, determinism, sanitizer) plus the
 // migration-equivalence oracle's forced ratio-1.0 comparison, across
 // both eviction policies and both integrity modes; the 100% cell sits
 // exactly on the boundary where the tier must be invisible.
@@ -134,18 +134,17 @@ func TestCheckCaseGreenUVM(t *testing.T) {
 
 // TestCheckCaseRunCount pins the battery's simulation budget on a
 // tier-off cell under the four default designs: 8 fast-forward and
-// every-cycle runs, 1 determinism rerun, 1 sanitized run, 3 for the fork
-// (the paused parent and one child per mode; the scratch runs are the
-// fast-forward row's), 1 run at fit (the tier-off side is the base), 2
-// prefetch runs at fit and 1 ablated SHM run (PSSM is already run).
+// every-cycle runs, 1 determinism rerun, 1 sanitized run, 1 run at fit
+// (the tier-off side is the base), 2 prefetch runs at fit and 1 ablated
+// SHM run (PSSM is already run).
 func TestCheckCaseRunCount(t *testing.T) {
 	if testing.Short() {
 		t.Skip("oracle battery in -short")
 	}
 	c := Case{Seed: 3, Workload: WorkloadSpec{Buffers: []BufferSpec{{KB: 32, Pattern: "random", WriteFrac: 0.3}}}}
 	vs, runs, err := c.check(DefaultCheckOptions())
-	if err != nil || runs != 17 || len(vs) != 0 {
-		t.Fatalf("battery ran %d simulations (want 17), err %v, violations %v", runs, err, vs)
+	if err != nil || runs != 14 || len(vs) != 0 {
+		t.Fatalf("battery ran %d simulations (want 14), err %v, violations %v", runs, err, vs)
 	}
 }
 

@@ -152,13 +152,31 @@ func DefaultConfig() Config {
 	}
 }
 
+// Upper bounds on the grid and memory-system dimensions. Each is at least
+// 8× its DefaultConfig value and at most math.MaxInt16, so SM, warp and
+// partition ids fit an int16, and a config naming an absurd size is an
+// error instead of a cell whose setup never finishes.
+const (
+	maxSMs                 = 256
+	maxWarpsPerSM          = 256
+	maxPartitions          = 128
+	maxL2BanksPerPartition = 16
+)
+
 // Validate checks configuration consistency.
 func (c Config) Validate() error {
-	if c.SMs <= 0 || c.WarpsPerSM <= 0 {
-		return fmt.Errorf("gpu: SMs and warps must be positive")
-	}
-	if c.Partitions <= 0 || c.L2BanksPerPartition <= 0 {
-		return fmt.Errorf("gpu: partitions and banks must be positive")
+	for _, d := range []struct {
+		name   string
+		n, max int
+	}{
+		{"SMs", c.SMs, maxSMs},
+		{"WarpsPerSM", c.WarpsPerSM, maxWarpsPerSM},
+		{"Partitions", c.Partitions, maxPartitions},
+		{"L2BanksPerPartition", c.L2BanksPerPartition, maxL2BanksPerPartition},
+	} {
+		if d.n <= 0 || d.n > d.max {
+			return fmt.Errorf("gpu: %s must be in [1, %d], got %d", d.name, d.max, d.n)
+		}
 	}
 	if c.DeviceMemoryBytes == 0 {
 		return fmt.Errorf("gpu: DeviceMemoryBytes must be positive")

@@ -134,17 +134,6 @@ type System struct {
 	obsCancel *obs.Cancel
 	cancelled bool
 
-	// Run-session state, serialized by State so a restored run resumes
-	// exactly where the parent paused. kernelIdx is the drive loop's
-	// position; midKernel marks a paused kernel-interior cycle loop;
-	// runDeadline is the absolute MaxCycles expiry for the current kernel.
-	// The deadline is captured rather than recomputed on restore —
-	// recomputing `cycle + MaxCycles` at the resume point would silently
-	// extend the budget and diverge timeout-bound runs from scratch runs.
-	kernelIdx   int
-	midKernel   bool
-	runDeadline uint64
-
 	// syncer, when non-nil, is notified at the top of every tick so the
 	// workload can freeze its cross-warp pacing state (see TickSynced).
 	syncer TickSynced
@@ -339,35 +328,6 @@ type TickSynced interface {
 
 // Run simulates the whole workload and returns the results.
 func (s *System) Run(wl Workload) Result {
-	s.beginRun(wl)
-	res, _ := s.drive(wl, 0)
-	return res
-}
-
-// RunUntil simulates until the workload completes or the cycle counter
-// reaches stopCycle inside a kernel. It returns done=false when the run
-// paused at the boundary — the System is then exactly at a tick boundary
-// and can be captured with State — or done=true with the final Result
-// when every kernel finished first (nothing was captured; callers fall
-// back to from-scratch runs). stopCycle of 0 never pauses.
-func (s *System) RunUntil(wl Workload, stopCycle uint64) (Result, bool) {
-	s.beginRun(wl)
-	return s.drive(wl, stopCycle)
-}
-
-// Resume continues a run restored by State through to completion. The
-// workload must be the one the restore loaded. Unlike Run it performs no
-// grid setup — loading already rebuilt the warp programs.
-func (s *System) Resume(wl Workload) Result {
-	if ts, ok := wl.(TickSynced); ok {
-		s.syncer = ts
-	}
-	res, _ := s.drive(wl, 0)
-	return res
-}
-
-// beginRun performs the one-time setup shared by Run and RunUntil.
-func (s *System) beginRun(wl Workload) {
 	if ga, ok := wl.(GridAware); ok {
 		ga.SetGrid(s.cfg.SMs, s.cfg.WarpsPerSM)
 	}
@@ -375,36 +335,22 @@ func (s *System) beginRun(wl Workload) {
 		s.syncer = ts
 	}
 	s.startUVM(wl)
+	return s.drive(wl)
 }
 
-// drive is the kernel loop behind Run, RunUntil, and Resume. It starts (or
-// re-enters, after a restore) kernel s.kernelIdx and runs to completion,
-// unless stopCycle is nonzero and a kernel-interior tick boundary at or
-// past it is reached first — then it returns done=false with the System
-// paused in a position State can capture.
-func (s *System) drive(wl Workload, stopCycle uint64) (Result, bool) {
+// drive is the kernel loop behind Run: it sets up, runs and drains every
+// kernel in turn.
+func (s *System) drive(wl Workload) Result {
 	completed := true
-	for ; s.kernelIdx < wl.Kernels(); s.kernelIdx++ {
-		k := s.kernelIdx
-		if !s.midKernel {
-			s.observePhase(obs.EvPhaseBegin, obs.PhaseSetup, k)
-			s.applySetup(k, wl.Setup(k))
-			for _, sm := range s.sms {
-				sm.launch(k, wl)
-			}
-			s.observePhase(obs.EvPhaseEnd, obs.PhaseSetup, k)
-			s.observePhase(obs.EvPhaseBegin, obs.PhaseKernel, k)
-			s.runDeadline = 0
-			if s.cfg.MaxCycles > 0 {
-				s.runDeadline = s.cycle + s.cfg.MaxCycles
-			}
-			s.midKernel = true
+	for k := 0; k < wl.Kernels(); k++ {
+		s.observePhase(obs.EvPhaseBegin, obs.PhaseSetup, k)
+		s.applySetup(k, wl.Setup(k))
+		for _, sm := range s.sms {
+			sm.launch(k, wl)
 		}
-		ok, paused := s.runKernel(stopCycle)
-		if paused {
-			return Result{}, false
-		}
-		s.midKernel = false
+		s.observePhase(obs.EvPhaseEnd, obs.PhaseSetup, k)
+		s.observePhase(obs.EvPhaseBegin, obs.PhaseKernel, k)
+		ok := s.runKernel()
 		s.observePhase(obs.EvPhaseEnd, obs.PhaseKernel, k)
 		if !ok {
 			completed = false
@@ -438,32 +384,26 @@ func (s *System) drive(wl Workload, stopCycle uint64) (Result, bool) {
 	res := s.collect(wl.Name(), completed)
 	res.Cancelled = s.cancelled
 	s.syncer = nil
-	return res, true
+	return res
 }
 
 // runKernel drives the cycle loop until all warps finish and the memory
 // system drains, or the per-kernel cycle budget runs out. It reports
-// whether the kernel completed, and — when stopCycle is nonzero — whether
-// it paused at a tick boundary at or past stopCycle instead.
+// whether the kernel completed.
 //
 // After each tick the loop advances by the event horizon (see advanceCycle)
 // rather than always by one cycle; ticks at the skipped cycles are provably
 // no-ops, so the jump is invisible in results, telemetry, and cycle counts.
-func (s *System) runKernel(stopCycle uint64) (ok, paused bool) {
-	deadline := s.runDeadline
+func (s *System) runKernel() bool {
+	var deadline uint64
+	if s.cfg.MaxCycles > 0 {
+		deadline = s.cycle + s.cfg.MaxCycles
+	}
 	idleStreak := 0
 	for {
-		// The pause gate only fires while warps are still running: once
-		// they all finish, the loop is in its exit window (idleStreak
-		// counting, one-cycle stepping) whose local state a restored run
-		// could not reconstruct. Warps never un-finish within a kernel, so
-		// !smsFinished guarantees idleStreak is 0 here.
-		if stopCycle != 0 && s.cycle >= stopCycle && !s.smsFinished() {
-			return false, true
-		}
 		if s.obsCancel != nil && s.obsCancel.Cancelled() {
 			s.cancelled = true
-			return false, false
+			return false
 		}
 		now := s.cycle
 		s.tickOnce(now)
@@ -481,13 +421,13 @@ func (s *System) runKernel(stopCycle uint64) (ok, paused bool) {
 			s.cycle = s.advanceCycle(now, deadline)
 		}
 		if deadline != 0 && s.cycle >= deadline {
-			return false, false
+			return false
 		}
 		if finished {
 			if idle {
 				idleStreak++
 				if idleStreak > 4 {
-					return true, false
+					return true
 				}
 			} else {
 				idleStreak = 0

@@ -34,8 +34,6 @@ package hostmem
 import (
 	"fmt"
 	"math/bits"
-
-	"shmgpu/internal/snapshot"
 )
 
 // Policy selects the eviction victim among resident pages.
@@ -902,116 +900,4 @@ func (t *Tier) NextEvent(now uint64) uint64 {
 		return now + 1
 	}
 	return r
-}
-
-// State codes all mutable tier state, including in-flight prefetch
-// batches, the stride table, and the per-page prefetch accounting.
-// Geometry (page size, frame count, sub-page granularity) is derived from
-// config and covered by the snapshot fingerprint, so only a consistency
-// header is coded. The victim heap is not serialized: eviction order
-// depends only on the stamps, so loading rebuilds it. Loading also rejects
-// an in-flight migration outside the working set, which the next Tick
-// would index.
-func (t *Tier) State(c *snapshot.Codec) {
-	geom := [4]uint64{t.cfg.PageBytes, uint64(t.cfg.Frames), uint64(t.numPages), t.cfg.SubPageBytes}
-	saved := geom
-	for i := range saved {
-		c.U64(&saved[i])
-	}
-	if saved != geom {
-		c.Failf("hostmem: snapshot geometry (page size, frames, pages, sub-page size) %v, config %v", saved, geom)
-		return
-	}
-	for _, v := range []*uint64{&t.seq, &t.eagerSeq, &t.streamSeq, &t.busyUntil} {
-		c.U64(v)
-	}
-	c.Int(&t.resident)
-	c.Int(&t.inflight)
-	// Per-page state: four length-prefixed byte strings.
-	if !c.Count(t.numPages, "hostmem: page states") {
-		return
-	}
-	for i := range t.state {
-		c.U8((*uint8)(&t.state[i]))
-	}
-	if !c.Count(t.numPages, "hostmem: dirty flags") {
-		return
-	}
-	for i := range t.dirty {
-		c.Bool(&t.dirty[i])
-	}
-	if !c.Count(t.numPages, "hostmem: prefetch states") {
-		return
-	}
-	for i := range t.pstate {
-		c.U8((*uint8)(&t.pstate[i]))
-	}
-	if !c.Count(t.numPages, "hostmem: eager flags") {
-		return
-	}
-	for i := range t.eager {
-		c.Bool(&t.eager[i])
-	}
-	if t.subPerPage > 1 {
-		for i := range t.subdirty {
-			c.U64(&t.subdirty[i])
-		}
-	}
-	for i := range t.stamp {
-		c.U64(&t.stamp[i])
-	}
-	for i := range t.admitAt {
-		c.U64(&t.admitAt[i])
-	}
-	for i := range t.streams {
-		fs := &t.streams[i]
-		last, stride, conf := int(fs.last), int(fs.stride), int(fs.conf)
-		c.Int(&last)
-		c.Int(&stride)
-		c.Int(&conf)
-		c.U64(&fs.used)
-		fs.last, fs.stride, fs.conf = int32(last), int32(stride), uint8(conf)
-	}
-	n := t.ringLen
-	c.Int(&n)
-	if c.Loading() {
-		if n < 0 || n > len(t.ring) {
-			c.Failf("hostmem: ring length %d, cap %d", n, len(t.ring))
-		}
-		if c.Err() != nil {
-			return
-		}
-		t.ringHead, t.ringLen = 0, n
-	}
-	for i := 0; i < t.ringLen; i++ {
-		m := &t.ring[(t.ringHead+i)%len(t.ring)]
-		eager := 0
-		if m.eager {
-			eager = 1
-		}
-		c.Int(&m.page)
-		c.Int(&m.pages)
-		c.Int(&eager)
-		c.U64(&m.faultAt)
-		c.U64(&m.ready)
-		m.eager = eager != 0
-		if c.Loading() && (m.pages <= 0 || m.page < 0 || m.page > t.numPages-m.pages) {
-			c.Failf("hostmem: in-flight migration of %d pages from page %d, the tier has %d", m.pages, m.page, t.numPages)
-			return
-		}
-	}
-	st := &t.stats
-	for _, v := range []*uint64{&st.Faults, &st.Replays, &st.MigrationsIn, &st.Evictions,
-		&st.WritebacksDirty, &st.WritebacksClean, &st.Thrash, &st.BytesIn, &st.BytesOut,
-		&st.MetaCycles, &st.Prefetches, &st.PrefUseful, &st.PrefLate, &st.PrefUseless, &st.Batches} {
-		c.U64(v)
-	}
-	if c.Loading() {
-		t.heapLen = 0
-		for p := 0; p < t.numPages; p++ {
-			if t.state[p] == pageResident {
-				t.heapPush(p)
-			}
-		}
-	}
 }

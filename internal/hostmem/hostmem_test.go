@@ -2,8 +2,6 @@ package hostmem
 
 import (
 	"testing"
-
-	"shmgpu/internal/snapshot"
 )
 
 // tier builds a 4-page working set with a 2-frame budget and fast,
@@ -318,88 +316,5 @@ func TestRingFullStalls(t *testing.T) {
 	}
 	if got := one.Access(2*64, false, 1); got != Stall {
 		t.Errorf("fault with all frames reserved = %v, want Stall", got)
-	}
-}
-
-// TestSnapshotRoundTrip serializes a tier mid-migration (non-empty ring,
-// busy link, mixed dirty bits) and restores it into a fresh tier: state,
-// stats, and subsequent behaviour must match exactly.
-func TestSnapshotRoundTrip(t *testing.T) {
-	cfg := Config{PageBytes: 64, Frames: 2, PCIeLatency: 10, PCIeBytesPerCycle: 16, MetaCycles: 6, ThrashWindow: 100}
-	tr := tier(t, cfg)
-	if tr.Access(0, true, 1) != Admit { // dirty warm page
-		t.Fatal("write rejected")
-	}
-	if tr.Access(2*64, false, 3) != Fault { // in-flight migration
-		t.Fatal("page 2 did not fault")
-	}
-	if tr.InflightMigrations() != 1 {
-		t.Fatal("expected one in-flight migration at save time")
-	}
-
-	saved, _ := snapshot.Save(tr.State)
-
-	fresh := tier(t, cfg)
-	if err := snapshot.Load(saved, fresh.State); err != nil {
-		t.Fatalf("LoadState: %v", err)
-	}
-	if fresh.Stats() != tr.Stats() {
-		t.Fatalf("stats diverge: %+v vs %+v", fresh.Stats(), tr.Stats())
-	}
-	if fresh.InflightMigrations() != 1 || fresh.Resident() != tr.Resident() {
-		t.Fatal("ring/residency not restored")
-	}
-	// Both tiers must finish the migration on the same cycle and then
-	// behave identically.
-	for now := uint64(4); now < 40; now++ {
-		tr.Tick(now)
-		fresh.Tick(now)
-		a, b := tr.Access(2*64, false, now), fresh.Access(2*64, false, now)
-		if a != b {
-			t.Fatalf("behaviour diverges at cycle %d: %v vs %v", now, a, b)
-		}
-	}
-	if fresh.Stats() != tr.Stats() {
-		t.Fatalf("post-restore stats diverge: %+v vs %+v", fresh.Stats(), tr.Stats())
-	}
-
-	// A tier built under different geometry must refuse the snapshot.
-	other := tier(t, Config{PageBytes: 128, Frames: 2, PCIeLatency: 10, PCIeBytesPerCycle: 16, MetaCycles: 6, ThrashWindow: 100})
-	if snapshot.Load(saved, other.State) == nil {
-		t.Error("loading a 64 B-page snapshot into a 128 B-page tier succeeded")
-	}
-}
-
-// TestRestoreRejectsStrayMigration corrupts the one in-flight migration
-// before saving. Each would send the next Tick past the page tables, so
-// loading must fail instead.
-func TestRestoreRejectsStrayMigration(t *testing.T) {
-	cfg := Config{PageBytes: 64, Frames: 2, PCIeLatency: 10, PCIeBytesPerCycle: 16, MetaCycles: 6, ThrashWindow: 100}
-	cases := []struct {
-		name    string
-		corrupt func(m *migration, numPages int)
-	}{
-		{"page far beyond the working set", func(m *migration, _ int) { m.page = 1 << 40 }},
-		{"empty batch", func(m *migration, _ int) { m.pages = 0 }},
-		{"negative batch", func(m *migration, _ int) { m.pages = -1 }},
-		{"batch running off the last page", func(m *migration, n int) { m.page, m.pages = n-1, 2 }},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			tr := tier(t, cfg)
-			if tr.Access(2*64, false, 3) != Fault {
-				t.Fatal("page 2 did not fault")
-			}
-			tc.corrupt(&tr.ring[tr.ringHead], tr.numPages)
-			saved, err := snapshot.Save(tr.State)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fresh := tier(t, cfg)
-			if err := snapshot.Load(saved, fresh.State); err == nil {
-				fresh.Tick(1 << 40)
-				t.Error("restore accepted a migration outside the working set")
-			}
-		})
 	}
 }

@@ -2,8 +2,6 @@ package hostmem
 
 import (
 	"testing"
-
-	"shmgpu/internal/snapshot"
 )
 
 // ptier builds a tier over pages pages with the same fast deterministic
@@ -432,63 +430,5 @@ func TestSubPageDirtyWriteback(t *testing.T) {
 	}
 	if st := whole.Stats(); st.BytesOut != 256 {
 		t.Errorf("whole-page BytesOut = %d, want 256", st.BytesOut)
-	}
-}
-
-// TestSnapshotRoundTripWithPrefetch serializes a tier with a multi-page
-// prefetch batch in flight, a live stride table, and per-page prefetch
-// accounting, restores it into a fresh tier, and requires byte-identical
-// stats and behaviour from both — including the stream continuing to
-// prefetch after restore.
-func TestSnapshotRoundTripWithPrefetch(t *testing.T) {
-	cfg := Config{PageBytes: 64, Frames: 4, Prefetch: PrefetchStride, PrefetchDegree: 4, BatchPages: 4,
-		PCIeLatency: 10, PCIeBytesPerCycle: 16, MetaCycles: 6, ThrashWindow: 100}
-	tr := ptier(t, cfg, 32)
-	now := uint64(0)
-	for _, p := range []int{8, 9} {
-		if tr.Access(uint64(p)*64, false, now) != Fault {
-			t.Fatalf("page %d did not fault", p)
-		}
-		now = settle(t, tr, now)
-	}
-	if tr.Access(10*64, false, now) != Fault {
-		t.Fatal("page 10 did not fault")
-	}
-	if tr.InflightMigrations() != 1 || tr.Stats().Prefetches != 3 {
-		t.Fatal("expected a 4-page prefetch batch in flight at save time")
-	}
-
-	saved, _ := snapshot.Save(tr.State)
-
-	fresh := ptier(t, cfg, 32)
-	if err := snapshot.Load(saved, fresh.State); err != nil {
-		t.Fatalf("LoadState: %v", err)
-	}
-	if fresh.Stats() != tr.Stats() {
-		t.Fatalf("stats diverge: %+v vs %+v", fresh.Stats(), tr.Stats())
-	}
-	// Drive both tiers through the batch completion, the accuracy
-	// accounting, and a stream continuation fault; every observable must
-	// match cycle for cycle.
-	for step := now; step < now+60; step++ {
-		tr.Tick(step)
-		fresh.Tick(step)
-		for _, p := range []int{10, 11, 14} {
-			a, b := tr.Access(uint64(p)*64, false, step), fresh.Access(uint64(p)*64, false, step)
-			if a != b {
-				t.Fatalf("page %d diverges at cycle %d: %v vs %v", p, step, a, b)
-			}
-		}
-	}
-	if fresh.Stats() != tr.Stats() {
-		t.Fatalf("post-restore stats diverge: %+v vs %+v", fresh.Stats(), tr.Stats())
-	}
-
-	// A tier with different sub-page geometry must refuse the snapshot.
-	sub := cfg
-	sub.SubPageBytes = 32
-	other := ptier(t, sub, 32)
-	if snapshot.Load(saved, other.State) == nil {
-		t.Error("loading a whole-page snapshot into a sub-page tier succeeded")
 	}
 }

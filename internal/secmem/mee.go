@@ -1243,7 +1243,7 @@ func (m *MEE) AccuracyResults() (ro, st stats.PredictorStats) {
 
 // FoldCounters moves the counters kept as plain fields into Reg, adding
 // each only when nonzero so Reg's key set is what per-event Reg.Inc calls
-// would have left. Call it before reading or saving Reg.
+// would have left. Call it before reading Reg.
 func (m *MEE) FoldCounters() {
 	if m.mdcBlocked != 0 {
 		m.Reg.Add("mdc_blocked", m.mdcBlocked)

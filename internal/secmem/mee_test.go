@@ -5,7 +5,6 @@ import (
 
 	"shmgpu/internal/dram"
 	"shmgpu/internal/memdef"
-	"shmgpu/internal/snapshot"
 	"shmgpu/internal/stats"
 )
 
@@ -605,19 +604,8 @@ func TestMergeCapOverflowCountsMdcBlocked(t *testing.T) {
 	if st, _, _ := m.CacheStats(); st.MSHRMerges != 16 {
 		t.Fatalf("counter cache merged %d reads, want 16", st.MSHRMerges)
 	}
-	payload, err := snapshot.Save(m.State)
-	if err != nil {
-		t.Fatal(err)
-	}
 	if got := merged(m).Get("mdc_blocked"); got != 1 {
 		t.Errorf("mdc_blocked = %d, want 1", got)
-	}
-	restored, _ := newMEE(t, pssmOpts())
-	if err := snapshot.Load(payload, restored.State); err != nil {
-		t.Fatal(err)
-	}
-	if got := merged(restored).Get("mdc_blocked"); got != 1 {
-		t.Errorf("mdc_blocked after a snapshot round trip = %d, want 1", got)
 	}
 	for _, n := range merged(run(17)).Names() {
 		if n == "mdc_blocked" {

@@ -388,11 +388,9 @@ func (b *Bench) NewWarp(kernel, sm, warp int) gpu.WarpProgram {
 	}
 	b.frontier.register(sm)
 	seed := b.spec.Seed*1_000_003 + int64(kernel)*131_071 + int64(idx)
-	src := newCountingSource(seed)
 	p := &program{
 		bench:   b,
-		rng:     rand.New(src),
-		rngSrc:  src,
+		rng:     rand.New(rand.NewSource(seed)),
 		warpIdx: idx,
 		lane:    sm,
 		total:   total,

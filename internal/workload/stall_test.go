@@ -38,9 +38,14 @@ func TestStallsAgainLeavesStateUntouched(t *testing.T) {
 			const sms, warps = 3, 4
 			b.SetGrid(sms, warps)
 			var progs []*program
+			var draws []*drawCounter
 			for sm := 0; sm < sms; sm++ {
 				for w := 0; w < warps; w++ {
-					progs = append(progs, b.NewWarp(0, sm, w).(*program))
+					p := b.NewWarp(0, sm, w).(*program)
+					d := &drawCounter{src: rand.NewSource(int64(len(progs))).(rand.Source64)}
+					p.rng = rand.New(d)
+					progs = append(progs, p)
+					draws = append(draws, d)
 				}
 			}
 			rng := rand.New(rand.NewSource(11))
@@ -68,15 +73,15 @@ func TestStallsAgainLeavesStateUntouched(t *testing.T) {
 				}
 				for _, i := range stalls {
 					p := progs[i]
-					issued, draws := p.issued, p.rngSrc.n
+					issued, drawn := p.issued, draws[i].n
 					lanes := fmt.Sprint(b.frontier.lanes)
 					_, mem, done := p.Next()
 					if done || !mem.Stall {
 						t.Fatalf("tick %d warp %d: StallsAgain but Next = (stall %v, done %v)", tick, i, mem.Stall, done)
 					}
-					if p.issued != issued || p.rngSrc.n != draws || fmt.Sprint(b.frontier.lanes) != lanes {
+					if p.issued != issued || draws[i].n != drawn || fmt.Sprint(b.frontier.lanes) != lanes {
 						t.Fatalf("tick %d warp %d: stalled Next changed state (issued %d->%d, draws %d->%d)",
-							tick, i, issued, p.issued, draws, p.rngSrc.n)
+							tick, i, issued, p.issued, drawn, draws[i].n)
 					}
 					predicted++
 				}
@@ -90,6 +95,16 @@ func TestStallsAgainLeavesStateUntouched(t *testing.T) {
 		})
 	}
 }
+
+// drawCounter is a rand.Source64 that counts the values drawn from it.
+type drawCounter struct {
+	src rand.Source64
+	n   uint64
+}
+
+func (d *drawCounter) Int63() int64    { d.n++; return d.src.Int63() }
+func (d *drawCounter) Uint64() uint64  { d.n++; return d.src.Uint64() }
+func (d *drawCounter) Seed(seed int64) { d.n = 0; d.src.Seed(seed) }
 
 func contains(xs []int, x int) bool {
 	for _, v := range xs {

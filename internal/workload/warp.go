@@ -9,11 +9,8 @@ import (
 
 // program generates one warp's instruction stream for a Bench.
 type program struct {
-	bench *Bench
-	rng   *rand.Rand
-	// rngSrc is the counting source behind rng; the draw count is the
-	// serializable RNG position (see countingSource).
-	rngSrc  *countingSource
+	bench   *Bench
+	rng     *rand.Rand
 	warpIdx int
 	// lane is the warp's SM index: the frontier lane it advances. Only the
 	// owning SM's tick calls Next, so each lane has a single writer.

@@ -104,21 +104,18 @@ type RunSummary = telemetry.RunSummary
 type Manifest = telemetry.Manifest
 
 // RunSpec describes one simulation: configuration, workload (a built-in
-// name plus seed, or a generated spec), design, and optionally telemetry,
-// a live-observability handle, a pause cycle that captures a snapshot,
-// or a snapshot to resume. See experiments.RunSpec for each field.
+// name plus seed, or a generated spec), design, and optionally telemetry
+// and a live-observability handle. See experiments.RunSpec for each field.
 type RunSpec = experiments.RunSpec
 
-// RunOutput is one executed RunSpec: the Result, the filled Collector
-// when telemetry was requested, and the captured Snapshot of a paused run.
+// RunOutput is one executed RunSpec: the Result and the filled Collector
+// when telemetry was requested.
 type RunOutput = experiments.RunOutput
 
 // Execute runs one RunSpec. It is the only way a simulation starts: it
 // validates the configuration (an invalid one is an error, never a
-// panic), builds a fresh workload and system, and runs, pauses or
-// resumes. Runs of identical specs are bit-for-bit reproducible. A fork
-// is a StopAt spec plus Restore specs that may flip
-// Config.DisableFastForward.
+// panic), builds a fresh workload and system, and runs it to completion.
+// Runs of identical specs are bit-for-bit reproducible.
 func Execute(spec RunSpec) (RunOutput, error) { return experiments.Execute(spec) }
 
 // Scheme is one secure-memory design (paper Table VIII) or the insecure

@@ -48,14 +48,11 @@ func TestRunErrors(t *testing.T) {
 	if _, err := Execute(RunSpec{Config: QuickConfig(), Workload: "atax"}); err == nil {
 		t.Fatal("spec without a scheme accepted")
 	}
-	if _, err := Execute(RunSpec{Config: QuickConfig(), Workload: "atax", Scheme: shm, StopAt: 1, Restore: []byte{}}); err == nil {
-		t.Fatal("spec with both StopAt and Restore accepted")
-	}
 }
 
 // TestRunRejectsBadConfig drives configurations the simulator cannot run
-// through every way of running a spec — plain, instrumented, paused for a
-// snapshot, restored from one — and through a Runner: each must come
+// through every way of running a spec — plain and instrumented — and
+// through a Runner: each must come
 // back as an error (or, for the Runner, a refused run reported by Err),
 // not a panic in a component constructor or a run that never ends. Every
 // case leaves MaxCycles at 0, so a config that slipped through and
@@ -65,6 +62,8 @@ func TestRunRejectsBadConfig(t *testing.T) {
 		name string
 		mut  func(*Config)
 	}{
+		{"SMs=100000", func(c *Config) { c.SMs = 100000 }},
+		{"L2BanksPerPartition=1<<20", func(c *Config) { c.L2BanksPerPartition = 1 << 20 }},
 		{"MaxWarpInflightSectors=0", func(c *Config) { c.MaxWarpInflightSectors = 0 }},
 		{"MaxWarpInflightSectors<0", func(c *Config) { c.MaxWarpInflightSectors = -4 }},
 		{"L1Bytes=0", func(c *Config) { c.L1Bytes = 0 }},
@@ -95,11 +94,6 @@ func TestRunRejectsBadConfig(t *testing.T) {
 		})},
 	}
 	tcfg := TelemetryConfig{}
-	valid := RunSpec{Config: QuickConfig(), Workload: "atax", Seed: 1, Scheme: scheme.SHM, Telemetry: &tcfg, StopAt: 2000}
-	warm, err := Execute(valid)
-	if err != nil || warm.Snapshot == nil {
-		t.Fatalf("capturing the restore snapshot from a valid config: err=%v, snapshot=%d bytes", err, len(warm.Snapshot))
-	}
 	for _, c := range cases {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
@@ -112,14 +106,10 @@ func TestRunRejectsBadConfig(t *testing.T) {
 			plain := RunSpec{Config: cfg, Workload: "atax", Seed: 1, Scheme: scheme.SHM}
 			instrumented := plain
 			instrumented.Telemetry = &tcfg
-			capture := instrumented
-			capture.StopAt = 2000
-			restore := instrumented
-			restore.Restore = warm.Snapshot
 			for _, s := range []struct {
 				name string
 				spec RunSpec
-			}{{"plain", plain}, {"instrumented", instrumented}, {"StopAt", capture}, {"Restore", restore}} {
+			}{{"plain", plain}, {"instrumented", instrumented}} {
 				if _, err := Execute(s.spec); err == nil {
 					t.Errorf("Execute accepted the config as a %s spec", s.name)
 				}
@@ -152,8 +142,8 @@ func TestRunEndToEnd(t *testing.T) {
 	if res.Scheme != "SHM" || res.Workload != "atax" {
 		t.Fatalf("labels wrong: %q %q", res.Scheme, res.Workload)
 	}
-	if out.Collector != nil || out.Snapshot != nil {
-		t.Fatalf("plain run returned a collector (%v) or snapshot (%d bytes)", out.Collector != nil, len(out.Snapshot))
+	if out.Collector != nil {
+		t.Fatal("plain run returned a collector")
 	}
 }
 

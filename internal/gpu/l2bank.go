@@ -21,8 +21,8 @@ type l2Request struct {
 // parked in the bank's data array and recalled on MDC misses, gated by a
 // sampled data miss rate.
 type L2Bank struct {
-	partition int
-	bank      int
+	partition int16
+	bank      int16
 	cfg       *Config
 	c         *cache.Cache
 	// waiters maps a sector being fetched to the requests to answer, in
@@ -50,14 +50,14 @@ type L2Bank struct {
 
 func (b *L2Bank) accessProbe(now uint64, kind telemetry.EventKind) {
 	if b.probe != nil {
-		b.probe.Emit(telemetry.Event{Cycle: now, Kind: kind, Part: int16(b.partition), Unit: int16(b.bank)})
+		b.probe.Emit(telemetry.Event{Cycle: now, Kind: kind, Part: b.partition, Unit: b.bank})
 	}
 }
 
 func newL2Bank(partition, bank int, cfg *Config) *L2Bank {
 	return &L2Bank{
-		partition: partition,
-		bank:      bank,
+		partition: int16(partition),
+		bank:      int16(bank),
 		cfg:       cfg,
 		c:         cache.New(cfg.l2Config()),
 	}
@@ -93,7 +93,9 @@ func (b *L2Bank) enqueue(r memdef.Request, now uint64) bool {
 	return true
 }
 
-// submitToMEE forwards a request to the MEE, buffering on back-pressure.
+// meePort is the partition MEE's request side as the bank sees it: a
+// submission returns false on back-pressure, and the bank keeps the request
+// in toMEE to retry next cycle.
 type meePort interface {
 	SubmitRead(r memdef.Request, now uint64) bool
 	SubmitWrite(r memdef.Request, now uint64) bool
@@ -158,7 +160,7 @@ func (b *L2Bank) tick(now uint64, mee meePort, respond func(memdef.Request, uint
 			// data misses to gate the victim cache).
 			b.input.PopFront()
 			_, wbs := b.c.Write(r.Local)
-			b.spill(wbs, r, now, mee)
+			b.spill(wbs, r)
 			continue
 		}
 		switch b.c.Read(r.Local) {
@@ -189,7 +191,7 @@ func (b *L2Bank) tick(now uint64, mee meePort, respond func(memdef.Request, uint
 }
 
 // spill forwards dirty evicted sectors to the MEE as write-backs.
-func (b *L2Bank) spill(wbs []cache.Writeback, template memdef.Request, now uint64, mee meePort) {
+func (b *L2Bank) spill(wbs []cache.Writeback, template memdef.Request) {
 	for _, wb := range wbs {
 		for s := 0; s < memdef.SectorsPerBlock; s++ {
 			if wb.SectorMask&(1<<uint(s)) == 0 {
@@ -202,17 +204,16 @@ func (b *L2Bank) spill(wbs []cache.Writeback, template memdef.Request, now uint6
 			b.toMEE.Push(r)
 		}
 	}
-	_ = now
 }
 
 // onFill installs a sector returned by the MEE and releases its waiters.
-func (b *L2Bank) onFill(local memdef.Addr, now uint64, mee meePort, respond func(memdef.Request, uint64)) {
+func (b *L2Bank) onFill(local memdef.Addr, now uint64, respond func(memdef.Request, uint64)) {
 	sector := memdef.SectorAddr(local)
 	wbs, _ := b.c.Fill(sector)
 	// Fills can evict dirty victims (e.g. from earlier writes).
 	if len(wbs) > 0 {
 		tmpl := memdef.Request{Partition: b.partition, Space: memdef.SpaceGlobal}
-		b.spill(wbs, tmpl, now, mee)
+		b.spill(wbs, tmpl)
 	}
 	b.waiters.Drain(uint64(sector), func(r memdef.Request) { //shm:alloc-ok drain callback capturing two words, built once per fill (not per waiter)
 		respond(r, now)
@@ -228,7 +229,7 @@ func (b *L2Bank) PushVictim(addr memdef.Addr) {
 	wbs, _ := b.c.Fill(addr)
 	if len(wbs) > 0 {
 		tmpl := memdef.Request{Partition: b.partition, Space: memdef.SpaceGlobal}
-		b.spill(wbs, tmpl, 0, nil)
+		b.spill(wbs, tmpl)
 	}
 	b.VictimPushes++
 }
@@ -270,5 +271,5 @@ func (b *L2Bank) nextEvent(now uint64) uint64 {
 // write-backs toward the MEE. The bank must be drained first.
 func (b *L2Bank) flushAll() {
 	tmpl := memdef.Request{Partition: b.partition, Space: memdef.SpaceGlobal}
-	b.spill(b.c.FlushAll(), tmpl, 0, nil)
+	b.spill(b.c.FlushAll(), tmpl)
 }

@@ -55,8 +55,7 @@ type smRequest struct {
 	addr  memdef.Addr // physical sector address
 	write bool
 	space memdef.Space
-	sm    int
-	warp  int
+	sm    int16
 }
 
 // SM models one streaming multiprocessor: a set of warps scheduled
@@ -251,7 +250,7 @@ func (s *SM) issueMem(w *warpState, warpIdx int, now uint64) {
 		// Stores are posted: write through toward L2, no warp stall.
 		for _, a := range mem.Sectors {
 			s.l1.CleanInvalidate(a)
-			s.missQueue.Push(smRequest{addr: a, write: true, space: mem.Space, sm: s.id, warp: -1})
+			s.missQueue.Push(smRequest{addr: a, write: true, space: mem.Space, sm: int16(s.id)})
 		}
 		s.advance(w)
 		return
@@ -265,7 +264,7 @@ func (s *SM) issueMem(w *warpState, warpIdx int, now uint64) {
 		case cache.MissNew:
 			w.outstanding++
 			s.l1Waiters.Add(uint64(a), int32(warpIdx))
-			s.missQueue.Push(smRequest{addr: a, space: mem.Space, sm: s.id, warp: warpIdx})
+			s.missQueue.Push(smRequest{addr: a, space: mem.Space, sm: int16(s.id)})
 		case cache.MissMerged:
 			w.outstanding++
 			s.l1Waiters.Add(uint64(a), int32(warpIdx))
@@ -275,7 +274,7 @@ func (s *SM) issueMem(w *warpState, warpIdx int, now uint64) {
 			// the eventual fill still wakes this warp via l1Waiters.
 			w.outstanding++
 			s.l1Waiters.Add(uint64(a), int32(warpIdx))
-			s.missQueue.Push(smRequest{addr: a, space: mem.Space, sm: s.id, warp: warpIdx})
+			s.missQueue.Push(smRequest{addr: a, space: mem.Space, sm: int16(s.id)})
 		}
 	}
 	// Non-blocking issue: the program advances immediately; the warp only

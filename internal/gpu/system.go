@@ -712,8 +712,8 @@ func (s *System) acceptRequest(r smRequest) bool {
 	}
 	s.toPart[part].Push(xbarEntry{
 		r: memdef.Request{
-			Phys: r.addr, Local: local, Partition: part,
-			Kind: kind, Space: r.space, SM: r.sm, Warp: r.warp,
+			Phys: r.addr, Local: local, Partition: int16(part),
+			SM: r.sm, Kind: kind, Space: r.space,
 		},
 		at: s.tickNow + s.cfg.XbarLatency,
 	})
@@ -783,7 +783,7 @@ func (s *System) tickOnce(now uint64) {
 	for p, mee := range s.mees {
 		for _, r := range mee.Tick(now) {
 			bank := s.l2[p][s.bankOf(r.Local)]
-			bank.onFill(r.Local, now, mee, s.respondFn)
+			bank.onFill(r.Local, now, s.respondFn)
 		}
 	}
 
@@ -813,7 +813,7 @@ func (s *System) respond(r memdef.Request, now uint64) {
 	if r.SM < 0 {
 		return
 	}
-	s.toSM.Push(respEntry{phys: memdef.SectorAddr(r.Phys), sm: r.SM, at: now + s.cfg.XbarLatency})
+	s.toSM.Push(respEntry{phys: memdef.SectorAddr(r.Phys), sm: int(r.SM), at: now + s.cfg.XbarLatency})
 }
 
 func (s *System) smsFinished() bool {

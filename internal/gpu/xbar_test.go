@@ -29,7 +29,7 @@ func TestXbarBackpressureDepth(t *testing.T) {
 		cfg := smallConfig()
 		cfg.XbarQueueDepth = depth
 		s := NewSystem(cfg, baselineOpts())
-		r := smRequest{addr: 0, space: memdef.SpaceGlobal, sm: 0, warp: 0}
+		r := smRequest{addr: 0, space: memdef.SpaceGlobal, sm: 0}
 		for i := 0; i < depth; i++ {
 			if !s.acceptRequest(r) {
 				t.Fatalf("depth=%d: request %d rejected below capacity", depth, i)
@@ -61,7 +61,7 @@ func TestXbarQueueDepthValidation(t *testing.T) {
 func TestXbarMaturityGate(t *testing.T) {
 	cfg := smallConfig()
 	s := NewSystem(cfg, baselineOpts())
-	r := smRequest{addr: 0, space: memdef.SpaceGlobal, sm: -1, warp: 0}
+	r := smRequest{addr: 0, space: memdef.SpaceGlobal, sm: -1}
 	s.tickNow = 0
 	if !s.acceptRequest(r) {
 		t.Fatal("empty queue rejected a request")
@@ -93,7 +93,7 @@ func TestXbarHeadOfLineBlocking(t *testing.T) {
 	_, localA := s.pmap.ToLocal(addrA)
 	bankA := s.l2[part][s.bankOf(localA)]
 	for i := 0; bankA.canAccept(); i++ {
-		bankA.enqueue(memdef.Request{Phys: addrA, Local: localA, Partition: part,
+		bankA.enqueue(memdef.Request{Phys: addrA, Local: localA, Partition: int16(part),
 			Kind: memdef.Read, Space: memdef.SpaceGlobal, SM: -1}, 0)
 	}
 

@@ -218,24 +218,26 @@ func (m *PartitionMap) LocalRange(lo, hi Addr) (localLo, localHi Addr) {
 
 // Request is one off-chip memory access as seen by a memory partition:
 // an L2 sector miss (Read) or a dirty sector write-back (Write).
+//
+// It moves by value through every queue from the crossbar to the MEE, so
+// its fields are ordered for a 24-byte layout, which a layout test in
+// internal/gpu pins. The ids are int16: gpu.Config.Validate bounds the SM
+// and partition counts far below math.MaxInt16. There is no request id or
+// warp: nothing below the SM reads them.
 type Request struct {
 	// Phys is the physical sector address (SectorSize-aligned).
 	Phys Addr
 	// Local is the partition-local sector address.
 	Local Addr
 	// Partition is the memory partition index.
-	Partition int
+	Partition int16
+	// SM is the issuing streaming multiprocessor (for response routing);
+	// negative for internally generated traffic.
+	SM int16
 	// Kind is Read or Write.
 	Kind AccessKind
 	// Space is the GPU memory space of the data.
 	Space Space
-	// SM is the issuing streaming multiprocessor (for response routing);
-	// negative for internally generated traffic.
-	SM int
-	// Warp is the issuing warp within the SM.
-	Warp int
-	// ID is a unique request identifier assigned by the issuer.
-	ID uint64
 }
 
 // String renders a compact description for logs and test failures.

@@ -65,11 +65,11 @@ const (
 // the L2 once the ciphertext sector has arrived AND its OTP is ready.
 type txn struct {
 	req      memdef.Request
-	haveData bool
-	haveOTP  bool
 	otpAt    uint64
 	dataAt   uint64
 	submitAt uint64
+	haveData bool
+	haveOTP  bool
 	enqueued bool // pushed on the ready heap
 }
 

@@ -16,6 +16,7 @@ package cache
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"shmgpu/internal/flatmap"
@@ -55,8 +56,8 @@ func (c Config) Validate() error {
 	if c.MSHRs <= 0 {
 		return fmt.Errorf("cache %s: MSHR count must be positive", c.Name)
 	}
-	if c.MaxMergesPerMSHR <= 0 {
-		return fmt.Errorf("cache %s: MaxMergesPerMSHR must be positive", c.Name)
+	if c.MaxMergesPerMSHR <= 0 || c.MaxMergesPerMSHR > maxMerges {
+		return fmt.Errorf("cache %s: MaxMergesPerMSHR must be in [1, %d], got %d", c.Name, maxMerges, c.MaxMergesPerMSHR)
 	}
 	return nil
 }
@@ -113,12 +114,18 @@ type line struct {
 
 // mshr tracks one block's outstanding sector fetches. Entries live in an
 // open-addressed table keyed by block address, so allocating and retiring
-// an MSHR never touches the heap.
+// an MSHR never touches the heap. The entry is 2 bytes, so a table slot
+// (key, used flag, entry) is 16 bytes; TestMSHRLayout pins both.
 type mshr struct {
 	// pending has bit i set while sector i is being fetched.
 	pending uint8
-	merges  int
+	// merges never exceeds MaxMergesPerMSHR, which Validate bounds by
+	// maxMerges.
+	merges uint8
 }
+
+// maxMerges bounds MaxMergesPerMSHR by what mshr.merges holds.
+const maxMerges = math.MaxUint8
 
 // Cache is one sectored cache instance. Create with New; the zero value is
 // not usable.
@@ -240,7 +247,7 @@ func (c *Cache) Read(addr memdef.Addr) Outcome {
 	}
 	if m := c.mshrs.Get(uint64(block)); m != nil {
 		if m.pending&bit != 0 {
-			if m.merges >= c.cfg.MaxMergesPerMSHR {
+			if int(m.merges) >= c.cfg.MaxMergesPerMSHR {
 				return Blocked
 			}
 			m.merges++
@@ -307,7 +314,7 @@ func (c *Cache) Fill(addr memdef.Addr) (wb []Writeback, waiters int) {
 	bit := sectorBit(addr)
 	waiters = 0
 	if m := c.mshrs.Get(uint64(block)); m != nil && m.pending&bit != 0 {
-		waiters = 1 + m.merges
+		waiters = 1 + int(m.merges)
 		m.pending &^= bit
 		m.merges = 0
 		if m.pending == 0 {

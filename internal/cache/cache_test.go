@@ -17,6 +17,11 @@ func TestConfigValidate(t *testing.T) {
 	if err := good.Validate(); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
 	}
+	widest := smallConfig()
+	widest.MaxMergesPerMSHR = 255
+	if err := widest.Validate(); err != nil {
+		t.Fatalf("MaxMergesPerMSHR at the mshr.merges bound rejected: %v", err)
+	}
 	bad := []Config{
 		{Name: "sz", SizeBytes: 100, Ways: 4, MSHRs: 1, MaxMergesPerMSHR: 1},
 		{Name: "ways", SizeBytes: 2048, Ways: 0, MSHRs: 1, MaxMergesPerMSHR: 1},
@@ -24,6 +29,7 @@ func TestConfigValidate(t *testing.T) {
 		{Name: "pow2", SizeBytes: 3 * 2048, Ways: 4, MSHRs: 1, MaxMergesPerMSHR: 1},
 		{Name: "mshr", SizeBytes: 2048, Ways: 4, MSHRs: 0, MaxMergesPerMSHR: 1},
 		{Name: "merge", SizeBytes: 2048, Ways: 4, MSHRs: 1, MaxMergesPerMSHR: 0},
+		{Name: "merge-wide", SizeBytes: 2048, Ways: 4, MSHRs: 1, MaxMergesPerMSHR: 256},
 	}
 	for _, cfg := range bad {
 		if err := cfg.Validate(); err == nil {

@@ -11,18 +11,26 @@ import (
 // refCache is the earlier cache layout, kept as the differential test's
 // reference: every way carried its own tag, used flag and LRU stamp in one
 // array of lines, lookups went through findLine, and a miss that installs
-// a line rescanned the set in allocate. The MSHR file is unchanged.
+// a line rescanned the set in allocate. Its MSHR entries keep the earlier
+// int merge count (refMSHR), so the differential test also covers the
+// 2-byte mshr.
 type refCache struct {
 	cfg       Config
 	lines     []refLine
 	ways      int
 	setMask   uint64
-	mshrs     flatmap.Map[mshr]
+	mshrs     flatmap.Map[refMSHR]
 	mshrCap   int
 	lruClock  uint64
 	wbScratch []Writeback
 	Stats     stats.CacheStats
 	OnEvict   func(blockAddr memdef.Addr, validMask uint8)
+}
+
+// refMSHR is the earlier 16-byte MSHR entry.
+type refMSHR struct {
+	pending uint8
+	merges  int
 }
 
 type refLine struct {
@@ -43,7 +51,7 @@ func newRef(cfg Config) *refCache {
 		lines:   make([]refLine, blocks),
 		ways:    cfg.Ways,
 		setMask: uint64(blocks/cfg.Ways - 1),
-		mshrs:   flatmap.NewMap[mshr](cfg.MSHRs),
+		mshrs:   flatmap.NewMap[refMSHR](cfg.MSHRs),
 		mshrCap: cfg.MSHRs,
 	}
 }

@@ -258,6 +258,30 @@ func TestMATFlush(t *testing.T) {
 	}
 }
 
+// TestMATTickAllocationFree pins the expiry path: with every tracker armed
+// and timing out each round, Tick fills the file's scratch buffer and
+// allocates nothing.
+func TestMATTickAllocationFree(t *testing.T) {
+	cfg := streamCfg()
+	f := NewMATFile(cfg)
+	var now uint64
+	var armed, expired int
+	round := func() {
+		for c := 0; c < cfg.Trackers; c++ {
+			f.Observe(memdef.Addr(uint64(c)*cfg.ChunkBytes), false, now)
+		}
+		armed = f.InUse()
+		now += cfg.TimeoutCycles
+		expired = len(f.Tick(now))
+	}
+	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
+		t.Errorf("%g allocations per expiry round, want 0", allocs)
+	}
+	if armed != cfg.Trackers || expired != armed {
+		t.Errorf("last round armed %d of %d trackers and expired %d; want all of them", armed, cfg.Trackers, expired)
+	}
+}
+
 func TestReadOnlyAccuracyAllCorrect(t *testing.T) {
 	p := roPred()
 	p.MarkInputRange(0, 4*memdef.RegionSize)

@@ -160,6 +160,9 @@ type tracker struct {
 type MATFile struct {
 	cfg      StreamingConfig
 	trackers []tracker
+	// expired backs the slice Tick and Flush return; see the validity
+	// note on Tick. It holds one Detection per tracker, so it never grows.
+	expired []Detection
 	// Monitored counts chunks that got a tracker; Skipped counts accesses
 	// belonging to unmonitored chunks while all trackers were busy.
 	Monitored, Skipped uint64
@@ -175,7 +178,11 @@ func NewMATFile(cfg StreamingConfig) *MATFile {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	return &MATFile{cfg: cfg, trackers: make([]tracker, cfg.Trackers)}
+	return &MATFile{
+		cfg:      cfg,
+		trackers: make([]tracker, cfg.Trackers),
+		expired:  make([]Detection, 0, cfg.Trackers),
+	}
 }
 
 // Observe feeds one off-chip access (L2 miss or write-back) at cycle now.
@@ -262,12 +269,15 @@ func (f *MATFile) Observe(local memdef.Addr, write bool, now uint64) (Detection,
 
 // Tick expires timed-out monitoring phases at cycle now and returns their
 // detections. Call periodically (every cycle or coarser).
+//
+// The returned slice aliases the file's scratch buffer and is valid only
+// until the next Tick or Flush; callers consume it before either.
 func (f *MATFile) Tick(now uint64) []Detection {
-	var out []Detection
+	out := f.expired[:0]
 	for i := range f.trackers {
 		tr := &f.trackers[i]
 		if tr.inUse && (now >= tr.deadline || now >= tr.hardDeadline) {
-			out = append(out, f.finalize(tr, true)) //shm:alloc-ok timeout detections are rare events, not per-access work
+			out = append(out, f.finalize(tr, true)) //shm:alloc-ok fills the expired scratch, sized to the tracker count
 		}
 	}
 	return out
@@ -294,12 +304,13 @@ func (f *MATFile) NextDeadline() uint64 {
 	return next
 }
 
-// Flush finalizes every active tracker (kernel boundary).
+// Flush finalizes every active tracker (kernel boundary). Its result
+// aliases the same scratch buffer as Tick's.
 func (f *MATFile) Flush() []Detection {
-	var out []Detection
+	out := f.expired[:0]
 	for i := range f.trackers {
 		if f.trackers[i].inUse {
-			out = append(out, f.finalize(&f.trackers[i], true))
+			out = append(out, f.finalize(&f.trackers[i], true)) //shm:alloc-ok fills the expired scratch, sized to the tracker count
 		}
 	}
 	return out

@@ -20,6 +20,8 @@
 // for concurrent use.
 package flatmap
 
+import "unsafe"
+
 // fibMix is the 64-bit golden-ratio constant; the Fibonacci-style mixing
 // below gives good dispersion for the address- and token-shaped keys the
 // simulator uses (low entropy in the low bits).
@@ -39,6 +41,10 @@ type slot[V any] struct {
 	used bool
 	val  V
 }
+
+// SlotBytes returns the size of one Map[V] slot. A table pre-sized for n
+// entries holds at least 4n/3 of them.
+func SlotBytes[V any]() uintptr { return unsafe.Sizeof(slot[V]{}) }
 
 // NewMap returns a map pre-sized so that sizeHint entries fit without
 // growth. A zero Map is also valid and grows on first insert.

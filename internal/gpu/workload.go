@@ -77,5 +77,8 @@ type Workload interface {
 	// Setup describes host activity before kernel k.
 	Setup(k int) KernelSetup
 	// NewWarp builds the deterministic instruction stream of one warp.
+	// A program may be reused once NewWarp is called for a later kernel:
+	// the caller must not call it again after that, so a workload may
+	// recycle it for the new kernel's warps.
 	NewWarp(kernel, sm, warp int) WarpProgram
 }

@@ -44,3 +44,31 @@ func TestWarpNextAllocationFree(t *testing.T) {
 		}
 	}
 }
+
+// TestNewWarpAllocationFree pins program recycling on every built-in
+// workload: once the grid's programs exist, building a later kernel's
+// warps resets and reseeds them in place and allocates nothing.
+func TestNewWarpAllocationFree(t *testing.T) {
+	const sms, warps = 2, 2
+	for _, name := range Names() {
+		b, err := ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.SetGrid(sms, warps)
+		kernel := 0
+		launch := func() {
+			for sm := 0; sm < sms; sm++ {
+				for w := 0; w < warps; w++ {
+					b.NewWarp(kernel, sm, w)
+				}
+			}
+			kernel++
+		}
+		// AllocsPerRun's warm-up call builds the first kernel's programs;
+		// every measured call launches a later kernel.
+		if allocs := testing.AllocsPerRun(10, launch); allocs != 0 {
+			t.Errorf("%s: %g allocations per later-kernel launch of %d warps, want 0", name, allocs, sms*warps)
+		}
+	}
+}

@@ -150,6 +150,9 @@ type Bench struct {
 	// frontier is the shared per-kernel pacing state; see frontierState.
 	frontier       *frontierState
 	frontierKernel int
+	// progs holds each warp slot's (sm*warps+warp) program, which NewWarp
+	// recycles for the slot's warp of the next kernel.
+	progs []*program
 }
 
 // frontierState keeps per-SM histograms ("lanes") of registered warps'
@@ -187,6 +190,15 @@ func newFrontierState(steps, lanes int) *frontierState {
 		f.lanes[i].counts = make([]int, steps+1)
 	}
 	return f
+}
+
+// reset empties the frontier for a new kernel, keeping its lanes' storage.
+func (f *frontierState) reset() {
+	for i := range f.lanes {
+		clear(f.lanes[i].counts)
+		f.lanes[i].min, f.lanes[i].warps = 0, 0
+	}
+	*f = frontierState{lanes: f.lanes}
 }
 
 // register adds a warp at step 0 of the given lane (its SM).
@@ -378,26 +390,52 @@ func (b *Bench) SyncTick() {
 	}
 }
 
-// NewWarp implements gpu.Workload.
+// NewWarp implements gpu.Workload. A warp slot's program lives for the
+// whole run: when NewWarp moves to another kernel, the previous kernel's
+// programs are dead (gpu.Workload.NewWarp), so the slot's program is reset
+// and its RNG reseeded in place, which yields the stream a fresh
+// rand.NewSource(seed) would. A fresh source is a 4.9 KB state, and the
+// grid asks for one per warp per kernel.
 func (b *Bench) NewWarp(kernel, sm, warp int) gpu.WarpProgram {
 	idx := sm*b.warps + warp
 	total := b.sms * b.warps
 	if b.frontier == nil || b.frontierKernel != kernel {
-		b.frontier = newFrontierState(b.spec.MemInstsPerWarp, b.sms)
+		if b.frontier != nil && len(b.frontier.lanes) == b.sms {
+			b.frontier.reset()
+		} else {
+			b.frontier = newFrontierState(b.spec.MemInstsPerWarp, b.sms)
+		}
 		b.frontierKernel = kernel
 	}
 	b.frontier.register(sm)
 	seed := b.spec.Seed*1_000_003 + int64(kernel)*131_071 + int64(idx)
-	p := &program{
+	if len(b.progs) != total {
+		b.progs = make([]*program, total)
+	}
+	p := b.progs[idx]
+	if p != nil && p.kernel != kernel {
+		p.rng.Seed(seed)
+	} else {
+		// The slot is empty, or its program belongs to this kernel and
+		// may still be running.
+		p = &program{
+			rng:     rand.New(rand.NewSource(seed)),
+			cursors: make([]memdef.Addr, len(b.buffers)),
+			// Stencil is the widest generator: a full stream stride plus
+			// two neighbor-row sectors.
+			secBuf: make([]memdef.Addr, 0, streamStride/memdef.SectorSize+2),
+		}
+		b.progs[idx] = p
+	}
+	*p = program{
 		bench:   b,
-		rng:     rand.New(rand.NewSource(seed)),
+		rng:     p.rng,
+		kernel:  kernel,
 		warpIdx: idx,
 		lane:    sm,
 		total:   total,
-		cursors: make([]memdef.Addr, len(b.buffers)),
-		// Stencil is the widest generator: a full stream stride plus two
-		// neighbor-row sectors.
-		secBuf: make([]memdef.Addr, 0, streamStride/memdef.SectorSize+2),
+		cursors: p.cursors,
+		secBuf:  p.secBuf[:0],
 	}
 	for i := range p.cursors {
 		p.cursors[i] = memdef.Addr(idx) * memdef.PartitionStride

@@ -9,8 +9,11 @@ import (
 
 // program generates one warp's instruction stream for a Bench.
 type program struct {
-	bench   *Bench
-	rng     *rand.Rand
+	bench *Bench
+	rng   *rand.Rand
+	// kernel is the launch the program was last built for; NewWarp
+	// recycles it only for another one.
+	kernel  int
 	warpIdx int
 	// lane is the warp's SM index: the frontier lane it advances. Only the
 	// owning SM's tick calls Next, so each lane has a single writer.

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"slices"
 	"testing"
 
 	"shmgpu/internal/gpu"
@@ -101,6 +102,69 @@ func TestWarpDeterminism(t *testing.T) {
 		}
 		if d1 {
 			break
+		}
+	}
+}
+
+// TestRecycledProgramsMatchFresh pins program recycling: on every built-in
+// workload, each kernel after the first runs on the programs the previous
+// kernel left behind, whether that kernel ran to the end or was abandoned
+// halfway, and each yields the same instruction stream as a fresh Bench's
+// program for the same (kernel, sm, warp). Grids tick the way the
+// simulator drives them: SyncTick, then each warp's Next.
+func TestRecycledProgramsMatchFresh(t *testing.T) {
+	const sms, warps = 2, 2
+	launch := func(b *Bench, k int) []*program {
+		var progs []*program
+		for sm := 0; sm < sms; sm++ {
+			for w := 0; w < warps; w++ {
+				progs = append(progs, b.NewWarp(k, sm, w).(*program))
+			}
+		}
+		return progs
+	}
+	for name, ctor := range Registry() {
+		spec := ctor().Spec()
+		for k := 1; k < spec.KernelCount; k++ {
+			// -1 runs the previous kernel to the end.
+			for _, prevTicks := range []int{-1, spec.MemInstsPerWarp / 2} {
+				b, fresh := ctor(), ctor()
+				b.SetGrid(sms, warps)
+				fresh.SetGrid(sms, warps)
+				prev := launch(b, k-1)
+				for tick, done := 0, false; !done && tick != prevTicks; tick++ {
+					b.SyncTick()
+					done = true
+					for _, p := range prev {
+						_, _, d := p.Next()
+						done = done && d
+					}
+				}
+				got, want := launch(b, k), launch(fresh, k)
+				for i := range got {
+					if got[i] != prev[i] {
+						t.Fatalf("%s kernel %d warp %d: a new program, want the previous kernel's recycled", name, k, i)
+					}
+				}
+				for tick, done := 0, false; !done; tick++ {
+					if tick > 4*spec.MemInstsPerWarp {
+						t.Fatalf("%s kernel %d: warps unfinished after %d ticks", name, k, tick)
+					}
+					b.SyncTick()
+					fresh.SyncTick()
+					done = true
+					for i := range got {
+						c1, m1, d1 := got[i].Next()
+						c2, m2, d2 := want[i].Next()
+						if c1 != c2 || d1 != d2 || m1.Write != m2.Write || m1.Space != m2.Space ||
+							m1.Stall != m2.Stall || !slices.Equal(m1.Sectors, m2.Sectors) {
+							t.Fatalf("%s kernel %d (previous kernel run %d ticks) warp %d tick %d: recycled (%d, %+v, %v), fresh (%d, %+v, %v)",
+								name, k, prevTicks, i, tick, c1, m1, d1, c2, m2, d2)
+						}
+						done = done && d1
+					}
+				}
+			}
 		}
 	}
 }

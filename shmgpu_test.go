@@ -73,6 +73,7 @@ func TestRunRejectsBadConfig(t *testing.T) {
 		{"L1MSHRs=0", func(c *Config) { c.L1MSHRs = 0 }},
 		{"L1MSHRs<0", func(c *Config) { c.L1MSHRs = -1 }},
 		{"L2Ways=0", func(c *Config) { c.L2Ways = 0 }},
+		{"L2Merges=256", func(c *Config) { c.L2Merges = 256 }},
 		{"L2BankBytes=0", func(c *Config) { c.L2BankBytes = 0 }},
 		{"L2BankBytes=100", func(c *Config) { c.L2BankBytes = 100 }},
 		{"DeviceMemoryBytes=0", func(c *Config) { c.DeviceMemoryBytes = 0 }},
@@ -83,6 +84,7 @@ func TestRunRejectsBadConfig(t *testing.T) {
 		{"MEETune CtrCache zeroed", meeTune(func(m *secmem.Config) { m.CtrCache.SizeBytes, m.CtrCache.Ways = 0, 0 })},
 		{"MEETune MACCache MSHRs=0", meeTune(func(m *secmem.Config) { m.MACCache.MSHRs = 0 })},
 		{"MEETune BMTCache 3 ways", meeTune(func(m *secmem.Config) { m.BMTCache.Ways = 3 })},
+		{"MEETune CtrCache MaxMergesPerMSHR=256", meeTune(func(m *secmem.Config) { m.CtrCache.MaxMergesPerMSHR = 256 })},
 		{"MEETune ReadOnly zeroed", meeTune(func(m *secmem.Config) { m.ReadOnly = secmem.Config{}.ReadOnly })},
 		{"MEETune Streaming zeroed", meeTune(func(m *secmem.Config) { m.Streaming = secmem.Config{}.Streaming })},
 		{"MEETune Trackers=0", meeTune(func(m *secmem.Config) { m.Streaming.Trackers = 0 })},

@@ -143,9 +143,11 @@ type Cache struct {
 	mshrs    flatmap.Map[mshr]
 	mshrCap  int
 	lruClock uint64
-	// wbScratch backs the Writeback slices returned by Write and Fill; see
-	// the validity note on those methods.
+	// wbScratch backs the Writeback slices returned by Write and Fill, and
+	// flushBuf the one FlushAll returns; see the validity notes on those
+	// methods.
 	wbScratch []Writeback
+	flushBuf  []Writeback
 	// Stats is the access-counter block for this cache.
 	Stats stats.CacheStats
 	// OnEvict, when set, observes every line eviction with the evicted
@@ -390,8 +392,12 @@ func (c *Cache) CleanInvalidate(addr memdef.Addr) {
 // before flushing; flushing under outstanding misses is a cycle-model bug
 // (a leaked fetch), reported as an invariant violation with the offending
 // block addresses.
-// FlushAll allocates a fresh slice (it is a cold, kernel-boundary path and
-// its result may be held across later cache operations).
+//
+// The returned slice aliases a buffer the cache owns and keeps across
+// flushes. Unlike the Write and Fill results it survives later Write, Fill
+// and Read calls, so a caller may consume it over many cycles, but it is
+// valid only until the next FlushAll on this cache. It is nil when no
+// sector was dirty.
 func (c *Cache) FlushAll() []Writeback {
 	if c.mshrs.Len() != 0 {
 		// Reduce to the order-insensitive minimum for a deterministic
@@ -407,7 +413,7 @@ func (c *Cache) FlushAll() []Writeback {
 			"FlushAll with %d outstanding MSHRs (first leaked block %#x)",
 			c.mshrs.Len(), uint64(first))
 	}
-	var wbs []Writeback
+	wbs := c.flushBuf[:0]
 	for i, k := range c.keys {
 		if k != 0 && c.lines[i].dirty != 0 {
 			c.Stats.Writebacks++
@@ -419,6 +425,10 @@ func (c *Cache) FlushAll() []Writeback {
 	}
 	clear(c.keys)
 	clear(c.lines)
+	c.flushBuf = wbs
+	if len(wbs) == 0 {
+		return nil
+	}
 	return wbs
 }
 

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -232,6 +233,40 @@ func TestFlushAll(t *testing.T) {
 	}
 	if got := c.Read(0x000); got != MissNew {
 		t.Fatalf("read after flush = %v", got)
+	}
+}
+
+// TestFlushAllBufferOutlivesWrites pins FlushAll's result contract: the
+// slice survives later Write, Fill and Read calls (the L2 bank streams it
+// out over many cycles while the cache keeps working), and a later flush
+// refills the same buffer without allocating.
+func TestFlushAllBufferOutlivesWrites(t *testing.T) {
+	cfg := smallConfig()
+	c := New(cfg)
+	sets := memdef.Addr(cfg.SizeBytes / memdef.BlockSize / cfg.Ways)
+	for w := 0; w < cfg.Ways; w++ {
+		c.Write(memdef.Addr(w) * sets * memdef.BlockSize)
+	}
+	wbs := c.FlushAll()
+	want := append([]Writeback(nil), wbs...)
+	// Refill set 0 with dirty lines, then evict them: every eviction goes
+	// through the Write/Fill scratch buffer.
+	for w := 0; w < 3*cfg.Ways; w++ {
+		a := memdef.Addr(w+cfg.Ways) * sets * memdef.BlockSize
+		c.Write(a)
+		c.Read(a + memdef.SectorSize)
+		c.Fill(a + memdef.SectorSize)
+	}
+	if !reflect.DeepEqual(wbs, want) {
+		t.Fatalf("FlushAll result changed under later writes: %v, want %v", wbs, want)
+	}
+	dirty := func() {
+		for w := 0; w < cfg.Ways; w++ {
+			c.Write(memdef.Addr(w) * sets * memdef.BlockSize)
+		}
+	}
+	if allocs := testing.AllocsPerRun(20, func() { dirty(); c.FlushAll() }); allocs != 0 {
+		t.Errorf("a repeated FlushAll allocates %v times, want 0", allocs)
 	}
 }
 

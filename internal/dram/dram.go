@@ -106,7 +106,7 @@ type Req struct {
 	Kind memdef.AccessKind
 	// Class labels the bytes for bandwidth accounting.
 	Class stats.TrafficClass
-	// Token is an opaque caller identifier returned on completion.
+	// Token is an opaque caller identifier; Tick returns it on completion.
 	Token uint64
 }
 
@@ -121,8 +121,12 @@ type pendingReq struct {
 	next    int32
 }
 
+// completion is one issued request waiting out its transfer: the token
+// Tick returns and the cycle the transfer ends. Nothing else of the request
+// is read after issue, so the ring holds 16 bytes per request in flight
+// (TestCompletionLayout pins it).
 type completion struct {
-	req   Req
+	token uint64
 	cycle uint64
 }
 
@@ -154,12 +158,12 @@ type Channel struct {
 	busFreeFP uint64 // fixed-point cycle (×256) when the data bus frees
 	completed ringbuf.Ring[completion]
 	// doneBuf backs the slice returned by Tick; see the validity note there.
-	doneBuf []Req
+	doneBuf []uint64
 
 	// Traffic accounts every byte moved, by class and direction.
 	Traffic stats.Traffic
-	// ReadsServed and WritesServed count completed sector requests.
-	ReadsServed, WritesServed uint64
+	// Served counts completed sector requests, reads and writes together.
+	Served uint64
 	// BusyCycles approximates cycles in which the bus was transferring.
 	busyFP uint64
 
@@ -284,12 +288,12 @@ func (ch *Channel) push(p pendingReq) {
 }
 
 // Tick advances the channel to cycle now: issues eligible requests (FR-FCFS:
-// oldest row hit first, else oldest) and returns requests whose data
-// transfer completed at or before now. Call with a monotonically
-// non-decreasing now. The returned slice aliases a per-channel scratch
-// buffer and is valid only until the next Tick (the caller consumes it
-// within the same simulated cycle).
-func (ch *Channel) Tick(now uint64) []Req {
+// oldest row hit first, else oldest) and returns the tokens of requests
+// whose data transfer completed at or before now, in completion order. Call
+// with a monotonically non-decreasing now. The returned slice aliases a
+// per-channel scratch buffer and is valid only until the next Tick (the
+// caller consumes it within the same simulated cycle).
+func (ch *Channel) Tick(now uint64) []uint64 {
 	if invariant.Enabled() {
 		if now < ch.lastTick {
 			invariant.Failf("clock-monotonic", fmt.Sprintf("dram[%d]", ch.part), now,
@@ -333,7 +337,7 @@ func (ch *Channel) Tick(now uint64) []Req {
 		ch.busyFP += transferFP
 		doneCycle := (startFP + transferFP + 255) / 256
 
-		ch.completed.Push(completion{req: p.Req, cycle: doneCycle})
+		ch.completed.Push(completion{token: p.Token, cycle: doneCycle})
 		if ch.probe != nil {
 			ch.probe.Emit(telemetry.Event{
 				Cycle: now, Kind: telemetry.EvDRAMService, Part: ch.part,
@@ -350,13 +354,8 @@ func (ch *Channel) Tick(now uint64) []Req {
 
 	done := ch.doneBuf[:0]
 	for !ch.completed.Empty() && ch.completed.Front().cycle <= now {
-		c := ch.completed.PopFront()
-		if c.req.Kind == memdef.Read {
-			ch.ReadsServed++
-		} else {
-			ch.WritesServed++
-		}
-		done = append(done, c.req) //shm:alloc-ok fills the reused doneBuf scratch, amortized
+		ch.Served++
+		done = append(done, ch.completed.PopFront().token) //shm:alloc-ok fills the reused doneBuf scratch, amortized
 	}
 	ch.doneBuf = done
 	return done
@@ -460,11 +459,10 @@ func (ch *Channel) Drained() bool { return ch.nQueued == 0 && ch.completed.Empty
 // checking is on, so the check is only coherent when enabled for the whole
 // run).
 func (ch *Channel) CheckConserved(component string, now uint64) {
-	served := ch.ReadsServed + ch.WritesServed
-	if ch.enqueued != served || !ch.Drained() {
+	if ch.enqueued != ch.Served || !ch.Drained() {
 		invariant.Failf("request-conservation", component, now,
 			"%d enqueued, %d served, %d queued, %d in flight",
-			ch.enqueued, served, ch.nQueued, ch.completed.Len())
+			ch.enqueued, ch.Served, ch.nQueued, ch.completed.Len())
 	}
 }
 

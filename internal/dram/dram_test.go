@@ -23,8 +23,8 @@ func drain(t *testing.T, ch *Channel, start uint64) (map[uint64]uint64, uint64) 
 		if i > 1_000_000 {
 			t.Fatal("channel did not drain")
 		}
-		for _, r := range ch.Tick(cycle) {
-			done[r.Token] = cycle
+		for _, tok := range ch.Tick(cycle) {
+			done[tok] = cycle
 		}
 		cycle++
 	}
@@ -139,8 +139,8 @@ func TestTrafficAccounting(t *testing.T) {
 	if got := ch.Traffic.WriteBytes[stats.TrafficMAC]; got != memdef.SectorSize {
 		t.Errorf("mac write bytes = %d", got)
 	}
-	if ch.ReadsServed != 1 || ch.WritesServed != 1 {
-		t.Errorf("served counts = %d/%d", ch.ReadsServed, ch.WritesServed)
+	if ch.Served != 2 {
+		t.Errorf("served count = %d, want 2", ch.Served)
 	}
 }
 

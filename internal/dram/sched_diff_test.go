@@ -23,9 +23,16 @@ type refPending struct {
 	row     uint64
 }
 
+// refCompletion is the reference's in-flight record: the whole request, as
+// the channel kept before its completions shrank to a token and a cycle.
+type refCompletion struct {
+	req   Req
+	cycle uint64
+}
+
 // refHeap is a binary min-heap on completion cycle with container/heap's
 // sift order.
-type refHeap []completion
+type refHeap []refCompletion
 
 func (h refHeap) up(j int) {
 	for {
@@ -57,12 +64,12 @@ func (h refHeap) down(i0, n int) {
 	}
 }
 
-func (h *refHeap) push(c completion) {
+func (h *refHeap) push(c refCompletion) {
 	*h = append(*h, c)
 	h.up(len(*h) - 1)
 }
 
-func (h *refHeap) pop() completion {
+func (h *refHeap) pop() refCompletion {
 	old := *h
 	n := len(old) - 1
 	old[0], old[n] = old[n], old[0]
@@ -127,7 +134,7 @@ func (ch *refChannel) pickNext(now uint64) int {
 	return bestAny
 }
 
-func (ch *refChannel) tick(now uint64) []completion {
+func (ch *refChannel) tick(now uint64) []refCompletion {
 	for len(ch.queue) > 0 {
 		idx := ch.pickNext(now)
 		if idx < 0 {
@@ -153,7 +160,7 @@ func (ch *refChannel) tick(now uint64) []completion {
 		}
 		ch.busFreeFP = startFP + transferFP
 		ch.busyFP += transferFP
-		ch.completed.push(completion{req: p.Req, cycle: (startFP + transferFP + 255) / 256})
+		ch.completed.push(refCompletion{req: p.Req, cycle: (startFP + transferFP + 255) / 256})
 		ch.queue = append(ch.queue[:idx], ch.queue[idx+1:]...)
 		if p.Kind == memdef.Read {
 			ch.traffic.AddRead(p.Class, memdef.SectorSize)
@@ -161,7 +168,7 @@ func (ch *refChannel) tick(now uint64) []completion {
 			ch.traffic.AddWrite(p.Class, memdef.SectorSize)
 		}
 	}
-	var done []completion
+	var done []refCompletion
 	for len(ch.completed) > 0 && ch.completed[0].cycle <= now {
 		done = append(done, ch.completed.pop())
 	}
@@ -232,7 +239,7 @@ func runDiff(t *testing.T, cfg Config, seed int64, steps int) {
 	// Bursty offered load: some phases saturate the queue, others let it
 	// drain so NextEvent jumps across idle gaps.
 	burst := 1 + rng.Intn(4)
-	var now, token uint64
+	var now, token, served uint64
 	for step := 0; step < steps; step++ {
 		if step%64 == 0 {
 			burst = rng.Intn(5)
@@ -256,11 +263,14 @@ func runDiff(t *testing.T, cfg Config, seed int64, steps int) {
 		if len(got) != len(want) {
 			t.Fatalf("step %d cycle %d: %d completions, reference %d", step, now, len(got), len(want))
 		}
-		for i := range got {
-			if got[i] != want[i].req {
+		for i, tok := range got {
+			if tok != want[i].req.Token {
 				t.Fatalf("step %d cycle %d: completion %d is token %d, reference token %d",
-					step, now, i, got[i].Token, want[i].req.Token)
+					step, now, i, tok, want[i].req.Token)
 			}
+		}
+		if served += uint64(len(want)); ch.Served != served {
+			t.Fatalf("step %d cycle %d: %d served, reference %d", step, now, ch.Served, served)
 		}
 		next, refNext := ch.NextEvent(now), ref.nextEvent(now)
 		if next != refNext {
@@ -324,8 +334,8 @@ func TestFastBusTiesPopInIssueOrder(t *testing.T) {
 	var order []uint64
 	perCycle := map[uint64]int{}
 	for now := uint64(0); !ch.Drained(); now = ch.NextEvent(now) {
-		for _, r := range ch.Tick(now) {
-			order = append(order, r.Token)
+		for _, tok := range ch.Tick(now) {
+			order = append(order, tok)
 			perCycle[now]++
 		}
 	}

@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"runtime"
 	"testing"
 
 	"shmgpu/internal/memdef"
@@ -162,6 +163,72 @@ func TestTickSteadyStateAllocFree(t *testing.T) {
 			}
 			if s.smsFinished() {
 				t.Error("workload finished during measurement; steady-state measurement is vacuous")
+			}
+		})
+	}
+}
+
+// mallocs returns the heap allocations f performs.
+func mallocs(f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// TestKernelBoundaryFlushAllocFree pins the kernel-boundary flushes at zero
+// allocations once earlier boundaries have sized their buffers: each L2
+// bank streams its write-backs out of its cache's flush buffer, and each
+// MEE spills its dirty metadata from its caches' flush buffers into DRAM
+// requests that take no pending slot. Under SHM the dirty metadata grows
+// over the first three kernels (each cache's flush buffer grows with it),
+// so the boundaries after that are measured. The test steps through Run's
+// kernel loop by hand so it can measure the two flushes alone.
+func TestKernelBoundaryFlushAllocFree(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts secmem.Options
+	}{
+		{"Baseline", baselineOpts()},
+		{"Naive", naiveOptions()},
+		{"SHM", shmOptions()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			wl := &streamWorkload{name: "flush", bufBytes: 2 << 20, compute: 2, insts: 300, writeEvery: 2, kernels: 5}
+			s := NewSystem(smallConfig(), tc.opts)
+			for k := 0; k < wl.Kernels(); k++ {
+				s.applySetup(k, wl.Setup(k))
+				for _, sm := range s.sms {
+					sm.launch(k, wl)
+				}
+				if !s.runKernel() {
+					t.Fatalf("kernel %d did not complete", k)
+				}
+				l2 := mallocs(func() {
+					for _, banks := range s.l2 {
+						for _, b := range banks {
+							b.flushAll(s.cycle)
+						}
+					}
+				})
+				if s.l2[0][0].flushLeft == 0 {
+					t.Fatalf("kernel %d left no dirty L2 sector to flush; the measurement is vacuous", k)
+				}
+				s.drainLoop()
+				for _, mee := range s.mees {
+					mee.FlushKernel(s.cycle)
+				}
+				meta := mallocs(func() {
+					for _, mee := range s.mees {
+						mee.FlushMetadata()
+					}
+				})
+				s.drainLoop()
+				if k >= 3 && (l2 != 0 || meta != 0) {
+					t.Errorf("kernel %d boundary: L2 flush allocates %d times, metadata flush %d; want 0", k, l2, meta)
+				}
 			}
 		})
 	}

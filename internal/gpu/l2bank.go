@@ -1,8 +1,12 @@
 package gpu
 
 import (
+	"fmt"
+	"math/bits"
+
 	"shmgpu/internal/cache"
 	"shmgpu/internal/flatmap"
+	"shmgpu/internal/invariant"
 	"shmgpu/internal/memdef"
 	"shmgpu/internal/ringbuf"
 	"shmgpu/internal/stats"
@@ -32,6 +36,14 @@ type L2Bank struct {
 	input ringbuf.Ring[l2Request]
 	// toMEE buffers requests the MEE could not yet accept.
 	toMEE ringbuf.Ring[memdef.Request]
+	// flushWbs is what is left of a kernel-boundary flush: the tail of the
+	// cache's FlushAll result, whose sectors go to the MEE one by one ahead
+	// of toMEE (the flush found toMEE empty, so they are older than
+	// anything in it). flushMask holds the unsent sectors of flushWbs[0]
+	// and flushLeft counts every unsent sector.
+	flushWbs  []cache.Writeback
+	flushMask uint8
+	flushLeft int
 
 	// Miss-rate sampling for the victim-cache trigger. Data accesses only;
 	// metadata (victim) traffic is excluded, mirroring the paper's
@@ -126,12 +138,44 @@ func (b *L2Bank) victimActive() bool {
 	return b.haveSample && b.sampledRate >= b.cfg.VictimMissRateThreshold
 }
 
+// meeBacklog counts the requests waiting for the MEE: the unsent flush
+// sectors and toMEE.
+func (b *L2Bank) meeBacklog() int { return b.flushLeft + b.toMEE.Len() }
+
+// flushFront returns the next flush write-back. The caller has checked
+// flushLeft > 0.
+func (b *L2Bank) flushFront() memdef.Request {
+	s := bits.TrailingZeros8(b.flushMask)
+	return memdef.Request{
+		Local:     b.flushWbs[0].BlockAddr + memdef.Addr(s*memdef.SectorSize),
+		Partition: b.partition,
+		SM:        -1,
+		Kind:      memdef.Write,
+		Space:     memdef.SpaceGlobal,
+	}
+}
+
+// flushPop marks the flush front sent.
+func (b *L2Bank) flushPop() {
+	b.flushLeft--
+	if b.flushMask &= b.flushMask - 1; b.flushMask == 0 {
+		b.flushWbs = b.flushWbs[1:]
+		if len(b.flushWbs) > 0 {
+			b.flushMask = b.flushWbs[0].SectorMask
+		}
+	}
+}
+
 // tick processes up to issueWidth input requests, forwarding misses and
 // write-backs to the MEE. Responses ready from cache hits are appended via
 // respond.
 func (b *L2Bank) tick(now uint64, mee meePort, respond func(memdef.Request, uint64)) {
-	// Retry buffered MEE submissions first.
-	for b.toMEE.Len() > 0 {
+	// Retry buffered MEE submissions first, the flush stream ahead of
+	// toMEE; the first refusal ends both.
+	for b.flushLeft > 0 && mee.SubmitWrite(b.flushFront(), now) {
+		b.flushPop()
+	}
+	for b.flushLeft == 0 && b.toMEE.Len() > 0 {
 		r := *b.toMEE.Front()
 		var ok bool
 		if r.Kind == memdef.Write {
@@ -144,7 +188,7 @@ func (b *L2Bank) tick(now uint64, mee meePort, respond func(memdef.Request, uint
 		}
 		b.toMEE.PopFront()
 	}
-	if b.toMEE.Len() > 96 {
+	if b.meeBacklog() > 96 {
 		return // severe back-pressure: stop accepting work this cycle
 	}
 	const issueWidth = 2
@@ -246,7 +290,7 @@ func (b *L2Bank) ProbeVictim(addr memdef.Addr) bool {
 
 // drained reports whether the bank holds no queued work.
 func (b *L2Bank) drained() bool {
-	return b.input.Len() == 0 && b.toMEE.Len() == 0 && b.waiters.Empty()
+	return b.input.Len() == 0 && b.meeBacklog() == 0 && b.waiters.Empty()
 }
 
 // nextEvent returns the earliest cycle after now at which this bank can make
@@ -255,7 +299,7 @@ func (b *L2Bank) drained() bool {
 // are woken by MEE fills, which the MEE's own horizon accounts for, so a
 // bank with only waiters reports no self-driven event.
 func (b *L2Bank) nextEvent(now uint64) uint64 {
-	if b.toMEE.Len() > 0 {
+	if b.meeBacklog() > 0 {
 		return now + 1
 	}
 	if b.input.Len() > 0 {
@@ -267,9 +311,21 @@ func (b *L2Bank) nextEvent(now uint64) uint64 {
 	return ^uint64(0)
 }
 
-// flushAll writes back every dirty sector at a kernel boundary, queuing the
-// write-backs toward the MEE. The bank must be drained first.
-func (b *L2Bank) flushAll() {
-	tmpl := memdef.Request{Partition: b.partition, Space: memdef.SpaceGlobal}
-	b.spill(b.c.FlushAll(), tmpl)
+// flushAll writes back every dirty sector at a kernel boundary. The
+// write-backs stream to the MEE from the cache's flush buffer rather than
+// through toMEE, in the order spill would have queued them. The bank must
+// be drained first: a write-back still waiting for the MEE would otherwise
+// be overtaken by the flush.
+func (b *L2Bank) flushAll(now uint64) {
+	if n := b.meeBacklog(); n != 0 {
+		invariant.Failf("flush-order", fmt.Sprintf("l2[%d.%d]", b.partition, b.bank), now,
+			"kernel-boundary flush with %d write-backs still waiting for the MEE", n)
+	}
+	b.flushWbs = b.c.FlushAll()
+	for _, wb := range b.flushWbs {
+		b.flushLeft += wb.DirtySectors()
+	}
+	if len(b.flushWbs) > 0 {
+		b.flushMask = b.flushWbs[0].SectorMask
+	}
 }

@@ -362,7 +362,7 @@ func (s *System) drive(wl Workload) Result {
 		s.observePhase(obs.EvPhaseBegin, obs.PhaseDrain, k)
 		for _, banks := range s.l2 {
 			for _, b := range banks {
-				b.flushAll()
+				b.flushAll(s.cycle)
 			}
 		}
 		s.drainLoop()
@@ -789,10 +789,10 @@ func (s *System) tickOnce(now uint64) {
 
 	// 5. DRAM channels advance; completions return to their owning MEE.
 	for _, ch := range s.channels {
-		for _, done := range ch.Tick(now) {
-			owner := secmem.TokenOwner(done.Token)
+		for _, tok := range ch.Tick(now) {
+			owner := secmem.TokenOwner(tok)
 			if owner >= 0 && owner < len(s.mees) {
-				s.mees[owner].OnDRAMComplete(done.Token, now)
+				s.mees[owner].OnDRAMComplete(tok, now)
 			}
 		}
 	}

@@ -67,7 +67,8 @@ func SetEnabled(v bool) { enabled = v }
 type Violation struct {
 	// Check names the violated invariant ("request-conservation",
 	// "clock-monotonic", "mshr-occupancy", "bmt-consistency",
-	// "counter-overflow", "drain-convergence", "warp-residency").
+	// "counter-overflow", "drain-convergence", "warp-residency",
+	// "mshr-drain", "flush-order").
 	Check string
 	// Component identifies the violating instance ("dram[3]", "cache l2",
 	// "sm[12]", "bmt[p0]", "system").

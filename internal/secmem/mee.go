@@ -32,7 +32,13 @@ const (
 	pkCounter
 	pkMAC
 	pkBMT
-	pkMisc // fire-and-forget traffic (mispredict recovery, scans)
+	// pkMisc is traffic whose completion the MEE does not act on: data
+	// writes (ciphertext and baseline pass-through), dirty metadata
+	// write-backs (evictions and kernel-boundary flushes), misprediction
+	// recovery reads (chunk data and MAC re-fetches) and the counter scan
+	// of InputReadOnlyReset. It takes no pending slot and carries the
+	// untracked token.
+	pkMisc
 )
 
 // pendingEntry is one slot of the MEE's pending slab: the completion
@@ -46,7 +52,7 @@ type pendingEntry struct {
 	// slot is ignored.
 	gen uint32
 	// key is the cache key address the completion fills (metadata space),
-	// or unused for pkData/pkMisc.
+	// or unused for pkData.
 	key memdef.Addr
 	// txn is the transaction awaiting this data sector (pkData only).
 	txn *txn
@@ -60,6 +66,11 @@ const (
 	slotMask = 1<<slotBits - 1
 	genMask  = 1<<(48-slotBits) - 1
 )
+
+// untracked is the token of every pkMisc request. No MEE owns it
+// (TokenOwner returns -1), so the system drops its completion and slotOf
+// rejects it.
+const untracked uint64 = 0
 
 // txn tracks one in-flight read through the MEE: the response returns to
 // the L2 once the ciphertext sector has arrived AND its OTP is ready.
@@ -176,11 +187,11 @@ type MEE struct {
 
 	input    ringbuf.Ring[inputEntry]
 	outgoing ringbuf.Ring[outgoing]
-	// pending holds the completion action of every in-flight DRAM request
-	// in a slab indexed by the slot its token carries, so a completion is
-	// one indexed load. pendFree stacks the released slots (reused last
-	// in, first out) and pendLive counts the live ones; the slab never
-	// grows past the in-flight high-water mark.
+	// pending holds the completion action of every in-flight DRAM read
+	// other than pkMisc in a slab indexed by the slot its token carries,
+	// so a completion is one indexed load. pendFree stacks the released
+	// slots (reused last in, first out) and pendLive counts the live ones;
+	// the slab never grows past the tracked-read high-water mark.
 	pending  []pendingEntry
 	pendFree []int32
 	pendLive int
@@ -452,7 +463,10 @@ func (m *MEE) SubmitWrite(r memdef.Request, now uint64) bool {
 	return true
 }
 
-// Idle reports whether the MEE holds no queued or in-flight work.
+// Idle reports whether the MEE holds no queued work and awaits no DRAM
+// completion. A pkMisc request the MEE has handed to a DRAM channel (every
+// write among them) is no longer the MEE's: the channel counts it until its
+// transfer ends, and System.drained checks the channels as well.
 func (m *MEE) Idle() bool {
 	return m.input.Len() == 0 && m.outgoing.Len() == 0 && m.pendLive == 0 &&
 		len(m.ready) == 0 && len(m.responses) == 0
@@ -541,12 +555,22 @@ func (m *MEE) passthrough(r memdef.Request, submitAt, now uint64) {
 	_ = now
 }
 
-// send buffers a DRAM request and registers its completion entry in a
-// pending slot. The token names the owning partition in its top bits, so
-// the system can route completions from any channel back to the issuing
-// MEE (metadata built from physical addresses crosses partitions), and the
-// slot and its generation below them. DRAM treats tokens as opaque.
+// send buffers a DRAM request. A pkMisc request carries the untracked
+// token; any other registers its completion entry in a pending slot, and
+// its token names the owning partition in its top bits, so the system can
+// route completions from any channel back to the issuing MEE (metadata
+// built from physical addresses crosses partitions), and the slot and its
+// generation below them. DRAM treats tokens as opaque.
 func (m *MEE) send(part int, r dram.Req, pe pendingEntry) {
+	r.Token = untracked
+	if pe.kind != pkMisc {
+		r.Token = m.track(pe)
+	}
+	m.outgoing.Push(outgoing{part: part, req: r})
+}
+
+// track takes a pending slot for pe and returns the token naming it.
+func (m *MEE) track(pe pendingEntry) uint64 {
 	var slot int32
 	if n := len(m.pendFree); n > 0 {
 		slot = m.pendFree[n-1]
@@ -559,8 +583,7 @@ func (m *MEE) send(part int, r dram.Req, pe pendingEntry) {
 	pe.live, pe.gen = true, e.gen
 	*e = pe
 	m.pendLive++
-	r.Token = TokenFor(m.cfg.Partition, uint64(e.gen)<<slotBits|uint64(slot))
-	m.outgoing.Push(outgoing{part: part, req: r})
+	return TokenFor(m.cfg.Partition, uint64(e.gen)<<slotBits|uint64(slot))
 }
 
 // slotOf returns the live pending slot token names, or -1 when the token
@@ -766,10 +789,10 @@ func (m *MEE) mdcWrite(c *cache.Cache, kind pendingKind, sector memdef.Addr, cla
 		c.Fill(sector)
 	}
 	_, wbs := c.Write(sector)
-	m.spillWritebacks(kind, wbs, class)
+	m.spillWritebacks(wbs, class)
 }
 
-func (m *MEE) spillWritebacks(kind pendingKind, wbs []cache.Writeback, class stats.TrafficClass) {
+func (m *MEE) spillWritebacks(wbs []cache.Writeback, class stats.TrafficClass) {
 	for _, wb := range wbs {
 		for s := 0; s < memdef.SectorsPerBlock; s++ {
 			if wb.SectorMask&(1<<uint(s)) == 0 {
@@ -949,16 +972,7 @@ func (m *MEE) processWrite(r memdef.Request, meta memdef.Addr, ro, streaming boo
 // (contents architecturally known, e.g. diverging common counters).
 func (m *MEE) mdcInstallDirty(c *cache.Cache, sector memdef.Addr, class stats.TrafficClass) {
 	_, wbs := c.Write(sector)
-	var kind pendingKind
-	switch class {
-	case stats.TrafficCounter:
-		kind = pkCounter
-	case stats.TrafficMAC:
-		kind = pkMAC
-	default:
-		kind = pkBMT
-	}
-	m.spillWritebacks(kind, wbs, class)
+	m.spillWritebacks(wbs, class)
 }
 
 // divergedPage reports whether the counter page (counter-block coverage,
@@ -1202,8 +1216,6 @@ func (m *MEE) OnDRAMComplete(token uint64, now uint64) {
 		m.macCache.Fill(pe.key)
 	case pkBMT:
 		m.bmtCache.Fill(pe.key)
-	case pkMisc:
-		// Fire-and-forget traffic: nothing to do.
 	}
 }
 
@@ -1224,9 +1236,9 @@ func (m *MEE) FlushMetadata() {
 	if !m.cfg.Enabled {
 		return
 	}
-	m.spillWritebacks(pkCounter, m.ctrCache.FlushAll(), stats.TrafficCounter)
-	m.spillWritebacks(pkMAC, m.macCache.FlushAll(), stats.TrafficMAC)
-	m.spillWritebacks(pkBMT, m.bmtCache.FlushAll(), stats.TrafficBMT)
+	m.spillWritebacks(m.ctrCache.FlushAll(), stats.TrafficCounter)
+	m.spillWritebacks(m.macCache.FlushAll(), stats.TrafficMAC)
+	m.spillWritebacks(m.bmtCache.FlushAll(), stats.TrafficBMT)
 }
 
 // AccuracyResults finalizes and returns the Fig. 10/11 breakdowns. Call

@@ -616,7 +616,8 @@ func TestMergeCapOverflowCountsMdcBlocked(t *testing.T) {
 
 // TestPendingSlabTokens completes DRAM requests out of order and checks
 // that the pending slab reuses released slots, answers each live token
-// once, and ignores stale, foreign and out-of-range tokens.
+// once, and ignores stale, foreign and out-of-range tokens, and that a
+// write takes no slot.
 func TestPendingSlabTokens(t *testing.T) {
 	m, p := newMEE(t, Options{})
 	for i := 0; i < 4; i++ {
@@ -650,6 +651,17 @@ func TestPendingSlabTokens(t *testing.T) {
 	ignored("repeated", tokens[2])
 	ignored("foreign", TokenFor(1, tokens[1]))
 	ignored("out-of-range", TokenFor(0, len64(m.pending)))
+	// A write takes no slot: it carries the untracked token, which the MEE
+	// ignores, so neither the slab nor the live count moves.
+	m.SubmitWrite(wr(0x20000), 10)
+	m.Tick(10) // the write leaves the input queue
+	m.Tick(10) // and reaches DRAM
+	if len(p.inj) != 1 || p.inj[0].token != untracked || len(m.pending) != 4 || m.pendLive != 2 {
+		t.Fatalf("write sent %v; slab %d slots, %d live; want one untracked request, 4 and 2",
+			p.inj, len(m.pending), m.pendLive)
+	}
+	ignored("write", untracked)
+	p.inj = p.inj[:0]
 	// A new request reuses the last released slot under a new generation;
 	// the old token for that slot stays dead.
 	m.SubmitRead(rd(0x10000), 10)

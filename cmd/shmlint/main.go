@@ -1,117 +1,183 @@
-// Command shmlint is the repository's lint gate: it hosts the analyzer
-// suite in internal/analysis (nodeterminism, counterhygiene, probeguard,
-// unitcheck) behind two drivers.
-//
-// As a vettool, it speaks cmd/go's unitchecker protocol and is invoked per
-// package by the go command, which supplies type-checked inputs via export
-// data:
-//
-//	go build -o /tmp/shmlint ./cmd/shmlint
-//	go vet -vettool=/tmp/shmlint ./...
-//
-// Standalone, it loads the whole module from source and additionally runs
-// cross-package checks (counter ownership) that the per-package vet
-// protocol cannot express:
+// Command shmlint is the repository's lint gate: it loads the module from
+// source and runs the analyzer suite in internal/analysis over it —
+// per-package checks (determinism, counter hygiene, probe guarding, unit
+// discipline) and the whole-tree checks that need every package at once
+// (counter ownership, and the flow-sensitive hotalloc and syncfree):
 //
 //	go run ./cmd/shmlint ./...
 //
 // Exit status is 0 when clean, 1 when any analyzer reported a finding, 2 on
-// usage or load errors. Individual analyzers can be disabled with
-// -<name>=false.
+// usage or load errors. `shmlint -h` lists the analyzers.
 package main
 
 import (
-	"crypto/sha256"
-	"encoding/json"
 	"flag"
 	"fmt"
+	"go/ast"
+	"go/token"
+	"go/types"
 	"os"
-	"strings"
 
 	"shmgpu/internal/analysis"
-	"shmgpu/internal/analysis/suite"
+	"shmgpu/internal/analysis/counterhygiene"
+	"shmgpu/internal/analysis/hotalloc"
+	"shmgpu/internal/analysis/load"
+	"shmgpu/internal/analysis/nodeterminism"
+	"shmgpu/internal/analysis/probeguard"
+	"shmgpu/internal/analysis/syncfree"
+	"shmgpu/internal/analysis/unitcheck"
 )
+
+// analyzers is the suite, in the order it runs. Adding an analyzer here is
+// all it takes to put it in the gate.
+var analyzers = []*analysis.Analyzer{
+	nodeterminism.Analyzer,
+	counterhygiene.Analyzer,
+	probeguard.Analyzer,
+	unitcheck.Analyzer,
+	hotalloc.Analyzer,
+	syncfree.Analyzer,
+}
 
 func main() {
 	os.Exit(run(os.Args[1:]))
 }
 
 func run(args []string) int {
-	analyzers := suite.All()
-
-	// The go command probes its vettool twice before any analysis:
-	// `-V=full` for a version/build fingerprint (a cache key input), then
-	// `-flags` for the JSON list of flags it may forward.
-	if len(args) == 1 && (args[0] == "-V=full" || args[0] == "--V=full") {
-		printVersion()
-		return 0
-	}
-	if len(args) == 1 && (args[0] == "-flags" || args[0] == "--flags") {
-		printFlags(analyzers)
-		return 0
-	}
-
 	fs := flag.NewFlagSet("shmlint", flag.ContinueOnError)
-	enabled := map[string]*bool{}
-	for _, a := range analyzers {
-		enabled[a.Name] = fs.Bool(a.Name, true, a.Doc)
+	jsonOut := fs.Bool("json", false, "emit findings as a JSON array on stdout")
+	ghaOut := fs.Bool("gha", false, "emit GitHub Actions ::error annotations on stdout")
+	fs.Usage = func() {
+		fmt.Fprintf(os.Stderr, "Usage: shmlint [flags] <package patterns>\n\nFlags:\n")
+		fs.PrintDefaults()
+		fmt.Fprintf(os.Stderr, "\nAnalyzers:\n")
+		for _, a := range analyzers {
+			fmt.Fprintf(os.Stderr, "  %-15s %s\n", a.Name, a.Doc)
+		}
 	}
-	// Output flags apply to standalone mode only; the vet protocol never
-	// forwards them (printFlags advertises just the analyzer toggles).
-	jsonOut := fs.Bool("json", false, "emit findings as a JSON array on stdout (standalone mode)")
-	ghaOut := fs.Bool("gha", false, "emit GitHub Actions ::error annotations on stdout (standalone mode)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	var active []*analysis.Analyzer
-	for _, a := range analyzers {
-		if *enabled[a.Name] {
-			active = append(active, a)
-		}
-	}
-
-	rest := fs.Args()
-	if len(rest) == 1 && strings.HasSuffix(rest[0], ".cfg") {
-		return runVet(active, rest[0])
-	}
-	if len(rest) == 0 {
-		fmt.Fprintln(os.Stderr, "usage: shmlint [flags] <package patterns> | <vet.cfg>")
+	if fs.NArg() == 0 {
+		fs.Usage()
 		return 2
 	}
-	return runStandalone(active, rest, outputOpts{json: *jsonOut, gha: *ghaOut})
+	return lint(fs.Args(), outputOpts{json: *jsonOut, gha: *ghaOut})
 }
 
-// printVersion emits the `-V=full` line in the format cmd/go parses: at
-// least three fields, f[1] == "version", and a trailing buildID= field when
-// the version is "devel". Hashing our own executable makes the fingerprint
-// change whenever the suite is rebuilt, so vet results are never stale.
-func printVersion() {
-	id := "unknown"
-	if exe, err := os.Executable(); err == nil {
-		if data, err := os.ReadFile(exe); err == nil {
-			sum := sha256.Sum256(data)
-			id = fmt.Sprintf("%x", sum[:12])
+// lint loads the packages matching patterns from the enclosing module, runs
+// every analyzer on each, then the analyzers' Finish hooks (cross-package
+// checks) over all their per-package results, and prints the findings.
+func lint(patterns []string, opts outputOpts) int {
+	moduleDir, err := findModuleRoot()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "shmlint: %v\n", err)
+		return 2
+	}
+	modulePath, err := load.ModuleInfo(moduleDir)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "shmlint: reading module path: %v\n", err)
+		return 2
+	}
+	loader := load.New(modulePath, moduleDir)
+
+	paths, err := expandPatterns(loader, modulePath, patterns)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "shmlint: %v\n", err)
+		return 2
+	}
+
+	var diags []namedDiag
+	results := map[string]map[string]any{}
+	generated := map[string]bool{}
+	for _, path := range paths {
+		pkg, err := loader.Load(path)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "shmlint: %v\n", err)
+			return 2
+		}
+		for _, terr := range pkg.TypeErrors {
+			fmt.Fprintf(os.Stderr, "shmlint: %s: %v\n", path, terr)
+		}
+		if len(pkg.TypeErrors) > 0 {
+			return 2
+		}
+		for f := range pkg.Generated {
+			generated[f] = true
+		}
+		diags = append(diags, runAnalyzers(loader.Fset, pkg.Files, pkg.Types, pkg.Info, results)...)
+	}
+
+	for _, a := range analyzers {
+		if a.Finish == nil || len(results[a.Name]) == 0 {
+			continue
+		}
+		a.Finish(&analysis.Finishing{
+			Results: results[a.Name],
+			Fset:    loader.Fset,
+			Report: func(d analysis.Diagnostic) {
+				diags = append(diags, namedDiag{analyzer: a.Name, Diagnostic: d})
+			},
+		})
+	}
+
+	// Diagnostics in generated files are suppressed: the fix belongs in
+	// the generator, not the output.
+	kept := diags[:0]
+	for _, d := range diags {
+		if !generated[loader.Fset.Position(d.Pos).Filename] {
+			kept = append(kept, d)
 		}
 	}
-	fmt.Printf("shmlint version devel buildID=%s\n", id)
+	diags = kept
+
+	switch {
+	case opts.json:
+		emitJSON(loader.Fset, moduleDir, diags)
+	case opts.gha:
+		emitGHA(loader.Fset, moduleDir, diags)
+	default:
+		printDiags(loader.Fset, diags)
+	}
+	if len(diags) == 0 {
+		return 0
+	}
+	return 1
 }
 
-// printFlags emits the `-flags` JSON the go command uses to validate flags
-// it forwards to the tool.
-func printFlags(analyzers []*analysis.Analyzer) {
-	type jsonFlag struct {
-		Name  string
-		Bool  bool
-		Usage string
-	}
-	var flags []jsonFlag
+type namedDiag struct {
+	analyzer string
+	analysis.Diagnostic
+}
+
+// runAnalyzers applies each analyzer to one package and stashes its
+// non-nil per-package results in results (analyzer name → package path)
+// for the Finish pass.
+func runAnalyzers(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info,
+	results map[string]map[string]any) []namedDiag {
+	var diags []namedDiag
 	for _, a := range analyzers {
-		flags = append(flags, jsonFlag{Name: a.Name, Bool: true, Usage: a.Doc})
+		pass := &analysis.Pass{
+			Analyzer:  a,
+			Fset:      fset,
+			Files:     files,
+			Pkg:       pkg,
+			TypesInfo: info,
+			Report: func(d analysis.Diagnostic) {
+				diags = append(diags, namedDiag{analyzer: a.Name, Diagnostic: d})
+			},
+		}
+		res, err := a.Run(pass)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "shmlint: analyzer %s: %v\n", a.Name, err)
+			continue
+		}
+		if res != nil {
+			if results[a.Name] == nil {
+				results[a.Name] = map[string]any{}
+			}
+			results[a.Name][pkg.Path()] = res
+		}
 	}
-	data, err := json.Marshal(flags)
-	if err != nil {
-		panic(err)
-	}
-	os.Stdout.Write(data)
-	fmt.Println()
+	return diags
 }

@@ -10,9 +10,11 @@ import (
 )
 
 // writeModule lays out a throwaway module with one clean package and one
-// package carrying a hot-path allocation, and chdirs into it for the
-// duration of the test (the standalone driver resolves the module from
-// the working directory).
+// package carrying a hot-path allocation (a whole-tree hotalloc finding)
+// and a unit-mixing sum (a per-package unitcheck finding). A _test.go file
+// repeats the unit mix; test files are outside the analyzed build, so it
+// must stay silent. writeModule chdirs into the module for the duration
+// of the test (the driver resolves the module from the working directory).
 func writeModule(t *testing.T) {
 	t.Helper()
 	dir := t.TempDir()
@@ -38,6 +40,18 @@ func (e *E) tick() {
 
 var _ = (*E).tick
 `,
+		"dirty/units.go": `package dirty
+
+func Deadline(latencyCycles, rowBytes uint64) uint64 {
+	return latencyCycles + rowBytes
+}
+`,
+		"dirty/units_test.go": `package dirty
+
+func deadlineInTest(latencyCycles, rowBytes uint64) uint64 {
+	return latencyCycles + rowBytes
+}
+`,
 	}
 	for name, src := range files {
 		path := filepath.Join(dir, name)
@@ -58,19 +72,19 @@ var _ = (*E).tick
 	t.Cleanup(func() { os.Chdir(wd) })
 }
 
-// captureStdout runs f with stdout redirected to a pipe and returns what
-// it wrote alongside its exit code.
-func captureStdout(t *testing.T, f func() int) (string, int) {
+// capture runs f with *stream redirected to a pipe and returns what it
+// wrote alongside its exit code.
+func capture(t *testing.T, stream **os.File, f func() int) (string, int) {
 	t.Helper()
-	old := os.Stdout
+	old := *stream
 	r, w, err := os.Pipe()
 	if err != nil {
 		t.Fatal(err)
 	}
-	os.Stdout = w
+	*stream = w
 	code := f()
 	w.Close()
-	os.Stdout = old
+	*stream = old
 	data, err := io.ReadAll(r)
 	if err != nil {
 		t.Fatal(err)
@@ -99,7 +113,7 @@ func TestExitCodes(t *testing.T) {
 
 func TestJSONOutput(t *testing.T) {
 	writeModule(t)
-	out, code := captureStdout(t, func() int { return run([]string{"-json", "./..."}) })
+	out, code := capture(t, &os.Stdout, func() int { return run([]string{"-json", "./..."}) })
 	if code != 1 {
 		t.Fatalf("exit %d, want 1", code)
 	}
@@ -107,15 +121,22 @@ func TestJSONOutput(t *testing.T) {
 	if err := json.Unmarshal([]byte(out), &diags); err != nil {
 		t.Fatalf("decoding output: %v\n%s", err, out)
 	}
-	if len(diags) == 0 {
-		t.Fatal("no findings in JSON output")
+	// One whole-tree finding (hotalloc) next to one per-package finding
+	// (unitcheck), sorted by file; nothing from units_test.go.
+	want := []struct{ analyzer, file string }{
+		{"hotalloc", "dirty/dirty.go"},
+		{"unitcheck", "dirty/units.go"},
 	}
-	d := diags[0]
-	if d.Analyzer != "hotalloc" || d.File != "dirty/dirty.go" || d.Line == 0 {
-		t.Errorf("unexpected finding: %+v", d)
+	if len(diags) != len(want) {
+		t.Fatalf("got %d findings, want %d:\n%s", len(diags), len(want), out)
+	}
+	for i, d := range diags {
+		if d.Analyzer != want[i].analyzer || d.File != want[i].file || d.Line == 0 {
+			t.Errorf("finding %d = %+v, want %s in %s", i, d, want[i].analyzer, want[i].file)
+		}
 	}
 
-	out, code = captureStdout(t, func() int { return run([]string{"-json", "./clean"}) })
+	out, code = capture(t, &os.Stdout, func() int { return run([]string{"-json", "./clean"}) })
 	if code != 0 {
 		t.Fatalf("clean: exit %d, want 0", code)
 	}
@@ -126,7 +147,7 @@ func TestJSONOutput(t *testing.T) {
 
 func TestGHAOutput(t *testing.T) {
 	writeModule(t)
-	out, code := captureStdout(t, func() int { return run([]string{"-gha", "./..."}) })
+	out, code := capture(t, &os.Stdout, func() int { return run([]string{"-gha", "./..."}) })
 	if code != 1 {
 		t.Fatalf("exit %d, want 1", code)
 	}
@@ -135,5 +156,17 @@ func TestGHAOutput(t *testing.T) {
 	}
 	if !strings.Contains(out, "(hotalloc)") {
 		t.Errorf("annotation should name the analyzer:\n%s", out)
+	}
+}
+
+func TestHelpListsAnalyzers(t *testing.T) {
+	out, code := capture(t, &os.Stderr, func() int { return run([]string{"-h"}) })
+	if code != 2 {
+		t.Errorf("-h: exit %d, want 2", code)
+	}
+	for _, a := range analyzers {
+		if !strings.Contains(out, a.Name) || !strings.Contains(out, a.Doc) {
+			t.Errorf("-h output lacks %s and its doc:\n%s", a.Name, out)
+		}
 	}
 }

@@ -10,8 +10,8 @@ import (
 	"strings"
 )
 
-// outputOpts selects the standalone driver's findings format: the default
-// human file:line:col lines on stderr, a machine-readable JSON array, or
+// outputOpts selects the findings format: the default human
+// file:line:col lines on stderr, a machine-readable JSON array, or
 // GitHub Actions workflow annotations.
 type outputOpts struct {
 	json bool
@@ -51,6 +51,15 @@ func sortDiags(fset *token.FileSet, diags []namedDiag) {
 		}
 		return pi.Column < pj.Column
 	})
+}
+
+// printDiags writes one file:line:col line per finding on stderr.
+func printDiags(fset *token.FileSet, diags []namedDiag) {
+	sortDiags(fset, diags)
+	for _, d := range diags {
+		p := fset.Position(d.Pos)
+		fmt.Fprintf(os.Stderr, "%s:%d:%d: %s (%s)\n", p.Filename, p.Line, p.Column, d.Message, d.analyzer)
+	}
 }
 
 // emitJSON writes every finding as a JSON array on stdout — always an

@@ -2,20 +2,19 @@
 // go/analysis analyzer model (golang.org/x/tools/go/analysis) sufficient to
 // host this repository's lint suite. It exists because the simulator's
 // correctness rules — determinism, counter hygiene, probe guarding, unit
-// discipline — are mechanical properties of the source tree that belong in
-// a vet-style gate, and the canonical framework is an external module this
-// repository does not vendor.
+// discipline, an allocation-free and synchronization-free tick — are
+// mechanical properties of the source tree that belong in a lint gate, and
+// the canonical framework is an external module this repository does not
+// vendor. cmd/shmlint is the one driver.
 //
 // The model is the familiar one: an Analyzer owns a Run function invoked
-// once per package with a Pass carrying the parsed files, type information,
-// and a Report sink. Two extensions cover this repo's needs:
+// once per package with a Pass carrying the parsed non-test files, type
+// information, and a Report sink. Two extensions cover this repo's needs:
 //
-//   - Run may return a per-package result (any JSON-able value), and an
-//     Analyzer may declare a Finish hook. In a whole-tree standalone run
-//     (shmlint ./...), Finish is called once after every package's Run with
-//     all results, enabling cross-package checks such as counter-ownership.
-//     Under `go vet -vettool` the driver is invoked per package and Finish
-//     never runs; per-package checks still apply.
+//   - Run may return a per-package result (any value), and an Analyzer may
+//     declare a Finish hook. The driver calls Finish once after every
+//     package's Run with all results, enabling cross-package checks such as
+//     counter ownership and the flow-sensitive call-graph analyzers.
 //
 //   - Source lines can silence a specific check with a trailing
 //     `//shmlint:allow <check>` comment; the annotation is an explicit,
@@ -27,7 +26,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 
 	"shmgpu/internal/analysis/waiver"
 )
@@ -35,17 +33,17 @@ import (
 // Analyzer describes one static check.
 type Analyzer struct {
 	// Name is the analyzer's identifier: lower-case, no spaces. It doubles
-	// as the vettool flag name and the //shmlint:allow annotation key.
+	// as the //shmlint:allow annotation key and labels its findings.
 	Name string
-	// Doc is the one-paragraph description shown by `shmlint help`.
+	// Doc is the one-line description listed by `shmlint -h`.
 	Doc string
 	// Run analyzes one package and reports findings via pass.Report. The
-	// returned value is collected for Finish in whole-tree runs; analyzers
-	// without cross-package state return nil.
+	// returned value is collected for Finish; analyzers without
+	// cross-package state return nil.
 	Run func(pass *Pass) (any, error)
-	// Finish, if non-nil, runs once after all packages in a standalone
-	// whole-tree invocation, receiving every package's Run result keyed by
-	// import path. It is skipped under go vet (per-package invocation).
+	// Finish, if non-nil, runs once after every package's Run, receiving
+	// the non-nil results keyed by import path. It is skipped when every
+	// Run returned nil.
 	Finish func(f *Finishing)
 }
 
@@ -105,11 +103,6 @@ func (p *Pass) Waivers() *waiver.Sheet {
 // must appear in a comment on the same source line as the flagged node.
 func (p *Pass) Allowed(check string, pos token.Pos) bool {
 	return p.Waivers().Allow(check, pos)
-}
-
-// IsTestFile reports whether the file containing pos is a _test.go file.
-func (p *Pass) IsTestFile(pos token.Pos) bool {
-	return strings.HasSuffix(p.Fset.Position(pos).Filename, "_test.go")
 }
 
 // NamedType reports whether t (after unwrapping pointers) is the named type

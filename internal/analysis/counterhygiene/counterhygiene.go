@@ -6,9 +6,9 @@
 // (c) be written by exactly one owning package — two packages incrementing
 // the same name silently merge unrelated quantities at export time.
 //
-// Rules (a) and (b) are per-package and run under both `go vet -vettool`
-// and standalone mode. Rule (c) needs the whole tree at once and therefore
-// runs only in standalone mode (shmlint ./...), via the Finish hook.
+// Rules (a) and (b) are checked per package by Run. Rule (c) needs the
+// whole tree at once, so the Finish hook checks it over every package's
+// result.
 package counterhygiene
 
 import (
@@ -53,9 +53,6 @@ func run(pass *analysis.Pass) (any, error) {
 	pass.Inspect(func(n ast.Node) bool {
 		if n == nil {
 			return true
-		}
-		if pass.IsTestFile(n.Pos()) {
-			return false
 		}
 		call, ok := n.(*ast.CallExpr)
 		if !ok {

@@ -214,9 +214,7 @@ func IsNoReturn(info *types.Info, call *ast.CallExpr) bool {
 	return false
 }
 
-// Collect builds the flow summary for one package. Test files are skipped
-// (the standalone loader never parses them; under vet they are excluded to
-// keep both drivers consistent).
+// Collect builds the flow summary for one package.
 func Collect(pass *analysis.Pass) *PkgFuncs {
 	pf := &PkgFuncs{
 		Path:  pass.Pkg.Path(),
@@ -228,9 +226,6 @@ func Collect(pass *analysis.Pass) *PkgFuncs {
 	}
 	c := &collector{pf: pf, pass: pass, litKeys: map[*ast.FuncLit]FuncKey{}}
 	for _, file := range pass.Files {
-		if pass.IsTestFile(file.Pos()) {
-			continue
-		}
 		c.file(file)
 	}
 	return pf

@@ -22,9 +22,8 @@
 // capture-mode telemetry). Individual vetted sites carry
 // `//shm:alloc-ok <why>` on the flagged line.
 //
-// hotalloc needs the whole tree: findings are reported from the Finish
-// hook, so they appear in standalone `shmlint ./...` runs and not under
-// `go vet -vettool` (which invokes the driver per package).
+// hotalloc needs the whole tree: Run only summarizes each package, and
+// findings are reported from the Finish hook, over every package's summary.
 package hotalloc
 
 import (

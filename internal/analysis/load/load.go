@@ -1,7 +1,6 @@
 // Package load type-checks Go packages straight from source, with no
 // dependency on go/packages or precompiled export data. It is the package
-// loader behind shmlint's standalone whole-tree mode and the analysistest
-// fixture runner.
+// loader behind shmlint and the analysistest fixture runner.
 //
 // Resolution order for an import path: the enclosing module (prefix match
 // on the module path), any extra roots (analysistest fixture trees), then

@@ -74,9 +74,6 @@ func run(pass *analysis.Pass) (any, error) {
 		if n == nil {
 			return true
 		}
-		if pass.IsTestFile(n.Pos()) {
-			return false
-		}
 		switch node := n.(type) {
 		case *ast.GoStmt:
 			// The fork/join-worker waiver, parsed by the shared waiver

@@ -44,9 +44,6 @@ var contracts = []struct {
 
 func run(pass *analysis.Pass) (any, error) {
 	for _, file := range pass.Files {
-		if pass.IsTestFile(file.Pos()) {
-			continue
-		}
 		var stack []ast.Node
 		ast.Inspect(file, func(n ast.Node) bool {
 			if n == nil {

@@ -22,8 +22,8 @@
 // only cost accounting; syncfree findings on cold paths are still
 // reported via the cold function's own roots if it has any.
 //
-// Like hotalloc, findings come from the Finish hook: standalone
-// whole-tree runs report; per-package `go vet -vettool` runs do not.
+// Like hotalloc, findings come from the Finish hook, over every package's
+// summary.
 package syncfree
 
 import (

@@ -38,9 +38,6 @@ func run(pass *analysis.Pass) (any, error) {
 		if n == nil {
 			return true
 		}
-		if pass.IsTestFile(n.Pos()) {
-			return false
-		}
 		b, ok := n.(*ast.BinaryExpr)
 		if !ok || !arithmetic[b.Op] {
 			return true

@@ -150,18 +150,24 @@ func replayCase(path string, stdout io.Writer, log *obs.Logger) int {
 	return 1
 }
 
-// loadReplay reads either a bare Case file or a campaign Finding file.
+// loadReplay reads either a bare Case file or a campaign Finding file,
+// whose "shrunk" cell it replays.
 func loadReplay(path string) (fuzz.Case, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return fuzz.Case{}, err
 	}
-	var f fuzz.Finding
-	if err := json.Unmarshal(data, &f); err == nil && len(f.Shrunk.Workload.Buffers) > 0 {
-		return f.Shrunk, nil
+	var f struct {
+		Shrunk json.RawMessage `json:"shrunk"`
 	}
 	var c fuzz.Case
-	if err := json.Unmarshal(data, &c); err != nil {
+	if err = json.Unmarshal(data, &f); err == nil {
+		if f.Shrunk != nil {
+			data = f.Shrunk
+		}
+		err = json.Unmarshal(data, &c)
+	}
+	if err != nil {
 		return fuzz.Case{}, fmt.Errorf("parsing %s: %w", path, err)
 	}
 	return c, nil

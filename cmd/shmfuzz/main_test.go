@@ -121,3 +121,18 @@ func TestReplayGarbage(t *testing.T) {
 		t.Fatal("unparseable replay file must be a usage error")
 	}
 }
+
+func TestReplayUnknownConfigKey(t *testing.T) {
+	// A stale or misspelled config key must not replay the tiny base,
+	// in a bare case file or in a finding file's shrunk cell.
+	cell := `{"seed": 1, "config": {"MEE.Trackerz": 1}, "workload": {"buffers": [{"kb": 16}]}}`
+	for _, data := range []string{cell, `{"index": 3, "shrunk": ` + cell + `}`} {
+		path := filepath.Join(t.TempDir(), "case.json")
+		if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if code, stdout, stderr := runCLI(t, "-replay", path); code != 2 || !strings.Contains(stderr, "MEE.Trackerz") {
+			t.Fatalf("%s: exit = %d, want 2 naming the key\nstdout: %s\nstderr: %s", data, code, stdout, stderr)
+		}
+	}
+}

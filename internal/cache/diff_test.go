@@ -17,7 +17,7 @@ import (
 // tag, sectors and LRU stamp.
 
 // geometries are the L1, L2 and metadata-cache configurations of
-// gpu.DefaultConfig and secmem.DefaultConfig.
+// gpu.DefaultConfig and secmem.DefaultTuning.
 var geometries = []Config{
 	{Name: "l1", SizeBytes: 64 << 10, Ways: 4, MSHRs: 64, MaxMergesPerMSHR: 16},
 	{Name: "l2", SizeBytes: 128 << 10, Ways: 8, MSHRs: 192, MaxMergesPerMSHR: 16},

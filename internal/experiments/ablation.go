@@ -3,9 +3,9 @@ package experiments
 import (
 	"fmt"
 
+	"shmgpu/internal/gpu"
 	"shmgpu/internal/report"
 	"shmgpu/internal/scheme"
-	"shmgpu/internal/secmem"
 )
 
 // Ablation studies sweep the design parameters DESIGN.md calls out:
@@ -14,11 +14,10 @@ import (
 // the SHM design's average normalized IPC over the configured workloads,
 // isolating how sensitive the paper's results are to that choice.
 
-// ablate runs SHM (and its baseline) under a tuned MEE configuration and
-// returns the average normalized IPC over the runner's workloads.
-func (r *Runner) ablate(tune func(*secmem.Config)) float64 {
-	cfg := r.cfg
-	cfg.MEETune = tune
+// ablate runs SHM under cfg, the runner's config with one MEE value
+// changed, against the runner's baseline and returns the average
+// normalized IPC over the runner's workloads.
+func (r *Runner) ablate(cfg gpu.Config) float64 {
 	var sum float64
 	for _, wl := range r.workloads {
 		base := r.Run(wl, scheme.Baseline) // cached, shared across points
@@ -40,9 +39,9 @@ func (r *Runner) AblationTrackers() *report.Table {
 	t := report.NewTable("Ablation: memory access trackers per partition",
 		"trackers", "avg normalized IPC")
 	for _, n := range []int{2, 4, 8, 16} {
-		n := n
-		avg := r.ablate(func(c *secmem.Config) { c.Streaming.Trackers = n })
-		t.AddRow(fmt.Sprintf("%d", n), avg)
+		cfg := r.cfg
+		cfg.MEE.Trackers = n
+		t.AddRow(fmt.Sprintf("%d", n), r.ablate(cfg))
 	}
 	return t
 }
@@ -53,9 +52,9 @@ func (r *Runner) AblationMonitorLead() *report.Table {
 	t := report.NewTable("Ablation: streaming-detector monitor lead",
 		"lead (chunks)", "avg normalized IPC")
 	for _, lead := range []uint64{1, 2, 4, 8} {
-		lead := lead
-		avg := r.ablate(func(c *secmem.Config) { c.Streaming.MonitorLead = lead })
-		t.AddRow(fmt.Sprintf("%d", lead), avg)
+		cfg := r.cfg
+		cfg.MEE.MonitorLead = lead
+		t.AddRow(fmt.Sprintf("%d", lead), r.ablate(cfg))
 	}
 	return t
 }
@@ -65,9 +64,9 @@ func (r *Runner) AblationTimeout() *report.Table {
 	t := report.NewTable("Ablation: monitoring-phase timeout",
 		"timeout (cycles)", "avg normalized IPC")
 	for _, to := range []uint64{1500, 3000, 6000, 12000} {
-		to := to
-		avg := r.ablate(func(c *secmem.Config) { c.Streaming.TimeoutCycles = to })
-		t.AddRow(fmt.Sprintf("%d", to), avg)
+		cfg := r.cfg
+		cfg.MEE.TimeoutCycles = to
+		t.AddRow(fmt.Sprintf("%d", to), r.ablate(cfg))
 	}
 	return t
 }
@@ -78,13 +77,9 @@ func (r *Runner) AblationMDCSize() *report.Table {
 	t := report.NewTable("Ablation: metadata cache size (each of ctr/MAC/BMT)",
 		"size (bytes)", "avg normalized IPC")
 	for _, size := range []int{1024, 2048, 4096, 8192} {
-		size := size
-		avg := r.ablate(func(c *secmem.Config) {
-			c.CtrCache.SizeBytes = size
-			c.MACCache.SizeBytes = size
-			c.BMTCache.SizeBytes = size
-		})
-		t.AddRow(fmt.Sprintf("%d", size), avg)
+		cfg := r.cfg
+		cfg.MEE.CacheBytes = size
+		t.AddRow(fmt.Sprintf("%d", size), r.ablate(cfg))
 	}
 	return t
 }

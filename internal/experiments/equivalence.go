@@ -180,12 +180,10 @@ func (h *Harness) compare(oracle, aName string, a RunSpec, bName string, b RunSp
 }
 
 // key identifies spec's run by value. The generated workload and the
-// telemetry configuration are compared by content; MEETune is a func, so
-// the tuned partition-0 MEE config stands in for it. Observe is passive
-// and left out.
+// telemetry configuration are compared by content; Observe is passive and
+// left out.
 func (spec RunSpec) key() string {
-	mee := spec.Config.MEEOptionsToConfig(spec.Scheme.Options, 0)
 	gen, tel := spec.Generated, spec.Telemetry
-	spec.Config.MEETune, spec.Generated, spec.Telemetry, spec.Observe = nil, nil, nil, nil
-	return fmt.Sprintf("%+v|%+v|%+v|%+v", spec, mee, gen, tel)
+	spec.Generated, spec.Telemetry, spec.Observe = nil, nil, nil
+	return fmt.Sprintf("%+v|%+v|%+v", spec, gen, tel)
 }

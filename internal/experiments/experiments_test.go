@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -117,17 +119,24 @@ func TestDefaultWorkloadsAreMemoryIntensive(t *testing.T) {
 	}
 }
 
+// TestAblationTables pins the tracker and metadata-cache ablations on
+// quick fdtd2d to their rendered text in testdata: the ablations reach
+// the MEE only through Config.MEE, so a change in how a value gets to the
+// engine shows up here.
 func TestAblationTables(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweep")
 	}
-	r := NewRunner(QuickConfig(), []string{"fdtd2d"})
-	tb := r.AblationTrackers()
-	if len(tb.Rows) != 4 {
-		t.Fatalf("tracker ablation rows = %d", len(tb.Rows))
+	want, err := os.ReadFile(filepath.Join("testdata", "ablation-fdtd2d.txt"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	tb2 := r.AblationMDCSize()
-	if len(tb2.Rows) != 4 {
-		t.Fatalf("MDC ablation rows = %d", len(tb2.Rows))
+	r := NewRunner(QuickConfig(), []string{"fdtd2d"})
+	got := r.AblationTrackers().String() + r.AblationMDCSize().String()
+	if err := r.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Fatalf("ablation tables changed:\n%s\nwant:\n%s", got, want)
 	}
 }

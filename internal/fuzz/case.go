@@ -14,12 +14,19 @@
 // every configuration, not just the shipped benchmarks. cmd/shmfuzz drives
 // timed campaigns over this package; the native go-fuzz targets in
 // fuzz_test.go wrap the same oracles.
+//
+// A cell replays from its JSON Case alone. Its config is a Delta: dotted
+// gpu.Config field paths over a tiny base, so any field of the real
+// config, MEE values included, can appear in a repro under its own name.
 package fuzz
 
 import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"reflect"
+	"slices"
+	"strings"
 
 	"shmgpu/internal/dram"
 	"shmgpu/internal/gpu"
@@ -30,16 +37,16 @@ import (
 )
 
 // Case is one replayable fuzz cell: a seed, a GPU configuration delta, a
-// synthetic workload, and the scheme set to run it under. The zero value
-// of every optional field means "use the tiny base default", so shrunk
-// repros serialize to only the fields that matter.
+// synthetic workload, and the scheme set to run it under. Every optional
+// field left out takes the tiny base's value, so shrunk repros serialize
+// to only the fields that matter.
 type Case struct {
 	// Name labels the cell in findings and logs.
 	Name string `json:"name,omitempty"`
 	// Seed is the workload seed (threaded into every warp program).
 	Seed int64 `json:"seed"`
 	// Config is the GPU configuration delta over the tiny base.
-	Config ConfigSpec `json:"config"`
+	Config Delta `json:"config,omitempty"`
 	// Workload is the synthetic kernel model.
 	Workload WorkloadSpec `json:"workload"`
 	// Schemes is the secure-memory designs to run (default: Baseline,
@@ -47,54 +54,91 @@ type Case struct {
 	Schemes []string `json:"schemes,omitempty"`
 }
 
-// ConfigSpec is the fuzzer-visible subset of gpu.Config. Zero fields take
-// the tiny-base default (see BaseConfig), keeping repro JSON minimal.
-type ConfigSpec struct {
-	SMs            int `json:"sms,omitempty"`
-	WarpsPerSM     int `json:"warps,omitempty"`
-	Partitions     int `json:"partitions,omitempty"`
-	L2Banks        int `json:"l2_banks,omitempty"`
-	L2BankKB       int `json:"l2_bank_kb,omitempty"`
-	L1KB           int `json:"l1_kb,omitempty"`
-	L1MSHRs        int `json:"l1_mshrs,omitempty"`
-	L2MSHRs        int `json:"l2_mshrs,omitempty"`
-	XbarQueueDepth int `json:"xbar_queue,omitempty"`
-	MaxInflight    int `json:"max_inflight,omitempty"`
-	DeviceMemMB    int `json:"device_mem_mb,omitempty"`
-	MaxKCycles     int `json:"max_kcycles,omitempty"`
-	DRAMQueueDepth int `json:"dram_queue,omitempty"`
-	DRAMBanks      int `json:"dram_banks,omitempty"`
-	// UVM host-tier knobs. OversubPct > 0 enables the host-backed tier
-	// with a device frame budget covering OversubPct percent of the
-	// working set (100 ⇒ everything fits, which the migration-equivalence
-	// oracle pins byte-identical to the tier being off). UVMPageKB
-	// overrides the migration page size (tiny-base default 16 KB, so even
-	// one-buffer working sets span several pages); UVMFIFO switches the
-	// eviction policy from LRU to FIFO; UVMHostSide selects the cheap
-	// host-side integrity mode instead of the device-side rebuild.
-	OversubPct  int  `json:"oversub_pct,omitempty"`
-	UVMPageKB   int  `json:"uvm_page_kb,omitempty"`
-	UVMFIFO     bool `json:"uvm_fifo,omitempty"`
-	UVMHostSide bool `json:"uvm_hostside,omitempty"`
-	// UVMPrefetch selects the migration-ahead policy ("" = demand-only;
-	// "stride" or "stream"); UVMBatchPages caps coalesced migration batch
-	// size; UVMLargePage switches to 2 MiB pages with sub-page dirty
-	// tracking (it overrides UVMPageKB — the two are mutually exclusive
-	// in gpu.Config).
-	UVMPrefetch   string `json:"uvm_prefetch,omitempty"`
-	UVMBatchPages int    `json:"uvm_batch,omitempty"`
-	UVMLargePage  bool   `json:"uvm_large_page,omitempty"`
+// Delta is a flat set of gpu.Config values over the tiny base
+// (baseConfig). Each key is the dotted path of a leaf field ("SMs",
+// "DRAM.QueueDepth", "MEE.Trackers", "OversubRatio"), each value that
+// field's JSON, so a shrunk repro reads
+//
+//	{
+//	  "seed": 2,
+//	  "config": {
+//	    "MEE.WindowAccesses": 33
+//	  },
+//	  "workload": {
+//	    "buffers": [{"kb": 0, "pattern": "random"}]
+//	  },
+//	  "schemes": ["SHM"]
+//	}
+//
+// Decoding a Delta from JSON rejects a path that names no leaf field and
+// a value its field cannot hold, so a misspelled key fails to load
+// instead of replaying the base.
+type Delta map[string]json.RawMessage
 
-	// MEE / detector knobs, applied through Config.MEETune.
-	MDCacheBytes   int    `json:"mdc_bytes,omitempty"`
-	Trackers       int    `json:"trackers,omitempty"`
-	WindowAccesses int    `json:"window_accesses,omitempty"`
-	TimeoutCycles  uint64 `json:"timeout_cycles,omitempty"`
-	MonitorLead    uint64 `json:"monitor_lead,omitempty"`
-	ROEntries      int    `json:"ro_entries,omitempty"`
-	StreamEntries  int    `json:"stream_entries,omitempty"`
-	MEEInputQueue  int    `json:"mee_input_queue,omitempty"`
-	MEEIssue       int    `json:"mee_issue,omitempty"`
+// set records v, a plain number, bool or string, as path's value.
+func (d *Delta) set(path string, v any) {
+	raw, err := json.Marshal(v)
+	if err != nil {
+		panic(err)
+	}
+	if *d == nil {
+		*d = make(Delta)
+	}
+	(*d)[path] = raw
+}
+
+// paths returns d's keys in order.
+func (d Delta) paths() []string {
+	paths := make([]string, 0, len(d))
+	for p := range d {
+		paths = append(paths, p)
+	}
+	slices.Sort(paths)
+	return paths
+}
+
+// apply decodes each of d's values onto the field of cfg its path names.
+func (d Delta) apply(cfg *gpu.Config) error {
+	for _, path := range d.paths() {
+		f, ok := field(cfg, path)
+		if !ok {
+			return fmt.Errorf("fuzz: config key %q names no gpu.Config field", path)
+		}
+		if err := json.Unmarshal(d[path], f.Addr().Interface()); err != nil {
+			return fmt.Errorf("fuzz: config key %q: %w", path, err)
+		}
+	}
+	return nil
+}
+
+// field returns the leaf field of cfg that the dotted path names.
+func field(cfg *gpu.Config, path string) (reflect.Value, bool) {
+	f := reflect.ValueOf(cfg).Elem()
+	for _, name := range strings.Split(path, ".") {
+		if f.Kind() != reflect.Struct {
+			return reflect.Value{}, false
+		}
+		sf, ok := f.Type().FieldByName(name)
+		if !ok || !sf.IsExported() {
+			return reflect.Value{}, false
+		}
+		f = f.FieldByIndex(sf.Index)
+	}
+	return f, f.Kind() != reflect.Struct
+}
+
+// UnmarshalJSON decodes a delta and checks it against the tiny base.
+func (d *Delta) UnmarshalJSON(data []byte) error {
+	var m map[string]json.RawMessage
+	if err := json.Unmarshal(data, &m); err != nil {
+		return err
+	}
+	cfg := baseConfig()
+	if err := Delta(m).apply(&cfg); err != nil {
+		return err
+	}
+	*d = m
+	return nil
 }
 
 // WorkloadSpec is the synthetic kernel model of a cell.
@@ -120,30 +164,54 @@ type BufferSpec struct {
 	HostCopied bool    `json:"host_copied,omitempty"`
 }
 
-// Tiny-base defaults. The base is deliberately far smaller than
-// QuickConfig: a fuzz campaign's value is cells per second, and every
-// mechanism (sectoring, MSHRs, queue back-pressure, detector phases,
-// metadata walks) is exercised at this scale too.
+// baseConfig is the tiny base every case's delta applies to. It is
+// deliberately far smaller than QuickConfig: a fuzz campaign's value is
+// cells per second, and every mechanism (sectoring, MSHRs, queue
+// back-pressure, detector phases, metadata walks) is exercised at this
+// scale too. The host-tier values are set with the tier off, where they
+// are inert: a battery row that turns the tier on at fit then runs the
+// cell's own page size, policies and prefetch knobs.
+func baseConfig() gpu.Config {
+	return gpu.Config{
+		SMs:                     2,
+		WarpsPerSM:              4,
+		Partitions:              2,
+		L2BanksPerPartition:     1,
+		L2BankBytes:             16 << 10,
+		L2Ways:                  4,
+		L2MSHRs:                 16,
+		L2Merges:                4,
+		L1Bytes:                 4 << 10,
+		L1Ways:                  2,
+		L1MSHRs:                 8,
+		L1Latency:               20,
+		L2Latency:               30,
+		XbarLatency:             20,
+		XbarQueueDepth:          8,
+		MaxWarpInflightSectors:  8,
+		DeviceMemoryBytes:       4 << 20,
+		MaxCycles:               60_000,
+		VictimMissRateThreshold: 0.90,
+		VictimSampleWindow:      1024,
+		DRAM: dram.Config{
+			Banks:           4,
+			RowBytes:        512,
+			CASCycles:       40,
+			RowCycles:       80,
+			BytesPerCycleFP: 4759,
+			QueueDepth:      8,
+		},
+		MEE:          secmem.DefaultTuning(),
+		UVMPageBytes: 16 << 10,
+	}
+}
+
+// Tiny-base workload defaults.
 const (
-	baseSMs          = 2
-	baseWarps        = 4
-	basePartitions   = 2
-	baseL2Banks      = 1
-	baseL2BankKB     = 16
-	baseL1KB         = 4
-	baseL1MSHRs      = 8
-	baseL2MSHRs      = 16
-	baseXbarQueue    = 8
-	baseMaxInflight  = 8
-	baseDeviceMemMB  = 4
-	baseMaxKCycles   = 60
-	baseDRAMQueue    = 8
-	baseDRAMBanks    = 4
 	baseMemInsts     = 16
 	baseKernels      = 1
 	baseBufferKB     = 16
 	baseBufferWeight = 1.0
-	baseUVMPageKB    = 16
 )
 
 // DefaultSchemes is the scheme set a Case with no explicit Schemes runs:
@@ -167,101 +235,11 @@ func (c Case) SchemeNames() []string {
 }
 
 // GPUConfig materializes the cell's gpu.Config: the tiny base with the
-// spec's non-zero fields applied, plus an MEETune hook carrying the
-// detector and MEE-queue overrides.
-func (c Case) GPUConfig() gpu.Config {
-	s := c.Config
-	cfg := gpu.Config{
-		SMs:                     orInt(s.SMs, baseSMs),
-		WarpsPerSM:              orInt(s.WarpsPerSM, baseWarps),
-		Partitions:              orInt(s.Partitions, basePartitions),
-		L2BanksPerPartition:     orInt(s.L2Banks, baseL2Banks),
-		L2BankBytes:             orInt(s.L2BankKB, baseL2BankKB) << 10,
-		L2Ways:                  4,
-		L2MSHRs:                 orInt(s.L2MSHRs, baseL2MSHRs),
-		L2Merges:                4,
-		L1Bytes:                 orInt(s.L1KB, baseL1KB) << 10,
-		L1Ways:                  2,
-		L1MSHRs:                 orInt(s.L1MSHRs, baseL1MSHRs),
-		L1Latency:               20,
-		L2Latency:               30,
-		XbarLatency:             20,
-		XbarQueueDepth:          orInt(s.XbarQueueDepth, baseXbarQueue),
-		MaxWarpInflightSectors:  orInt(s.MaxInflight, baseMaxInflight),
-		DeviceMemoryBytes:       uint64(orInt(s.DeviceMemMB, baseDeviceMemMB)) << 20,
-		MaxCycles:               uint64(orInt(s.MaxKCycles, baseMaxKCycles)) * 1000,
-		VictimMissRateThreshold: 0.90,
-		VictimSampleWindow:      1024,
-		DRAM: dram.Config{
-			Banks:           orInt(s.DRAMBanks, baseDRAMBanks),
-			RowBytes:        512,
-			CASCycles:       40,
-			RowCycles:       80,
-			BytesPerCycleFP: 4759,
-			QueueDepth:      orInt(s.DRAMQueueDepth, baseDRAMQueue),
-		},
-	}
-	// The host-tier knobs are set even with the tier off, where they are
-	// inert: a battery row that turns the tier on at fit then runs the
-	// cell's own page size, policies and prefetch knobs.
-	if s.OversubPct > 0 {
-		cfg.HostTier = true
-		cfg.OversubRatio = float64(s.OversubPct) / 100
-	}
-	if s.UVMLargePage {
-		cfg.UVMLargePages = true
-	} else {
-		cfg.UVMPageBytes = uint64(orInt(s.UVMPageKB, baseUVMPageKB)) << 10
-	}
-	if s.UVMFIFO {
-		cfg.UVMMigrationPolicy = "fifo"
-	}
-	if s.UVMHostSide {
-		cfg.UVMHostIntegrity = "hostside"
-	}
-	cfg.UVMPrefetch = s.UVMPrefetch
-	cfg.UVMBatchPages = s.UVMBatchPages
-	if s.needsMEETune() {
-		s := s // capture the spec, not the loop/receiver variable
-		cfg.MEETune = func(mc *secmem.Config) {
-			if s.MDCacheBytes != 0 {
-				mc.CtrCache.SizeBytes = s.MDCacheBytes
-				mc.MACCache.SizeBytes = s.MDCacheBytes
-				mc.BMTCache.SizeBytes = s.MDCacheBytes
-			}
-			if s.Trackers != 0 {
-				mc.Streaming.Trackers = s.Trackers
-			}
-			if s.WindowAccesses != 0 {
-				mc.Streaming.WindowAccesses = s.WindowAccesses
-			}
-			if s.TimeoutCycles != 0 {
-				mc.Streaming.TimeoutCycles = s.TimeoutCycles
-			}
-			if s.MonitorLead != 0 {
-				mc.Streaming.MonitorLead = s.MonitorLead
-			}
-			if s.ROEntries != 0 {
-				mc.ReadOnly.Entries = s.ROEntries
-			}
-			if s.StreamEntries != 0 {
-				mc.Streaming.Entries = s.StreamEntries
-			}
-			if s.MEEInputQueue != 0 {
-				mc.InputQueue = s.MEEInputQueue
-			}
-			if s.MEEIssue != 0 {
-				mc.IssuePerCycle = s.MEEIssue
-			}
-		}
-	}
-	return cfg
-}
-
-func (s ConfigSpec) needsMEETune() bool {
-	return s.MDCacheBytes != 0 || s.Trackers != 0 || s.WindowAccesses != 0 ||
-		s.TimeoutCycles != 0 || s.MonitorLead != 0 || s.ROEntries != 0 ||
-		s.StreamEntries != 0 || s.MEEInputQueue != 0 || s.MEEIssue != 0
+// delta decoded onto it.
+func (c Case) GPUConfig() (gpu.Config, error) {
+	cfg := baseConfig()
+	err := c.Config.apply(&cfg)
+	return cfg, err
 }
 
 func parseSpace(name string) (memdef.Space, error) {
@@ -341,7 +319,10 @@ func (c Case) Footprint() uint64 {
 // validation (which includes the metadata geometry), every scheme
 // name resolves, the workload builds, and the buffers fit device memory.
 func (c Case) Validate() error {
-	cfg := c.GPUConfig()
+	cfg, err := c.GPUConfig()
+	if err != nil {
+		return err
+	}
 	if err := cfg.Validate(); err != nil {
 		return err
 	}

@@ -1,0 +1,140 @@
+package fuzz
+
+import (
+	"crypto/sha256"
+	"fmt"
+	"math"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
+	"testing"
+
+	"shmgpu/internal/experiments"
+	"shmgpu/internal/gpu"
+	"shmgpu/internal/scheme"
+	"shmgpu/internal/secmem"
+)
+
+// deltaOf builds a Delta from path, value pairs.
+func deltaOf(kv ...any) Delta {
+	var d Delta
+	for i := 0; i < len(kv); i += 2 {
+		d.set(kv[i].(string), kv[i+1])
+	}
+	return d
+}
+
+// leafPaths returns the dotted path of every leaf field of v, a struct, in
+// declaration order.
+func leafPaths(v reflect.Value, prefix string) []string {
+	var paths []string
+	for i := 0; i < v.NumField(); i++ {
+		path := prefix + v.Type().Field(i).Name
+		if f := v.Field(i); f.Kind() == reflect.Struct {
+			paths = append(paths, leafPaths(f, path+".")...)
+		} else {
+			paths = append(paths, path)
+		}
+	}
+	return paths
+}
+
+// TestLoadCaseRejectsBadDelta: a case file whose config names no field,
+// or gives a field a value it cannot hold, must fail to load rather than
+// replay the tiny base.
+func TestLoadCaseRejectsBadDelta(t *testing.T) {
+	for name, config := range map[string]string{
+		"old-format key":    `{"mdc_bytes": 512}`,
+		"misspelled path":   `{"MEE.Trackerz": 1}`,
+		"non-leaf path":     `{"DRAM": {"Banks": 2}}`,
+		"undecodable value": `{"SMs": "two"}`,
+	} {
+		path := filepath.Join(t.TempDir(), "case.json")
+		data := `{"seed": 1, "config": ` + config + `, "workload": {"buffers": [{"kb": 16}]}}`
+		if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if c, err := LoadCase(path); err == nil {
+			t.Errorf("%s: LoadCase accepted %s as %v", name, config, c.Config)
+		}
+	}
+}
+
+// TestConfigFieldSweep sets each leaf of the tiny base, one at a time, to
+// out-of-range values, with the host tier off and on. Each config must
+// fail Validate or run to completion under SHM: no constructor panic
+// behind a config Validate accepted.
+func TestConfigFieldSweep(t *testing.T) {
+	wspec, err := Case{Seed: 1, Workload: WorkloadSpec{Buffers: []BufferSpec{
+		{KB: 32, Pattern: "random", WriteFrac: 0.3}}}}.workloadSpec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := map[reflect.Kind][]any{
+		reflect.Int: {0, -1}, reflect.Uint64: {uint64(0)}, reflect.Float64: {-1.0, math.NaN()},
+		reflect.String: {"bogus"}, reflect.Bool: {true},
+	}
+	tiered := baseConfig()
+	tiered.HostTier, tiered.OversubRatio, tiered.UVMPageBytes = true, 0.5, 4<<10
+	for _, base := range []gpu.Config{baseConfig(), tiered} {
+		for _, path := range leafPaths(reflect.ValueOf(base), "") {
+			f, _ := field(&base, path)
+			vals, ok := bad[f.Kind()]
+			if !ok {
+				t.Fatalf("%s: no out-of-range values for kind %s", path, f.Kind())
+			}
+			for _, v := range vals {
+				cfg := base
+				f, _ := field(&cfg, path)
+				f.Set(reflect.ValueOf(v))
+				if cfg.Validate() != nil {
+					continue
+				}
+				name := fmt.Sprintf("HostTier=%v %s=%v", base.HostTier, path, v)
+				func() {
+					defer func() {
+						if r := recover(); r != nil {
+							t.Errorf("%s: Validate accepted the config, then Execute panicked: %v", name, r)
+						}
+					}()
+					out, err := experiments.Execute(experiments.RunSpec{Config: cfg, Generated: &wspec, Scheme: scheme.SHM})
+					if err != nil || out.Result.Cycles == 0 {
+						t.Errorf("%s: Validate accepted the config, then Execute ran %d cycles, err %v", name, out.Result.Cycles, err)
+					}
+				}()
+			}
+		}
+	}
+}
+
+// TestCellConfigsPinned pins the configs the first 1000 cells of campaign
+// seed 20260805 materialize: every leaf outside MEE, and every
+// partition's MEE config under both metadata addressing modes. The
+// campaign record testdata/campaign-20260805.json describes those cells,
+// so a change to the generator or to how a delta decodes must not move
+// this hash.
+func TestCellConfigsPinned(t *testing.T) {
+	const want = "a30cda3cf6097cc617118f95216b32047794bae98cfb771f3a43e4d09823f2fc"
+	h := sha256.New()
+	for i := 0; i < 1000; i++ {
+		cfg, err := CellCase(20260805, i).GPUConfig()
+		if err != nil {
+			t.Fatalf("cell %d: %v", i, err)
+		}
+		for _, path := range leafPaths(reflect.ValueOf(cfg), "") {
+			if !strings.HasPrefix(path, "MEE.") {
+				f, _ := field(&cfg, path)
+				fmt.Fprintf(h, "%s=%v\n", path, f.Interface())
+			}
+		}
+		for _, local := range []bool{false, true} {
+			for p := 0; p < cfg.Partitions; p++ {
+				fmt.Fprintf(h, "%+v\n", cfg.MEEOptionsToConfig(secmem.Options{Enabled: true, LocalMetadata: local}, p))
+			}
+		}
+	}
+	if got := fmt.Sprintf("%x", h.Sum(nil)); got != want {
+		t.Fatalf("cell configs hash to %s, want %s", got, want)
+	}
+}

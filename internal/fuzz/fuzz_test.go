@@ -61,12 +61,8 @@ func TestCaseRoundTrip(t *testing.T) {
 // TestCaseDefaults: a zero-delta case must materialize the tiny base.
 func TestCaseDefaults(t *testing.T) {
 	c := Case{Seed: 1, Workload: WorkloadSpec{Buffers: []BufferSpec{{}}}}
-	cfg := c.GPUConfig()
-	if cfg.SMs != baseSMs || cfg.WarpsPerSM != baseWarps || cfg.Partitions != basePartitions {
-		t.Fatalf("base config not applied: %+v", cfg)
-	}
-	if cfg.MEETune != nil {
-		t.Fatal("zero ConfigSpec must not install an MEETune hook")
+	if cfg, err := c.GPUConfig(); err != nil || cfg != baseConfig() {
+		t.Fatalf("base config not applied: %+v (err %v)", cfg, err)
 	}
 	if err := c.Validate(); err != nil {
 		t.Fatalf("tiny base case invalid: %v", err)
@@ -107,15 +103,16 @@ func TestCheckCaseGreenUVM(t *testing.T) {
 	}
 	cells := []Case{
 		{Name: "uvm-lru-rebuild", Seed: 7,
-			Config: ConfigSpec{OversubPct: 50, UVMPageKB: 4},
+			Config: deltaOf("HostTier", true, "OversubRatio", 0.5, "UVMPageBytes", 4<<10),
 			Workload: WorkloadSpec{Buffers: []BufferSpec{
 				{KB: 32, Pattern: "random"}, {KB: 16, WriteFrac: 0.5}}}},
 		{Name: "uvm-fifo-hostside", Seed: 8,
-			Config: ConfigSpec{OversubPct: 25, UVMPageKB: 4, UVMFIFO: true, UVMHostSide: true},
+			Config: deltaOf("HostTier", true, "OversubRatio", 0.25, "UVMPageBytes", 4<<10,
+				"UVMMigrationPolicy", "fifo", "UVMHostIntegrity", "hostside"),
 			Workload: WorkloadSpec{Buffers: []BufferSpec{
 				{KB: 48, ReadOnly: true, HostCopied: true}, {KB: 16, WriteFrac: 1.0}}}},
 		{Name: "uvm-fit-boundary", Seed: 9,
-			Config:   ConfigSpec{OversubPct: 100},
+			Config:   deltaOf("HostTier", true, "OversubRatio", 1),
 			Workload: WorkloadSpec{Buffers: []BufferSpec{{KB: 32}}}},
 	}
 	for _, c := range cells {
@@ -159,14 +156,14 @@ func TestShrinkKnownBad(t *testing.T) {
 	big := Case{
 		Name: "bloated",
 		Seed: 987654321,
-		Config: ConfigSpec{
-			SMs: 4, WarpsPerSM: 8, Partitions: 4, L2Banks: 2, L2BankKB: 32,
-			L1KB: 8, L1MSHRs: 4, L2MSHRs: 8, XbarQueueDepth: 4, MaxInflight: 16,
-			DeviceMemMB: 16, MaxKCycles: 80, DRAMQueueDepth: 4, DRAMBanks: 8,
-			MDCacheBytes: 1024, Trackers: 4, WindowAccesses: 33,
-			TimeoutCycles: 999, MonitorLead: 8, ROEntries: 8, StreamEntries: 8,
-			MEEInputQueue: 8, MEEIssue: 1,
-		},
+		Config: deltaOf(
+			"SMs", 4, "WarpsPerSM", 8, "Partitions", 4, "L2BanksPerPartition", 2,
+			"L2BankBytes", 32<<10, "L1Bytes", 8<<10, "L1MSHRs", 4, "L2MSHRs", 8,
+			"XbarQueueDepth", 4, "MaxWarpInflightSectors", 16, "DeviceMemoryBytes", 16<<20,
+			"MaxCycles", 80_000, "DRAM.QueueDepth", 4, "DRAM.Banks", 8,
+			"MEE.CacheBytes", 1024, "MEE.Trackers", 4, "MEE.WindowAccesses", 33,
+			"MEE.TimeoutCycles", 999, "MEE.MonitorLead", 8, "MEE.ReadOnlyEntries", 8,
+			"MEE.StreamingEntries", 8, "MEE.InputQueue", 8, "MEE.IssuePerCycle", 1),
 		Workload: WorkloadSpec{
 			Kernels: 3, MemInstsPerWarp: 64, ComputePerMem: 8, FrontierWindow: 8,
 			RewriteInputs: true, UseResetAPI: true,
@@ -186,7 +183,8 @@ func TestShrinkKnownBad(t *testing.T) {
 		for _, b := range c.Workload.Buffers {
 			hasRandom = hasRandom || b.Pattern == "random"
 		}
-		return hasRandom && c.Config.WindowAccesses != 0
+		_, window := c.Config["MEE.WindowAccesses"]
+		return hasRandom && window
 	}
 	if !pred(big) {
 		t.Fatal("seed case must fail the predicate")
@@ -209,13 +207,8 @@ func TestShrinkKnownBad(t *testing.T) {
 	if min1.Workload.Buffers[0].Pattern != "random" {
 		t.Fatalf("shrunk buffer lost the trigger pattern: %+v", min1.Workload.Buffers[0])
 	}
-	if min1.Config.WindowAccesses == 0 {
-		t.Fatal("shrunk case lost the trigger window")
-	}
-	zeroed := min1.Config
-	zeroed.WindowAccesses = 0
-	if zeroed != (ConfigSpec{}) {
-		t.Fatalf("shrunk config keeps irrelevant fields: %+v", min1.Config)
+	if _, ok := min1.Config["MEE.WindowAccesses"]; !ok || len(min1.Config) != 1 {
+		t.Fatalf("shrunk config keeps %v, want only the trigger window", min1.Config.paths())
 	}
 	if len(min1.Schemes) != 1 {
 		t.Fatalf("shrunk case keeps %d schemes, want 1: %v", len(min1.Schemes), min1.Schemes)

@@ -26,105 +26,112 @@ func Generate(rng *rand.Rand) Case {
 	c.Seed = 1 + rng.Int63n(1<<30)
 
 	// --- GPU shape ---
-	s := &c.Config
+	base, d := baseConfig(), &c.Config
 	if chance(rng, 0.5) {
-		s.SMs = pick(rng, 1, 2, 3, 4)
+		d.set("SMs", pick(rng, 1, 2, 3, 4))
 	}
 	if chance(rng, 0.5) {
-		s.WarpsPerSM = pick(rng, 1, 2, 4, 8)
+		d.set("WarpsPerSM", pick(rng, 1, 2, 4, 8))
 	}
-	partitions := basePartitions
+	partitions := base.Partitions
 	if chance(rng, 0.5) {
 		partitions = pick(rng, 1, 2, 4)
-		s.Partitions = partitions
+		d.set("Partitions", partitions)
 	}
 	if chance(rng, 0.3) {
-		s.L2Banks = pick(rng, 1, 2)
+		d.set("L2BanksPerPartition", pick(rng, 1, 2))
 	}
 	if chance(rng, 0.3) {
-		s.L2BankKB = pick(rng, 8, 16, 32)
+		d.set("L2BankBytes", pick(rng, 8, 16, 32)<<10)
 	}
 	if chance(rng, 0.3) {
-		s.L1KB = pick(rng, 2, 4, 8)
+		d.set("L1Bytes", pick(rng, 2, 4, 8)<<10)
 	}
 	// Tiny queue depths and MSHR files: back-pressure and head-of-line
 	// blocking are where cycle-skipping bugs hide.
 	if chance(rng, 0.4) {
-		s.XbarQueueDepth = pick(rng, 1, 2, 4)
+		d.set("XbarQueueDepth", pick(rng, 1, 2, 4))
 	}
 	if chance(rng, 0.4) {
-		s.DRAMQueueDepth = pick(rng, 1, 2, 4)
+		d.set("DRAM.QueueDepth", pick(rng, 1, 2, 4))
 	}
 	if chance(rng, 0.3) {
-		s.L1MSHRs = pick(rng, 1, 2, 4)
+		d.set("L1MSHRs", pick(rng, 1, 2, 4))
 	}
 	if chance(rng, 0.3) {
-		s.L2MSHRs = pick(rng, 1, 2, 4, 8)
+		d.set("L2MSHRs", pick(rng, 1, 2, 4, 8))
 	}
 	if chance(rng, 0.3) {
-		s.MaxInflight = pick(rng, 1, 2, 4, 16)
+		d.set("MaxWarpInflightSectors", pick(rng, 1, 2, 4, 16))
 	}
 	if chance(rng, 0.2) {
-		s.DRAMBanks = pick(rng, 1, 2, 8)
+		d.set("DRAM.Banks", pick(rng, 1, 2, 8))
 	}
 	if chance(rng, 0.2) {
-		s.MEEInputQueue = pick(rng, 1, 2, 8)
+		d.set("MEE.InputQueue", pick(rng, 1, 2, 8))
 	}
 	if chance(rng, 0.2) {
-		s.MEEIssue = 1
+		d.set("MEE.IssuePerCycle", 1)
 	}
 	// Detector epoch edges: windows at the 1/31/33/64 boundaries, idle
 	// timeouts from 1 cycle up, single-tracker files, and single-entry
 	// predictors for maximum aliasing.
 	if chance(rng, 0.35) {
-		s.Trackers = pick(rng, 1, 2, 4)
+		d.set("MEE.Trackers", pick(rng, 1, 2, 4))
 	}
 	if chance(rng, 0.35) {
-		s.WindowAccesses = pick(rng, 1, 2, 31, 33, 64)
+		d.set("MEE.WindowAccesses", pick(rng, 1, 2, 31, 33, 64))
 	}
 	if chance(rng, 0.35) {
-		s.TimeoutCycles = pickU64(rng, 1, 16, 100, 999)
+		d.set("MEE.TimeoutCycles", pickU64(rng, 1, 16, 100, 999))
 	}
 	if chance(rng, 0.2) {
-		s.MonitorLead = pickU64(rng, 1, 2, 8)
+		d.set("MEE.MonitorLead", pickU64(rng, 1, 2, 8))
 	}
 	if chance(rng, 0.25) {
-		s.ROEntries = pick(rng, 1, 2, 8)
+		d.set("MEE.ReadOnlyEntries", pick(rng, 1, 2, 8))
 	}
 	if chance(rng, 0.25) {
-		s.StreamEntries = pick(rng, 1, 2, 8)
+		d.set("MEE.StreamingEntries", pick(rng, 1, 2, 8))
 	}
 	// Tiny metadata caches force eviction/writeback churn. Sizes must
 	// keep 4-way power-of-two set counts: 512 B = 1 set, 1024 B = 2.
 	if chance(rng, 0.3) {
-		s.MDCacheBytes = pick(rng, 512, 1024)
+		d.set("MEE.CacheBytes", pick(rng, 512, 1024))
 	}
 	perPartMB := pick(rng, 1, 2, 4)
-	if perPartMB*partitions != baseDeviceMemMB {
-		s.DeviceMemMB = perPartMB * partitions
+	budget := uint64(perPartMB*partitions) << 20
+	if budget != base.DeviceMemoryBytes {
+		d.set("DeviceMemoryBytes", budget)
 	}
 	if chance(rng, 0.3) {
-		s.MaxKCycles = pick(rng, 20, 40, 80)
+		d.set("MaxCycles", pick(rng, 20, 40, 80)*1000)
 	}
-	// UVM host tier: ratios straddling the fit boundary (100% exactly is
+	// UVM host tier: ratios straddling the fit boundary (1.0 exactly is
 	// the migration-equivalence edge), small pages so tiny working sets
 	// still span several, both eviction policies and integrity modes,
 	// and the migration-ahead knobs (prefetch policy, batch cap, large
-	// pages — which override the explicit page size; the two are
-	// mutually exclusive in gpu.Config).
+	// pages — which clear the explicit page size; the two are mutually
+	// exclusive in gpu.Config).
 	if chance(rng, 0.35) {
-		s.OversubPct = pick(rng, 25, 50, 75, 100, 150)
+		d.set("HostTier", true)
+		d.set("OversubRatio", float64(pick(rng, 25, 50, 75, 100, 150))/100)
 		if chance(rng, 0.15) {
-			s.UVMLargePage = true
+			d.set("UVMLargePages", true)
+			d.set("UVMPageBytes", 0)
 		} else if chance(rng, 0.5) {
-			s.UVMPageKB = pick(rng, 4, 16, 64)
+			d.set("UVMPageBytes", pick(rng, 4, 16, 64)<<10)
 		}
-		s.UVMFIFO = chance(rng, 0.3)
-		s.UVMHostSide = chance(rng, 0.3)
+		if chance(rng, 0.3) {
+			d.set("UVMMigrationPolicy", "fifo")
+		}
+		if chance(rng, 0.3) {
+			d.set("UVMHostIntegrity", "hostside")
+		}
 		if chance(rng, 0.5) {
-			s.UVMPrefetch = []string{"stride", "stream"}[rng.Intn(2)]
+			d.set("UVMPrefetch", []string{"stride", "stream"}[rng.Intn(2)])
 			if chance(rng, 0.4) {
-				s.UVMBatchPages = pick(rng, 2, 4, 8)
+				d.set("UVMBatchPages", pick(rng, 2, 4, 8))
 			}
 		}
 	}
@@ -146,7 +153,6 @@ func Generate(rng *rand.Rand) Case {
 		w.FrontierWindow = pick(rng, 1, 2, 8)
 	}
 
-	budget := uint64(perPartMB*partitions) << 20
 	nBuf := 1 + rng.Intn(4)
 	var used uint64
 	for i := 0; i < nBuf; i++ {

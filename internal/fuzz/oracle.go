@@ -10,7 +10,6 @@ import (
 	"shmgpu/internal/metadata"
 	"shmgpu/internal/obs"
 	"shmgpu/internal/scheme"
-	"shmgpu/internal/secmem"
 	"shmgpu/internal/stats"
 	"shmgpu/internal/telemetry"
 )
@@ -42,7 +41,7 @@ type CheckOptions struct {
 	// banks, which changes row-buffer hit patterns; under adversarial
 	// 1-deep queues campaigns have measured genuine inversions up to
 	// ~6% with identical instruction and data-byte counts (the shrunk
-	// cells live in testdata/fuzz/repros). The oracle exists to catch
+	// cells live in testdata/repros). The oracle exists to catch
 	// gross inversions — fast-forward miscounting cycles shows up as
 	// tens of percent — so the slack sits above the scheduling jitter.
 	IPCTolerance float64
@@ -89,7 +88,11 @@ func (c Case) check(opts CheckOptions) ([]Violation, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	cfg, tcfg := c.GPUConfig(), telemetry.Config{SampleInterval: 500, CaptureEvents: true}
+	cfg, err := c.GPUConfig()
+	if err != nil {
+		return nil, 0, err
+	}
+	tcfg := telemetry.Config{SampleInterval: 500, CaptureEvents: true}
 	h := experiments.NewHarness("shmfuzz")
 	names := c.SchemeNames()
 	specs := make(map[string]experiments.RunSpec)
@@ -112,7 +115,7 @@ func (c Case) check(opts CheckOptions) ([]Violation, int, error) {
 				vs = append(vs, Violation{Oracle: d.Oracle, Scheme: name, Detail: d.Detail})
 			}
 			if row.Name == experiments.FastForwardEquivalence.Name {
-				vs = append(vs, conservation(c, specs[name].Scheme.Options, name, runs[name].Result)...)
+				vs = append(vs, conservation(c, specs[name], name, runs[name].Result)...)
 			}
 		}
 	}
@@ -199,7 +202,7 @@ func metamorphic(c Case, arts map[string]experiments.Rendered, opts CheckOptions
 // zero metadata, instruction totals matching the workload declaration,
 // and every metadata class bounded by its cache activity plus layout
 // arithmetic.
-func conservation(c Case, opts secmem.Options, schemeName string, res gpu.Result) []Violation {
+func conservation(c Case, spec experiments.RunSpec, schemeName string, res gpu.Result) []Violation {
 	var vs []Violation
 	fail := func(format string, args ...any) {
 		vs = append(vs, Violation{Oracle: "conservation", Scheme: schemeName, Detail: fmt.Sprintf(format, args...)})
@@ -216,6 +219,7 @@ func conservation(c Case, opts secmem.Options, schemeName string, res gpu.Result
 		}
 	}
 
+	opts := spec.Scheme.Options
 	if !opts.Enabled {
 		if md := res.Traffic.MetadataBytes(); md != 0 {
 			fail("insecure baseline moved %d metadata bytes", md)
@@ -231,7 +235,7 @@ func conservation(c Case, opts secmem.Options, schemeName string, res gpu.Result
 	// kernels × SMs × warps × memory instructions, each preceded by
 	// ComputePerMem compute instructions (±1 jitter when > 1).
 	if res.Completed {
-		cfg := c.GPUConfig()
+		cfg := spec.Config
 		memTotal := uint64(orInt(c.Workload.Kernels, baseKernels)) *
 			uint64(cfg.SMs) * uint64(cfg.WarpsPerSM) *
 			uint64(orInt(c.Workload.MemInstsPerWarp, baseMemInsts))

@@ -2,6 +2,7 @@ package fuzz
 
 import (
 	"encoding/json"
+	"maps"
 )
 
 // FailurePredicate reports whether a candidate cell still exhibits the
@@ -55,9 +56,10 @@ func costLess(a, b Case) bool {
 }
 
 // candidates enumerates one pass of reduction attempts in a fixed order:
-// structural deletions first (schemes, buffers), then field resets toward
-// the tiny-base defaults, then numeric halvings. Order matters for
-// determinism, not correctness — every accepted step strictly shrinks.
+// structural deletions first (schemes, buffers), then workload field
+// resets toward the tiny-base defaults and numeric halvings, then config
+// delta keys, then seed and name. Order matters for determinism, not
+// correctness — every accepted step strictly shrinks.
 func candidates(c Case) []Case {
 	var out []Case
 
@@ -153,65 +155,12 @@ func candidates(c Case) []Case {
 		tryW(func(w *WorkloadSpec) { w.UseResetAPI = false })
 	}
 
-	// Config fields: reset each non-zero field to its default, then try
-	// halving the larger numeric ones.
-	s := c.Config
-	tryC := func(mut func(*ConfigSpec)) {
+	// Config: drop one delta key, reverting its field to the tiny base.
+	for _, path := range c.Config.paths() {
 		n := c
-		mut(&n.Config)
+		n.Config = maps.Clone(c.Config)
+		delete(n.Config, path)
 		out = append(out, n)
-	}
-	for _, f := range []struct {
-		val int
-		mut func(*ConfigSpec, int)
-	}{
-		{s.SMs, func(s *ConfigSpec, v int) { s.SMs = v }},
-		{s.WarpsPerSM, func(s *ConfigSpec, v int) { s.WarpsPerSM = v }},
-		{s.Partitions, func(s *ConfigSpec, v int) { s.Partitions = v }},
-		{s.L2Banks, func(s *ConfigSpec, v int) { s.L2Banks = v }},
-		{s.L2BankKB, func(s *ConfigSpec, v int) { s.L2BankKB = v }},
-		{s.L1KB, func(s *ConfigSpec, v int) { s.L1KB = v }},
-		{s.L1MSHRs, func(s *ConfigSpec, v int) { s.L1MSHRs = v }},
-		{s.L2MSHRs, func(s *ConfigSpec, v int) { s.L2MSHRs = v }},
-		{s.XbarQueueDepth, func(s *ConfigSpec, v int) { s.XbarQueueDepth = v }},
-		{s.MaxInflight, func(s *ConfigSpec, v int) { s.MaxInflight = v }},
-		{s.DeviceMemMB, func(s *ConfigSpec, v int) { s.DeviceMemMB = v }},
-		{s.MaxKCycles, func(s *ConfigSpec, v int) { s.MaxKCycles = v }},
-		{s.DRAMQueueDepth, func(s *ConfigSpec, v int) { s.DRAMQueueDepth = v }},
-		{s.DRAMBanks, func(s *ConfigSpec, v int) { s.DRAMBanks = v }},
-		{s.MDCacheBytes, func(s *ConfigSpec, v int) { s.MDCacheBytes = v }},
-		{s.Trackers, func(s *ConfigSpec, v int) { s.Trackers = v }},
-		{s.WindowAccesses, func(s *ConfigSpec, v int) { s.WindowAccesses = v }},
-		{s.ROEntries, func(s *ConfigSpec, v int) { s.ROEntries = v }},
-		{s.StreamEntries, func(s *ConfigSpec, v int) { s.StreamEntries = v }},
-		{s.MEEInputQueue, func(s *ConfigSpec, v int) { s.MEEInputQueue = v }},
-		{s.MEEIssue, func(s *ConfigSpec, v int) { s.MEEIssue = v }},
-		{s.OversubPct, func(s *ConfigSpec, v int) { s.OversubPct = v }},
-		{s.UVMPageKB, func(s *ConfigSpec, v int) { s.UVMPageKB = v }},
-		{s.UVMBatchPages, func(s *ConfigSpec, v int) { s.UVMBatchPages = v }},
-	} {
-		f := f
-		if f.val != 0 {
-			tryC(func(s *ConfigSpec) { f.mut(s, 0) })
-		}
-	}
-	if s.TimeoutCycles != 0 {
-		tryC(func(s *ConfigSpec) { s.TimeoutCycles = 0 })
-	}
-	if s.MonitorLead != 0 {
-		tryC(func(s *ConfigSpec) { s.MonitorLead = 0 })
-	}
-	if s.UVMFIFO {
-		tryC(func(s *ConfigSpec) { s.UVMFIFO = false })
-	}
-	if s.UVMHostSide {
-		tryC(func(s *ConfigSpec) { s.UVMHostSide = false })
-	}
-	if s.UVMLargePage {
-		tryC(func(s *ConfigSpec) { s.UVMLargePage = false })
-	}
-	if s.UVMPrefetch != "" {
-		tryC(func(s *ConfigSpec) { s.UVMPrefetch = "" })
 	}
 
 	// Seed and name cosmetics last: a failure that survives a seed swap

@@ -69,10 +69,10 @@ type Config struct {
 	VictimMissRateThreshold float64
 	// VictimSampleWindow is the accesses per miss-rate sampling epoch.
 	VictimSampleWindow uint64
-	// MEETune, when non-nil, adjusts each partition's MEE configuration
-	// after defaults are applied — the hook ablation studies use to sweep
-	// tracker counts, metadata-cache sizes, timeouts, etc.
-	MEETune func(*secmem.Config)
+	// MEE holds the MEE values that vary between configurations (paper
+	// Table VI by default): the ablation studies sweep tracker counts,
+	// metadata-cache sizes and timeouts through it.
+	MEE secmem.Tuning
 	// HostTier enables the host-backed memory tier (UVM demand paging):
 	// the workload's footprint starts host-resident behind a
 	// page-granularity migration boundary, and crossbar admission faults
@@ -149,6 +149,7 @@ func DefaultConfig() Config {
 		MaxCycles:               400_000,
 		VictimMissRateThreshold: 0.90,
 		VictimSampleWindow:      8192,
+		MEE:                     secmem.DefaultTuning(),
 	}
 }
 
@@ -202,19 +203,10 @@ func (c Config) Validate() error {
 	if err := c.l2Config().Validate(); err != nil {
 		return fmt.Errorf("gpu: %w", err)
 	}
-	if c.MEETune != nil {
-		// Without a tune every MEE field comes from secmem.DefaultConfig,
-		// whose inputs the checks above cover. A tune may set any field,
-		// and it sees the design only through the config it adjusts, so
-		// check its result for every partition under both metadata
-		// addressing modes.
-		for _, opts := range []secmem.Options{{Enabled: true}, {Enabled: true, LocalMetadata: true}} {
-			for p := 0; p < c.Partitions; p++ {
-				if err := c.MEEOptionsToConfig(opts, p).Validate(); err != nil {
-					return fmt.Errorf("gpu: MEETune: %w", err)
-				}
-			}
-		}
+	// Every partition's MEE takes the same MEE values under either
+	// addressing mode, so one partition's config checks them.
+	if err := c.MEEOptionsToConfig(secmem.Options{}, 0).Validate(); err != nil {
+		return fmt.Errorf("gpu: MEE: %w", err)
 	}
 	if c.HostTier {
 		if !(c.OversubRatio > 0) {
@@ -249,9 +241,5 @@ func (c Config) MEEOptionsToConfig(opts secmem.Options, partition int) secmem.Co
 	if !opts.LocalMetadata {
 		protected = c.DeviceMemoryBytes
 	}
-	cfg := secmem.DefaultConfig(opts, partition, c.Partitions, protected)
-	if c.MEETune != nil {
-		c.MEETune(&cfg)
-	}
-	return cfg
+	return c.MEE.Config(opts, partition, c.Partitions, protected)
 }

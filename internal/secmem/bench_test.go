@@ -33,7 +33,7 @@ func (p *fifoPort) deliver(m *MEE, now uint64) {
 func BenchmarkMEETick(b *testing.B) {
 	const protected = 4 << 20
 	port := &fifoPort{latency: 200}
-	m := NewMEE(DefaultConfig(shmOpts(), 0, 12, protected), port)
+	m := NewMEE(DefaultTuning().Config(shmOpts(), 0, 12, protected), port)
 	rng := rand.New(rand.NewSource(1))
 	reqs := make([]memdef.Request, 1<<12)
 	for i := range reqs {

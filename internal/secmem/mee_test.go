@@ -54,7 +54,7 @@ const testProtected = 1 << 20
 func newMEE(t *testing.T, opts Options) (*MEE, *fakePort) {
 	t.Helper()
 	port := &fakePort{latency: 100}
-	cfg := DefaultConfig(opts, 0, 12, testProtected)
+	cfg := DefaultTuning().Config(opts, 0, 12, testProtected)
 	return NewMEE(cfg, port), port
 }
 
@@ -511,7 +511,7 @@ func TestNaiveMetadataCrossesPartitions(t *testing.T) {
 	// scatter across partitions; this MEE (partition 0) must route some
 	// metadata requests to other partitions' channels.
 	port := &routedPort{fakePort: fakePort{latency: 50}}
-	cfg := DefaultConfig(naiveOpts(), 0, 12, testProtected)
+	cfg := DefaultTuning().Config(naiveOpts(), 0, 12, testProtected)
 	m := NewMEE(cfg, port)
 	cycle := uint64(0)
 	for i := 0; i < 32; i++ {
@@ -540,7 +540,7 @@ func TestNaiveMetadataCrossesPartitions(t *testing.T) {
 
 func TestPSSMMetadataStaysLocal(t *testing.T) {
 	port := &routedPort{fakePort: fakePort{latency: 50}}
-	cfg := DefaultConfig(pssmOpts(), 3, 12, testProtected)
+	cfg := DefaultTuning().Config(pssmOpts(), 3, 12, testProtected)
 	m := NewMEE(cfg, port)
 	cycle := uint64(0)
 	for i := 0; i < 32; i++ {

@@ -82,19 +82,64 @@ type Config struct {
 	IssuePerCycle int
 }
 
-// DefaultConfig returns the paper's MEE configuration (Table VI) for one
-// partition of a system with numPartitions partitions protecting
-// protectedBytes per the addressing mode of opts.
-func DefaultConfig(opts Options, partition, numPartitions int, protectedBytes uint64) Config {
+// Tuning is the part of the MEE configuration a GPU config can vary: the
+// values the ablation studies sweep and the fuzzer pushes to their edges.
+// Everything else in Config is fixed at its Table VI value or derived from
+// the partition.
+type Tuning struct {
+	// CacheBytes is the capacity of each of the counter, MAC and BMT
+	// caches (paper: 2 KB).
+	CacheBytes int
+	// Trackers, WindowAccesses, TimeoutCycles and MonitorLead configure
+	// the streaming detector's memory access trackers (paper: 8, K = 32,
+	// 6000 cycles; lead 4 chunks).
+	Trackers       int
+	WindowAccesses int
+	TimeoutCycles  uint64
+	MonitorLead    uint64
+	// ReadOnlyEntries and StreamingEntries are the two predictors'
+	// bit-vector lengths (paper: 1024 and 2048).
+	ReadOnlyEntries  int
+	StreamingEntries int
+	// InputQueue bounds requests accepted from the L2 banks; IssuePerCycle
+	// bounds requests processed per cycle.
+	InputQueue    int
+	IssuePerCycle int
+}
+
+// DefaultTuning returns the paper's values (Table VI).
+func DefaultTuning() Tuning {
+	ro, st := detectors.DefaultReadOnlyConfig(), detectors.DefaultStreamingConfig()
+	return Tuning{
+		CacheBytes:       2048,
+		Trackers:         st.Trackers,
+		WindowAccesses:   st.WindowAccesses,
+		TimeoutCycles:    st.TimeoutCycles,
+		MonitorLead:      st.MonitorLead,
+		ReadOnlyEntries:  ro.Entries,
+		StreamingEntries: st.Entries,
+		InputQueue:       64,
+		IssuePerCycle:    2,
+	}
+}
+
+// Config returns the MEE configuration for one partition of a system with
+// numPartitions partitions protecting protectedBytes per the addressing
+// mode of opts, with t's values and Table VI's for the rest.
+func (t Tuning) Config(opts Options, partition, numPartitions int, protectedBytes uint64) Config {
 	mdc := func(name string) cache.Config {
 		return cache.Config{
 			Name:             fmt.Sprintf("%s-p%d", name, partition),
-			SizeBytes:        2048,
+			SizeBytes:        t.CacheBytes,
 			Ways:             4,
 			MSHRs:            256,
 			MaxMergesPerMSHR: 16,
 		}
 	}
+	ro, st := detectors.DefaultReadOnlyConfig(), detectors.DefaultStreamingConfig()
+	ro.Entries = t.ReadOnlyEntries
+	st.Entries, st.Trackers, st.WindowAccesses = t.StreamingEntries, t.Trackers, t.WindowAccesses
+	st.TimeoutCycles, st.MonitorLead = t.TimeoutCycles, t.MonitorLead
 	return Config{
 		Options:        opts,
 		Partition:      partition,
@@ -103,12 +148,12 @@ func DefaultConfig(opts Options, partition, numPartitions int, protectedBytes ui
 		CtrCache:       mdc("ctr"),
 		MACCache:       mdc("mac"),
 		BMTCache:       mdc("bmt"),
-		ReadOnly:       detectors.DefaultReadOnlyConfig(),
-		Streaming:      detectors.DefaultStreamingConfig(),
+		ReadOnly:       ro,
+		Streaming:      st,
 		AESLatency:     40,
 		HashLatency:    40,
-		InputQueue:     64,
-		IssuePerCycle:  2,
+		InputQueue:     t.InputQueue,
+		IssuePerCycle:  t.IssuePerCycle,
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"shmgpu/internal/scheme"
-	"shmgpu/internal/secmem"
 )
 
 func TestWorkloadAndSchemeListings(t *testing.T) {
@@ -79,21 +78,13 @@ func TestRunRejectsBadConfig(t *testing.T) {
 		{"DeviceMemoryBytes=0", func(c *Config) { c.DeviceMemoryBytes = 0 }},
 		{"DeviceMemoryBytes=12", func(c *Config) { c.DeviceMemoryBytes = 12 }},
 		{"DeviceMemoryBytes=12*4096", func(c *Config) { c.DeviceMemoryBytes = 12 * 4096 }},
-		{"MEETune IssuePerCycle=0", meeTune(func(m *secmem.Config) { m.IssuePerCycle = 0 })},
-		{"MEETune InputQueue=0", meeTune(func(m *secmem.Config) { m.InputQueue = 0 })},
-		{"MEETune CtrCache zeroed", meeTune(func(m *secmem.Config) { m.CtrCache.SizeBytes, m.CtrCache.Ways = 0, 0 })},
-		{"MEETune MACCache MSHRs=0", meeTune(func(m *secmem.Config) { m.MACCache.MSHRs = 0 })},
-		{"MEETune BMTCache 3 ways", meeTune(func(m *secmem.Config) { m.BMTCache.Ways = 3 })},
-		{"MEETune CtrCache MaxMergesPerMSHR=256", meeTune(func(m *secmem.Config) { m.CtrCache.MaxMergesPerMSHR = 256 })},
-		{"MEETune ReadOnly zeroed", meeTune(func(m *secmem.Config) { m.ReadOnly = secmem.Config{}.ReadOnly })},
-		{"MEETune Streaming zeroed", meeTune(func(m *secmem.Config) { m.Streaming = secmem.Config{}.Streaming })},
-		{"MEETune Trackers=0", meeTune(func(m *secmem.Config) { m.Streaming.Trackers = 0 })},
-		{"MEETune WindowAccesses=65", meeTune(func(m *secmem.Config) { m.Streaming.WindowAccesses = 65 })},
-		{"MEETune last partition only", meeTune(func(m *secmem.Config) {
-			if m.Partition == m.NumPartitions-1 {
-				m.IssuePerCycle = 0
-			}
-		})},
+		{"MEE IssuePerCycle=0", func(c *Config) { c.MEE.IssuePerCycle = 0 }},
+		{"MEE InputQueue=0", func(c *Config) { c.MEE.InputQueue = 0 }},
+		{"MEE CacheBytes=0", func(c *Config) { c.MEE.CacheBytes = 0 }},
+		{"MEE CacheBytes=100", func(c *Config) { c.MEE.CacheBytes = 100 }},
+		{"MEE CacheBytes=384", func(c *Config) { c.MEE.CacheBytes = 384 }},
+		{"MEE Trackers=0", func(c *Config) { c.MEE.Trackers = 0 }},
+		{"MEE WindowAccesses=65", func(c *Config) { c.MEE.WindowAccesses = 65 }},
 	}
 	tcfg := TelemetryConfig{}
 	for _, c := range cases {
@@ -122,11 +113,6 @@ func TestRunRejectsBadConfig(t *testing.T) {
 			}
 		})
 	}
-}
-
-// meeTune returns a config mutation that installs tune as the MEE hook.
-func meeTune(tune func(*secmem.Config)) func(*Config) {
-	return func(c *Config) { c.MEETune = tune }
 }
 
 func TestRunEndToEnd(t *testing.T) {

@@ -122,9 +122,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		{"14", "fig14_bandwidth_overhead", r.Fig14, []scheme.Scheme{scheme.Naive, scheme.PSSM, scheme.SHMReadOnly, scheme.SHM}, false, false},
 		{"15", "fig15_energy", r.Fig15, []scheme.Scheme{scheme.Baseline, scheme.Naive, scheme.CommonCtr, scheme.PSSM, scheme.SHM}, false, false},
 		{"16", "fig16_victim_cache", r.Fig16, []scheme.Scheme{scheme.Baseline, scheme.SHM, scheme.SHMvL2}, false, false},
-		// The oversubscription sweep prefetches its own cells (per-ratio
-		// sub-runners plus the tier-off subset) on one pool inside the
-		// generator, so it carries no prefetch list here.
+		// The oversubscription sweep runs its own cells (the tier-off
+		// subset and the labelled ratio cells) on the runner's pool, so it
+		// carries no prefetch list here.
 		{"oversub", "oversubscription_sweep", r.FigOversub, nil, false, false},
 		{"vii", "table07_bandwidth_utilization", r.TableVII, []scheme.Scheme{scheme.Baseline}, false, false},
 		{"ix", "table09_hardware_overhead", experiments.TableIX, nil, false, false},
@@ -153,7 +153,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// The cell total is a best-effort ETA denominator: the union of the
 	// selected figures' prefetch cells times the workload count. Figures
 	// share cells through the runner's cache, so actually-run cells can
-	// undershoot this; the progress record clamps.
+	// undershoot this; the oversubscription sweep's ratio cells and the
+	// ablation points are not counted, so they can overshoot it. The
+	// progress record clamps.
 	wlCount := len(wls)
 	if wlCount == 0 {
 		wlCount = len(workload.MemoryIntensive())

@@ -5,10 +5,12 @@
 // (Fig. 15), the L2 victim-cache study (Fig. 16), and the static tables
 // (VII hardware utilization check, IX hardware overhead).
 //
-// A Runner caches simulation results keyed by (workload, scheme) so
-// figures sharing runs (12, 13, 14, 15 all reuse the same sweeps) pay for
-// each simulation once. Runs are independent and deterministic, so the
-// prefetch pass executes them on a worker pool.
+// A Runner caches simulation results keyed by the cell's RunSpec
+// (configuration, workload and design), so figures sharing runs (12, 13,
+// 14, 15 all reuse the same sweeps) pay for each simulation once. Runs are
+// independent and deterministic, so every figure's cells, the
+// oversubscription sweep's and the ablations' included, execute on one
+// worker pool under the runner's ops plane and telemetry sink.
 package experiments
 
 import (
@@ -50,18 +52,18 @@ type Runner struct {
 	ops *obs.Plane
 
 	mu    sync.Mutex
-	cache map[string]gpu.Result
+	cache map[RunSpec]gpu.Result
 	err   error // first refused run, see Err
 }
 
-// SetWorkers bounds the Prefetch worker pool (paperbench -workers).
+// SetWorkers bounds the cell worker pool (paperbench -workers).
 // 0 restores the default, runtime.NumCPU(). Each worker runs one whole
 // simulation at a time; a run itself is single-threaded.
 func (r *Runner) SetWorkers(n int) { r.workers = n }
 
 // SetTelemetrySink instruments every subsequent uncached run with a fresh
-// collector and passes it to sink together with the result. Prefetch runs
-// jobs on a worker pool, so sink must be safe for concurrent use (writing to
+// collector and passes it to sink together with the result. Cells run on a
+// worker pool, so sink must be safe for concurrent use (writing to
 // distinct per-run files is sufficient). A nil sink disables instrumentation.
 func (r *Runner) SetTelemetrySink(tcfg telemetry.Config, sink func(gpu.Result, *telemetry.Collector)) {
 	r.tcfg = tcfg
@@ -78,7 +80,7 @@ func NewRunner(cfg gpu.Config, workloads []string) *Runner {
 	if len(workloads) == 0 {
 		workloads = workload.MemoryIntensive()
 	}
-	return &Runner{cfg: cfg, workloads: workloads, cache: map[string]gpu.Result{}}
+	return &Runner{cfg: cfg, workloads: workloads, cache: map[RunSpec]gpu.Result{}}
 }
 
 // QuickConfig returns a scaled-down GPU configuration for fast smoke runs
@@ -95,68 +97,75 @@ func QuickConfig() gpu.Config {
 // Workloads returns the runner's workload list.
 func (r *Runner) Workloads() []string { return append([]string(nil), r.workloads...) }
 
-func key(wl string, sch scheme.Scheme, accuracy bool) string {
-	if accuracy {
-		return wl + "/" + sch.Name + "/acc"
-	}
-	return wl + "/" + sch.Name
+// spec is the runner's cell for one workload under one design.
+func (r *Runner) spec(wl string, sch scheme.Scheme) RunSpec {
+	return RunSpec{Config: r.cfg, Workload: wl, Scheme: sch}
 }
 
 // Run simulates one workload under one scheme (cached).
 func (r *Runner) Run(wl string, sch scheme.Scheme) gpu.Result {
-	return r.run(wl, sch, false)
+	return r.runOn(-1, r.spec(wl, sch))
 }
 
 // RunWithAccuracy simulates with the Fig. 10/11 accuracy harness enabled.
 func (r *Runner) RunWithAccuracy(wl string, sch scheme.Scheme) gpu.Result {
-	return r.run(wl, sch, true)
+	sch.Options.TrackAccuracy = true
+	return r.Run(wl, sch)
 }
 
-func (r *Runner) run(wl string, sch scheme.Scheme, accuracy bool) gpu.Result {
-	return r.runOn(-1, wl, sch, accuracy)
+// cellName names a cell in the ops plane and in Err: workload/scheme,
+// plus /acc when the accuracy harness is on.
+func cellName(spec RunSpec) string {
+	name := spec.Workload + "/" + spec.Scheme.Name
+	if spec.Scheme.Options.TrackAccuracy {
+		name += "/acc"
+	}
+	return name
 }
 
-// runOn is run with the identity of the pool worker executing it (-1 when
-// not on a pool), threaded into the cell span. A run Execute refuses (an
-// invalid configuration or workload) is recorded for Err and yields an
-// empty Result.
-func (r *Runner) runOn(worker int, wl string, sch scheme.Scheme, accuracy bool) gpu.Result {
-	k := key(wl, sch, accuracy)
+// runOn runs spec once and caches its Result, on the pool worker given
+// (-1 when not on a pool), which is threaded into the cell span. The spec
+// itself is the cache key, so it must carry neither Observe nor
+// Telemetry: runOn attaches both. A run Execute refuses (an invalid
+// configuration or workload) is recorded for Err and yields an empty
+// Result.
+func (r *Runner) runOn(worker int, spec RunSpec) gpu.Result {
 	r.mu.Lock()
-	if res, ok := r.cache[k]; ok {
-		r.mu.Unlock()
+	res, ok := r.cache[spec]
+	r.mu.Unlock()
+	if ok {
 		return res
 	}
-	r.mu.Unlock()
 
-	spec := RunSpec{Config: r.cfg, Workload: wl, Scheme: sch, Observe: r.ops.BeginRun(k)}
-	spec.Scheme.Options.TrackAccuracy = accuracy
+	name := cellName(spec)
+	run := spec
+	run.Observe = r.ops.BeginRun(name)
 	if r.sink != nil {
-		spec.Telemetry = &r.tcfg
+		run.Telemetry = &r.tcfg
 	}
-	orun := spec.Observe
+	orun := run.Observe
 	if orun != nil && worker >= 0 {
 		orun.Span().Annotate("worker", strconv.Itoa(worker))
 	}
 	var out RunOutput
 	var err error
 	if orun == nil || !r.ops.CanCancel() {
-		out, err = Execute(spec)
+		out, err = Execute(run)
 	} else {
-		s := spec // the goroutine's copy, heap-allocated only on this path
+		s := run // the goroutine's copy, heap-allocated only on this path
 		out, err = r.abandonable(orun, func() (RunOutput, error) { return Execute(s) })
 	}
-	res := out.Result
-	res.Workload, res.Scheme = wl, sch.Name
+	res = out.Result
+	res.Workload, res.Scheme = spec.Workload, spec.Scheme.Name
 	orun.Done(res.Cycles, res.Completed)
 	if err != nil {
-		r.fail(fmt.Errorf("experiments: %s: %w", k, err))
+		r.fail(fmt.Errorf("experiments: %s: %w", name, err))
 	} else if r.sink != nil && !res.Cancelled {
 		r.sink(res, out.Collector)
 	}
 
 	r.mu.Lock()
-	r.cache[k] = res
+	r.cache[spec] = res
 	r.mu.Unlock()
 	return res
 }
@@ -205,37 +214,34 @@ func (r *Runner) abandonable(orun *obs.Run, run func() (RunOutput, error)) (RunO
 	}
 }
 
-// job describes one simulation to prefetch.
-type job struct {
-	wl       string
-	sch      scheme.Scheme
-	accuracy bool
-}
-
-// Prefetch runs the given (workload × scheme) cross product on the shared
-// fixed worker pool (internal/pool), filling the cache. Worker count comes from
-// SetWorkers, defaulting to runtime.NumCPU().
+// Prefetch runs the given (workload × scheme) cross product on the worker
+// pool, filling the cache.
 func (r *Runner) Prefetch(schemes []scheme.Scheme, accuracy bool) {
-	var jobs []job
+	specs := make([]RunSpec, 0, len(r.workloads)*len(schemes))
 	for _, wl := range r.workloads {
 		for _, sch := range schemes {
-			jobs = append(jobs, job{wl, sch, accuracy})
+			sch.Options.TrackAccuracy = accuracy
+			specs = append(specs, r.spec(wl, sch))
 		}
 	}
-	if len(jobs) == 0 {
+	r.prefetch(specs)
+}
+
+// prefetch runs specs on the shared fixed worker pool (internal/pool),
+// filling the cache. Worker count comes from SetWorkers, defaulting to
+// runtime.NumCPU().
+func (r *Runner) prefetch(specs []RunSpec) {
+	if len(specs) == 0 {
 		return
 	}
 	workers := r.workers
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	tasks := make([]func(worker int), len(jobs))
-	for i := range jobs {
-		j := jobs[i]
-		tasks[i] = func(worker int) { r.runOn(worker, j.wl, j.sch, j.accuracy) }
+	workers = min(workers, len(specs))
+	tasks := make([]func(worker int), len(specs))
+	for i := range specs {
+		tasks[i] = func(worker int) { r.runOn(worker, specs[i]) }
 	}
 	p := pool.New(workers)
 	defer p.Close()
@@ -483,16 +489,21 @@ func oversubWorkloads(all []string) []string {
 	return out
 }
 
+// oversubRow is one row of the oversubscription sweep: a design and the
+// migration-ahead policy its ratio cells run under.
+type oversubRow struct {
+	name   string // row label in the table
+	sch    scheme.Scheme
+	policy string // gpu.Config.UVMPrefetch of the ratio cells
+}
+
 // oversubPrefetchVariants are the migration-ahead policies the sweep runs
 // on top of the SHM design, each as its own table row. Demand-only SHM
 // stays in the scheme rows; these isolate what the prefetcher buys at the
 // same ratio.
-var oversubPrefetchVariants = []struct {
-	name   string // row label in the table
-	policy string // gpu.Config.UVMPrefetch value
-}{
-	{"SHM+stride", "stride"},
-	{"SHM+stream", "stream"},
+var oversubPrefetchVariants = []oversubRow{
+	{"SHM+stride", scheme.SHM, "stride"},
+	{"SHM+stream", scheme.SHM, "stream"},
 }
 
 // FigOversub reproduces the heterogeneous-memory extension study: IPC under
@@ -511,67 +522,43 @@ var oversubPrefetchVariants = []struct {
 // reuses the SHM tier-off run — at ratio >= 1 every prefetch policy is
 // provably idle, so the runs are byte-identical.
 //
-// Ratio cells run on per-ratio sub-runners (the cache key is only
-// workload/scheme, so each ratio and each prefetch policy needs its own
-// cache); the tier-off cells come from the parent runner and are shared
-// with the other figures. The sub-runners are deliberately unobserved —
-// their cell names would collide with the parent's in the ops plane and
-// the per-run telemetry dumps.
+// The tier-off cells are the runner's own, shared with the other figures.
+// A ratio cell is the runner's config with the tier on, labelled with its
+// row and ratio (SHM@r=0.50, SHM+stream@r=0.50), so its ops-plane cell and
+// telemetry dump never collide with a tier-off one. Every cell runs on the
+// worker pool before the table is built.
 func (r *Runner) FigOversub() *report.Table {
 	schemes := append([]scheme.Scheme{scheme.Baseline}, fig12Schemes()...)
 	wls := oversubWorkloads(r.workloads)
 
-	subs := make([]*Runner, len(oversubRatios))
-	for i, ratio := range oversubRatios {
-		cfg := r.cfg
-		cfg.HostTier = true
-		cfg.OversubRatio = ratio
-		subs[i] = NewRunner(cfg, wls)
+	// rows: the scheme rows under the runner's policy, then the
+	// migration-ahead variants of SHM.
+	var rows []oversubRow
+	for _, sch := range schemes {
+		rows = append(rows, oversubRow{sch.Name, sch, r.cfg.UVMPrefetch})
 	}
-	// psubs[variant][ratio]: the SHM-only migration-ahead sweeps.
-	psubs := make([][]*Runner, len(oversubPrefetchVariants))
-	for pi, pv := range oversubPrefetchVariants {
-		psubs[pi] = make([]*Runner, len(oversubRatios))
-		for i, ratio := range oversubRatios {
-			cfg := r.cfg
-			cfg.HostTier = true
-			cfg.OversubRatio = ratio
-			cfg.UVMPrefetch = pv.policy
-			psubs[pi][i] = NewRunner(cfg, wls)
-		}
+	rows = append(rows, oversubPrefetchVariants...)
+	ratioCell := func(wl string, row oversubRow, ri int) RunSpec {
+		spec := r.spec(wl, row.sch)
+		spec.Config.HostTier = true
+		spec.Config.OversubRatio = oversubRatios[ri]
+		spec.Config.UVMPrefetch = row.policy
+		spec.Scheme.Name = fmt.Sprintf("%s@r=%.2f", row.name, oversubRatios[ri])
+		return spec
 	}
 
-	// One pool over every cell the table needs — the parent's tier-off
-	// cells (restricted to the sweep subset; shared with the other figures
-	// through the parent cache), all three ratio sweeps, and the prefetch
-	// variants (SHM only).
-	var tasks []func(worker int)
+	var specs []RunSpec
 	for _, wl := range wls {
 		for _, sch := range schemes {
-			wl, sch := wl, sch
-			tasks = append(tasks, func(worker int) { r.runOn(worker, wl, sch, false) })
-			for _, sub := range subs {
-				sub := sub
-				tasks = append(tasks, func(worker int) { sub.runOn(worker, wl, sch, false) })
-			}
+			specs = append(specs, r.spec(wl, sch))
 		}
-		for pi := range oversubPrefetchVariants {
-			for _, sub := range psubs[pi] {
-				wl, sub := wl, sub
-				tasks = append(tasks, func(worker int) { sub.runOn(worker, wl, scheme.SHM, false) })
+		for _, row := range rows {
+			for ri := range oversubRatios {
+				specs = append(specs, ratioCell(wl, row, ri))
 			}
 		}
 	}
-	workers := r.workers
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
-	p := pool.New(workers)
-	p.RunTagged(tasks)
-	p.Close()
+	r.prefetch(specs)
 
 	cols := []string{"benchmark", "scheme", "resident"}
 	for _, ratio := range oversubRatios {
@@ -579,14 +566,12 @@ func (r *Runner) FigOversub() *report.Table {
 	}
 	t := report.NewTable("Oversubscription sweep: normalized IPC and demand faults with the host-backed tier", cols...)
 
-	nRows := len(schemes) + len(oversubPrefetchVariants)
-	sums := make([][]float64, nRows)   // [row][1+ratio] normalized IPC
-	fsums := make([]([]uint64), nRows) // [row][ratio] faults
+	sums := make([][]float64, len(rows))   // [row][1+ratio] normalized IPC
+	fsums := make([]([]uint64), len(rows)) // [row][ratio] faults
 	for i := range sums {
 		sums[i] = make([]float64, 1+len(oversubRatios))
 		fsums[i] = make([]uint64, len(oversubRatios))
 	}
-	rowNames := make([]string, nRows)
 	for _, wl := range wls {
 		base := r.Run(wl, scheme.Baseline)
 		norm := func(res gpu.Result) float64 {
@@ -595,34 +580,33 @@ func (r *Runner) FigOversub() *report.Table {
 			}
 			return res.IPC() / base.IPC()
 		}
-		addRow := func(idx int, name string, resident float64, cell func(ri int) gpu.Result) {
-			rowNames[idx] = name
+		addRow := func(idx int) {
+			row := rows[idx]
+			resident := norm(r.Run(wl, row.sch))
 			sums[idx][0] += resident
-			row := []interface{}{wl, name, resident}
+			cells := []interface{}{wl, row.name, resident}
 			for ri := range oversubRatios {
-				res := cell(ri)
+				res := r.runOn(-1, ratioCell(wl, row, ri))
 				n := norm(res)
 				faults := res.Reg.Get("uvm_faults")
 				sums[idx][1+ri] += n
 				fsums[idx][ri] += faults
-				row = append(row, n, faults)
+				cells = append(cells, n, faults)
 			}
-			t.AddRow(row...)
+			t.AddRow(cells...)
 		}
+		// Each workload lists the variants right under SHM.
 		for si, sch := range schemes {
-			sch := sch
-			addRow(si, sch.Name, norm(r.Run(wl, sch)), func(ri int) gpu.Result { return subs[ri].Run(wl, sch) })
+			addRow(si)
 			if sch == scheme.SHM {
-				for pi, pv := range oversubPrefetchVariants {
-					pi := pi
-					addRow(len(schemes)+pi, pv.name, norm(r.Run(wl, scheme.SHM)),
-						func(ri int) gpu.Result { return psubs[pi][ri].Run(wl, scheme.SHM) })
+				for vi := len(schemes); vi < len(rows); vi++ {
+					addRow(vi)
 				}
 			}
 		}
 	}
-	for idx, name := range rowNames {
-		avg := []interface{}{"average", name, sums[idx][0] / float64(len(wls))}
+	for idx, row := range rows {
+		avg := []interface{}{"average", row.name, sums[idx][0] / float64(len(wls))}
 		for ri := range oversubRatios {
 			avg = append(avg, sums[idx][1+ri]/float64(len(wls)), fsums[idx][ri]/uint64(len(wls)))
 		}

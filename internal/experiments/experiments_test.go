@@ -4,9 +4,13 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
+	"shmgpu/internal/gpu"
+	"shmgpu/internal/obs"
 	"shmgpu/internal/scheme"
+	"shmgpu/internal/telemetry"
 )
 
 // The experiment tests run a trimmed configuration: two contrasting
@@ -100,15 +104,107 @@ func TestTableIXStatic(t *testing.T) {
 	}
 }
 
+// TestRunCaching counts executions through the telemetry sink, which sees
+// every uncached run once: a repeated Run and a cell that two figures
+// share must each execute once.
 func TestRunCaching(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweep")
 	}
 	r := NewRunner(QuickConfig(), []string{"atax"})
+	var mu sync.Mutex
+	runs := map[string]int{}
+	r.SetTelemetrySink(telemetry.Config{SampleInterval: 5000}, func(res gpu.Result, _ *telemetry.Collector) {
+		mu.Lock()
+		runs[res.Workload+"/"+res.Scheme]++
+		mu.Unlock()
+	})
 	a := r.Run("atax", scheme.Baseline)
 	b := r.Run("atax", scheme.Baseline)
 	if a.Cycles != b.Cycles || a.Instructions != b.Instructions {
 		t.Fatal("cache returned different results")
+	}
+	// Fig. 14 and Fig. 15 share Naive, PSSM and SHM; Fig. 15 reuses Baseline.
+	_ = r.Fig14()
+	_ = r.Fig15()
+	if err := r.Err(); err != nil {
+		t.Fatal(err)
+	}
+	for _, cell := range []string{"atax/Baseline", "atax/Naive", "atax/PSSM", "atax/SHM"} {
+		if runs[cell] != 1 {
+			t.Errorf("%s executed %d times, want 1", cell, runs[cell])
+		}
+	}
+	if len(runs) != 6 {
+		t.Errorf("executed cells %v, want the 6 distinct cells of Figs. 14 and 15", runs)
+	}
+}
+
+// TestFigOversubQuick pins the oversubscription sweep on quick bfs to its
+// rendered text in testdata. bfs's ratio columns differ from one another,
+// so a ratio cell answered from the wrong configuration shows up here.
+func TestFigOversubQuick(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation sweep")
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "oversub-bfs.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewRunner(QuickConfig(), []string{"bfs"})
+	got := r.FigOversub().String()
+	if err := r.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Fatalf("oversubscription sweep changed:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestFigOversubReportsRatioCellErrors runs the sweep on a base config
+// that is valid with the host tier off and invalid with it on (a page
+// size that is not a power of two). The refused ratio cells must reach
+// Err instead of rendering as zeros.
+func TestFigOversubReportsRatioCellErrors(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation sweep")
+	}
+	cfg := QuickConfig()
+	cfg.UVMPageBytes = 3000
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("tier-off base config must be valid: %v", err)
+	}
+	r := NewRunner(cfg, []string{"bfs"})
+	_ = r.FigOversub()
+	if err := r.Err(); err == nil || !strings.Contains(err.Error(), "@r=") {
+		t.Fatalf("Err() = %v, want a refused ratio cell", err)
+	}
+}
+
+// TestSweepCellsReachOpsPlane runs the oversubscription sweep and an
+// ablation under an ops plane: every distinct cell they run must register
+// with it, so a live sweep reports all of its work.
+func TestSweepCellsReachOpsPlane(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation sweep")
+	}
+	p, err := obs.Start(obs.Options{Tool: "obs-test"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	r := NewRunner(QuickConfig(), []string{"bfs"})
+	r.SetOps(p)
+	_ = r.FigOversub()
+	_ = r.AblationTrackers()
+	if err := r.Err(); err != nil {
+		t.Fatal(err)
+	}
+	// 6 tier-off cells, 8 rows × 3 ratios, 4 tracker points (the
+	// ablation's baseline is the sweep's).
+	const cells = 6 + 8*3 + 4
+	if got := p.Progress().Done; got != cells {
+		t.Errorf("ops plane saw %d finished cells, want %d", got, cells)
 	}
 }
 

@@ -40,8 +40,6 @@ import (
 	"shmgpu/internal/experiments"
 	"shmgpu/internal/gpu"
 	"shmgpu/internal/obs"
-	"shmgpu/internal/report"
-	"shmgpu/internal/scheme"
 	"shmgpu/internal/telemetry"
 	"shmgpu/internal/workload"
 )
@@ -53,8 +51,12 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("paperbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	var ids []string
+	for _, f := range experiments.Figures {
+		ids = append(ids, f.ID)
+	}
 	var (
-		fig            = fs.String("fig", "all", "figure/table to regenerate: 5, 10, 11, 12, 13, 14, 15, 16, vii, ix, summary, all")
+		fig            = fs.String("fig", "all", "figure/table to regenerate: "+strings.Join(ids, ", ")+", or all (every one but the ablations)")
 		quick          = fs.Bool("quick", false, "use the scaled-down fast configuration")
 		workloads      = fs.String("workloads", "", "comma-separated workload subset (default: the 15 memory-intensive ones)")
 		out            = fs.String("out", "", "directory to write per-figure reports to")
@@ -104,72 +106,26 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	type genFn func() *report.Table
-	type gen struct {
-		id       string
-		name     string
-		fn       genFn
-		prefetch []scheme.Scheme
-		accuracy bool
-		extra    bool // excluded from -fig all (expensive ablations)
-	}
-	gens := []gen{
-		{"5", "fig05_characterization", r.Fig5, []scheme.Scheme{scheme.SHMUpperBound}, false, false},
-		{"10", "fig10_readonly_prediction", r.Fig10, nil, true, false},
-		{"11", "fig11_streaming_prediction", r.Fig11, nil, true, false},
-		{"12", "fig12_normalized_ipc", r.Fig12, []scheme.Scheme{scheme.Baseline, scheme.Naive, scheme.CommonCtr, scheme.PSSM, scheme.SHM, scheme.SHMUpperBound}, false, false},
-		{"13", "fig13_optimization_breakdown", r.Fig13, []scheme.Scheme{scheme.Baseline, scheme.PSSM, scheme.PSSMCtr, scheme.SHMReadOnly, scheme.SHM, scheme.SHMCctr}, false, false},
-		{"14", "fig14_bandwidth_overhead", r.Fig14, []scheme.Scheme{scheme.Naive, scheme.PSSM, scheme.SHMReadOnly, scheme.SHM}, false, false},
-		{"15", "fig15_energy", r.Fig15, []scheme.Scheme{scheme.Baseline, scheme.Naive, scheme.CommonCtr, scheme.PSSM, scheme.SHM}, false, false},
-		{"16", "fig16_victim_cache", r.Fig16, []scheme.Scheme{scheme.Baseline, scheme.SHM, scheme.SHMvL2}, false, false},
-		// The oversubscription sweep runs its own cells (the tier-off
-		// subset and the labelled ratio cells) on the runner's pool, so it
-		// carries no prefetch list here.
-		{"oversub", "oversubscription_sweep", r.FigOversub, nil, false, false},
-		{"vii", "table07_bandwidth_utilization", r.TableVII, []scheme.Scheme{scheme.Baseline}, false, false},
-		{"ix", "table09_hardware_overhead", experiments.TableIX, nil, false, false},
-		{"summary", "summary_headline", r.Summary, []scheme.Scheme{scheme.Baseline, scheme.Naive, scheme.CommonCtr, scheme.PSSM, scheme.SHM, scheme.SHMUpperBound}, false, false},
-		{"ablation-trackers", "ablation_trackers", r.AblationTrackers, []scheme.Scheme{scheme.Baseline}, false, true},
-		{"ablation-lead", "ablation_monitor_lead", r.AblationMonitorLead, []scheme.Scheme{scheme.Baseline}, false, true},
-		{"ablation-timeout", "ablation_timeout", r.AblationTimeout, []scheme.Scheme{scheme.Baseline}, false, true},
-		{"ablation-mdc", "ablation_mdc_size", r.AblationMDCSize, []scheme.Scheme{scheme.Baseline}, false, true},
-	}
-
-	var sel []gen
-	for _, g := range gens {
-		if *fig == "all" && g.extra {
-			continue
+	var sel []experiments.Figure
+	for _, f := range experiments.Figures {
+		if *fig == f.ID || (*fig == "all" && !f.Extra) {
+			sel = append(sel, f)
 		}
-		if *fig != "all" && *fig != g.id {
-			continue
-		}
-		sel = append(sel, g)
 	}
 	if len(sel) == 0 {
 		log.Errorf("unknown figure %q", *fig)
 		return 2
 	}
 
-	// The cell total is a best-effort ETA denominator: the union of the
-	// selected figures' prefetch cells times the workload count. Figures
-	// share cells through the runner's cache, so actually-run cells can
-	// undershoot this; the oversubscription sweep's ratio cells and the
-	// ablation points are not counted, so they can overshoot it. The
-	// progress record clamps.
-	wlCount := len(wls)
-	if wlCount == 0 {
-		wlCount = len(workload.MemoryIntensive())
-	}
-	cellKinds := make(map[string]bool)
-	for _, g := range sel {
-		for _, sch := range g.prefetch {
-			cellKinds[sch.Name] = true
-		}
-		if g.accuracy {
-			cellKinds["SHM/acc"] = true
+	// The progress total is exact: every distinct cell the selected
+	// figures declare runs once on this fresh runner.
+	cells := map[experiments.RunSpec]bool{}
+	for _, f := range sel {
+		for _, spec := range f.Cells(r) {
+			cells[spec] = true
 		}
 	}
-	plane, shutdown, err := opsFlags.Start("paperbench", len(cellKinds)*wlCount, stderr, log)
+	plane, shutdown, err := opsFlags.Start("paperbench", len(cells), stderr, log)
 	if err != nil {
 		log.Errorf("%v", err)
 		return 1
@@ -183,16 +139,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	code := 0
-	for _, g := range sel {
-		log.Debugf("generating %s", g.name)
+	for _, f := range sel {
+		log.Debugf("generating %s", f.Stem)
 		start := time.Now()
-		if len(g.prefetch) > 0 {
-			r.Prefetch(g.prefetch, false)
-		}
-		if g.accuracy {
-			r.Prefetch([]scheme.Scheme{scheme.SHM}, true)
-		}
-		table := g.fn()
+		table := f.Table(r)
 		var text string
 		if *jsonOut {
 			buf, err := json.MarshalIndent(table, "", " ")
@@ -213,7 +163,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			if *jsonOut {
 				ext = ".json"
 			}
-			path := filepath.Join(*out, g.name+ext)
+			path := filepath.Join(*out, f.Stem+ext)
 			if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
 				log.Errorf("%v", err)
 				code = 1

@@ -110,3 +110,32 @@ func TestBadOutDirExitsOne(t *testing.T) {
 		t.Fatalf("exit with occupied -out dir should be 1")
 	}
 }
+
+// TestProgressTotalIsExact: the progress total is the number of distinct
+// cells the selected figures run, so the final record reaches it exactly.
+func TestProgressTotalIsExact(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full simulation in -short mode")
+	}
+	path := filepath.Join(t.TempDir(), "progress.jsonl")
+	code, _, stderr := runCLI(t, "-quick", "-workloads", "atax", "-fig", "ablation-trackers", "-progress-out", path)
+	if code != 0 {
+		t.Fatalf("exit = %d\nstderr: %s", code, stderr)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
+	var last struct {
+		Done  int  `json:"done"`
+		Total int  `json:"total"`
+		Final bool `json:"final"`
+	}
+	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &last); err != nil {
+		t.Fatal(err)
+	}
+	if !last.Final || last.Total == 0 || last.Done != last.Total {
+		t.Errorf("final progress record %+v, want done == total > 0", last)
+	}
+}

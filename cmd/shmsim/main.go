@@ -188,21 +188,12 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		return 4
 	}
 
-	var res shmgpu.Result
-	var col *shmgpu.Collector
-	if *accuracy {
-		r := shmgpu.NewRunner(cfg, []string{*wl})
-		r.SetOps(plane)
-		res = r.RunWithAccuracy(*wl, schObj)
-		err = r.Err()
-	} else {
-		if instrument {
-			spec.Telemetry = &tcfg
-		}
-		var out shmgpu.RunOutput
-		out, err = observed(spec, *wl+"/"+*sch)
-		res, col = out.Result, out.Collector
+	if instrument {
+		spec.Telemetry = &tcfg
 	}
+	spec.Scheme.Options.TrackAccuracy = *accuracy
+	out, err := observed(spec, *wl+"/"+*sch)
+	res, col := out.Result, out.Collector
 	if err != nil {
 		log.Errorf("%v (run with -list to see valid names)", err)
 		return 2

@@ -132,3 +132,27 @@ func TestBadOutputPathExitsOne(t *testing.T) {
 		t.Fatalf("exit = %d, want 1; stderr:\n%s", code, errb)
 	}
 }
+
+// TestAccuracyRunKeepsTelemetry: -accuracy runs the requested cell like
+// any other, so its exports carry the full telemetry and the accuracy
+// table still prints.
+func TestAccuracyRunKeepsTelemetry(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full simulation in -short mode")
+	}
+	metrics := filepath.Join(t.TempDir(), "m.prom")
+	code, out, errb := runCLI(t, "-workload", "atax", "-scheme", "SHM", "-quick", "-accuracy", "-metrics-out", metrics)
+	if code != 0 {
+		t.Fatalf("exit = %d, stderr:\n%s", code, errb)
+	}
+	if !strings.Contains(out, "Predictor accuracy") {
+		t.Errorf("accuracy table missing from text output:\n%s", out)
+	}
+	prom, err := os.ReadFile(metrics)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(prom), "_bucket{le=") {
+		t.Error("metrics dump has no histogram series")
+	}
+}

@@ -3,14 +3,15 @@
 // accuracy breakdowns (Figs. 10, 11), overall performance (Fig. 12),
 // optimization breakdown (Fig. 13), bandwidth overheads (Fig. 14), energy
 // (Fig. 15), the L2 victim-cache study (Fig. 16), and the static tables
-// (VII hardware utilization check, IX hardware overhead).
+// (VII hardware utilization check, IX hardware overhead), plus the
+// oversubscription sweep and four ablations.
 //
-// A Runner caches simulation results keyed by the cell's RunSpec
+// Figures is the one list of them: each entry's id, report file stem,
+// cells and table builder. A builder runs its declared cells on the
+// runner's worker pool, under its ops plane and telemetry sink, before it
+// reads any Result. A Runner caches results keyed by the cell's RunSpec
 // (configuration, workload and design), so figures sharing runs (12, 13,
-// 14, 15 all reuse the same sweeps) pay for each simulation once. Runs are
-// independent and deterministic, so every figure's cells, the
-// oversubscription sweep's and the ablations' included, execute on one
-// worker pool under the runner's ops plane and telemetry sink.
+// 14, 15 all reuse the same sweeps) pay for each simulation once.
 package experiments
 
 import (
@@ -107,20 +108,19 @@ func (r *Runner) Run(wl string, sch scheme.Scheme) gpu.Result {
 	return r.runOn(-1, r.spec(wl, sch))
 }
 
-// RunWithAccuracy simulates with the Fig. 10/11 accuracy harness enabled.
+// RunWithAccuracy simulates with the Fig. 10/11 accuracy harness enabled
+// (cached; see withAccuracy).
 func (r *Runner) RunWithAccuracy(wl string, sch scheme.Scheme) gpu.Result {
-	sch.Options.TrackAccuracy = true
-	return r.Run(wl, sch)
+	return r.Run(wl, withAccuracy(sch))
 }
 
-// cellName names a cell in the ops plane and in Err: workload/scheme,
-// plus /acc when the accuracy harness is on.
-func cellName(spec RunSpec) string {
-	name := spec.Workload + "/" + spec.Scheme.Name
-	if spec.Scheme.Options.TrackAccuracy {
-		name += "/acc"
-	}
-	return name
+// withAccuracy turns sch's accuracy harness on and labels it <name>@acc,
+// so its ops-plane cell and telemetry dump never collide with the plain
+// design's.
+func withAccuracy(sch scheme.Scheme) scheme.Scheme {
+	sch.Options.TrackAccuracy = true
+	sch.Name += "@acc"
+	return sch
 }
 
 // runOn runs spec once and caches its Result, on the pool worker given
@@ -137,7 +137,7 @@ func (r *Runner) runOn(worker int, spec RunSpec) gpu.Result {
 		return res
 	}
 
-	name := cellName(spec)
+	name := spec.Workload + "/" + spec.Scheme.Name
 	run := spec
 	run.Observe = r.ops.BeginRun(name)
 	if r.sink != nil {
@@ -215,16 +215,27 @@ func (r *Runner) abandonable(orun *obs.Run, run func() (RunOutput, error)) (RunO
 }
 
 // Prefetch runs the given (workload × scheme) cross product on the worker
-// pool, filling the cache.
+// pool, filling the cache. The figure builders prefetch their own cells;
+// this is for callers that read cells through Run.
 func (r *Runner) Prefetch(schemes []scheme.Scheme, accuracy bool) {
-	specs := make([]RunSpec, 0, len(r.workloads)*len(schemes))
-	for _, wl := range r.workloads {
-		for _, sch := range schemes {
-			sch.Options.TrackAccuracy = accuracy
-			specs = append(specs, r.spec(wl, sch))
+	specs := r.cells(schemes...)
+	if accuracy {
+		for i := range specs {
+			specs[i].Scheme = withAccuracy(specs[i].Scheme)
 		}
 	}
 	r.prefetch(specs)
+}
+
+// cells is the (workload × scheme) cross product, workload-major.
+func (r *Runner) cells(schemes ...scheme.Scheme) []RunSpec {
+	specs := make([]RunSpec, 0, len(r.workloads)*len(schemes))
+	for _, wl := range r.workloads {
+		for _, sch := range schemes {
+			specs = append(specs, r.spec(wl, sch))
+		}
+	}
+	return specs
 }
 
 // prefetch runs specs on the shared fixed worker pool (internal/pool),
@@ -248,6 +259,40 @@ func (r *Runner) prefetch(specs []RunSpec) {
 	p.RunTagged(tasks)
 }
 
+// Figure is one table of the evaluation.
+type Figure struct {
+	// ID selects the figure (paperbench -fig, shmgpu.Figure).
+	ID string
+	// Stem names its report file under results/.
+	Stem string
+	// Extra leaves it out of paperbench -fig all (the ablations).
+	Extra bool
+	// Cells lists the distinct cells Table runs on a runner.
+	Cells func(*Runner) []RunSpec
+	// Table runs Cells on the runner's worker pool and renders the figure.
+	Table func(*Runner) *report.Table
+}
+
+// Figures is the evaluation, in the order paperbench renders it.
+var Figures = []Figure{
+	{"5", "fig05_characterization", false, (*Runner).fig5Cells, (*Runner).Fig5},
+	{"10", "fig10_readonly_prediction", false, (*Runner).accuracyCells, (*Runner).Fig10},
+	{"11", "fig11_streaming_prediction", false, (*Runner).accuracyCells, (*Runner).Fig11},
+	{"12", "fig12_normalized_ipc", false, fig12.cells, (*Runner).Fig12},
+	{"13", "fig13_optimization_breakdown", false, fig13.cells, (*Runner).Fig13},
+	{"14", "fig14_bandwidth_overhead", false, fig14.cells, (*Runner).Fig14},
+	{"15", "fig15_energy", false, fig15.cells, (*Runner).Fig15},
+	{"16", "fig16_victim_cache", false, (*Runner).fig16Cells, (*Runner).Fig16},
+	{"oversub", "oversubscription_sweep", false, (*Runner).oversubCells, (*Runner).FigOversub},
+	{"vii", "table07_bandwidth_utilization", false, (*Runner).tableVIICells, (*Runner).TableVII},
+	{"ix", "table09_hardware_overhead", false, func(*Runner) []RunSpec { return nil }, func(*Runner) *report.Table { return TableIX() }},
+	{"summary", "summary_headline", false, fig12.cells, (*Runner).Summary},
+	{"ablation-trackers", "ablation_trackers", true, trackersAblation.cells, (*Runner).AblationTrackers},
+	{"ablation-lead", "ablation_monitor_lead", true, leadAblation.cells, (*Runner).AblationMonitorLead},
+	{"ablation-timeout", "ablation_timeout", true, timeoutAblation.cells, (*Runner).AblationTimeout},
+	{"ablation-mdc", "ablation_mdc_size", true, mdcAblation.cells, (*Runner).AblationMDCSize},
+}
+
 // normalizedIPC returns scheme IPC / baseline IPC for a workload.
 func (r *Runner) normalizedIPC(wl string, sch scheme.Scheme) float64 {
 	base := r.Run(wl, scheme.Baseline)
@@ -258,11 +303,14 @@ func (r *Runner) normalizedIPC(wl string, sch scheme.Scheme) float64 {
 	return run.IPC() / base.IPC()
 }
 
+func (r *Runner) fig5Cells() []RunSpec { return r.cells(scheme.SHMUpperBound) }
+
 // Fig5 reproduces the access-characterization figure: the fraction of
 // off-chip accesses (L2 misses and write-backs) that target streaming data
 // and read-only data, per workload. Measured on the oracle-truth design so
 // every access is classified against ground truth.
 func (r *Runner) Fig5() *report.Table {
+	r.prefetch(r.fig5Cells())
 	t := report.NewTable("Figure 5: streaming and read-only access ratios",
 		"benchmark", "streaming", "read-only")
 	for _, wl := range r.workloads {
@@ -278,8 +326,12 @@ func (r *Runner) Fig5() *report.Table {
 	return t
 }
 
+// accuracyCells are the Figs. 10/11 cells: SHM with the accuracy harness.
+func (r *Runner) accuracyCells() []RunSpec { return r.cells(withAccuracy(scheme.SHM)) }
+
 // Fig10 reproduces the read-only prediction breakdown.
 func (r *Runner) Fig10() *report.Table {
+	r.prefetch(r.accuracyCells())
 	t := report.NewTable("Figure 10: read-only prediction breakdown",
 		"benchmark", "correct", "MP_Init", "MP_Aliasing", "accuracy")
 	var accs []float64
@@ -299,6 +351,7 @@ func (r *Runner) Fig10() *report.Table {
 
 // Fig11 reproduces the streaming prediction breakdown.
 func (r *Runner) Fig11() *report.Table {
+	r.prefetch(r.accuracyCells())
 	t := report.NewTable("Figure 11: streaming prediction breakdown",
 		"benchmark", "correct", "MP_Init", "MP_Runtime_RO", "MP_Runtime_NonRO", "MP_Aliasing", "accuracy")
 	var accs []float64
@@ -318,92 +371,93 @@ func (r *Runner) Fig11() *report.Table {
 	return t
 }
 
-// fig12Schemes are the designs compared in the overall-performance figure.
-func fig12Schemes() []scheme.Scheme {
-	return []scheme.Scheme{
-		scheme.Naive, scheme.CommonCtr, scheme.PSSM, scheme.SHM, scheme.SHMUpperBound,
-	}
+// designFigure is a figure with one column per design: a row per workload
+// and an average row.
+type designFigure struct {
+	title   string
+	designs []scheme.Scheme
+	// value is the cell of one workload under one design; baseline is
+	// set when it reads the workload's Baseline run too.
+	value    func(r *Runner, wl string, sch scheme.Scheme) float64
+	baseline bool
+	percent  bool // render values as percentages
 }
+
+func (f designFigure) cells(r *Runner) []RunSpec {
+	if f.baseline {
+		return r.cells(append([]scheme.Scheme{scheme.Baseline}, f.designs...)...)
+	}
+	return r.cells(f.designs...)
+}
+
+func (f designFigure) table(r *Runner) *report.Table {
+	r.prefetch(f.cells(r))
+	show := func(v float64) interface{} {
+		if f.percent {
+			return report.Percent(v)
+		}
+		return v
+	}
+	cols := []string{"benchmark"}
+	for _, s := range f.designs {
+		cols = append(cols, s.Name)
+	}
+	t := report.NewTable(f.title, cols...)
+	sums := make([]float64, len(f.designs))
+	for _, wl := range r.workloads {
+		row := []interface{}{wl}
+		for i, s := range f.designs {
+			v := f.value(r, wl, s)
+			sums[i] += v
+			row = append(row, show(v))
+		}
+		t.AddRow(row...)
+	}
+	avg := []interface{}{"average"}
+	for i := range f.designs {
+		avg = append(avg, show(sums[i]/float64(len(r.workloads))))
+	}
+	t.AddRow(avg...)
+	return t
+}
+
+var (
+	fig12 = designFigure{
+		title:   "Figure 12: normalized IPC of secure GPU memory designs",
+		designs: []scheme.Scheme{scheme.Naive, scheme.CommonCtr, scheme.PSSM, scheme.SHM, scheme.SHMUpperBound},
+		value:   (*Runner).normalizedIPC, baseline: true,
+	}
+	fig13 = designFigure{
+		title:   "Figure 13: performance impact of individual optimizations",
+		designs: []scheme.Scheme{scheme.PSSM, scheme.PSSMCtr, scheme.SHMReadOnly, scheme.SHM, scheme.SHMCctr},
+		value:   (*Runner).normalizedIPC, baseline: true,
+	}
+	fig14 = designFigure{
+		title:   "Figure 14: security-metadata bandwidth overhead (vs regular data)",
+		designs: []scheme.Scheme{scheme.Naive, scheme.PSSM, scheme.SHMReadOnly, scheme.SHM},
+		value: func(r *Runner, wl string, sch scheme.Scheme) float64 {
+			return r.Run(wl, sch).BandwidthOverhead()
+		},
+		percent: true,
+	}
+	fig15 = designFigure{
+		title:   "Figure 15: normalized energy per instruction",
+		designs: []scheme.Scheme{scheme.Naive, scheme.CommonCtr, scheme.PSSM, scheme.SHM},
+		value: func(r *Runner, wl string, sch scheme.Scheme) float64 {
+			return energy.Default().Normalized(activityOf(r.Run(wl, sch)), activityOf(r.Run(wl, scheme.Baseline)))
+		},
+		baseline: true,
+	}
+)
 
 // Fig12 reproduces the normalized-IPC comparison.
-func (r *Runner) Fig12() *report.Table {
-	schemes := fig12Schemes()
-	cols := []string{"benchmark"}
-	for _, s := range schemes {
-		cols = append(cols, s.Name)
-	}
-	t := report.NewTable("Figure 12: normalized IPC of secure GPU memory designs", cols...)
-	sums := make([]float64, len(schemes))
-	for _, wl := range r.workloads {
-		row := []interface{}{wl}
-		for i, s := range schemes {
-			n := r.normalizedIPC(wl, s)
-			sums[i] += n
-			row = append(row, n)
-		}
-		t.AddRow(row...)
-	}
-	avg := []interface{}{"average"}
-	for i := range schemes {
-		avg = append(avg, sums[i]/float64(len(r.workloads)))
-	}
-	t.AddRow(avg...)
-	return t
-}
+func (r *Runner) Fig12() *report.Table { return fig12.table(r) }
 
 // Fig13 reproduces the optimization breakdown.
-func (r *Runner) Fig13() *report.Table {
-	schemes := []scheme.Scheme{
-		scheme.PSSM, scheme.PSSMCtr, scheme.SHMReadOnly, scheme.SHM, scheme.SHMCctr,
-	}
-	cols := []string{"benchmark"}
-	for _, s := range schemes {
-		cols = append(cols, s.Name)
-	}
-	t := report.NewTable("Figure 13: performance impact of individual optimizations", cols...)
-	sums := make([]float64, len(schemes))
-	for _, wl := range r.workloads {
-		row := []interface{}{wl}
-		for i, s := range schemes {
-			n := r.normalizedIPC(wl, s)
-			sums[i] += n
-			row = append(row, n)
-		}
-		t.AddRow(row...)
-	}
-	avg := []interface{}{"average"}
-	for i := range schemes {
-		avg = append(avg, sums[i]/float64(len(r.workloads)))
-	}
-	t.AddRow(avg...)
-	return t
-}
+func (r *Runner) Fig13() *report.Table { return fig13.table(r) }
 
 // Fig14 reproduces the bandwidth-overhead comparison.
-func (r *Runner) Fig14() *report.Table {
-	schemes := []scheme.Scheme{scheme.Naive, scheme.PSSM, scheme.SHMReadOnly, scheme.SHM}
-	cols := []string{"benchmark"}
-	for _, s := range schemes {
-		cols = append(cols, s.Name)
-	}
-	t := report.NewTable("Figure 14: security-metadata bandwidth overhead (vs regular data)", cols...)
-	sums := make([]float64, len(schemes))
-	for _, wl := range r.workloads {
-		row := []interface{}{wl}
-		for i, s := range schemes {
-			ov := r.Run(wl, s).BandwidthOverhead()
-			sums[i] += ov
-			row = append(row, report.Percent(ov))
-		}
-		t.AddRow(row...)
-	}
-	avg := []interface{}{"average"}
-	for i := range schemes {
-		avg = append(avg, report.Percent(sums[i]/float64(len(r.workloads))))
-	}
-	t.AddRow(avg...)
-	return t
-}
+func (r *Runner) Fig14() *report.Table { return fig14.table(r) }
 
 // activityOf converts a run into the energy model's input.
 func activityOf(res gpu.Result) energy.Activity {
@@ -418,35 +472,15 @@ func activityOf(res gpu.Result) energy.Activity {
 }
 
 // Fig15 reproduces the normalized energy-per-instruction comparison.
-func (r *Runner) Fig15() *report.Table {
-	schemes := []scheme.Scheme{scheme.Naive, scheme.CommonCtr, scheme.PSSM, scheme.SHM}
-	cols := []string{"benchmark"}
-	for _, s := range schemes {
-		cols = append(cols, s.Name)
-	}
-	t := report.NewTable("Figure 15: normalized energy per instruction", cols...)
-	model := energy.Default()
-	sums := make([]float64, len(schemes))
-	for _, wl := range r.workloads {
-		base := activityOf(r.Run(wl, scheme.Baseline))
-		row := []interface{}{wl}
-		for i, s := range schemes {
-			n := model.Normalized(activityOf(r.Run(wl, s)), base)
-			sums[i] += n
-			row = append(row, n)
-		}
-		t.AddRow(row...)
-	}
-	avg := []interface{}{"average"}
-	for i := range schemes {
-		avg = append(avg, sums[i]/float64(len(r.workloads)))
-	}
-	t.AddRow(avg...)
-	return t
+func (r *Runner) Fig15() *report.Table { return fig15.table(r) }
+
+func (r *Runner) fig16Cells() []RunSpec {
+	return r.cells(scheme.Baseline, scheme.SHM, scheme.SHMvL2)
 }
 
 // Fig16 reproduces the L2-victim-cache study.
 func (r *Runner) Fig16() *report.Table {
+	r.prefetch(r.fig16Cells())
 	t := report.NewTable("Figure 16: normalized IPC with L2 as metadata victim cache",
 		"benchmark", "SHM", "SHM_vL2", "gain", "victim hits")
 	var sums [2]float64
@@ -506,6 +540,48 @@ var oversubPrefetchVariants = []oversubRow{
 	{"SHM+stream", scheme.SHM, "stream"},
 }
 
+// oversubRows are the sweep's rows: first its schemes (the baseline and
+// every Fig. 12 design) under the runner's policy, then the
+// migration-ahead variants of SHM.
+func (r *Runner) oversubRows() (rows []oversubRow, schemes int) {
+	for _, sch := range append([]scheme.Scheme{scheme.Baseline}, fig12.designs...) {
+		rows = append(rows, oversubRow{sch.Name, sch, r.cfg.UVMPrefetch})
+	}
+	schemes = len(rows)
+	return append(rows, oversubPrefetchVariants...), schemes
+}
+
+// ratioCell is the runner's config with the tier on at ratio, labelled
+// with its row and ratio (SHM@r=0.50, SHM+stream@r=0.50), so its ops-plane
+// cell and telemetry dump never collide with a tier-off one.
+func (r *Runner) ratioCell(wl string, row oversubRow, ratio float64) RunSpec {
+	spec := r.spec(wl, row.sch)
+	spec.Config.HostTier = true
+	spec.Config.OversubRatio = ratio
+	spec.Config.UVMPrefetch = row.policy
+	spec.Scheme.Name = fmt.Sprintf("%s@r=%.2f", row.name, ratio)
+	return spec
+}
+
+// oversubCells are the sweep's cells: per workload, the scheme rows'
+// tier-off cells (the runner's own, shared with the other figures) and
+// every row's ratio cells.
+func (r *Runner) oversubCells() []RunSpec {
+	rows, schemes := r.oversubRows()
+	var specs []RunSpec
+	for _, wl := range oversubWorkloads(r.workloads) {
+		for _, row := range rows[:schemes] {
+			specs = append(specs, r.spec(wl, row.sch))
+		}
+		for _, row := range rows {
+			for _, ratio := range oversubRatios {
+				specs = append(specs, r.ratioCell(wl, row, ratio))
+			}
+		}
+	}
+	return specs
+}
+
 // FigOversub reproduces the heterogeneous-memory extension study: IPC under
 // the host-backed tier at decreasing resident ratios, for the baseline and
 // every Fig. 12 design, normalized to the insecure tier-off run of the same
@@ -521,44 +597,10 @@ var oversubPrefetchVariants = []oversubRow{
 // once: fewer faults and the IPC they buy back. Their "resident" cell
 // reuses the SHM tier-off run — at ratio >= 1 every prefetch policy is
 // provably idle, so the runs are byte-identical.
-//
-// The tier-off cells are the runner's own, shared with the other figures.
-// A ratio cell is the runner's config with the tier on, labelled with its
-// row and ratio (SHM@r=0.50, SHM+stream@r=0.50), so its ops-plane cell and
-// telemetry dump never collide with a tier-off one. Every cell runs on the
-// worker pool before the table is built.
 func (r *Runner) FigOversub() *report.Table {
-	schemes := append([]scheme.Scheme{scheme.Baseline}, fig12Schemes()...)
+	r.prefetch(r.oversubCells())
+	rows, schemes := r.oversubRows()
 	wls := oversubWorkloads(r.workloads)
-
-	// rows: the scheme rows under the runner's policy, then the
-	// migration-ahead variants of SHM.
-	var rows []oversubRow
-	for _, sch := range schemes {
-		rows = append(rows, oversubRow{sch.Name, sch, r.cfg.UVMPrefetch})
-	}
-	rows = append(rows, oversubPrefetchVariants...)
-	ratioCell := func(wl string, row oversubRow, ri int) RunSpec {
-		spec := r.spec(wl, row.sch)
-		spec.Config.HostTier = true
-		spec.Config.OversubRatio = oversubRatios[ri]
-		spec.Config.UVMPrefetch = row.policy
-		spec.Scheme.Name = fmt.Sprintf("%s@r=%.2f", row.name, oversubRatios[ri])
-		return spec
-	}
-
-	var specs []RunSpec
-	for _, wl := range wls {
-		for _, sch := range schemes {
-			specs = append(specs, r.spec(wl, sch))
-		}
-		for _, row := range rows {
-			for ri := range oversubRatios {
-				specs = append(specs, ratioCell(wl, row, ri))
-			}
-		}
-	}
-	r.prefetch(specs)
 
 	cols := []string{"benchmark", "scheme", "resident"}
 	for _, ratio := range oversubRatios {
@@ -585,8 +627,8 @@ func (r *Runner) FigOversub() *report.Table {
 			resident := norm(r.Run(wl, row.sch))
 			sums[idx][0] += resident
 			cells := []interface{}{wl, row.name, resident}
-			for ri := range oversubRatios {
-				res := r.runOn(-1, ratioCell(wl, row, ri))
+			for ri, ratio := range oversubRatios {
+				res := r.runOn(-1, r.ratioCell(wl, row, ratio))
 				n := norm(res)
 				faults := res.Reg.Get("uvm_faults")
 				sums[idx][1+ri] += n
@@ -596,10 +638,10 @@ func (r *Runner) FigOversub() *report.Table {
 			t.AddRow(cells...)
 		}
 		// Each workload lists the variants right under SHM.
-		for si, sch := range schemes {
+		for si, row := range rows[:schemes] {
 			addRow(si)
-			if sch == scheme.SHM {
-				for vi := len(schemes); vi < len(rows); vi++ {
+			if row.sch == scheme.SHM {
+				for vi := schemes; vi < len(rows); vi++ {
 					addRow(vi)
 				}
 			}
@@ -615,9 +657,12 @@ func (r *Runner) FigOversub() *report.Table {
 	return t
 }
 
+func (r *Runner) tableVIICells() []RunSpec { return r.cells(scheme.Baseline) }
+
 // TableVII checks the measured baseline bandwidth utilization against the
 // paper's per-benchmark bands.
 func (r *Runner) TableVII() *report.Table {
+	r.prefetch(r.tableVIICells())
 	t := report.NewTable("Table VII: baseline DRAM bandwidth utilization",
 		"benchmark", "measured", "paper band")
 	bands := map[string]string{
@@ -648,8 +693,10 @@ func TableIX() *report.Table {
 }
 
 // Summary returns the headline numbers of the reproduction: average
-// performance overheads per design (the paper's abstract numbers).
+// performance overheads per design (the paper's abstract numbers), over
+// the Fig. 12 cells.
 func (r *Runner) Summary() *report.Table {
+	r.prefetch(fig12.cells(r))
 	t := report.NewTable("Headline averages (memory-intensive workloads)",
 		"design", "avg normalized IPC", "avg overhead", "paper overhead")
 	paper := map[string]string{
@@ -659,7 +706,7 @@ func (r *Runner) Summary() *report.Table {
 		scheme.SHM.Name:           "8.09%",
 		scheme.SHMUpperBound.Name: "6.76%",
 	}
-	for _, s := range fig12Schemes() {
+	for _, s := range fig12.designs {
 		var sum float64
 		for _, wl := range r.workloads {
 			sum += r.normalizedIPC(wl, s)

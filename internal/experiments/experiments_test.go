@@ -200,11 +200,66 @@ func TestSweepCellsReachOpsPlane(t *testing.T) {
 	if err := r.Err(); err != nil {
 		t.Fatal(err)
 	}
-	// 6 tier-off cells, 8 rows × 3 ratios, 4 tracker points (the
-	// ablation's baseline is the sweep's).
-	const cells = 6 + 8*3 + 4
+	cells := declaredCells(r, figure(t, "oversub"), figure(t, "ablation-trackers"))
 	if got := p.Progress().Done; got != cells {
 		t.Errorf("ops plane saw %d finished cells, want %d", got, cells)
+	}
+}
+
+// figure looks an entry of Figures up by id.
+func figure(t *testing.T, id string) Figure {
+	t.Helper()
+	for _, f := range Figures {
+		if f.ID == id {
+			return f
+		}
+	}
+	t.Fatalf("no figure %q", id)
+	return Figure{}
+}
+
+// declaredCells counts the distinct cells figs declare on r.
+func declaredCells(r *Runner, figs ...Figure) int {
+	cells := map[RunSpec]bool{}
+	for _, f := range figs {
+		for _, spec := range f.Cells(r) {
+			cells[spec] = true
+		}
+	}
+	return len(cells)
+}
+
+// TestFiguresRunDeclaredCells builds every figure on a fresh runner over
+// one workload, with a short cycle budget, and counts executions through
+// the telemetry sink: each figure must execute exactly the distinct cells
+// it declares, once each, so a sweep's progress total is exact.
+func TestFiguresRunDeclaredCells(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation sweep")
+	}
+	cfg := QuickConfig()
+	cfg.MaxCycles = 2_000
+	for _, f := range Figures {
+		r := NewRunner(cfg, []string{"atax"})
+		var mu sync.Mutex
+		runs := map[string]int{}
+		r.SetTelemetrySink(telemetry.Config{}, func(res gpu.Result, _ *telemetry.Collector) {
+			mu.Lock()
+			runs[res.Workload+"/"+res.Scheme]++
+			mu.Unlock()
+		})
+		_ = f.Table(r)
+		if err := r.Err(); err != nil {
+			t.Fatalf("figure %s: %v", f.ID, err)
+		}
+		if want := declaredCells(r, f); len(runs) != want {
+			t.Errorf("figure %s executed %d distinct cells %v, declares %d", f.ID, len(runs), runs, want)
+		}
+		for cell, n := range runs {
+			if n != 1 {
+				t.Errorf("figure %s executed %s %d times", f.ID, cell, n)
+			}
+		}
 	}
 }
 

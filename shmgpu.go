@@ -153,34 +153,15 @@ func NewRunner(cfg Config, workloads []string) *Runner {
 type Table = report.Table
 
 // Figure regenerates one of the paper's figures/tables by identifier:
-// "5", "10", "11", "12", "13", "14", "15", "16", "vii", "ix", "summary",
-// "oversub" (the heterogeneous-memory oversubscription sweep).
+// "5", "10", "11", "12", "13", "14", "15", "16", "oversub" (the
+// heterogeneous-memory oversubscription sweep), "vii", "ix", "summary",
+// and the ablations "ablation-trackers", "ablation-lead",
+// "ablation-timeout", "ablation-mdc". Its cells run on r's worker pool.
 func Figure(r *Runner, id string) (*Table, error) {
-	switch id {
-	case "oversub":
-		return r.FigOversub(), nil
-	case "5":
-		return r.Fig5(), nil
-	case "10":
-		return r.Fig10(), nil
-	case "11":
-		return r.Fig11(), nil
-	case "12":
-		return r.Fig12(), nil
-	case "13":
-		return r.Fig13(), nil
-	case "14":
-		return r.Fig14(), nil
-	case "15":
-		return r.Fig15(), nil
-	case "16":
-		return r.Fig16(), nil
-	case "vii":
-		return r.TableVII(), nil
-	case "ix":
-		return experiments.TableIX(), nil
-	case "summary":
-		return r.Summary(), nil
+	for _, f := range experiments.Figures {
+		if f.ID == id {
+			return f.Table(r), nil
+		}
 	}
 	return nil, fmt.Errorf("shmgpu: unknown figure %q", id)
 }

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"shmgpu/internal/experiments"
 	"shmgpu/internal/scheme"
 )
 
@@ -135,10 +136,23 @@ func TestRunEndToEnd(t *testing.T) {
 	}
 }
 
+// TestFigureDispatch resolves every id of the figure table, the ablations
+// included. The runner's config is invalid, so each cell is refused at
+// once and the tables render without simulating.
 func TestFigureDispatch(t *testing.T) {
-	r := NewRunner(QuickConfig(), []string{"atax"})
-	if _, err := Figure(r, "ix"); err != nil {
-		t.Fatal(err)
+	cfg := QuickConfig()
+	cfg.L1Bytes = 0
+	r := NewRunner(cfg, []string{"atax"})
+	titles := map[string]string{}
+	for _, f := range experiments.Figures {
+		tb, err := Figure(r, f.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if prev, ok := titles[tb.Title]; ok || tb.Title == "" {
+			t.Errorf("figure %s renders title %q (also figure %s)", f.ID, tb.Title, prev)
+		}
+		titles[tb.Title] = f.ID
 	}
 	if _, err := Figure(r, "99"); err == nil {
 		t.Fatal("unknown figure accepted")

@@ -123,16 +123,21 @@ func TestReplayGarbage(t *testing.T) {
 }
 
 func TestReplayUnknownConfigKey(t *testing.T) {
-	// A stale or misspelled config key must not replay the tiny base,
-	// in a bare case file or in a finding file's shrunk cell.
-	cell := `{"seed": 1, "config": {"MEE.Trackerz": 1}, "workload": {"buffers": [{"kb": 16}]}}`
-	for _, data := range []string{cell, `{"index": 3, "shrunk": ` + cell + `}`} {
-		path := filepath.Join(t.TempDir(), "case.json")
-		if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if code, stdout, stderr := runCLI(t, "-replay", path); code != 2 || !strings.Contains(stderr, "MEE.Trackerz") {
-			t.Fatalf("%s: exit = %d, want 2 naming the key\nstdout: %s\nstderr: %s", data, code, stdout, stderr)
+	// A stale or misspelled config or workload key must not replay the
+	// tiny base, in a bare case file or in a finding file's shrunk cell.
+	for key, cell := range map[string]string{
+		"MEE.Trackerz": `{"config": {"MEE.Trackerz": 1}, "workload": {"buffers": [{"bytes": 16384}], "seed": 1}}`,
+		"kb":           `{"workload": {"buffers": [{"kb": 64}], "seed": 1}}`,
+		"pattrn":       `{"workload": {"buffers": [{"pattrn": "random"}], "seed": 1}}`,
+	} {
+		for _, data := range []string{cell, `{"index": 3, "shrunk": ` + cell + `}`} {
+			path := filepath.Join(t.TempDir(), "case.json")
+			if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if code, stdout, stderr := runCLI(t, "-replay", path); code != 2 || !strings.Contains(stderr, key) {
+				t.Fatalf("%s: exit = %d, want 2 naming %q\nstdout: %s\nstderr: %s", data, code, key, stdout, stderr)
+			}
 		}
 	}
 }

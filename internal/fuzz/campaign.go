@@ -84,7 +84,7 @@ func (r CampaignResult) Clean() bool {
 // replays share this so finding reports stay replayable by (seed, index).
 func CellCase(campaignSeed int64, i int) Case {
 	c := Generate(rand.New(rand.NewSource(campaignSeed + int64(i))))
-	c.Name = fmt.Sprintf("cell-%d-%d", campaignSeed, i)
+	c.Workload.BenchName = fmt.Sprintf("cell-%d-%d", campaignSeed, i)
 	return c
 }
 
@@ -138,7 +138,7 @@ func RunCampaign(opts CampaignOptions) (CampaignResult, error) {
 		}
 		c := CellCase(opts.Seed, i)
 		res.Cells++
-		orun := opts.Ops.BeginRun(c.Name)
+		orun := opts.Ops.BeginRun(c.Workload.BenchName)
 		check.Obs = orun
 		vs, err := CheckCaseOpts(c, check)
 		if err != nil {

@@ -15,12 +15,17 @@
 // timed campaigns over this package; the native go-fuzz targets in
 // fuzz_test.go wrap the same oracles.
 //
-// A cell replays from its JSON Case alone. Its config is a Delta: dotted
-// gpu.Config field paths over a tiny base, so any field of the real
-// config, MEE values included, can appear in a repro under its own name.
+// A cell replays from its JSON Case alone, and has the parts of an
+// experiments.RunSpec. Its config is a Delta: dotted gpu.Config field
+// paths over a tiny base, so any field of the real config, MEE values
+// included, can appear in a repro under its own name. Its workload is a
+// workload.Spec, the declarative model the Table VII benchmarks use, whose
+// zero fields take the tiny base's defaults. Decoding a case rejects a key
+// that names no field, in the config and in the workload alike.
 package fuzz
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -30,28 +35,36 @@ import (
 
 	"shmgpu/internal/dram"
 	"shmgpu/internal/gpu"
-	"shmgpu/internal/memdef"
 	"shmgpu/internal/scheme"
 	"shmgpu/internal/secmem"
 	"shmgpu/internal/workload"
 )
 
-// Case is one replayable fuzz cell: a seed, a GPU configuration delta, a
-// synthetic workload, and the scheme set to run it under. Every optional
-// field left out takes the tiny base's value, so shrunk repros serialize
-// to only the fields that matter.
+// Case is one replayable fuzz cell, with the three parts of an
+// experiments.RunSpec: a GPU configuration delta, a synthetic workload,
+// and the scheme set to run it under. Every optional field left out takes
+// the tiny base's value, so shrunk repros serialize to only the fields
+// that matter.
 type Case struct {
-	// Name labels the cell in findings and logs.
-	Name string `json:"name,omitempty"`
-	// Seed is the workload seed (threaded into every warp program).
-	Seed int64 `json:"seed"`
 	// Config is the GPU configuration delta over the tiny base.
 	Config Delta `json:"config,omitempty"`
-	// Workload is the synthetic kernel model.
-	Workload WorkloadSpec `json:"workload"`
+	// Workload is the synthetic kernel model. Its name labels the cell in
+	// findings and logs; its seed is threaded into every warp program.
+	// Zero fields take the tiny base's defaults (baseWorkload).
+	Workload workload.Spec `json:"workload"`
 	// Schemes is the secure-memory designs to run (default: Baseline,
 	// Naive, PSSM, SHM).
 	Schemes []string `json:"schemes,omitempty"`
+}
+
+// UnmarshalJSON decodes a case and rejects a key that names no field, so
+// a misspelled or old-format workload key fails to load instead of
+// replaying the tiny base's default.
+func (c *Case) UnmarshalJSON(data []byte) error {
+	type plain Case
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	return dec.Decode((*plain)(c))
 }
 
 // Delta is a flat set of gpu.Config values over the tiny base
@@ -60,12 +73,12 @@ type Case struct {
 // field's JSON, so a shrunk repro reads
 //
 //	{
-//	  "seed": 2,
 //	  "config": {
 //	    "MEE.WindowAccesses": 33
 //	  },
 //	  "workload": {
-//	    "buffers": [{"kb": 0, "pattern": "random"}]
+//	    "buffers": [{"pattern": "random"}],
+//	    "seed": 2
 //	  },
 //	  "schemes": ["SHM"]
 //	}
@@ -141,29 +154,6 @@ func (d *Delta) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// WorkloadSpec is the synthetic kernel model of a cell.
-type WorkloadSpec struct {
-	Buffers         []BufferSpec `json:"buffers"`
-	ComputePerMem   int          `json:"compute_per_mem,omitempty"`
-	Kernels         int          `json:"kernels,omitempty"`
-	MemInstsPerWarp int          `json:"mem_insts,omitempty"`
-	FrontierWindow  int          `json:"frontier_window,omitempty"`
-	RewriteInputs   bool         `json:"rewrite_inputs,omitempty"`
-	UseResetAPI     bool         `json:"use_reset_api,omitempty"`
-}
-
-// BufferSpec declares one device allocation of the synthetic kernel.
-type BufferSpec struct {
-	Name       string  `json:"name,omitempty"`
-	KB         int     `json:"kb"`
-	Pattern    string  `json:"pattern,omitempty"` // stream|random|stencil|gather
-	Space      string  `json:"space,omitempty"`   // global|local|constant|texture
-	ReadOnly   bool    `json:"read_only,omitempty"`
-	WriteFrac  float64 `json:"write_frac,omitempty"`
-	Weight     float64 `json:"weight,omitempty"` // default 1
-	HostCopied bool    `json:"host_copied,omitempty"`
-}
-
 // baseConfig is the tiny base every case's delta applies to. It is
 // deliberately far smaller than QuickConfig: a fuzz campaign's value is
 // cells per second, and every mechanism (sectoring, MSHRs, queue
@@ -206,25 +196,39 @@ func baseConfig() gpu.Config {
 	}
 }
 
-// Tiny-base workload defaults.
-const (
-	baseMemInsts     = 16
-	baseKernels      = 1
-	baseBufferKB     = 16
-	baseBufferWeight = 1.0
-)
+// baseWorkload fills w's zero fields with the tiny base's defaults: the
+// name "fuzzcell", one kernel and 16 memory instructions per warp, and
+// per buffer the name "buf<i>", 16 KB and weight 1.
+func baseWorkload(w workload.Spec) workload.Spec {
+	if w.BenchName == "" {
+		w.BenchName = "fuzzcell"
+	}
+	if w.KernelCount == 0 {
+		w.KernelCount = 1
+	}
+	if w.MemInstsPerWarp == 0 {
+		w.MemInstsPerWarp = 16
+	}
+	w.Buffers = slices.Clone(w.Buffers)
+	for i := range w.Buffers {
+		b := &w.Buffers[i]
+		if b.Name == "" {
+			b.Name = fmt.Sprintf("buf%d", i)
+		}
+		if b.Bytes == 0 {
+			b.Bytes = 16 << 10
+		}
+		if b.Weight == 0 {
+			b.Weight = 1
+		}
+	}
+	return w
+}
 
 // DefaultSchemes is the scheme set a Case with no explicit Schemes runs:
 // the insecure baseline, the CPU-style naive design, PSSM, and full SHM —
 // the minimum set over which all cross-scheme metamorphic oracles apply.
 var DefaultSchemes = []string{"Baseline", "Naive", "PSSM", "SHM"}
-
-func orInt(v, def int) int {
-	if v == 0 {
-		return def
-	}
-	return v
-}
 
 // SchemeNames returns the cell's scheme list with the default applied.
 func (c Case) SchemeNames() []string {
@@ -242,109 +246,37 @@ func (c Case) GPUConfig() (gpu.Config, error) {
 	return cfg, err
 }
 
-func parseSpace(name string) (memdef.Space, error) {
-	switch name {
-	case "", "global":
-		return memdef.SpaceGlobal, nil
-	case "local":
-		return memdef.SpaceLocal, nil
-	case "constant":
-		return memdef.SpaceConstant, nil
-	case "texture":
-		return memdef.SpaceTexture, nil
-	}
-	return memdef.SpaceGlobal, fmt.Errorf("fuzz: unknown memory space %q", name)
-}
-
-// workloadSpec materializes the cell's workload.Spec; Execute builds a
-// fresh benchmark from it for every run.
-func (c Case) workloadSpec() (workload.Spec, error) {
-	w := c.Workload
-	spec := workload.Spec{
-		BenchName:       "fuzzcell",
-		ComputePerMem:   w.ComputePerMem,
-		KernelCount:     orInt(w.Kernels, baseKernels),
-		MemInstsPerWarp: orInt(w.MemInstsPerWarp, baseMemInsts),
-		FrontierWindow:  w.FrontierWindow,
-		RewriteInputs:   w.RewriteInputs,
-		UseResetAPI:     w.UseResetAPI,
-		Seed:            c.Seed,
-	}
-	if c.Name != "" {
-		spec.BenchName = c.Name
-	}
-	for i, b := range w.Buffers {
-		pat, err := workload.ParsePattern(b.Pattern)
-		if err != nil {
-			return workload.Spec{}, err
-		}
-		space, err := parseSpace(b.Space)
-		if err != nil {
-			return workload.Spec{}, err
-		}
-		name := b.Name
-		if name == "" {
-			name = fmt.Sprintf("buf%d", i)
-		}
-		weight := b.Weight
-		if weight == 0 {
-			weight = baseBufferWeight
-		}
-		spec.Buffers = append(spec.Buffers, workload.Buffer{
-			Name:       name,
-			Bytes:      uint64(orInt(b.KB, baseBufferKB)) << 10,
-			Space:      space,
-			Pattern:    pat,
-			ReadOnly:   b.ReadOnly,
-			WriteFrac:  b.WriteFrac,
-			Weight:     weight,
-			HostCopied: b.HostCopied,
-		})
-	}
-	return spec, nil
-}
-
-// Footprint returns the device-memory bytes the cell's buffers occupy
-// after region rounding.
-func (c Case) Footprint() uint64 {
-	var total uint64
-	for _, b := range c.Workload.Buffers {
-		kb := uint64(orInt(b.KB, baseBufferKB)) << 10
-		total += (kb + memdef.RegionSize - 1) &^ uint64(memdef.RegionSize-1)
-	}
-	return total
-}
-
 // Validate checks the cell is runnable: the GPU config passes its own
-// validation (which includes the metadata geometry), every scheme
-// name resolves, the workload builds, and the buffers fit device memory.
+// validation (which includes the metadata geometry), every scheme name
+// resolves, the workload builds, and its buffers fit device memory.
 func (c Case) Validate() error {
+	_, _, err := c.build()
+	return err
+}
+
+// build validates the cell and returns its config and the benchmark its
+// workload lays out.
+func (c Case) build() (gpu.Config, *workload.Bench, error) {
 	cfg, err := c.GPUConfig()
 	if err != nil {
-		return err
+		return cfg, nil, err
 	}
 	if err := cfg.Validate(); err != nil {
-		return err
+		return cfg, nil, err
 	}
 	for _, name := range c.SchemeNames() {
 		if _, err := scheme.ByName(name); err != nil {
-			return err
+			return cfg, nil, err
 		}
 	}
-	if len(c.Workload.Buffers) == 0 {
-		return fmt.Errorf("fuzz: case has no buffers")
-	}
-	spec, err := c.workloadSpec()
+	bench, err := workload.New(baseWorkload(c.Workload))
 	if err != nil {
-		return err
+		return cfg, nil, err
 	}
-	if _, err := workload.New(spec); err != nil {
-		return err
+	if fp := bench.Footprint(); fp > cfg.DeviceMemoryBytes {
+		return cfg, nil, fmt.Errorf("fuzz: footprint %d exceeds device memory %d", fp, cfg.DeviceMemoryBytes)
 	}
-	if fp := c.Footprint(); fp > cfg.DeviceMemoryBytes {
-		return fmt.Errorf("fuzz: footprint %d exceeds device memory %d", fp, cfg.DeviceMemoryBytes)
-	}
-	return nil
+	return cfg, bench, nil
 }
 
 // MarshalIndent renders the case as the canonical replayable JSON.

@@ -14,6 +14,7 @@ import (
 	"shmgpu/internal/gpu"
 	"shmgpu/internal/scheme"
 	"shmgpu/internal/secmem"
+	"shmgpu/internal/workload"
 )
 
 // deltaOf builds a Delta from path, value pairs.
@@ -42,21 +43,29 @@ func leafPaths(v reflect.Value, prefix string) []string {
 
 // TestLoadCaseRejectsBadDelta: a case file whose config names no field,
 // or gives a field a value it cannot hold, must fail to load rather than
-// replay the tiny base.
+// replay the tiny base; so must a workload key that names no field (an
+// old-format "kb" would otherwise load as the 16 KB default) or a value
+// its field cannot hold.
 func TestLoadCaseRejectsBadDelta(t *testing.T) {
-	for name, config := range map[string]string{
-		"old-format key":    `{"mdc_bytes": 512}`,
-		"misspelled path":   `{"MEE.Trackerz": 1}`,
-		"non-leaf path":     `{"DRAM": {"Banks": 2}}`,
-		"undecodable value": `{"SMs": "two"}`,
+	const buffers = `{"buffers": [{"bytes": 16384}], "seed": 1}`
+	for name, data := range map[string]string{
+		"old-format key":    `{"config": {"mdc_bytes": 512}, "workload": ` + buffers + `}`,
+		"misspelled path":   `{"config": {"MEE.Trackerz": 1}, "workload": ` + buffers + `}`,
+		"non-leaf path":     `{"config": {"DRAM": {"Banks": 2}}, "workload": ` + buffers + `}`,
+		"undecodable value": `{"config": {"SMs": "two"}, "workload": ` + buffers + `}`,
+		"old-format kb":     `{"workload": {"buffers": [{"kb": 64}], "seed": 1}}`,
+		"misspelled pattrn": `{"workload": {"buffers": [{"pattrn": "random"}], "seed": 1}}`,
+		"old-format seed":   `{"seed": 1, "workload": ` + buffers + `}`,
+		"unknown pattern":   `{"workload": {"buffers": [{"pattern": "zigzag"}], "seed": 1}}`,
+		"unknown space":     `{"workload": {"buffers": [{"space": "heap"}], "seed": 1}}`,
+		"numeric pattern":   `{"workload": {"buffers": [{"pattern": 1}], "seed": 1}}`,
 	} {
 		path := filepath.Join(t.TempDir(), "case.json")
-		data := `{"seed": 1, "config": ` + config + `, "workload": {"buffers": [{"kb": 16}]}}`
 		if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		if c, err := LoadCase(path); err == nil {
-			t.Errorf("%s: LoadCase accepted %s as %v", name, config, c.Config)
+			t.Errorf("%s: LoadCase accepted %s as %+v", name, data, c)
 		}
 	}
 }
@@ -66,11 +75,8 @@ func TestLoadCaseRejectsBadDelta(t *testing.T) {
 // fail Validate or run to completion under SHM: no constructor panic
 // behind a config Validate accepted.
 func TestConfigFieldSweep(t *testing.T) {
-	wspec, err := Case{Seed: 1, Workload: WorkloadSpec{Buffers: []BufferSpec{
-		{KB: 32, Pattern: "random", WriteFrac: 0.3}}}}.workloadSpec()
-	if err != nil {
-		t.Fatal(err)
-	}
+	wspec := baseWorkload(workload.Spec{Seed: 1, Buffers: []workload.Buffer{
+		{Bytes: 32 << 10, Pattern: workload.Random, WriteFrac: 0.3}}})
 	bad := map[reflect.Kind][]any{
 		reflect.Int: {0, -1}, reflect.Uint64: {uint64(0)}, reflect.Float64: {-1.0, math.NaN()},
 		reflect.String: {"bogus"}, reflect.Bool: {true},
@@ -136,5 +142,19 @@ func TestCellConfigsPinned(t *testing.T) {
 	}
 	if got := fmt.Sprintf("%x", h.Sum(nil)); got != want {
 		t.Fatalf("cell configs hash to %s, want %s", got, want)
+	}
+}
+
+// TestCellWorkloadsPinned pins the workload specs the first 1000 cells of
+// campaign seed 20260805 materialize, tiny-base defaults applied, as
+// TestCellConfigsPinned pins their configs.
+func TestCellWorkloadsPinned(t *testing.T) {
+	const want = "1bd7eda6c77890ddce986142b641b9d71e6c76193908baa9314063acdfb9cd1a"
+	h := sha256.New()
+	for i := 0; i < 1000; i++ {
+		fmt.Fprintf(h, "%+v\n", baseWorkload(CellCase(20260805, i).Workload))
+	}
+	if got := fmt.Sprintf("%x", h.Sum(nil)); got != want {
+		t.Fatalf("cell workloads hash to %s, want %s", got, want)
 	}
 }

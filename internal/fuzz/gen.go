@@ -2,6 +2,9 @@ package fuzz
 
 import (
 	"math/rand"
+
+	"shmgpu/internal/memdef"
+	"shmgpu/internal/workload"
 )
 
 // Generation strategy: every dimension stays inside a hand-validated
@@ -23,7 +26,7 @@ func chance(rng *rand.Rand, p float64) bool { return rng.Float64() < p }
 // regenerated from (campaign seed, index) alone.
 func Generate(rng *rand.Rand) Case {
 	var c Case
-	c.Seed = 1 + rng.Int63n(1<<30)
+	c.Workload.Seed = 1 + rng.Int63n(1<<30)
 
 	// --- GPU shape ---
 	base, d := baseConfig(), &c.Config
@@ -145,7 +148,7 @@ func Generate(rng *rand.Rand) Case {
 		w.ComputePerMem = pick(rng, 1, 2, 4, 8)
 	}
 	if chance(rng, 0.3) {
-		w.Kernels = pick(rng, 2, 3)
+		w.KernelCount = pick(rng, 2, 3)
 		w.RewriteInputs = chance(rng, 0.5)
 		w.UseResetAPI = w.RewriteInputs && chance(rng, 0.5)
 	}
@@ -153,20 +156,15 @@ func Generate(rng *rand.Rand) Case {
 		w.FrontierWindow = pick(rng, 1, 2, 8)
 	}
 
+	// The budget is at least 1 MB and a buffer at most 256 KB, so the
+	// first buffer always fits.
 	nBuf := 1 + rng.Intn(4)
-	var used uint64
 	for i := 0; i < nBuf; i++ {
-		b := genBuffer(rng)
-		sz := uint64(b.KB) << 10
-		rounded := (sz + 16383) &^ uint64(16383)
-		if used+rounded > budget {
+		w.Buffers = append(w.Buffers, genBuffer(rng))
+		if b, err := workload.New(baseWorkload(*w)); err != nil || b.Footprint() > budget {
+			w.Buffers = w.Buffers[:i]
 			break
 		}
-		used += rounded
-		w.Buffers = append(w.Buffers, b)
-	}
-	if len(w.Buffers) == 0 {
-		w.Buffers = []BufferSpec{{KB: 16}}
 	}
 
 	// --- schemes ---
@@ -180,27 +178,27 @@ func Generate(rng *rand.Rand) Case {
 	return c
 }
 
-func genBuffer(rng *rand.Rand) BufferSpec {
-	var b BufferSpec
+func genBuffer(rng *rand.Rand) workload.Buffer {
+	var b workload.Buffer
 	// Sizes sit on and just off the 16 KB region / 4 KB chunk boundaries
 	// (the declared size is region-rounded at placement; off-boundary
 	// values exercise that rounding).
-	b.KB = pick(rng, 4, 15, 16, 17, 32, 48, 63, 64, 128, 256)
+	b.Bytes = uint64(pick(rng, 4, 15, 16, 17, 32, 48, 63, 64, 128, 256)) << 10
 	switch rng.Intn(10) {
 	case 0, 1, 2, 3: // stream stays the most common, as on real GPUs
 	case 4, 5, 6:
-		b.Pattern = "random"
+		b.Pattern = workload.Random
 	case 7, 8:
-		b.Pattern = "stencil"
+		b.Pattern = workload.Stencil
 	default:
-		b.Pattern = "gather"
+		b.Pattern = workload.Gather
 	}
 	switch rng.Intn(10) {
 	case 0:
-		b.Space = "constant"
+		b.Space = memdef.SpaceConstant
 		b.ReadOnly = true
 	case 1:
-		b.Space = "texture"
+		b.Space = memdef.SpaceTexture
 	}
 	if !b.ReadOnly && chance(rng, 0.4) {
 		b.ReadOnly = true

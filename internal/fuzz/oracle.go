@@ -81,17 +81,11 @@ func CheckCaseOpts(c Case, opts CheckOptions) ([]Violation, error) {
 // after that design's fast-forward row, then the cross-design orderings. It also returns the
 // number of simulations the battery ran.
 func (c Case) check(opts CheckOptions) ([]Violation, int, error) {
-	if err := c.Validate(); err != nil {
-		return nil, 0, err
-	}
-	wspec, err := c.workloadSpec()
+	cfg, bench, err := c.build()
 	if err != nil {
 		return nil, 0, err
 	}
-	cfg, err := c.GPUConfig()
-	if err != nil {
-		return nil, 0, err
-	}
+	wspec, footprint := bench.Spec(), bench.Footprint()
 	tcfg := telemetry.Config{SampleInterval: 500, CaptureEvents: true}
 	h := experiments.NewHarness("shmfuzz")
 	names := c.SchemeNames()
@@ -115,14 +109,14 @@ func (c Case) check(opts CheckOptions) ([]Violation, int, error) {
 				vs = append(vs, Violation{Oracle: d.Oracle, Scheme: name, Detail: d.Detail})
 			}
 			if row.Name == experiments.FastForwardEquivalence.Name {
-				vs = append(vs, conservation(c, specs[name], name, runs[name].Result)...)
+				vs = append(vs, conservation(specs[name], footprint, name, runs[name].Result)...)
 			}
 		}
 	}
 	if err := h.Err(); err != nil {
 		return nil, 0, err
 	}
-	return append(vs, metamorphic(c, runs, opts)...), h.Executed, nil
+	return append(vs, metamorphic(footprint, runs, opts)...), h.Executed, nil
 }
 
 // rowSchemes picks the designs the battery checks a row under: the
@@ -147,8 +141,9 @@ func rowSchemes(row experiments.Equivalence, names []string) []string {
 }
 
 // metamorphic checks the cross-scheme orderings that hold by construction
-// of the designs, independent of the workload.
-func metamorphic(c Case, arts map[string]experiments.Rendered, opts CheckOptions) []Violation {
+// of the designs, independent of the workload; footprint is the bytes the
+// cell's buffers occupy.
+func metamorphic(footprint uint64, arts map[string]experiments.Rendered, opts CheckOptions) []Violation {
 	var vs []Violation
 	base, haveBase := arts["Baseline"]
 	naive, haveNaive := arts["Naive"]
@@ -187,7 +182,7 @@ func metamorphic(c Case, arts map[string]experiments.Rendered, opts CheckOptions
 		// without the reset API); credit it here — the conservation
 		// oracle bounds it exactly from the reset events.
 		resetScan := shm.Result.Reg.Get("input_readonly_reset") *
-			(c.Footprint()/metadata.CounterCoverage + 2) * memdef.BlockSize
+			(footprint/metadata.CounterCoverage + 2) * memdef.BlockSize
 		if float64(sMeta) > float64(pMeta)*(1+opts.MetaTolerance)+float64(memdef.ChunkSize+resetScan) {
 			vs = append(vs, Violation{Oracle: "metamorphic-metadata", Scheme: "SHM", Detail: fmt.Sprintf(
 				"SHM steady metadata bytes %d exceed PSSM's %d beyond tolerance %.0f%%",
@@ -201,8 +196,8 @@ func metamorphic(c Case, arts map[string]experiments.Rendered, opts CheckOptions
 // counts quantized to the DRAM sector size, the insecure baseline moving
 // zero metadata, instruction totals matching the workload declaration,
 // and every metadata class bounded by its cache activity plus layout
-// arithmetic.
-func conservation(c Case, spec experiments.RunSpec, schemeName string, res gpu.Result) []Violation {
+// arithmetic. footprint is the bytes the cell's buffers occupy.
+func conservation(spec experiments.RunSpec, footprint uint64, schemeName string, res gpu.Result) []Violation {
 	var vs []Violation
 	fail := func(format string, args ...any) {
 		vs = append(vs, Violation{Oracle: "conservation", Scheme: schemeName, Detail: fmt.Sprintf(format, args...)})
@@ -235,11 +230,10 @@ func conservation(c Case, spec experiments.RunSpec, schemeName string, res gpu.R
 	// kernels × SMs × warps × memory instructions, each preceded by
 	// ComputePerMem compute instructions (±1 jitter when > 1).
 	if res.Completed {
-		cfg := spec.Config
-		memTotal := uint64(orInt(c.Workload.Kernels, baseKernels)) *
-			uint64(cfg.SMs) * uint64(cfg.WarpsPerSM) *
-			uint64(orInt(c.Workload.MemInstsPerWarp, baseMemInsts))
-		cpm := uint64(c.Workload.ComputePerMem)
+		cfg, w := spec.Config, spec.Generated
+		memTotal := uint64(w.KernelCount) * uint64(cfg.SMs) * uint64(cfg.WarpsPerSM) *
+			uint64(w.MemInstsPerWarp)
+		cpm := uint64(w.ComputePerMem)
 		lo, hi := memTotal*(1+cpm), memTotal*(1+cpm)
 		if cpm > 1 {
 			lo, hi = memTotal*cpm, memTotal*(2+cpm)
@@ -263,7 +257,7 @@ func conservation(c Case, spec experiments.RunSpec, schemeName string, res gpu.R
 		}
 	}
 	resets := res.Reg.Get("input_readonly_reset")
-	ctrScan := resets * (c.Footprint()/metadata.CounterCoverage + 2) * memdef.BlockSize
+	ctrScan := resets * (footprint/metadata.CounterCoverage + 2) * memdef.BlockSize
 	bound("counter", res.Traffic.Bytes(stats.TrafficCounter), ctrScan, res.Ctr)
 	bound("mac", res.Traffic.Bytes(stats.TrafficMAC), 0, res.MAC)
 	bound("bmt", res.Traffic.Bytes(stats.TrafficBMT), 0, res.BMT)

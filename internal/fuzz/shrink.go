@@ -3,6 +3,10 @@ package fuzz
 import (
 	"encoding/json"
 	"maps"
+	"slices"
+
+	"shmgpu/internal/memdef"
+	"shmgpu/internal/workload"
 )
 
 // FailurePredicate reports whether a candidate cell still exhibits the
@@ -82,77 +86,77 @@ func candidates(c Case) []Case {
 	if len(c.Workload.Buffers) > 1 {
 		for i := range c.Workload.Buffers {
 			n := c
-			n.Workload.Buffers = append(append([]BufferSpec(nil), c.Workload.Buffers[:i]...), c.Workload.Buffers[i+1:]...)
+			n.Workload.Buffers = slices.Delete(slices.Clone(c.Workload.Buffers), i, i+1)
 			out = append(out, n)
 		}
 	}
 
 	// Simplify buffers field by field.
 	for i, b := range c.Workload.Buffers {
-		try := func(mut func(*BufferSpec)) {
+		try := func(mut func(*workload.Buffer)) {
 			n := c
-			n.Workload.Buffers = append([]BufferSpec(nil), c.Workload.Buffers...)
+			n.Workload.Buffers = slices.Clone(c.Workload.Buffers)
 			mut(&n.Workload.Buffers[i])
 			out = append(out, n)
 		}
-		if b.KB != 0 {
-			try(func(b *BufferSpec) { b.KB = 0 })
-			if b.KB > 2*baseBufferKB {
-				try(func(b *BufferSpec) { b.KB /= 2 })
+		if b.Bytes != 0 {
+			try(func(b *workload.Buffer) { b.Bytes = 0 })
+			if b.Bytes > 32<<10 { // a half stays above the 16 KB default
+				try(func(b *workload.Buffer) { b.Bytes /= 2 })
 			}
 		}
-		if b.Pattern != "" {
-			try(func(b *BufferSpec) { b.Pattern = "" })
+		if b.Pattern != workload.Stream {
+			try(func(b *workload.Buffer) { b.Pattern = workload.Stream })
 		}
-		if b.Space != "" {
-			try(func(b *BufferSpec) { b.Space = "" })
+		if b.Space != memdef.SpaceGlobal {
+			try(func(b *workload.Buffer) { b.Space = memdef.SpaceGlobal })
 		}
 		if b.ReadOnly {
-			try(func(b *BufferSpec) { b.ReadOnly = false })
+			try(func(b *workload.Buffer) { b.ReadOnly = false })
 		}
 		if b.WriteFrac != 0 {
-			try(func(b *BufferSpec) { b.WriteFrac = 0 })
+			try(func(b *workload.Buffer) { b.WriteFrac = 0 })
 		}
 		if b.Weight != 0 {
-			try(func(b *BufferSpec) { b.Weight = 0 })
+			try(func(b *workload.Buffer) { b.Weight = 0 })
 		}
 		if b.HostCopied {
-			try(func(b *BufferSpec) { b.HostCopied = false })
+			try(func(b *workload.Buffer) { b.HostCopied = false })
 		}
 		if b.Name != "" {
-			try(func(b *BufferSpec) { b.Name = "" })
+			try(func(b *workload.Buffer) { b.Name = "" })
 		}
 	}
 
 	// Workload scalars.
 	w := c.Workload
-	tryW := func(mut func(*WorkloadSpec)) {
+	tryW := func(mut func(*workload.Spec)) {
 		n := c
 		mut(&n.Workload)
 		out = append(out, n)
 	}
 	for _, f := range []struct {
 		val int
-		mut func(*WorkloadSpec, int)
+		mut func(*workload.Spec, int)
 	}{
-		{w.Kernels, func(w *WorkloadSpec, v int) { w.Kernels = v }},
-		{w.MemInstsPerWarp, func(w *WorkloadSpec, v int) { w.MemInstsPerWarp = v }},
-		{w.ComputePerMem, func(w *WorkloadSpec, v int) { w.ComputePerMem = v }},
-		{w.FrontierWindow, func(w *WorkloadSpec, v int) { w.FrontierWindow = v }},
+		{w.KernelCount, func(w *workload.Spec, v int) { w.KernelCount = v }},
+		{w.MemInstsPerWarp, func(w *workload.Spec, v int) { w.MemInstsPerWarp = v }},
+		{w.ComputePerMem, func(w *workload.Spec, v int) { w.ComputePerMem = v }},
+		{w.FrontierWindow, func(w *workload.Spec, v int) { w.FrontierWindow = v }},
 	} {
 		f := f
 		if f.val != 0 {
-			tryW(func(w *WorkloadSpec) { f.mut(w, 0) })
+			tryW(func(w *workload.Spec) { f.mut(w, 0) })
 			if f.val > 2 {
-				tryW(func(w *WorkloadSpec) { f.mut(w, f.val/2) })
+				tryW(func(w *workload.Spec) { f.mut(w, f.val/2) })
 			}
 		}
 	}
 	if w.RewriteInputs {
-		tryW(func(w *WorkloadSpec) { w.RewriteInputs = false; w.UseResetAPI = false })
+		tryW(func(w *workload.Spec) { w.RewriteInputs = false; w.UseResetAPI = false })
 	}
 	if w.UseResetAPI {
-		tryW(func(w *WorkloadSpec) { w.UseResetAPI = false })
+		tryW(func(w *workload.Spec) { w.UseResetAPI = false })
 	}
 
 	// Config: drop one delta key, reverting its field to the tiny base.
@@ -166,15 +170,11 @@ func candidates(c Case) []Case {
 	// Seed and name cosmetics last: a failure that survives a seed swap
 	// is a much stronger repro, but behaviour is seed-dependent, so this
 	// must not preempt structural reduction.
-	if c.Seed > 3 {
-		n := c
-		n.Seed = 1 + c.Seed%3
-		out = append(out, n)
+	if w.Seed > 3 {
+		tryW(func(w *workload.Spec) { w.Seed = 1 + w.Seed%3 })
 	}
-	if c.Name != "" {
-		n := c
-		n.Name = ""
-		out = append(out, n)
+	if w.BenchName != "" {
+		tryW(func(w *workload.Spec) { w.BenchName = "" })
 	}
 	return out
 }

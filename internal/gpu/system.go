@@ -289,7 +289,7 @@ func (s *System) applySetup(k int, setup KernelSetup) {
 			if k == 0 {
 				mee.MarkInputRange(lo, hi)
 			} else if setup.UseResetAPI {
-				mee.InputReadOnlyReset(lo, hi, s.cycle)
+				mee.InputReadOnlyReset(lo, hi)
 			} else {
 				mee.HostOverwrite(lo, hi)
 			}

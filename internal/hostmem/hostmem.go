@@ -480,10 +480,6 @@ func (t *Tier) Stats() Stats { return t.stats }
 // InflightMigrations reports how many migration batches are in flight.
 func (t *Tier) InflightMigrations() int { return t.ringLen }
 
-// PageOf maps an address to its page index (may be ≥ NumPages for
-// addresses outside the tracked working set).
-func (t *Tier) PageOf(addr uint64) int { return int(addr / t.cfg.PageBytes) }
-
 // PageRange returns the [lo, hi) address span of a tracked page.
 func (t *Tier) PageRange(page int) (lo, hi uint64) {
 	lo = uint64(page) * t.cfg.PageBytes

@@ -9,7 +9,10 @@
 // ("local addresses") in the style of PSSM.
 package memdef
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Addr is a byte address. Physical addresses and partition-local addresses
 // share this type; functions are explicit about which one they take.
@@ -75,6 +78,24 @@ func (s Space) String() string {
 		return spaceNames[s]
 	}
 	return fmt.Sprintf("space(%d)", uint8(s))
+}
+
+// MarshalText encodes the space as its name.
+func (s Space) MarshalText() ([]byte, error) {
+	if int(s) >= len(spaceNames) {
+		return nil, fmt.Errorf("memdef: invalid memory space %d", uint8(s))
+	}
+	return []byte(spaceNames[s]), nil
+}
+
+// UnmarshalText decodes a space name.
+func (s *Space) UnmarshalText(text []byte) error {
+	i := slices.Index(spaceNames[:], string(text))
+	if i < 0 {
+		return fmt.Errorf("memdef: unknown memory space %q", text)
+	}
+	*s = Space(i)
+	return nil
 }
 
 // ReadOnlyByNature reports whether the space is read-only during kernel

@@ -132,14 +132,6 @@ func (p *Plane) Tracer() *Tracer {
 	return p.tracer
 }
 
-// SweepSpan returns the root sweep span (a no-op span for a nil plane).
-func (p *Plane) SweepSpan() Span {
-	if p == nil {
-		return Span{}
-	}
-	return p.sweep
-}
-
 // OpsAddr returns the ops server's bound address ("" when not listening).
 func (p *Plane) OpsAddr() string {
 	if p == nil || p.ops == nil {

@@ -125,7 +125,7 @@ func (w *watchdog) scan(now time.Time) {
 	}
 	w.mu.Unlock()
 	for _, r := range fire {
-		w.fire(r, now)
+		w.fire(r)
 	}
 }
 
@@ -138,7 +138,7 @@ type stallInfo struct {
 	Progress  Record  `json:"progress"`
 }
 
-func (w *watchdog) fire(r *Run, now time.Time) {
+func (w *watchdog) fire(r *Run) {
 	w.mu.Lock()
 	w.stalled = append(w.stalled, r.name)
 	w.mu.Unlock()
@@ -151,7 +151,7 @@ func (w *watchdog) fire(r *Run, now time.Time) {
 		r.name, w.deadline, r.hb.Load(), suffix)
 
 	if w.dir != "" {
-		w.writeBundle(r, now)
+		w.writeBundle(r)
 	}
 	if w.cancel {
 		r.cancel.Cancel()
@@ -163,7 +163,7 @@ func (w *watchdog) fire(r *Run, now time.Time) {
 // writeBundle dumps the diagnostic bundle for one stalled run into
 // <dir>/stall-<run>/. Bundle failures are logged, never fatal — the
 // watchdog must not take down the sweep it is guarding.
-func (w *watchdog) writeBundle(r *Run, now time.Time) {
+func (w *watchdog) writeBundle(r *Run) {
 	dir := filepath.Join(w.dir, "stall-"+sanitizeName(r.name))
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		w.p.opts.Log.Errorf("watchdog: %v", err)
@@ -212,7 +212,6 @@ func (w *watchdog) writeBundle(r *Run, now time.Time) {
 		logErr(fn(f))
 		logErr(f.Close())
 	}
-	_ = now
 }
 
 func sanitizeName(name string) string {

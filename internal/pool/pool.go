@@ -1,11 +1,11 @@
 // Package pool provides the repository's one fixed worker-pool
-// implementation, used for cell-level parallelism: the sweep prefetcher
-// (experiments.Runner.Prefetch) runs whole simulations on it, one cell
-// per task. A Pool owns a fixed set of long-lived worker goroutines and
-// executes batches of tasks with fork/join semantics: Run returns only
-// after every task has completed, and the channel handoffs give the
-// caller the happens-before edges it needs to read the tasks' results
-// without further synchronization.
+// implementation, used for cell-level parallelism: experiments.Runner's
+// prefetch and the benchmark harness's traced sweep (bench/trace.go) run
+// whole simulations on it, one cell per task. A Pool owns a fixed set of
+// long-lived worker goroutines and executes batches of tasks with
+// fork/join semantics: Run returns only after every task has completed,
+// and the channel handoffs give the caller the happens-before edges it
+// needs to read the tasks' results without further synchronization.
 //
 // The steady-state Run path performs no allocations — workers are
 // spawned once at construction, the wake/join channels are buffered, and
@@ -95,23 +95,23 @@ func (p *Pool) drain(id int) {
 // shared atomic cursor.
 func (p *Pool) Run(tasks []func()) {
 	p.tasks = tasks
-	p.next.Store(0)
-	for i := 0; i < p.workers; i++ {
-		p.wake <- struct{}{}
-	}
-	p.drain(0)
-	for i := 0; i < p.workers; i++ {
-		<-p.join
-	}
+	p.batch()
 	p.tasks = nil
 }
 
 // RunTagged is Run for tasks that want the identity of the worker slot
-// executing them (0 = the coordinator, 1..N-1 the pool goroutines). The
-// sweep prefetcher threads the slot into cell spans so span traces show
+// executing them (0 = the coordinator, 1..N-1 the pool goroutines).
+// Runner.prefetch threads the slot into cell spans so span traces show
 // which worker ran which cell.
 func (p *Pool) RunTagged(tasks []func(worker int)) {
 	p.tagged = tasks
+	p.batch()
+	p.tagged = nil
+}
+
+// batch runs the installed batch: it wakes the workers, drains alongside
+// them and waits for every one to finish.
+func (p *Pool) batch() {
 	p.next.Store(0)
 	for i := 0; i < p.workers; i++ {
 		p.wake <- struct{}{}
@@ -120,7 +120,6 @@ func (p *Pool) RunTagged(tasks []func(worker int)) {
 	for i := 0; i < p.workers; i++ {
 		<-p.join
 	}
-	p.tagged = nil
 }
 
 // Parallelism returns the pool's total parallelism (workers + caller).

@@ -365,7 +365,7 @@ func (m *MEE) OraclePreloadStreaming(lo, hi memdef.Addr, streaming bool) {
 // in the range for the maximum major counter, advances the shared counter
 // past it, and re-marks the regions read-only. The scan's DRAM traffic is
 // charged as counter reads.
-func (m *MEE) InputReadOnlyReset(lo, hi memdef.Addr, now uint64) {
+func (m *MEE) InputReadOnlyReset(lo, hi memdef.Addr) {
 	if !m.cfg.Enabled || !m.cfg.ReadOnlyOpt || hi <= lo {
 		return
 	}
@@ -391,7 +391,6 @@ func (m *MEE) InputReadOnlyReset(lo, hi memdef.Addr, now uint64) {
 		}
 	}
 	m.Reg.Inc("input_readonly_reset")
-	_ = now
 }
 
 // HostOverwrite models a mid-context host→device copy WITHOUT the reset
@@ -496,7 +495,7 @@ func (m *MEE) Tick(now uint64) []memdef.Request {
 		if m.cfg.Enabled {
 			m.process(e.req, e.at, now)
 		} else {
-			m.passthrough(e.req, e.at, now)
+			m.passthrough(e.req, e.at)
 		}
 		issued++
 	}
@@ -542,7 +541,7 @@ func (m *MEE) releaseTxn(t *txn) {
 }
 
 // passthrough is the insecure baseline: data requests go straight to DRAM.
-func (m *MEE) passthrough(r memdef.Request, submitAt, now uint64) {
+func (m *MEE) passthrough(r memdef.Request, submitAt uint64) {
 	if r.Kind == memdef.Write {
 		m.send(m.cfg.Partition, dram.Req{Local: r.Local, Kind: memdef.Write, Class: stats.TrafficData}, pendingEntry{kind: pkMisc})
 		return
@@ -552,7 +551,6 @@ func (m *MEE) passthrough(r memdef.Request, submitAt, now uint64) {
 	t.haveOTP = true
 	t.submitAt = submitAt
 	m.send(m.cfg.Partition, dram.Req{Local: r.Local, Kind: memdef.Read, Class: stats.TrafficData}, pendingEntry{kind: pkData, txn: t})
-	_ = now
 }
 
 // send buffers a DRAM request. A pkMisc request carries the untracked
@@ -652,17 +650,7 @@ func (m *MEE) isReadOnly(r memdef.Request) bool {
 
 // isStreaming decides the MAC granularity for the chunk of r.
 func (m *MEE) isStreaming(r memdef.Request) bool {
-	if !m.cfg.DualGranMAC {
-		return false
-	}
-	if m.stOracle != nil {
-		s, ok := m.stOracle[uint64(r.Local)/m.cfg.Streaming.ChunkBytes]
-		if !ok {
-			return true // eager default, like the bit vector
-		}
-		return s
-	}
-	return m.stPred.Predict(r.Local)
+	return m.PredictStreaming(r.Local)
 }
 
 // PredictStreaming reports the streaming classification this MEE would
@@ -1186,7 +1174,6 @@ func (m *MEE) applyDetection(det detectors.Detection, now uint64) {
 		// RO read stream: per-block MACs were valid; zero overhead.
 	}
 	m.stPred.Train(det.Chunk, det.Streaming)
-	_ = now
 }
 
 // OnDRAMComplete routes a finished DRAM request back into the MEE. A token

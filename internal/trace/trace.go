@@ -5,6 +5,18 @@
 // design-space questions (tracker count, timeout, chunk size) in
 // milliseconds instead of re-running the full timing simulation.
 //
+// Replay approximates the live detectors; it does not reproduce them.
+// Quick SHM cells recorded through MEE.SetTrace and replayed at the
+// default configuration give these det_stream/det_random counts, live
+// against replayed: atax 1152/17 against 1152/54, fdtd2d 3547/24 against
+// 3531/35, bfs 1/1696 against 2/1634, lbm 6105/395 against 6067/400. bfs
+// streaming accuracy is 0.4923 live and 0.4863 replayed. Two likely
+// causes, read from the code but not verified: the trace has no kernel
+// boundaries, so phases the live MEE finalizes at FlushKernel end as
+// timeouts in replay (all 54 of atax's replayed random verdicts are
+// timeouts); and replay expires MAT phases at the first recorded access
+// after each 64-cycle boundary, not on the 64-cycle grid itself.
+//
 // The on-disk format is a compact binary stream: a 16-byte header
 // ("SHMTRACE", version, record count) followed by fixed 24-byte records.
 package trace

@@ -16,6 +16,7 @@ package workload
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"shmgpu/internal/gpu"
 	"shmgpu/internal/memdef"
@@ -38,87 +39,89 @@ const (
 	Gather
 )
 
+var patternNames = [...]string{
+	Stream:  "stream",
+	Random:  "random",
+	Stencil: "stencil",
+	Gather:  "gather",
+}
+
 // String names the pattern.
 func (p Pattern) String() string {
-	switch p {
-	case Stream:
-		return "stream"
-	case Random:
-		return "random"
-	case Stencil:
-		return "stencil"
-	default:
-		return "gather"
+	if int(p) < len(patternNames) {
+		return patternNames[p]
 	}
+	return fmt.Sprintf("pattern(%d)", uint8(p))
 }
 
 // Streaming reports whether the pattern's ground truth is "streaming" for
 // the dual-granularity MAC decision.
 func (p Pattern) Streaming() bool { return p == Stream || p == Stencil }
 
-// ParsePattern maps a pattern name back to its Pattern; the empty string
-// selects Stream. It is the inverse of String, used by declarative
-// workload descriptions (the fuzz corpus's replayable JSON cases).
-func ParsePattern(name string) (Pattern, error) {
-	switch name {
-	case "", "stream":
-		return Stream, nil
-	case "random":
-		return Random, nil
-	case "stencil":
-		return Stencil, nil
-	case "gather":
-		return Gather, nil
+// MarshalText encodes the pattern as its name.
+func (p Pattern) MarshalText() ([]byte, error) {
+	if int(p) >= len(patternNames) {
+		return nil, fmt.Errorf("workload: invalid access pattern %d", uint8(p))
 	}
-	return Stream, fmt.Errorf("workload: unknown access pattern %q", name)
+	return []byte(patternNames[p]), nil
+}
+
+// UnmarshalText decodes a pattern name.
+func (p *Pattern) UnmarshalText(text []byte) error {
+	i := slices.Index(patternNames[:], string(text))
+	if i < 0 {
+		return fmt.Errorf("workload: unknown access pattern %q", text)
+	}
+	*p = Pattern(i)
+	return nil
 }
 
 // Buffer declares one device allocation of a benchmark.
 type Buffer struct {
 	// Name identifies the buffer ("matrix A", "edge list", ...).
-	Name string
+	Name string `json:"name,omitempty"`
 	// Bytes is the allocation size (rounded up to a 16 KB region).
-	Bytes uint64
+	Bytes uint64 `json:"bytes,omitempty"`
 	// Space is the GPU memory space backing the buffer.
-	Space memdef.Space
+	Space memdef.Space `json:"space,omitempty"`
 	// Pattern is the dominant access pattern.
-	Pattern Pattern
+	Pattern Pattern `json:"pattern,omitempty"`
 	// ReadOnly marks buffers the kernels never write.
-	ReadOnly bool
+	ReadOnly bool `json:"read_only,omitempty"`
 	// WriteFrac is the write fraction of accesses to this buffer
 	// (ignored when ReadOnly).
-	WriteFrac float64
+	WriteFrac float64 `json:"write_frac,omitempty"`
 	// Weight is the buffer's share of the kernel's memory instructions.
-	Weight float64
+	Weight float64 `json:"weight,omitempty"`
 	// HostCopied marks buffers populated by host→device copies (the
 	// command processor marks them read-only at context init).
-	HostCopied bool
+	HostCopied bool `json:"host_copied,omitempty"`
 }
 
 // Spec declares one benchmark.
 type Spec struct {
 	// BenchName is the benchmark's name (Table VII row).
-	BenchName string
+	BenchName string `json:"name,omitempty"`
 	// Buffers lists the device allocations.
-	Buffers []Buffer
+	Buffers []Buffer `json:"buffers,omitempty"`
 	// ComputePerMem is the compute instructions issued per memory
 	// instruction; it tunes the bandwidth utilization (Table VII).
-	ComputePerMem int
+	ComputePerMem int `json:"compute_per_mem,omitempty"`
 	// KernelCount is the number of kernel launches.
-	KernelCount int
+	KernelCount int `json:"kernels,omitempty"`
 	// RewriteInputs re-copies host-copied buffers before later kernels.
-	RewriteInputs bool
+	RewriteInputs bool `json:"rewrite_inputs,omitempty"`
 	// UseResetAPI uses InputReadOnlyReset for those re-copies.
-	UseResetAPI bool
+	UseResetAPI bool `json:"use_reset_api,omitempty"`
 	// MemInstsPerWarp is each warp's memory-instruction budget per kernel.
-	MemInstsPerWarp int
+	MemInstsPerWarp int `json:"mem_insts,omitempty"`
 	// FrontierWindow bounds how many memory-instruction steps a warp may
 	// run ahead of the slowest warp, modeling the in-order tile dispatch
 	// of real grids (resident threadblocks process consecutive tiles, so
 	// the active data frontier stays narrow). 0 selects the default (1).
-	FrontierWindow int
+	FrontierWindow int `json:"frontier_window,omitempty"`
 	// Seed makes generation deterministic.
-	Seed int64
+	Seed int64 `json:"seed,omitempty"`
 }
 
 // placedBuffer is a buffer with its assigned physical range.

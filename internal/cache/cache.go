@@ -45,6 +45,9 @@ func (c Config) Validate() error {
 	if c.SizeBytes <= 0 || c.SizeBytes%memdef.BlockSize != 0 {
 		return fmt.Errorf("cache %s: size %d not a positive multiple of block size", c.Name, c.SizeBytes)
 	}
+	if c.SizeBytes > maxSizeBytes {
+		return fmt.Errorf("cache %s: size %d exceeds %d", c.Name, c.SizeBytes, maxSizeBytes)
+	}
 	blocks := c.SizeBytes / memdef.BlockSize
 	if c.Ways <= 0 || blocks%c.Ways != 0 {
 		return fmt.Errorf("cache %s: %d blocks not divisible by %d ways", c.Name, blocks, c.Ways)
@@ -53,8 +56,8 @@ func (c Config) Validate() error {
 	if sets&(sets-1) != 0 {
 		return fmt.Errorf("cache %s: set count %d not a power of two", c.Name, sets)
 	}
-	if c.MSHRs <= 0 {
-		return fmt.Errorf("cache %s: MSHR count must be positive", c.Name)
+	if c.MSHRs <= 0 || c.MSHRs > maxMSHRs {
+		return fmt.Errorf("cache %s: MSHR count must be in [1, %d], got %d", c.Name, maxMSHRs, c.MSHRs)
 	}
 	if c.MaxMergesPerMSHR <= 0 || c.MaxMergesPerMSHR > maxMerges {
 		return fmt.Errorf("cache %s: MaxMergesPerMSHR must be in [1, %d], got %d", c.Name, maxMerges, c.MaxMergesPerMSHR)
@@ -126,6 +129,15 @@ type mshr struct {
 
 // maxMerges bounds MaxMergesPerMSHR by what mshr.merges holds.
 const maxMerges = math.MaxUint8
+
+// Upper bounds on the sizes New allocates up front, so a config naming an
+// absurd size is an error instead of a cell that exhausts memory. Each is
+// at least 8× the largest default that reaches it: the 128 KiB L2 bank and
+// the metadata caches' 256 MSHRs.
+const (
+	maxSizeBytes = 16 << 20
+	maxMSHRs     = 4096
+)
 
 // Cache is one sectored cache instance. Create with New; the zero value is
 // not usable.

@@ -25,6 +25,10 @@ type ReadOnlyConfig struct {
 	RegionBytes uint64
 }
 
+// maxEntries bounds either predictor's bit-vector length, which its
+// constructor allocates up front: 32× the paper's 2048 streaming entries.
+const maxEntries = 1 << 16
+
 // DefaultReadOnlyConfig is the paper's configuration.
 func DefaultReadOnlyConfig() ReadOnlyConfig {
 	return ReadOnlyConfig{Entries: 1024, RegionBytes: memdef.RegionSize}
@@ -32,8 +36,8 @@ func DefaultReadOnlyConfig() ReadOnlyConfig {
 
 // Validate reports a configuration NewReadOnlyPredictor cannot build.
 func (c ReadOnlyConfig) Validate() error {
-	if c.Entries <= 0 || c.RegionBytes == 0 {
-		return fmt.Errorf("detectors: bad read-only config %+v: Entries and RegionBytes must be positive", c)
+	if c.Entries <= 0 || c.Entries > maxEntries || c.RegionBytes == 0 {
+		return fmt.Errorf("detectors: bad read-only config %+v: Entries must be in [1, %d] and RegionBytes positive", c, maxEntries)
 	}
 	return nil
 }

@@ -38,14 +38,17 @@ func DefaultStreamingConfig() StreamingConfig {
 	}
 }
 
+// maxTrackers bounds the MAT file NewMATFile allocates: 32× the paper's 8.
+const maxTrackers = 256
+
 // Validate reports a configuration NewStreamingPredictor or NewMATFile
 // cannot build.
 func (c StreamingConfig) Validate() error {
-	if c.Entries <= 0 || c.ChunkBytes == 0 {
-		return fmt.Errorf("detectors: bad streaming config %+v: Entries and ChunkBytes must be positive", c)
+	if c.Entries <= 0 || c.Entries > maxEntries || c.ChunkBytes == 0 {
+		return fmt.Errorf("detectors: bad streaming config %+v: Entries must be in [1, %d] and ChunkBytes positive", c, maxEntries)
 	}
-	if c.Trackers <= 0 || c.WindowAccesses <= 0 || c.WindowAccesses > 64 {
-		return fmt.Errorf("detectors: bad MAT config %+v: Trackers must be positive and WindowAccesses in [1, 64]", c)
+	if c.Trackers <= 0 || c.Trackers > maxTrackers || c.WindowAccesses <= 0 || c.WindowAccesses > 64 {
+		return fmt.Errorf("detectors: bad MAT config %+v: Trackers must be in [1, %d] and WindowAccesses in [1, 64]", c, maxTrackers)
 	}
 	return nil
 }

@@ -48,8 +48,14 @@ import (
 )
 
 // maxQueueDepth bounds QueueDepth: the queue is one slab allocated up front
-// and indexed by int32 slot numbers.
-const maxQueueDepth = 1 << 16
+// and indexed by int32 slot numbers. maxBanks (16× the default 16) bounds
+// the per-bank state allocated up front, and maxRowBytes (32× the default
+// 2 KiB) the row size.
+const (
+	maxQueueDepth = 1 << 16
+	maxBanks      = 256
+	maxRowBytes   = 1 << 16
+)
 
 // Config describes one DRAM channel (one memory partition).
 type Config struct {
@@ -83,11 +89,11 @@ func DefaultConfig() Config {
 
 // Validate checks the configuration.
 func (c Config) Validate() error {
-	if c.Banks <= 0 || c.Banks&(c.Banks-1) != 0 {
-		return fmt.Errorf("dram: banks %d must be a positive power of two", c.Banks)
+	if c.Banks <= 0 || c.Banks > maxBanks || c.Banks&(c.Banks-1) != 0 {
+		return fmt.Errorf("dram: banks %d must be a power of two in [1, %d]", c.Banks, maxBanks)
 	}
-	if c.RowBytes <= 0 || c.RowBytes%memdef.PartitionStride != 0 {
-		return fmt.Errorf("dram: row bytes %d must be a positive multiple of the partition stride", c.RowBytes)
+	if c.RowBytes <= 0 || c.RowBytes > maxRowBytes || c.RowBytes%memdef.PartitionStride != 0 {
+		return fmt.Errorf("dram: row bytes %d must be a multiple of the partition stride in (0, %d]", c.RowBytes, maxRowBytes)
 	}
 	if c.BytesPerCycleFP == 0 {
 		return fmt.Errorf("dram: bus throughput must be positive")

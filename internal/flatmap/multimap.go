@@ -6,56 +6,45 @@ package flatmap
 // where the old pattern — append to a fresh slice, delete the key on wake —
 // allocated a new backing array for almost every miss.
 //
-// Values are held in a single node arena chained by index; drained chains
-// return their nodes to a free list, so steady-state Add/Drain cycles are
-// allocation-free. FIFO order within a key is load-bearing for the
-// simulator: waiters must wake in arrival order or downstream LRU state
-// (and therefore results) would diverge from the every-cycle reference.
+// Values are held in a Slab, each key's values chained in order through
+// their slab links; drained chains return their elements to the slab, so
+// steady-state Add/Drain cycles are allocation-free, and growth adds a
+// page without copying the values already held. FIFO order within a key
+// is load-bearing for the simulator: waiters must wake in arrival order or
+// downstream LRU state (and therefore results) would diverge from the
+// every-cycle reference.
 type MultiMap[V any] struct {
-	m     Map[listRef]
-	nodes []mmNode[V]
-	free  int32 // head of the free-node chain, -1 if empty
-	vals  int   // total queued values across all keys
-	init  bool
+	m Map[listRef]
+	// nodes holds the queued values; a value's slab link names the next
+	// value under the same key, -1 ending the list.
+	nodes Slab[V]
+	vals  int // total queued values across all keys
 }
 
-type mmNode[V any] struct {
-	v    V
-	next int32
-}
-
+// listRef names a key's list by its first and last value's slab index,
+// each stored as index+1 so a fresh (zero) entry reads as empty.
 type listRef struct {
 	head, tail int32
 }
 
 // Add appends v to the FIFO list stored under k.
 func (mm *MultiMap[V]) Add(k uint64, v V) {
-	if !mm.init {
-		mm.free = -1
-		mm.init = true
-	}
-	idx := mm.free
-	if idx >= 0 {
-		mm.free = mm.nodes[idx].next
-		mm.nodes[idx] = mmNode[V]{v: v, next: -1}
-	} else {
-		idx = int32(len(mm.nodes))
-		mm.nodes = append(mm.nodes, mmNode[V]{v: v, next: -1}) //shm:alloc-ok amortized node-pool growth; the free list recycles nodes
-	}
+	idx := mm.nodes.Alloc()
+	*mm.nodes.At(idx) = v
+	*mm.nodes.Link(idx) = -1
 	ref := mm.m.Put(k)
-	if ref.head == 0 && ref.tail == 0 {
-		// Fresh entry: Put zeroes the value; mark chain ends explicitly.
-		ref.head, ref.tail = idx+1, idx+1 // store index+1 so zero means "empty"
+	if ref.head == 0 {
+		ref.head = idx + 1
 	} else {
-		mm.nodes[ref.tail-1].next = idx
-		ref.tail = idx + 1
+		*mm.nodes.Link(ref.tail - 1) = idx
 	}
+	ref.tail = idx + 1
 	mm.vals++
 }
 
 // Drain removes the list stored under k, calling fn for each value in FIFO
-// (insertion) order, and recycles the nodes. It reports whether k had any
-// waiters.
+// (insertion) order, and recycles the slab elements. It reports whether k
+// had any waiters.
 func (mm *MultiMap[V]) Drain(k uint64, fn func(v V)) bool {
 	ref := mm.m.Get(k)
 	if ref == nil {
@@ -65,12 +54,11 @@ func (mm *MultiMap[V]) Drain(k uint64, fn func(v V)) bool {
 	mm.m.Delete(k)
 	var zero V
 	for i := head; i >= 0; {
-		n := &mm.nodes[i]
-		v := n.v
-		next := n.next
-		n.v = zero // release references for GC
-		n.next = mm.free
-		mm.free = i
+		n := mm.nodes.At(i)
+		v := *n
+		next := *mm.nodes.Link(i)
+		*n = zero // release references for GC
+		mm.nodes.Free(i)
 		mm.vals--
 		fn(v)
 		i = next
@@ -87,20 +75,10 @@ func (mm *MultiMap[V]) Vals() int { return mm.vals }
 // Empty reports whether no values are queued.
 func (mm *MultiMap[V]) Empty() bool { return mm.vals == 0 }
 
-// Reset drops all entries but keeps node storage and table capacity.
+// Reset drops all entries but keeps slab pages and table capacity.
 func (mm *MultiMap[V]) Reset() {
 	mm.m.Reset()
-	var zero V
-	for i := range mm.nodes {
-		mm.nodes[i].v = zero
-		mm.nodes[i].next = int32(i) - 1
-	}
-	if len(mm.nodes) > 0 {
-		mm.free = int32(len(mm.nodes)) - 1
-	} else {
-		mm.free = -1
-	}
-	mm.init = true
+	mm.nodes.Reset()
 	mm.vals = 0
 }
 
@@ -109,7 +87,7 @@ func (mm *MultiMap[V]) Reset() {
 func (mm *MultiMap[V]) Range(fn func(k uint64, count int) bool) {
 	mm.m.Range(func(k uint64, ref *listRef) bool {
 		count := 0
-		for i := ref.head - 1; i >= 0; i = mm.nodes[i].next {
+		for i := ref.head - 1; i >= 0; i = *mm.nodes.Link(i) {
 			count++
 		}
 		return fn(k, count)

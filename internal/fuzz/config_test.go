@@ -73,12 +73,16 @@ func TestLoadCaseRejectsBadDelta(t *testing.T) {
 // TestConfigFieldSweep sets each leaf of the tiny base, one at a time, to
 // out-of-range values, with the host tier off and on. Each config must
 // fail Validate or run to completion under SHM: no constructor panic
-// behind a config Validate accepted.
+// behind a config Validate accepted. An int leaf set to the huge value
+// must fail Validate and is never run, so a size without an upper bound
+// fails the test instead of allocating it; only the UVM knobs, inert with
+// the host tier off, may accept it there.
 func TestConfigFieldSweep(t *testing.T) {
 	wspec := baseWorkload(workload.Spec{Seed: 1, Buffers: []workload.Buffer{
 		{Bytes: 32 << 10, Pattern: workload.Random, WriteFrac: 0.3}}})
+	const huge = 1 << 40
 	bad := map[reflect.Kind][]any{
-		reflect.Int: {0, -1}, reflect.Uint64: {uint64(0)}, reflect.Float64: {-1.0, math.NaN()},
+		reflect.Int: {0, -1, huge}, reflect.Uint64: {uint64(0)}, reflect.Float64: {-1.0, math.NaN()},
 		reflect.String: {"bogus"}, reflect.Bool: {true},
 	}
 	tiered := baseConfig()
@@ -98,6 +102,12 @@ func TestConfigFieldSweep(t *testing.T) {
 					continue
 				}
 				name := fmt.Sprintf("HostTier=%v %s=%v", base.HostTier, path, v)
+				if v == huge {
+					if base.HostTier || !strings.HasPrefix(path, "UVM") {
+						t.Errorf("%s: Validate accepted a size with no upper bound", name)
+					}
+					continue
+				}
 				func() {
 					defer func() {
 						if r := recover(); r != nil {

@@ -162,6 +162,9 @@ const (
 	maxWarpsPerSM          = 256
 	maxPartitions          = 128
 	maxL2BanksPerPartition = 16
+	maxXbarQueueDepth      = 4096
+	maxWarpInflight        = 1024
+	maxUVMPages            = 4096
 )
 
 // Validate checks configuration consistency.
@@ -190,12 +193,12 @@ func (c Config) Validate() error {
 	if _, err := metadata.NewLayout(c.DeviceMemoryBytes / uint64(c.Partitions)); err != nil {
 		return fmt.Errorf("gpu: %w", err)
 	}
-	if c.XbarQueueDepth <= 0 {
-		return fmt.Errorf("gpu: XbarQueueDepth must be positive")
+	if c.XbarQueueDepth <= 0 || c.XbarQueueDepth > maxXbarQueueDepth {
+		return fmt.Errorf("gpu: XbarQueueDepth must be in [1, %d], got %d", maxXbarQueueDepth, c.XbarQueueDepth)
 	}
-	if c.MaxWarpInflightSectors <= 0 {
-		// No warp could ever issue: without MaxCycles the run never ends.
-		return fmt.Errorf("gpu: MaxWarpInflightSectors must be positive, got %d", c.MaxWarpInflightSectors)
+	if c.MaxWarpInflightSectors <= 0 || c.MaxWarpInflightSectors > maxWarpInflight {
+		// At 0 no warp could ever issue: without MaxCycles the run never ends.
+		return fmt.Errorf("gpu: MaxWarpInflightSectors must be in [1, %d], got %d", maxWarpInflight, c.MaxWarpInflightSectors)
 	}
 	if err := c.l1Config().Validate(); err != nil {
 		return fmt.Errorf("gpu: %w", err)
@@ -227,8 +230,8 @@ func (c Config) Validate() error {
 		if c.UVMLargePages && c.UVMPageBytes != 0 {
 			return fmt.Errorf("gpu: UVMLargePages and UVMPageBytes %d are mutually exclusive", c.UVMPageBytes)
 		}
-		if c.UVMPrefetchDegree < 0 || c.UVMBatchPages < 0 {
-			return fmt.Errorf("gpu: UVMPrefetchDegree and UVMBatchPages must be non-negative")
+		if c.UVMPrefetchDegree < 0 || c.UVMPrefetchDegree > maxUVMPages || c.UVMBatchPages < 0 || c.UVMBatchPages > maxUVMPages {
+			return fmt.Errorf("gpu: UVMPrefetchDegree and UVMBatchPages must be in [0, %d], got %d and %d", maxUVMPages, c.UVMPrefetchDegree, c.UVMBatchPages)
 		}
 	}
 	return c.DRAM.Validate()

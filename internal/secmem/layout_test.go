@@ -16,6 +16,8 @@ func TestQueueEntryLayout(t *testing.T) {
 	}{
 		{"inputEntry", unsafe.Sizeof(inputEntry{}), 32},
 		{"txn", unsafe.Sizeof(txn{}), 56},
+		{"pendingEntry", unsafe.Sizeof(pendingEntry{}), 24},
+		{"outgoing", unsafe.Sizeof(outgoing{}), 32},
 	} {
 		if c.got != c.want {
 			t.Errorf("%s is %d bytes, want %d: a wider MEE record raises alloc_mb on every workload (caps in .github/bench-counters.json)", c.name, c.got, c.want)

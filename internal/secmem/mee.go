@@ -60,7 +60,8 @@ type pendingEntry struct {
 
 // A token's low 48 bits (below the owner, see TokenFor) are the pending
 // slot in the low slotBits and the slot's generation above them. 2^28
-// slots bound the slab at 8 GiB, far beyond any in-flight population.
+// slots, each a 24-byte entry and its 4-byte slab link, bound the slab at
+// 7 GiB, far beyond any in-flight population.
 const (
 	slotBits = 28
 	slotMask = 1<<slotBits - 1
@@ -81,7 +82,8 @@ type txn struct {
 	submitAt uint64
 	haveData bool
 	haveOTP  bool
-	enqueued bool // pushed on the ready heap
+	enqueued bool  // pushed on the ready heap
+	slot     int32 // index in the MEE's txn slab, for releaseTxn
 }
 
 // inputEntry is one queued L2 request with its submission cycle (used for
@@ -148,9 +150,50 @@ func (h readyHeap) down(i0, n int) {
 	}
 }
 
+// outgoing is one run of DRAM requests waiting for a channel to accept
+// them: req, then rest more, each for the sector after the previous one.
+// Only the misprediction re-fetch of a whole chunk is a run; every other
+// request has rest 0.
 type outgoing struct {
-	part int
+	part int32
+	rest int32
 	req  dram.Req
+}
+
+// outQueue buffers the MEE's DRAM requests, in order, until their channels
+// accept them. Len counts sector requests, a run in full, so a run of n
+// sectors gates the MEE exactly as n single requests would.
+type outQueue struct {
+	ring    ringbuf.Ring[outgoing]
+	sectors int
+}
+
+// Len returns the number of sector requests queued.
+func (q *outQueue) Len() int { return q.sectors }
+
+// pushRun queues n sector requests for partition part: r, then r for each
+// following sector.
+func (q *outQueue) pushRun(part int, r dram.Req, n int) {
+	q.ring.Push(outgoing{part: int32(part), rest: int32(n - 1), req: r})
+	q.sectors += n
+}
+
+// drain hands queued requests to port in order, one sector per accepted
+// Enqueue, until a channel refuses or the queue is empty.
+func (q *outQueue) drain(port DRAMPort, now uint64) {
+	for q.sectors > 0 {
+		o := q.ring.Front()
+		if !port.Enqueue(int(o.part), o.req, now) {
+			return
+		}
+		q.sectors--
+		if o.rest > 0 {
+			o.rest--
+			o.req.Local += memdef.SectorSize
+			continue
+		}
+		q.ring.PopFront()
+	}
 }
 
 // MEE is one partition's memory encryption engine.
@@ -186,14 +229,13 @@ type MEE struct {
 	sharedCounter uint64
 
 	input    ringbuf.Ring[inputEntry]
-	outgoing ringbuf.Ring[outgoing]
+	outgoing outQueue
 	// pending holds the completion action of every in-flight DRAM read
 	// other than pkMisc in a slab indexed by the slot its token carries,
-	// so a completion is one indexed load. pendFree stacks the released
-	// slots (reused last in, first out) and pendLive counts the live ones;
-	// the slab never grows past the tracked-read high-water mark.
-	pending  []pendingEntry
-	pendFree []int32
+	// so a completion is one indexed load. Released slots are reused last
+	// in, first out, and pendLive counts the live ones; the slab never
+	// grows past the tracked-read high-water mark.
+	pending  flatmap.Slab[pendingEntry]
 	pendLive int
 	// ctrWait queues read transactions blocked on a counter-sector fetch,
 	// FIFO per sector (wake order feeds aesSchedule and is observable in
@@ -203,9 +245,10 @@ type MEE struct {
 	// responses is the per-Tick output buffer, reused across ticks; the
 	// slice Tick returns is valid only until the next Tick.
 	responses []memdef.Request
-	// txnFree recycles txn objects (one per in-flight read) so the steady
-	// state allocates none.
-	txnFree  []*txn
+	// txns holds one txn per in-flight read. A txn keeps its address
+	// while live (ctrWait, ready and pending entries point at it), and
+	// released ones are reused, so the steady state allocates none.
+	txns     flatmap.Slab[txn]
 	aesFree  uint64
 	lastTick uint64
 
@@ -481,13 +524,7 @@ func (m *MEE) Tick(now uint64) []memdef.Request {
 	}
 	m.lastTick = now
 	// 1. Drain the outgoing buffer into DRAM channels.
-	for m.outgoing.Len() > 0 {
-		o := m.outgoing.Front()
-		if !m.port.Enqueue(o.part, o.req, now) {
-			break
-		}
-		m.outgoing.PopFront()
-	}
+	m.outgoing.drain(m.port, now)
 	// 2. Process input requests while there is outgoing headroom.
 	issued := 0
 	for m.input.Len() > 0 && issued < m.cfg.IssuePerCycle && m.outgoing.Len() < 32 {
@@ -524,21 +561,16 @@ func (m *MEE) Tick(now uint64) []memdef.Request {
 	return out
 }
 
-// getTxn takes a transaction object from the free pool (or allocates one);
-// releaseTxn zeroes and returns it. One txn lives per in-flight read.
+// getTxn takes a zeroed transaction from the txn slab; releaseTxn returns
+// it. One txn lives per in-flight read.
 func (m *MEE) getTxn() *txn {
-	if n := len(m.txnFree); n > 0 {
-		t := m.txnFree[n-1]
-		m.txnFree = m.txnFree[:n-1]
-		return t
-	}
-	return &txn{} //shm:alloc-ok pool fallback: allocates once per in-flight high-water mark
+	i := m.txns.Alloc()
+	t := m.txns.At(i)
+	*t = txn{slot: i}
+	return t
 }
 
-func (m *MEE) releaseTxn(t *txn) {
-	*t = txn{}
-	m.txnFree = append(m.txnFree, t) //shm:alloc-ok amortized pool growth, bounded by in-flight reads
-}
+func (m *MEE) releaseTxn(t *txn) { m.txns.Free(t.slot) }
 
 // passthrough is the insecure baseline: data requests go straight to DRAM.
 func (m *MEE) passthrough(r memdef.Request, submitAt uint64) {
@@ -564,20 +596,13 @@ func (m *MEE) send(part int, r dram.Req, pe pendingEntry) {
 	if pe.kind != pkMisc {
 		r.Token = m.track(pe)
 	}
-	m.outgoing.Push(outgoing{part: part, req: r})
+	m.outgoing.pushRun(part, r, 1)
 }
 
 // track takes a pending slot for pe and returns the token naming it.
 func (m *MEE) track(pe pendingEntry) uint64 {
-	var slot int32
-	if n := len(m.pendFree); n > 0 {
-		slot = m.pendFree[n-1]
-		m.pendFree = m.pendFree[:n-1]
-	} else {
-		slot = int32(len(m.pending))
-		m.pending = append(m.pending, pendingEntry{}) //shm:alloc-ok amortized slab growth, bounded by in-flight requests
-	}
-	e := &m.pending[slot]
+	slot := m.pending.Alloc()
+	e := m.pending.At(slot)
 	pe.live, pe.gen = true, e.gen
 	*e = pe
 	m.pendLive++
@@ -589,10 +614,10 @@ func (m *MEE) track(pe pendingEntry) uint64 {
 // (its generation moved on).
 func (m *MEE) slotOf(token uint64) int {
 	slot := token & slotMask
-	if TokenOwner(token) != m.cfg.Partition || slot >= uint64(len(m.pending)) {
+	if TokenOwner(token) != m.cfg.Partition || slot >= uint64(m.pending.Len()) {
 		return -1
 	}
-	if e := &m.pending[slot]; !e.live || uint64(e.gen) != token>>slotBits&genMask {
+	if e := m.pending.At(int32(slot)); !e.live || uint64(e.gen) != token>>slotBits&genMask {
 		return -1
 	}
 	return int(slot)
@@ -1142,14 +1167,12 @@ func (m *MEE) applyDetection(det detectors.Detection, now uint64) {
 		if det.HadWrite || !ro {
 			// Re-fetch all data blocks in the chunk to (re)produce the
 			// per-block MACs (read in a non-RO region, or any write).
+			// The chunk's sectors are consecutive, so the re-fetch is one
+			// untracked run that Tick issues a sector at a time.
 			m.Reg.Inc("mp_refetch_chunk_data")
-			for b := 0; b < memdef.BlocksPerChunk; b++ {
-				for s := 0; s < memdef.SectorsPerBlock; s++ {
-					a := chunkBase + memdef.Addr(b*memdef.BlockSize+s*memdef.SectorSize)
-					m.send(m.cfg.Partition, dram.Req{Local: a, Kind: memdef.Read, Class: stats.TrafficMispredict},
-						pendingEntry{kind: pkMisc})
-				}
-			}
+			m.outgoing.pushRun(m.cfg.Partition,
+				dram.Req{Local: chunkBase, Kind: memdef.Read, Class: stats.TrafficMispredict, Token: untracked},
+				memdef.ChunkSize/memdef.SectorSize)
 		} else {
 			// Read in an RO region: per-block MACs are up to date; only
 			// re-fetch them for the accessed blocks.
@@ -1183,10 +1206,10 @@ func (m *MEE) OnDRAMComplete(token uint64, now uint64) {
 	if slot < 0 {
 		return
 	}
-	e := &m.pending[slot]
+	e := m.pending.At(int32(slot))
 	pe := *e
 	*e = pendingEntry{gen: (pe.gen + 1) & genMask}
-	m.pendFree = append(m.pendFree, int32(slot)) //shm:alloc-ok amortized free-stack growth, bounded by the slab
+	m.pending.Free(int32(slot))
 	m.pendLive--
 	switch pe.kind {
 	case pkData:

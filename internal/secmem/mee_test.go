@@ -650,15 +650,15 @@ func TestPendingSlabTokens(t *testing.T) {
 	}
 	ignored("repeated", tokens[2])
 	ignored("foreign", TokenFor(1, tokens[1]))
-	ignored("out-of-range", TokenFor(0, len64(m.pending)))
+	ignored("out-of-range", TokenFor(0, uint64(m.pending.Len())))
 	// A write takes no slot: it carries the untracked token, which the MEE
 	// ignores, so neither the slab nor the live count moves.
 	m.SubmitWrite(wr(0x20000), 10)
 	m.Tick(10) // the write leaves the input queue
 	m.Tick(10) // and reaches DRAM
-	if len(p.inj) != 1 || p.inj[0].token != untracked || len(m.pending) != 4 || m.pendLive != 2 {
+	if len(p.inj) != 1 || p.inj[0].token != untracked || m.pending.Len() != 4 || m.pendLive != 2 {
 		t.Fatalf("write sent %v; slab %d slots, %d live; want one untracked request, 4 and 2",
-			p.inj, len(m.pending), m.pendLive)
+			p.inj, m.pending.Len(), m.pendLive)
 	}
 	ignored("write", untracked)
 	p.inj = p.inj[:0]
@@ -667,8 +667,8 @@ func TestPendingSlabTokens(t *testing.T) {
 	m.SubmitRead(rd(0x10000), 10)
 	done := len(m.Tick(10))
 	done += len(m.Tick(11))
-	if len(m.pending) != 4 || len(p.inj) != 1 {
-		t.Fatalf("slab grew to %d slots for %d new requests", len(m.pending), len(p.inj))
+	if m.pending.Len() != 4 || len(p.inj) != 1 {
+		t.Fatalf("slab grew to %d slots for %d new requests", m.pending.Len(), len(p.inj))
 	}
 	fresh := p.inj[0].token
 	if fresh&slotMask != tokens[0]&slotMask || fresh == tokens[0] {
@@ -684,4 +684,53 @@ func TestPendingSlabTokens(t *testing.T) {
 	}
 }
 
-func len64[T any](s []T) uint64 { return uint64(len(s)) }
+// TestPendingSlabPageBoundary takes slots across the slab's first page
+// boundary (63 is the last slot of page 0, 64 the first of page 1) and
+// checks stale, repeated and out-of-range tokens there: a slot past the
+// high-water mark is rejected even where its page exists, and released
+// slots come back last in, first out under a new generation.
+func TestPendingSlabPageBoundary(t *testing.T) {
+	m, _ := newMEE(t, Options{})
+	tokens := make([]uint64, 65)
+	for i := range tokens {
+		tokens[i] = m.track(pendingEntry{kind: pkData, txn: m.getTxn()})
+	}
+	ignored := func(what string, tok uint64) {
+		t.Helper()
+		live := m.pendLive
+		m.OnDRAMComplete(tok, 10)
+		if m.pendLive != live {
+			t.Errorf("%s token %#x completed a request", what, tok)
+		}
+	}
+	for _, slot := range []uint64{65, 127, 128, 1 << 20} {
+		ignored("out-of-range", TokenFor(0, slot))
+	}
+	m.OnDRAMComplete(tokens[63], 10)
+	m.OnDRAMComplete(tokens[64], 10)
+	if m.pendLive != 63 {
+		t.Fatalf("%d pending after two completions, want 63", m.pendLive)
+	}
+	ignored("repeated", tokens[63])
+	ignored("repeated", tokens[64])
+	again := []uint64{
+		m.track(pendingEntry{kind: pkData, txn: m.getTxn()}),
+		m.track(pendingEntry{kind: pkData, txn: m.getTxn()}),
+	}
+	for i, old := range []uint64{tokens[64], tokens[63]} {
+		if again[i]&slotMask != old&slotMask || again[i] == old {
+			t.Fatalf("token %#x does not reuse the slot of %#x under a new generation", again[i], old)
+		}
+		ignored("stale", old)
+	}
+	if m.pending.Len() != 65 {
+		t.Fatalf("slab holds %d slots, want 65", m.pending.Len())
+	}
+	for _, tok := range again {
+		live := m.pendLive
+		m.OnDRAMComplete(tok, 11)
+		if m.pendLive != live-1 {
+			t.Fatalf("live token %#x was not answered", tok)
+		}
+	}
+}

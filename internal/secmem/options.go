@@ -157,10 +157,17 @@ func (t Tuning) Config(opts Options, partition, numPartitions int, protectedByte
 	}
 }
 
+// Upper bounds on the MEE's input queue and issue width: 64× and 32×
+// their Table VI values (64 and 2).
+const (
+	maxInputQueue    = 4096
+	maxIssuePerCycle = 64
+)
+
 // Validate reports a configuration NewMEE cannot build or that could never
 // issue a request: the partition count, the metadata layout over
-// ProtectedBytes, the three metadata caches, both detectors, and a
-// positive input queue and issue width.
+// ProtectedBytes, the three metadata caches, both detectors, and an input
+// queue and issue width within their bounds.
 func (c Config) Validate() error {
 	if c.NumPartitions <= 0 {
 		return fmt.Errorf("secmem: NumPartitions must be positive, got %d", c.NumPartitions)
@@ -179,8 +186,11 @@ func (c Config) Validate() error {
 	if err := c.Streaming.Validate(); err != nil {
 		return fmt.Errorf("secmem: %w", err)
 	}
-	if c.InputQueue <= 0 || c.IssuePerCycle <= 0 {
-		return fmt.Errorf("secmem: InputQueue and IssuePerCycle must be positive, got %d and %d", c.InputQueue, c.IssuePerCycle)
+	if c.InputQueue <= 0 || c.InputQueue > maxInputQueue {
+		return fmt.Errorf("secmem: InputQueue must be in [1, %d], got %d", maxInputQueue, c.InputQueue)
+	}
+	if c.IssuePerCycle <= 0 || c.IssuePerCycle > maxIssuePerCycle {
+		return fmt.Errorf("secmem: IssuePerCycle must be in [1, %d], got %d", maxIssuePerCycle, c.IssuePerCycle)
 	}
 	return nil
 }

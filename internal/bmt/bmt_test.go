@@ -206,7 +206,10 @@ func TestManyRandomUpdatesStayConsistent(t *testing.T) {
 }
 
 func TestRootsDifferAcrossPartitions(t *testing.T) {
-	layout := metadata.MustLayout(1 << 20)
+	layout, err := metadata.NewLayout(1 << 20)
+	if err != nil {
+		t.Fatal(err)
+	}
 	eng := cryptoengine.New(cryptoengine.DeriveKeys(7))
 	b1 := make(sliceBacking, layout.TotalBytes())
 	b2 := make(sliceBacking, layout.TotalBytes())

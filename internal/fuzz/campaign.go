@@ -156,21 +156,7 @@ func RunCampaign(opts CampaignOptions) (CampaignResult, error) {
 		orun.Span().Annotate("violations", fmt.Sprint(len(vs)))
 		oracles := oracleNames(vs)
 		logf("cell %d: %d violation(s) [%v], shrinking...", i, len(vs), oracles)
-		pred := func(cand Case) bool {
-			cvs, err := CheckCaseOpts(cand, check)
-			if err != nil {
-				return false
-			}
-			for _, v := range cvs {
-				for _, o := range oracles {
-					if v.Oracle == o {
-						return true
-					}
-				}
-			}
-			return false
-		}
-		shrunk, attempts := Shrink(c, pred, opts.ShrinkBudget)
+		shrunk, attempts := Shrink(c, OracleFails(check, oracles...), opts.ShrinkBudget)
 		svs, _ := CheckCaseOpts(shrunk, check)
 		f := Finding{
 			Index:            i,

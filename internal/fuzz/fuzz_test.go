@@ -248,10 +248,7 @@ func TestShrinkOracleDriven(t *testing.T) {
 	if !hasOracle(vs, "metamorphic-metadata") {
 		t.Fatalf("cell does not trip the strict tolerance: %v", vs)
 	}
-	pred := func(cand Case) bool {
-		cvs, err := CheckCaseOpts(cand, bad)
-		return err == nil && hasOracle(cvs, "metamorphic-metadata")
-	}
+	pred := OracleFails(bad, "metamorphic-metadata")
 	min1, _ := Shrink(c, pred, 40)
 	min2, _ := Shrink(c, pred, 40)
 	if !reflect.DeepEqual(min1, min2) {

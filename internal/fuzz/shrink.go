@@ -15,17 +15,17 @@ import (
 type FailurePredicate func(Case) bool
 
 // OracleFails builds the canonical predicate: the cell is still "failing"
-// when the oracle battery reports at least one violation of one of the
-// given oracle names (any violation when no names are given). Invalid
-// candidate cells count as not failing, so the shrinker never escapes the
-// valid-case space.
-func OracleFails(oracles ...string) FailurePredicate {
+// when the oracle battery, run with opts, reports at least one violation
+// of one of the given oracle names (any violation when no names are
+// given). Invalid candidate cells count as not failing, so the shrinker
+// never escapes the valid-case space.
+func OracleFails(opts CheckOptions, oracles ...string) FailurePredicate {
 	want := make(map[string]bool, len(oracles))
 	for _, o := range oracles {
 		want[o] = true
 	}
 	return func(c Case) bool {
-		vs, err := CheckCase(c)
+		vs, err := CheckCaseOpts(c, opts)
 		if err != nil {
 			return false
 		}

@@ -269,9 +269,6 @@ func NewSystem(cfg Config, opts secmem.Options) *System {
 	return s
 }
 
-// MEE exposes partition p's encryption engine (analysis and tests).
-func (s *System) MEE(p int) *secmem.MEE { return s.mees[p] }
-
 // Enqueue implements secmem.DRAMPort.
 func (s *System) Enqueue(part int, r dram.Req, now uint64) bool {
 	return s.channels[part].Enqueue(r, now)

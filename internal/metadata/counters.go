@@ -35,31 +35,6 @@ func (cb *CounterBlock) Increment(slot int) (overflowed bool) {
 	return true
 }
 
-// PropagateFromShared initializes the counter block when its region leaves
-// the read-only state (paper Fig. 8): the shared counter becomes the major
-// counter, all minors take the padding value (0), and the minor for the
-// block being written is advanced to 1.
-func (cb *CounterBlock) PropagateFromShared(shared uint64, writtenSlot int) {
-	cb.Major = shared
-	for i := range cb.Minors {
-		cb.Minors[i] = 0
-	}
-	cb.Minors[writtenSlot] = 1
-}
-
-// MaxMajor is a helper for the InputReadOnlyReset scan (paper Fig. 9): the
-// command processor scans counter blocks in the reset range and returns the
-// maximum major counter so the shared counter can be advanced past it.
-func MaxMajor(blocks []CounterBlock) uint64 {
-	var m uint64
-	for i := range blocks {
-		if blocks[i].Major > m {
-			m = blocks[i].Major
-		}
-	}
-	return m
-}
-
 // String renders a compact summary.
 func (cb *CounterBlock) String() string {
 	nonzero := 0

@@ -93,15 +93,6 @@ func NewLayout(protectedBytes uint64) (*Layout, error) {
 	return l, nil
 }
 
-// MustLayout is NewLayout panicking on error, for configuration constants.
-func MustLayout(protectedBytes uint64) *Layout {
-	l, err := NewLayout(protectedBytes)
-	if err != nil {
-		panic(err)
-	}
-	return l
-}
-
 // ProtectedBytes returns the data capacity of the protected space.
 func (l *Layout) ProtectedBytes() uint64 { return l.protected }
 

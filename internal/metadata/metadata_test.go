@@ -259,34 +259,6 @@ func TestSeedNeverRepeatsAcrossIncrements(t *testing.T) {
 	}
 }
 
-func TestPropagateFromShared(t *testing.T) {
-	var cb CounterBlock
-	cb.Major = 99
-	cb.Minors[0] = 7
-	cb.PropagateFromShared(3, 2)
-	if cb.Major != 3 {
-		t.Errorf("major = %d, want shared value 3", cb.Major)
-	}
-	if cb.Minors[2] != 1 {
-		t.Errorf("written slot minor = %d, want 1", cb.Minors[2])
-	}
-	for i, m := range cb.Minors {
-		if i != 2 && m != 0 {
-			t.Errorf("minor %d = %d, want padding 0", i, m)
-		}
-	}
-}
-
-func TestMaxMajor(t *testing.T) {
-	blocks := []CounterBlock{{Major: 3}, {Major: 90}, {Major: 17}}
-	if got := MaxMajor(blocks); got != 90 {
-		t.Errorf("MaxMajor = %d, want 90", got)
-	}
-	if got := MaxMajor(nil); got != 0 {
-		t.Errorf("MaxMajor(nil) = %d, want 0", got)
-	}
-}
-
 func TestCounterBlockString(t *testing.T) {
 	var cb CounterBlock
 	cb.Increment(0)
@@ -295,18 +267,12 @@ func TestCounterBlockString(t *testing.T) {
 	}
 }
 
-func TestMustLayoutPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	MustLayout(123)
-}
-
 func TestLayout4GB(t *testing.T) {
 	// The paper's full 4 GB protected range must lay out cleanly.
-	l := MustLayout(4 << 30)
+	l, err := NewLayout(4 << 30)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if l.BMTLevels() < 4 {
 		t.Errorf("4 GB BMT levels = %d, want >= 4", l.BMTLevels())
 	}

@@ -267,18 +267,10 @@ type MEE struct {
 	// a Reg map update; FoldCounters moves it into Reg as "mdc_blocked".
 	mdcBlocked uint64
 
-	// trace, when set, observes every data access the MEE processes
-	// (debug/analysis hook; see SetTrace).
-	trace func(now uint64, r memdef.Request)
-
 	// probe, when non-nil, observes the request lifecycle (accept,
 	// read-done latency), metadata fetches, predictions, and detections.
 	probe telemetry.Probe
 }
-
-// SetTrace installs a per-access observer (nil to disable). Used by
-// analysis tooling; not part of the timing model.
-func (m *MEE) SetTrace(fn func(now uint64, r memdef.Request)) { m.trace = fn }
 
 // SetProbe installs the telemetry probe (nil to disable), propagating it to
 // the MAT file so tracker arms/skips are observed too.
@@ -861,9 +853,6 @@ func (m *MEE) process(r memdef.Request, submitAt, now uint64) {
 
 	// Streaming detector observes every off-chip access.
 	if !m.cfg.OracleDetectors && m.cfg.DualGranMAC {
-		if m.trace != nil {
-			m.trace(now, r)
-		}
 		if det, done := m.mats.Observe(r.Local, r.Kind == memdef.Write, now); done {
 			m.applyDetection(det, now)
 		}

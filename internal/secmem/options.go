@@ -8,8 +8,11 @@
 // and the L2-victim-cache mode of §IV-D.
 //
 // The MEE is a pure timing model: no bytes are encrypted here. The
-// functional semantics live in the securemem package, which shares the same
-// layout, detector, and crypto code so the two cannot drift apart.
+// functional semantics and the cryptography live in the securemem package.
+// Both packages compute metadata addresses with the layout arithmetic of
+// internal/metadata, but nothing yet checks the addresses the MEE derives:
+// under Naive and Common_ctr, L2 write-backs reach metaAddrFor with the
+// wrong Phys (ROADMAP items 8 and 11).
 package secmem
 
 import (

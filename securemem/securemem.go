@@ -10,8 +10,16 @@
 // AttackerView returns the raw backing store (ciphertext and all security
 // metadata). Tampering with it — bit flips, splices, or replays of stale
 // values including whole metadata subtrees — is detected on the next read,
-// exactly per the paper's threat model. The cryptography is shared with the
-// timing simulator's metadata layout, so the two models cannot drift apart.
+// exactly per the paper's threat model.
+//
+// This package and the timing simulator (internal/secmem) share the
+// metadata layout arithmetic of internal/metadata. The cryptography
+// (internal/cryptoengine, internal/bmt) runs only here: the timing model
+// charges cycles for it without computing it. Sharing the arithmetic does
+// not make the models agree on addresses. Nothing yet checks the metadata
+// addresses the timing model derives, and its Naive and Common_ctr
+// write-backs compute them from the wrong physical address (ROADMAP
+// items 8 and 11).
 //
 // This is a functional model: it charges no cycles. The performance of the
 // same mechanisms is evaluated by the timing simulator (internal/gpu +

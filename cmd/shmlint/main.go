@@ -1,8 +1,8 @@
 // Command shmlint is the repository's lint gate: it loads the module from
 // source and runs the analyzer suite in internal/analysis over it —
-// per-package checks (determinism, counter hygiene, probe guarding, unit
-// discipline) and the whole-tree checks that need every package at once
-// (counter ownership, and the flow-sensitive hotalloc and syncfree):
+// per-package checks (determinism, probe guarding, unit discipline) and the
+// whole-tree checks that need every package at once (the flow-sensitive
+// hotalloc and syncfree):
 //
 //	go run ./cmd/shmlint ./...
 //
@@ -19,7 +19,6 @@ import (
 	"os"
 
 	"shmgpu/internal/analysis"
-	"shmgpu/internal/analysis/counterhygiene"
 	"shmgpu/internal/analysis/hotalloc"
 	"shmgpu/internal/analysis/load"
 	"shmgpu/internal/analysis/nodeterminism"
@@ -32,7 +31,6 @@ import (
 // all it takes to put it in the gate.
 var analyzers = []*analysis.Analyzer{
 	nodeterminism.Analyzer,
-	counterhygiene.Analyzer,
 	probeguard.Analyzer,
 	unitcheck.Analyzer,
 	hotalloc.Analyzer,

@@ -1,11 +1,12 @@
 // Package analysis is a minimal, dependency-free reimplementation of the
 // go/analysis analyzer model (golang.org/x/tools/go/analysis) sufficient to
 // host this repository's lint suite. It exists because the simulator's
-// correctness rules — determinism, counter hygiene, probe guarding, unit
-// discipline, an allocation-free and synchronization-free tick — are
-// mechanical properties of the source tree that belong in a lint gate, and
-// the canonical framework is an external module this repository does not
-// vendor. cmd/shmlint is the one driver.
+// correctness rules — determinism, probe guarding, unit discipline, an
+// allocation-free and synchronization-free tick — are mechanical properties
+// of the source tree that belong in a lint gate, and the canonical framework
+// is an external module this repository does not vendor. cmd/shmlint is the
+// one driver. Counter naming and ownership need no analyzer: a counter is a
+// stats.Counter handle, and stats.NewCounter enforces both at registration.
 //
 // The model is the familiar one: an Analyzer owns a Run function invoked
 // once per package with a Pass carrying the parsed non-test files, type
@@ -14,7 +15,7 @@
 //   - Run may return a per-package result (any value), and an Analyzer may
 //     declare a Finish hook. The driver calls Finish once after every
 //     package's Run with all results, enabling cross-package checks such as
-//     counter ownership and the flow-sensitive call-graph analyzers.
+//     the flow-sensitive call-graph analyzers.
 //
 //   - Source lines can silence a specific check with a trailing
 //     `//shmlint:allow <check>` comment; the annotation is an explicit,

@@ -490,7 +490,7 @@ func (r *Runner) Fig16() *report.Table {
 		sums[0] += shm
 		sums[1] += vl2
 		res := r.Run(wl, scheme.SHMvL2)
-		t.AddRow(wl, shm, vl2, report.Percent(vl2-shm), res.VictimHits)
+		t.AddRow(wl, shm, vl2, report.Percent(vl2-shm), res.Reg.Get("victim_hit"))
 	}
 	n := float64(len(r.workloads))
 	t.AddRow("average", sums[0]/n, sums[1]/n, report.Percent((sums[1]-sums[0])/n), "")

@@ -126,8 +126,8 @@ func TelemetrySummary(res gpu.Result) telemetry.RunSummary {
 // byte-comparable form. Two runs are "byte-identical" in the repo's sense
 // exactly when DiffArtifacts finds nothing between them.
 type Artifacts struct {
-	// Result renders every Result value field (the Result carries the
-	// registry pointer, so the struct itself cannot be compared).
+	// Result renders every Result field but the registry, which
+	// Counters holds.
 	Result string
 	// Counters is the stats-registry snapshot as JSON.
 	Counters []byte
@@ -162,10 +162,10 @@ func Render(tool string, spec RunSpec, out RunOutput) (Artifacts, error) {
 		return Artifacts{}, err
 	}
 	line := fmt.Sprintf(
-		"cycles=%d insts=%d traffic=%+v l1=%+v l2=%+v ctr=%+v mac=%+v bmt=%+v ro=%+v stream=%+v bus=%.9f victim=%d/%d completed=%v",
+		"cycles=%d insts=%d traffic=%+v l1=%+v l2=%+v ctr=%+v mac=%+v bmt=%+v ro=%+v stream=%+v bus=%.9f victim_pushes=%d completed=%v",
 		res.Cycles, res.Instructions, res.Traffic, res.L1, res.L2,
 		res.Ctr, res.MAC, res.BMT, res.ROAccuracy, res.StreamAccuracy,
-		res.BusUtilization, res.VictimHits, res.VictimPushes, res.Completed)
+		res.BusUtilization, res.VictimPushes, res.Completed)
 	return Artifacts{Result: line, Counters: counters, JSONL: buf.Bytes()}, nil
 }
 

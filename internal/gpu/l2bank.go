@@ -53,8 +53,8 @@ type L2Bank struct {
 	sampledRate    float64
 	haveSample     bool
 
-	// VictimHits/VictimPushes count victim-cache activity.
-	VictimHits, VictimPushes uint64
+	// VictimPushes counts metadata sectors parked in the bank.
+	VictimPushes uint64
 
 	// probe, when non-nil, observes data read hits and misses.
 	probe telemetry.Probe
@@ -282,7 +282,6 @@ func (b *L2Bank) PushVictim(addr memdef.Addr) {
 func (b *L2Bank) ProbeVictim(addr memdef.Addr) bool {
 	if b.c.Probe(addr) {
 		b.c.CleanInvalidate(addr)
-		b.VictimHits++
 		return true
 	}
 	return false

@@ -32,9 +32,11 @@ type Result struct {
 	ROAccuracy, StreamAccuracy stats.PredictorStats
 	// BusUtilization is the mean DRAM data-bus utilization.
 	BusUtilization float64
-	// VictimHits and VictimPushes total the L2 victim-cache activity.
-	VictimHits, VictimPushes uint64
-	// Reg merges every MEE's event registry.
+	// VictimPushes totals the metadata sectors parked in the L2 victim
+	// cache; Reg's victim_hit counts the ones the MEEs found again.
+	VictimPushes uint64
+	// Reg holds the MEEs' event counters, the MAT utilization and the
+	// host tier's counters.
 	Reg stats.Registry
 	// Completed reports whether all warps finished before MaxCycles.
 	Completed bool
@@ -96,6 +98,9 @@ type System struct {
 	mees     []*secmem.MEE
 	channels []*dram.Channel
 	pmap     *memdef.PartitionMap
+	// reg is the event registry every MEE counts into; a Result's Reg
+	// starts as a copy of it.
+	reg stats.Registry
 
 	// toPart and toSM are the crossbar request queues and the response
 	// network. Both are rings ordered by maturity cycle: entries are pushed
@@ -260,7 +265,7 @@ func NewSystem(cfg Config, opts secmem.Options) *System {
 			s.l2[p] = append(s.l2[p], newL2Bank(p, b, &s.cfg))
 		}
 		s.channels = append(s.channels, dram.NewChannel(cfg.DRAM))
-		mee := secmem.NewMEE(cfg.MEEOptionsToConfig(opts, p), s)
+		mee := secmem.NewMEE(cfg.MEEOptionsToConfig(opts, p), s, &s.reg)
 		if opts.VictimL2 {
 			mee.SetVictimCache(partitionVictim{sys: s, part: p})
 		}
@@ -854,11 +859,17 @@ func (s *System) drained() bool {
 	return true
 }
 
+// The MAT file's tracker utilization, added for every MEE even when 0.
+var (
+	ctrMATMonitored = stats.NewCounter("mat_monitored")
+	ctrMATSkipped   = stats.NewCounter("mat_skipped")
+)
+
 func (s *System) collect(workload string, completed bool) Result {
 	if s.tele != nil {
 		s.tele.FinishRun(s.cycle, s.snapshot)
 	}
-	res := Result{Workload: workload, Cycles: s.cycle, Completed: completed}
+	res := Result{Workload: workload, Cycles: s.cycle, Completed: completed, Reg: s.reg}
 	for _, sm := range s.sms {
 		res.Instructions += sm.Instructions
 		res.L1.Merge(&sm.l1.Stats)
@@ -867,7 +878,6 @@ func (s *System) collect(workload string, completed bool) Result {
 		for _, b := range s.l2[p] {
 			st := b.Stats()
 			res.L2.Merge(&st)
-			res.VictimHits += b.VictimHits
 			res.VictimPushes += b.VictimPushes
 		}
 	}
@@ -882,11 +892,9 @@ func (s *System) collect(workload string, completed bool) Result {
 		res.Ctr.Merge(&ctr)
 		res.MAC.Merge(&mac)
 		res.BMT.Merge(&bmtS)
-		mee.FoldCounters()
-		res.Reg.Merge(&mee.Reg)
 		mon, skip := mee.MATStats()
-		res.Reg.Add("mat_monitored", mon)
-		res.Reg.Add("mat_skipped", skip)
+		res.Reg.Add(ctrMATMonitored, mon)
+		res.Reg.Add(ctrMATSkipped, skip)
 		ro, st := mee.AccuracyResults()
 		res.ROAccuracy.Merge(&ro)
 		res.StreamAccuracy.Merge(&st)

@@ -238,7 +238,7 @@ func TestVictimCacheMode(t *testing.T) {
 	if res.VictimPushes == 0 {
 		t.Skip("victim mode never activated (miss rate below threshold in this configuration)")
 	}
-	if res.VictimHits == 0 {
+	if res.Reg.Get("victim_hit") == 0 {
 		t.Log("victim cache active but never hit; acceptable for streaming metadata")
 	}
 }

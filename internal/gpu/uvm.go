@@ -26,7 +26,28 @@ package gpu
 import (
 	"shmgpu/internal/hostmem"
 	"shmgpu/internal/memdef"
+	"shmgpu/internal/stats"
 	"shmgpu/internal/telemetry"
+)
+
+// The host tier's counters, folded in from hostmem.Stats at the end of a
+// run. uvm_ro_transitions is the MEE's: it counts while the run ticks.
+var (
+	ctrUVMFaults          = stats.NewCounter("uvm_faults")
+	ctrUVMReplays         = stats.NewCounter("uvm_replays")
+	ctrUVMMigrationsIn    = stats.NewCounter("uvm_migrations_in")
+	ctrUVMEvictions       = stats.NewCounter("uvm_evictions")
+	ctrUVMWritebacksDirty = stats.NewCounter("uvm_writebacks_dirty")
+	ctrUVMWritebacksClean = stats.NewCounter("uvm_writebacks_clean")
+	ctrUVMThrash          = stats.NewCounter("uvm_thrash")
+	ctrUVMBytesIn         = stats.NewCounter("uvm_bytes_in")
+	ctrUVMBytesOut        = stats.NewCounter("uvm_bytes_out")
+	ctrUVMMetaCycles      = stats.NewCounter("uvm_meta_cycles")
+	ctrUVMPrefetches      = stats.NewCounter("uvm_prefetches")
+	ctrUVMPrefUseful      = stats.NewCounter("uvm_pref_useful")
+	ctrUVMPrefLate        = stats.NewCounter("uvm_pref_late")
+	ctrUVMPrefUseless     = stats.NewCounter("uvm_pref_useless")
+	ctrUVMBatches         = stats.NewCounter("uvm_batches")
 )
 
 // uvmState owns the host tier and its simulator-facing accounting.
@@ -36,10 +57,6 @@ type uvmState struct {
 	// rebuild selects the expensive integrity mode: tear down device
 	// metadata coverage on eviction, re-establish on fault-in.
 	rebuild bool
-	// roTransitions counts predictor RO->RW transitions caused by
-	// migration re-encryption, accumulated here because the registry's
-	// map insert is off-limits on the tick path.
-	roTransitions uint64
 }
 
 // uvmWorkingSet is the optional Workload extension the tier sizes
@@ -169,7 +186,7 @@ func (u *uvmState) onFaultIn(page int, latency uint64) {
 	lo, hi := u.tier.PageRange(page)
 	llo, lhi := s.pmap.LocalRange(memdef.Addr(lo), memdef.Addr(hi))
 	for _, mee := range s.mees {
-		u.roTransitions += mee.MigrationOverwrite(llo, lhi)
+		mee.MigrationOverwrite(llo, lhi)
 	}
 }
 
@@ -196,52 +213,28 @@ func (u *uvmState) onEvict(page int, dirty, thrash bool) {
 // leaves the registry byte-identical to a tier-less run.
 func (u *uvmState) mergeInto(res *Result) {
 	st := u.tier.Stats()
-	if st.Faults != 0 {
-		res.Reg.Add("uvm_faults", st.Faults)
-	}
-	if st.Replays != 0 {
-		res.Reg.Add("uvm_replays", st.Replays)
-	}
-	if st.MigrationsIn != 0 {
-		res.Reg.Add("uvm_migrations_in", st.MigrationsIn)
-	}
-	if st.Evictions != 0 {
-		res.Reg.Add("uvm_evictions", st.Evictions)
-	}
-	if st.WritebacksDirty != 0 {
-		res.Reg.Add("uvm_writebacks_dirty", st.WritebacksDirty)
-	}
-	if st.WritebacksClean != 0 {
-		res.Reg.Add("uvm_writebacks_clean", st.WritebacksClean)
-	}
-	if st.Thrash != 0 {
-		res.Reg.Add("uvm_thrash", st.Thrash)
-	}
-	if st.BytesIn != 0 {
-		res.Reg.Add("uvm_bytes_in", st.BytesIn)
-	}
-	if st.BytesOut != 0 {
-		res.Reg.Add("uvm_bytes_out", st.BytesOut)
-	}
-	if st.MetaCycles != 0 {
-		res.Reg.Add("uvm_meta_cycles", st.MetaCycles)
-	}
-	if st.Prefetches != 0 {
-		res.Reg.Add("uvm_prefetches", st.Prefetches)
-	}
-	if st.PrefUseful != 0 {
-		res.Reg.Add("uvm_pref_useful", st.PrefUseful)
-	}
-	if st.PrefLate != 0 {
-		res.Reg.Add("uvm_pref_late", st.PrefLate)
-	}
-	if st.PrefUseless != 0 {
-		res.Reg.Add("uvm_pref_useless", st.PrefUseless)
-	}
-	if st.Batches != 0 {
-		res.Reg.Add("uvm_batches", st.Batches)
-	}
-	if u.roTransitions != 0 {
-		res.Reg.Add("uvm_ro_transitions", u.roTransitions)
+	for _, c := range [...]struct {
+		ctr stats.Counter
+		n   uint64
+	}{
+		{ctrUVMFaults, st.Faults},
+		{ctrUVMReplays, st.Replays},
+		{ctrUVMMigrationsIn, st.MigrationsIn},
+		{ctrUVMEvictions, st.Evictions},
+		{ctrUVMWritebacksDirty, st.WritebacksDirty},
+		{ctrUVMWritebacksClean, st.WritebacksClean},
+		{ctrUVMThrash, st.Thrash},
+		{ctrUVMBytesIn, st.BytesIn},
+		{ctrUVMBytesOut, st.BytesOut},
+		{ctrUVMMetaCycles, st.MetaCycles},
+		{ctrUVMPrefetches, st.Prefetches},
+		{ctrUVMPrefUseful, st.PrefUseful},
+		{ctrUVMPrefLate, st.PrefLate},
+		{ctrUVMPrefUseless, st.PrefUseless},
+		{ctrUVMBatches, st.Batches},
+	} {
+		if c.n != 0 {
+			res.Reg.Add(c.ctr, c.n)
+		}
 	}
 }

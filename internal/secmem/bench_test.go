@@ -7,6 +7,7 @@ import (
 	"shmgpu/internal/dram"
 	"shmgpu/internal/memdef"
 	"shmgpu/internal/ringbuf"
+	"shmgpu/internal/stats"
 )
 
 // fifoPort completes every request a fixed latency after it is enqueued,
@@ -33,7 +34,7 @@ func (p *fifoPort) deliver(m *MEE, now uint64) {
 func BenchmarkMEETick(b *testing.B) {
 	const protected = 4 << 20
 	port := &fifoPort{latency: 200}
-	m := NewMEE(DefaultTuning().Config(shmOpts(), 0, 12, protected), port)
+	m := NewMEE(DefaultTuning().Config(shmOpts(), 0, 12, protected), port, new(stats.Registry))
 	rng := rand.New(rand.NewSource(1))
 	reqs := make([]memdef.Request, 1<<12)
 	for i := range reqs {

@@ -15,6 +15,46 @@ import (
 	"shmgpu/internal/telemetry"
 )
 
+// The MEE's event counters (stats.Registry handles).
+var (
+	// Access characterization (paper Fig. 5), under oracle truth.
+	ctrAccessTotal     = stats.NewCounter("access_total")
+	ctrAccessStreaming = stats.NewCounter("access_streaming")
+	ctrAccessReadOnly  = stats.NewCounter("access_readonly")
+	// Streaming-detector outcomes (paper Figs. 10-11).
+	ctrDetEmpty           = stats.NewCounter("det_empty")
+	ctrDetStream          = stats.NewCounter("det_stream")
+	ctrDetRandom          = stats.NewCounter("det_random")
+	ctrDetTimeout         = stats.NewCounter("det_timeout")
+	ctrDetTimeoutAccesses = stats.NewCounter("det_timeout_accesses")
+	// ctrDetTimeoutBucket[k] counts timed-out detections that saw
+	// 8k..8k+7 accesses; WindowAccesses <= 64 bounds k by 8.
+	ctrDetTimeoutBucket [64/8 + 1]stats.Counter
+	// Misprediction recovery (paper Tables III/IV).
+	ctrMPRefetchChunkData = stats.NewCounter("mp_refetch_chunk_data")
+	ctrMPRefetchBlkMACs   = stats.NewCounter("mp_refetch_blk_macs")
+	ctrMPUpdateChunkMAC   = stats.NewCounter("mp_update_chunk_mac")
+	ctrMPRefetchChunkMAC  = stats.NewCounter("mp_refetch_chunk_mac")
+	// Read-only predictor transitions: by a write, by a host copy without
+	// the reset API, and by a UVM fault-in under full metadata rebuild.
+	ctrROTransition       = stats.NewCounter("ro_transition")
+	ctrROTransitionHost   = stats.NewCounter("ro_transition_host")
+	ctrUVMROTransitions   = stats.NewCounter("uvm_ro_transitions")
+	ctrInputReadOnlyReset = stats.NewCounter("input_readonly_reset")
+	ctrCctrDiverged       = stats.NewCounter("cctr_diverged")
+	// ctrVictimHit counts metadata reads served by the L2 victim cache
+	// (paper Fig. 16).
+	ctrVictimHit = stats.NewCounter("victim_hit")
+	// ctrMDCBlocked counts metadata-cache reads the cache refused.
+	ctrMDCBlocked = stats.NewCounter("mdc_blocked")
+)
+
+func init() {
+	for k := range ctrDetTimeoutBucket {
+		ctrDetTimeoutBucket[k] = stats.NewCounter(fmt.Sprintf("det_timeout_bucket_%d", k))
+	}
+}
+
 // DRAMPort routes sector requests to a partition's DRAM channel. The GPU
 // system implements it over its channel array; metadata constructed from
 // physical addresses may target partitions other than the MEE's own.
@@ -259,13 +299,9 @@ type MEE struct {
 	bmtPathBuf []memdef.Addr
 	bmtSlotBuf []int
 
-	// Reg collects ad-hoc event counters (transitions, mispredict classes,
-	// victim hits, etc.).
-	Reg stats.Registry
-	// mdcBlocked counts metadata-cache reads the cache refused (Blocked).
-	// It can fire several times a cycle, so it is a plain field rather than
-	// a Reg map update; FoldCounters moves it into Reg as "mdc_blocked".
-	mdcBlocked uint64
+	// reg is the registry the MEE counts its events into (transitions,
+	// mispredict classes, victim hits, etc.); a System's MEEs share one.
+	reg *stats.Registry
 
 	// probe, when non-nil, observes the request lifecycle (accept,
 	// read-done latency), metadata fetches, predictions, and detections.
@@ -282,9 +318,9 @@ func (m *MEE) SetProbe(p telemetry.Probe) {
 	}
 }
 
-// NewMEE builds one partition's engine. port routes DRAM requests; layout
-// is derived from cfg.ProtectedBytes.
-func NewMEE(cfg Config, port DRAMPort) *MEE {
+// NewMEE builds one partition's engine. port routes DRAM requests and reg
+// receives the event counters; layout is derived from cfg.ProtectedBytes.
+func NewMEE(cfg Config, port DRAMPort, reg *stats.Registry) *MEE {
 	layout, err := metadata.NewLayout(cfg.ProtectedBytes)
 	if err != nil {
 		panic(fmt.Sprintf("secmem: %v", err))
@@ -294,6 +330,7 @@ func NewMEE(cfg Config, port DRAMPort) *MEE {
 		layout: layout,
 		pmap:   memdef.NewPartitionMap(cfg.NumPartitions),
 		port:   port,
+		reg:    reg,
 	}
 	if cfg.Enabled {
 		m.ctrCache = cache.New(cfg.CtrCache)
@@ -425,46 +462,33 @@ func (m *MEE) InputReadOnlyReset(lo, hi memdef.Addr) {
 			m.roOracle[r] = true
 		}
 	}
-	m.Reg.Inc("input_readonly_reset")
+	m.reg.Inc(ctrInputReadOnlyReset)
 }
 
 // HostOverwrite models a mid-context host→device copy WITHOUT the reset
 // API: the touched regions lose their read-only status.
-func (m *MEE) HostOverwrite(lo, hi memdef.Addr) {
+func (m *MEE) HostOverwrite(lo, hi memdef.Addr) { m.overwrite(lo, hi, ctrROTransitionHost) }
+
+// MigrationOverwrite models a UVM page fault-in under full metadata
+// rebuild: the migrated range is re-encrypted with fresh counters, so —
+// exactly as with a host copy — the touched regions lose their
+// read-only status and the profiling oracle forgets them.
+func (m *MEE) MigrationOverwrite(lo, hi memdef.Addr) { m.overwrite(lo, hi, ctrUVMROTransitions) }
+
+// overwrite clears the read-only status of the regions in [lo, hi),
+// counting each RO->RW transition in transitions.
+func (m *MEE) overwrite(lo, hi memdef.Addr, transitions stats.Counter) {
 	if !m.cfg.Enabled || hi <= lo {
 		return
 	}
 	for a := memdef.RegionAddr(lo); a < hi; a += memdef.RegionSize {
 		if m.roPred.OnWrite(a) {
-			m.Reg.Inc("ro_transition_host")
+			m.reg.Inc(transitions)
 		}
 		if m.roOracle != nil {
 			delete(m.roOracle, uint64(a)/m.cfg.ReadOnly.RegionBytes)
 		}
 	}
-}
-
-// MigrationOverwrite models a UVM page fault-in under full metadata
-// rebuild: the migrated range is re-encrypted with fresh counters, so —
-// exactly as with a host copy — the touched regions lose their
-// read-only status and the profiling oracle forgets them. It returns
-// the number of RO transitions instead of bumping the registry: the
-// caller runs on the per-cycle tick path, where the registry's map
-// insert is off-limits, and accumulates the count for end-of-run merge.
-func (m *MEE) MigrationOverwrite(lo, hi memdef.Addr) uint64 {
-	if !m.cfg.Enabled || hi <= lo {
-		return 0
-	}
-	var transitions uint64
-	for a := memdef.RegionAddr(lo); a < hi; a += memdef.RegionSize {
-		if m.roPred.OnWrite(a) {
-			transitions++
-		}
-		if m.roOracle != nil {
-			delete(m.roOracle, uint64(a)/m.cfg.ReadOnly.RegionBytes)
-		}
-	}
-	return transitions
 }
 
 // CanAccept reports whether SubmitRead/SubmitWrite would succeed.
@@ -753,13 +777,13 @@ func (m *MEE) mdcRead(c *cache.Cache, kind pendingKind, sectors []memdef.Addr, c
 		// will answer this lookup, so report the sector as available
 		// rather than strand a waiter: an over-merged read is served
 		// without stalling. Counted as mdc_blocked.
-		m.mdcBlocked++
+		m.reg.Inc(ctrMDCBlocked)
 		return true, false
 	}
 	// MissNew: probe the victim L2 first.
 	if m.victim != nil && m.victim.VictimActive() && m.victim.ProbeVictim(primary) {
 		c.Fill(primary)
-		m.Reg.Inc("victim_hit")
+		m.reg.Inc(ctrVictimHit)
 		return true, false
 	}
 	m.sendMeta(kind, primary, memdef.Read, class)
@@ -784,12 +808,12 @@ func (m *MEE) mdcWrite(c *cache.Cache, kind pendingKind, sector memdef.Addr, cla
 		switch c.Read(sector) {
 		case cache.MissNew:
 			if m.victim != nil && m.victim.VictimActive() && m.victim.ProbeVictim(sector) {
-				m.Reg.Inc("victim_hit")
+				m.reg.Inc(ctrVictimHit)
 			} else {
 				m.sendMeta(kind, sector, memdef.Read, class)
 			}
 		case cache.Blocked:
-			m.mdcBlocked++
+			m.reg.Inc(ctrMDCBlocked)
 		}
 		c.Fill(sector)
 	}
@@ -842,12 +866,12 @@ func (m *MEE) process(r memdef.Request, submitAt, now uint64) {
 	// Access characterization (paper Fig. 5): with oracle truth loaded,
 	// classify every off-chip access as streaming / read-only.
 	if m.stOracle != nil {
-		m.Reg.Inc("access_total")
+		m.reg.Inc(ctrAccessTotal)
 		if streaming {
-			m.Reg.Inc("access_streaming")
+			m.reg.Inc(ctrAccessStreaming)
 		}
 		if ro {
-			m.Reg.Inc("access_readonly")
+			m.reg.Inc(ctrAccessReadOnly)
 		}
 	}
 
@@ -932,7 +956,7 @@ func (m *MEE) processWrite(r memdef.Request, meta memdef.Addr, ro, streaming boo
 			transition = true
 		}
 		if transition {
-			m.Reg.Inc("ro_transition")
+			m.reg.Inc(ctrROTransition)
 			m.propagateSharedCounter(r.Local, meta)
 			ro = false
 		}
@@ -988,7 +1012,7 @@ func (m *MEE) divergePage(meta memdef.Addr) {
 	cb, _ := m.layout.CounterIndex(meta)
 	if !m.diverged.Has(cb) {
 		m.diverged.Put(cb)
-		m.Reg.Inc("cctr_diverged")
+		m.reg.Inc(ctrCctrDiverged)
 	}
 }
 
@@ -1115,13 +1139,13 @@ func (m *MEE) applyDetection(det detectors.Detection, now uint64) {
 	if det.Accesses == 0 {
 		// A monitor armed ahead of the stream that never saw an access
 		// carries no information; do not train or recover.
-		m.Reg.Inc("det_empty")
+		m.reg.Inc(ctrDetEmpty)
 		return
 	}
 	if det.Streaming {
-		m.Reg.Inc("det_stream")
+		m.reg.Inc(ctrDetStream)
 	} else {
-		m.Reg.Inc("det_random")
+		m.reg.Inc(ctrDetRandom)
 	}
 	if m.probe != nil {
 		var class uint8
@@ -1140,9 +1164,9 @@ func (m *MEE) applyDetection(det detectors.Detection, now uint64) {
 		})
 	}
 	if det.TimedOut {
-		m.Reg.Inc("det_timeout")
-		m.Reg.Add("det_timeout_accesses", uint64(det.Accesses))
-		m.Reg.Inc(fmt.Sprintf("det_timeout_bucket_%d", det.Accesses/8))
+		m.reg.Inc(ctrDetTimeout)
+		m.reg.Add(ctrDetTimeoutAccesses, uint64(det.Accesses))
+		m.reg.Inc(ctrDetTimeoutBucket[det.Accesses/8])
 	}
 	chunkBase := memdef.Addr(det.Chunk * m.cfg.Streaming.ChunkBytes)
 	predictedStreaming := m.stPred.Predict(chunkBase)
@@ -1158,14 +1182,14 @@ func (m *MEE) applyDetection(det detectors.Detection, now uint64) {
 			// per-block MACs (read in a non-RO region, or any write).
 			// The chunk's sectors are consecutive, so the re-fetch is one
 			// untracked run that Tick issues a sector at a time.
-			m.Reg.Inc("mp_refetch_chunk_data")
+			m.reg.Inc(ctrMPRefetchChunkData)
 			m.outgoing.pushRun(m.cfg.Partition,
 				dram.Req{Local: chunkBase, Kind: memdef.Read, Class: stats.TrafficMispredict, Token: untracked},
 				memdef.ChunkSize/memdef.SectorSize)
 		} else {
 			// Read in an RO region: per-block MACs are up to date; only
 			// re-fetch them for the accessed blocks.
-			m.Reg.Inc("mp_refetch_blk_macs")
+			m.reg.Inc(ctrMPRefetchBlkMACs)
 			macLo := m.layout.BlockMACAddr(chunkBase)
 			macHi := m.layout.BlockMACAddr(chunkBase + memdef.ChunkSize - 1)
 			for a := memdef.SectorAddr(macLo); a <= macHi; a += memdef.SectorSize {
@@ -1177,10 +1201,10 @@ func (m *MEE) applyDetection(det detectors.Detection, now uint64) {
 		if det.HadWrite {
 			// Write stream: just produce and update the chunk MAC.
 			m.mdcWrite(m.macCache, pkMAC, memdef.SectorAddr(m.layout.ChunkMACAddr(chunkBase)), stats.TrafficMAC)
-			m.Reg.Inc("mp_update_chunk_mac")
+			m.reg.Inc(ctrMPUpdateChunkMAC)
 		} else if !ro {
 			// Read stream in a non-RO region: re-fetch the chunk MAC.
-			m.Reg.Inc("mp_refetch_chunk_mac")
+			m.reg.Inc(ctrMPRefetchChunkMAC)
 			m.sendMeta(pkMisc, memdef.SectorAddr(m.layout.ChunkMACAddr(chunkBase)), memdef.Read, stats.TrafficMispredict)
 		}
 		// RO read stream: per-block MACs were valid; zero overhead.
@@ -1250,16 +1274,6 @@ func (m *MEE) AccuracyResults() (ro, st stats.PredictorStats) {
 		st = m.stAcc.Finalize()
 	}
 	return ro, st
-}
-
-// FoldCounters moves the counters kept as plain fields into Reg, adding
-// each only when nonzero so Reg's key set is what per-event Reg.Inc calls
-// would have left. Call it before reading Reg.
-func (m *MEE) FoldCounters() {
-	if m.mdcBlocked != 0 {
-		m.Reg.Add("mdc_blocked", m.mdcBlocked)
-		m.mdcBlocked = 0
-	}
 }
 
 // MATStats exposes tracker utilization (monitored chunks, skipped accesses).

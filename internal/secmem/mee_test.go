@@ -55,7 +55,7 @@ func newMEE(t *testing.T, opts Options) (*MEE, *fakePort) {
 	t.Helper()
 	port := &fakePort{latency: 100}
 	cfg := DefaultTuning().Config(opts, 0, 12, testProtected)
-	return NewMEE(cfg, port), port
+	return NewMEE(cfg, port, new(stats.Registry)), port
 }
 
 // runUntilResponse ticks until the MEE returns n read responses.
@@ -213,8 +213,8 @@ func TestROTransitionOnWrite(t *testing.T) {
 		m.Tick(c)
 		p.deliver(m, c)
 	}
-	if m.Reg.Get("ro_transition") != 1 {
-		t.Fatalf("transitions = %d, want 1", m.Reg.Get("ro_transition"))
+	if m.reg.Get("ro_transition") != 1 {
+		t.Fatalf("transitions = %d, want 1", m.reg.Get("ro_transition"))
 	}
 	// Subsequent reads in the region now fetch counters.
 	before := p.Traffic.Bytes(stats.TrafficCounter)
@@ -275,8 +275,8 @@ func TestCommonCountersSkipFetchUntilDiverged(t *testing.T) {
 		m.Tick(c)
 		p.deliver(m, c)
 	}
-	if m.Reg.Get("cctr_diverged") != 1 {
-		t.Fatalf("diverged pages = %d, want 1", m.Reg.Get("cctr_diverged"))
+	if m.reg.Get("cctr_diverged") != 1 {
+		t.Fatalf("diverged pages = %d, want 1", m.reg.Get("cctr_diverged"))
 	}
 }
 
@@ -309,7 +309,7 @@ func TestMispredictRandomChunkChargesRecovery(t *testing.T) {
 		p.deliver(m, cycle)
 		cycle++
 	}
-	if m.Reg.Get("mp_refetch_chunk_data") == 0 {
+	if m.reg.Get("mp_refetch_chunk_data") == 0 {
 		t.Fatal("random-chunk misprediction did not trigger data re-fetch")
 	}
 	if p.Traffic.Bytes(stats.TrafficMispredict) == 0 {
@@ -359,7 +359,7 @@ func TestInputReadOnlyReset(t *testing.T) {
 	if m.SharedCounter() <= shared {
 		t.Error("shared counter not advanced by reset")
 	}
-	if m.Reg.Get("input_readonly_reset") != 1 {
+	if m.reg.Get("input_readonly_reset") != 1 {
 		t.Error("reset not recorded")
 	}
 	// Scan traffic charged as counter reads.
@@ -411,7 +411,7 @@ func TestVictimCacheHook(t *testing.T) {
 	v.present[macSec] = true
 	m.SubmitRead(rd(0x1000), 0)
 	runUntilResponse(t, m, p, 0, 1)
-	if m.Reg.Get("victim_hit") == 0 {
+	if m.reg.Get("victim_hit") == 0 {
 		t.Error("victim cache never hit")
 	}
 	if p.Traffic.Bytes(stats.TrafficMAC) != 0 {
@@ -512,7 +512,7 @@ func TestNaiveMetadataCrossesPartitions(t *testing.T) {
 	// metadata requests to other partitions' channels.
 	port := &routedPort{fakePort: fakePort{latency: 50}}
 	cfg := DefaultTuning().Config(naiveOpts(), 0, 12, testProtected)
-	m := NewMEE(cfg, port)
+	m := NewMEE(cfg, port, new(stats.Registry))
 	cycle := uint64(0)
 	for i := 0; i < 32; i++ {
 		a := memdef.Addr(i * 4096)
@@ -541,7 +541,7 @@ func TestNaiveMetadataCrossesPartitions(t *testing.T) {
 func TestPSSMMetadataStaysLocal(t *testing.T) {
 	port := &routedPort{fakePort: fakePort{latency: 50}}
 	cfg := DefaultTuning().Config(pssmOpts(), 3, 12, testProtected)
-	m := NewMEE(cfg, port)
+	m := NewMEE(cfg, port, new(stats.Registry))
 	cycle := uint64(0)
 	for i := 0; i < 32; i++ {
 		a := memdef.Addr(i * 4096)
@@ -580,15 +580,9 @@ func TestTokenRoundTrip(t *testing.T) {
 // the MSHR, the next 16 merge into it up to MaxMergesPerMSHR, and the
 // last overflows the merge cap. That one overflow is the only Blocked
 // lookup (the reads spread over four MAC sectors, and the BMT walk stops
-// at the overflowing read), so the merged registry counts mdc_blocked
-// once; a run without an overflow has no mdc_blocked counter at all.
+// at the overflowing read), so the registry counts mdc_blocked once; a
+// run without an overflow has no mdc_blocked counter at all.
 func TestMergeCapOverflowCountsMdcBlocked(t *testing.T) {
-	merged := func(m *MEE) *stats.Registry {
-		m.FoldCounters()
-		var reg stats.Registry
-		reg.Merge(&m.Reg)
-		return &reg
-	}
 	run := func(reads int) *MEE {
 		m, p := newMEE(t, pssmOpts())
 		for i := 0; i < reads; i++ {
@@ -604,10 +598,10 @@ func TestMergeCapOverflowCountsMdcBlocked(t *testing.T) {
 	if st, _, _ := m.CacheStats(); st.MSHRMerges != 16 {
 		t.Fatalf("counter cache merged %d reads, want 16", st.MSHRMerges)
 	}
-	if got := merged(m).Get("mdc_blocked"); got != 1 {
+	if got := m.reg.Get("mdc_blocked"); got != 1 {
 		t.Errorf("mdc_blocked = %d, want 1", got)
 	}
-	for _, n := range merged(run(17)).Names() {
+	for _, n := range run(17).reg.Names() {
 		if n == "mdc_blocked" {
 			t.Error("mdc_blocked present without an overflow")
 		}

@@ -9,6 +9,7 @@ package stats
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 
@@ -219,49 +220,133 @@ func (p *PredictorStats) Merge(other *PredictorStats) {
 	}
 }
 
-// Registry is a named grab-bag of scalar counters for ad-hoc instrumentation
-// (detector events, MEE pipeline occupancy, etc.). The zero value is ready
-// to use.
-type Registry struct {
-	counters map[string]uint64
+// MaxCounters is the capacity of the counter table: the number of distinct
+// counters the whole program may register. A Registry holds one value per
+// slot, so it is a fixed array: an increment costs no allocation and no
+// hashing, and the tick path may count freely.
+const MaxCounters = 64
+
+// Counter is the handle of one registered counter. Each owning package
+// declares its handles once, as unexported package-level vars, so only that
+// package can increment them:
+//
+//	var ctrDetStream = stats.NewCounter("det_stream")
+type Counter uint8
+
+// Name returns the name c was registered under.
+func (c Counter) Name() string { return registered.names[c] }
+
+// counterTable is a set of registered counter names: names in handle
+// order, and the reverse index Registry.Get reads.
+type counterTable struct {
+	names  []string
+	byName map[string]Counter
 }
 
-// Add increments counter name by n, reporting an invariant violation on
-// uint64 wraparound when the sanitizer is enabled (a wrapped counter
-// silently corrupts every derived ratio).
-func (r *Registry) Add(name string, n uint64) {
-	if r.counters == nil {
-		r.counters = make(map[string]uint64) //shm:alloc-ok lazy one-time table init
+// registered is the program's counter table. NewCounter fills it during
+// package initialization; afterwards it is only read.
+var registered counterTable
+
+// NewCounter registers name and returns its handle. Registry counters flow
+// verbatim into the Prometheus export and into byte-stable reports, so
+// NewCounter panics when name is not lowercase_snake, when it is already
+// registered (two owners would silently merge unrelated quantities), or
+// when the table already holds MaxCounters names. Call it from package
+// initialization.
+func NewCounter(name string) Counter { return registered.register(name) }
+
+func (t *counterTable) register(name string) Counter {
+	if !lowercaseSnake(name) {
+		panic(fmt.Sprintf("stats: counter name %q is not lowercase_snake", name))
 	}
-	if invariant.Enabled() {
-		if cur := r.counters[name]; cur > ^uint64(0)-n {
-			invariant.Failf("counter-overflow", "registry", 0,
-				"counter %s: %d + %d wraps uint64", name, cur, n)
+	if _, dup := t.byName[name]; dup {
+		panic(fmt.Sprintf("stats: counter %q is registered twice", name))
+	}
+	if len(t.names) == MaxCounters {
+		panic(fmt.Sprintf("stats: counter table is full (%d names); cannot register %q", MaxCounters, name))
+	}
+	if t.byName == nil {
+		t.byName = make(map[string]Counter)
+	}
+	c := Counter(len(t.names))
+	t.names = append(t.names, name)
+	t.byName[name] = c
+	return c
+}
+
+// lowercaseSnake reports whether name matches [a-z][a-z0-9_]*.
+func lowercaseSnake(name string) bool {
+	if name == "" || name[0] < 'a' || name[0] > 'z' {
+		return false
+	}
+	for i := 1; i < len(name); i++ {
+		if c := name[i]; (c < 'a' || c > 'z') && (c < '0' || c > '9') && c != '_' {
+			return false
 		}
 	}
-	r.counters[name] += n //shm:alloc-ok the counter name set is small and fixed; the table stops growing after warm-up
+	return true
 }
 
-// Inc increments counter name by one.
-func (r *Registry) Inc(name string) { r.Add(name, 1) }
+// Registry holds a value for every registered counter, plus which counters
+// it holds: a counter is present once it has been added to, even by 0, and
+// only present counters are listed. The zero value is ready to use.
+type Registry struct {
+	vals    [MaxCounters]uint64
+	present uint64 // bit c set when counter c is present
+}
 
-// Get returns the value of counter name (0 if never touched).
-func (r *Registry) Get(name string) uint64 { return r.counters[name] }
-
-// Names returns all counter names in sorted order.
-func (r *Registry) Names() []string {
-	names := make([]string, 0, len(r.counters))
-	for n := range r.counters {
-		names = append(names, n)
+// Add increments counter c by n, reporting an invariant violation on
+// uint64 wraparound when the sanitizer is enabled (a wrapped counter
+// silently corrupts every derived ratio).
+func (r *Registry) Add(c Counter, n uint64) {
+	if invariant.Enabled() {
+		if cur := r.vals[c]; cur > ^uint64(0)-n {
+			invariant.Failf("counter-overflow", "registry", 0,
+				"counter %s: %d + %d wraps uint64", c.Name(), cur, n)
+		}
 	}
-	sort.Strings(names)
+	r.vals[c] += n
+	r.present |= 1 << c
+}
+
+// Inc increments counter c by one.
+func (r *Registry) Inc(c Counter) { r.Add(c, 1) }
+
+// Get returns the value of the counter called name (0 if never touched or
+// not registered).
+func (r *Registry) Get(name string) uint64 {
+	c, ok := registered.byName[name]
+	if !ok {
+		return 0
+	}
+	return r.vals[c]
+}
+
+// handles returns the present counters sorted by name.
+func (r *Registry) handles() []Counter {
+	hs := make([]Counter, 0, bits.OnesCount64(r.present))
+	for m := r.present; m != 0; m &= m - 1 {
+		hs = append(hs, Counter(bits.TrailingZeros64(m)))
+	}
+	sort.Slice(hs, func(i, j int) bool { return hs[i].Name() < hs[j].Name() })
+	return hs
+}
+
+// Names returns the present counter names in sorted order.
+func (r *Registry) Names() []string {
+	hs := r.handles()
+	names := make([]string, len(hs))
+	for i, c := range hs {
+		names[i] = c.Name()
+	}
 	return names
 }
 
-// Merge adds all counters from other into r.
+// Merge adds every counter present in other into r.
 func (r *Registry) Merge(other *Registry) {
-	for n, v := range other.counters {
-		r.Add(n, v)
+	for m := other.present; m != 0; m &= m - 1 {
+		c := Counter(bits.TrailingZeros64(m))
+		r.Add(c, other.vals[c])
 	}
 }
 
@@ -271,13 +356,14 @@ type CounterValue struct {
 	Value uint64 `json:"value"`
 }
 
-// Snapshot returns every counter sorted by name. All consumers that render
-// or export the registry (reports, traces, metrics dumps) go through this
-// so output is byte-stable across runs.
+// Snapshot returns every present counter sorted by name. All consumers
+// that render or export the registry (reports, traces, metrics dumps) go
+// through this so output is byte-stable across runs.
 func (r *Registry) Snapshot() []CounterValue {
-	out := make([]CounterValue, 0, len(r.counters))
-	for _, n := range r.Names() {
-		out = append(out, CounterValue{Name: n, Value: r.counters[n]})
+	hs := r.handles()
+	out := make([]CounterValue, len(hs))
+	for i, c := range hs {
+		out[i] = CounterValue{Name: c.Name(), Value: r.vals[c]}
 	}
 	return out
 }
@@ -285,8 +371,8 @@ func (r *Registry) Snapshot() []CounterValue {
 // String renders the registry for debugging.
 func (r *Registry) String() string {
 	var b strings.Builder
-	for _, n := range r.Names() {
-		fmt.Fprintf(&b, "%s=%d ", n, r.counters[n])
+	for _, cv := range r.Snapshot() {
+		fmt.Fprintf(&b, "%s=%d ", cv.Name, cv.Value)
 	}
 	return strings.TrimSpace(b.String())
 }

@@ -115,11 +115,22 @@ func TestPredictorOutcomeLabels(t *testing.T) {
 	}
 }
 
+// Handles the registry tests increment. They live in the stats test
+// binary's own table, which no simulator package shares.
+var (
+	ctrA      = NewCounter("a")
+	ctrB      = NewCounter("b")
+	ctrC      = NewCounter("c")
+	ctrAlpha  = NewCounter("alpha")
+	ctrMidway = NewCounter("midway")
+	ctrZeta   = NewCounter("zeta")
+)
+
 func TestRegistry(t *testing.T) {
 	var r Registry
-	r.Inc("a")
-	r.Add("b", 5)
-	r.Inc("a")
+	r.Inc(ctrA)
+	r.Add(ctrB, 5)
+	r.Inc(ctrA)
 	if r.Get("a") != 2 || r.Get("b") != 5 || r.Get("missing") != 0 {
 		t.Errorf("registry values wrong: %s", r.String())
 	}
@@ -128,8 +139,8 @@ func TestRegistry(t *testing.T) {
 		t.Errorf("Names = %v", names)
 	}
 	var r2 Registry
-	r2.Add("a", 3)
-	r2.Add("c", 1)
+	r2.Add(ctrA, 3)
+	r2.Add(ctrC, 1)
 	r.Merge(&r2)
 	if r.Get("a") != 5 || r.Get("c") != 1 {
 		t.Errorf("merge wrong: %s", r.String())
@@ -164,10 +175,10 @@ func TestPredictorMerge(t *testing.T) {
 
 func TestRegistrySnapshotSortedAndComplete(t *testing.T) {
 	var r Registry
-	r.Add("zeta", 3)
-	r.Add("alpha", 1)
-	r.Inc("midway")
-	r.Add("alpha", 1)
+	r.Add(ctrZeta, 3)
+	r.Add(ctrAlpha, 1)
+	r.Inc(ctrMidway)
+	r.Add(ctrAlpha, 1)
 	snap := r.Snapshot()
 	want := []CounterValue{{"alpha", 2}, {"midway", 1}, {"zeta", 3}}
 	if len(snap) != len(want) {

@@ -57,10 +57,10 @@ func goldenCollector() (*Collector, RunSummary, Manifest) {
 	sum.Traffic.AddRead(stats.TrafficMAC, 512)
 	sum.RO.Record(stats.OutcomeCorrect)
 	sum.Stream.Record(stats.OutcomeMPInit)
-	var reg stats.Registry
-	reg.Add("mat_monitored", 12)
-	reg.Add("access_total", 400)
-	sum.Counters = reg.Snapshot()
+	sum.Counters = []stats.CounterValue{
+		{Name: "access_total", Value: 400},
+		{Name: "mat_monitored", Value: 12},
+	}
 
 	m := Manifest{
 		Tool: "test", SchemaVersion: SchemaVersion,

@@ -53,7 +53,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		sch            = fs.String("scheme", "SHM", "secure-memory design (see -list)")
 		quick          = fs.Bool("quick", false, "use the scaled-down fast configuration")
 		list           = fs.Bool("list", false, "list workloads and schemes, then exit")
-		accuracy       = fs.Bool("accuracy", false, "also report predictor accuracy (slower)")
+		accuracy       = fs.Bool("accuracy", false, "also report predictor accuracy (slower; 0 predictions for a predictor the design lacks)")
 		jsonOut        = fs.Bool("json", false, "print the run summary as JSON instead of text tables")
 		traceOut       = fs.String("trace-out", "", "write a Chrome trace-event JSON file (chrome://tracing, Perfetto)")
 		metricsOut     = fs.String("metrics-out", "", "write a Prometheus text-format metrics dump")

@@ -14,12 +14,14 @@ import (
 var updateCounters = flag.Bool("update", false, "rewrite testdata/counters from the current tree")
 
 // counterCell is one quick cell whose registry snapshot is pinned, with
-// the counter families (name prefixes) the snapshot must contain: a cell
-// that stops exporting a family fails here even if its golden is rewritten.
+// the counter families (name prefixes) the snapshot must contain and those
+// it must not: a cell that stops exporting a family, or starts exporting
+// one its design has no mechanism for, fails here even if its golden is
+// rewritten.
 type counterCell struct {
 	name, workload, scheme string
 	tune                   func(*shmgpu.Config)
-	families               []string
+	families, absent       []string
 }
 
 var counterCells = []counterCell{
@@ -33,6 +35,10 @@ var counterCells = []counterCell{
 		families: []string{"input_readonly_reset"}},
 	{name: "lbm_SHM", workload: "lbm", scheme: "SHM",
 		families: []string{"ro_transition_host"}},
+	// Naive has no read-only predictor, so lbm's host copies between
+	// kernels transition nothing.
+	{name: "lbm_Naive", workload: "lbm", scheme: "Naive",
+		absent: []string{"ro_transition", "uvm_ro_transitions", "det_", "mp_"}},
 	{name: "bfs_SHM_oversub_stream", workload: "bfs", scheme: "SHM",
 		tune: func(c *shmgpu.Config) {
 			c.HostTier, c.OversubRatio, c.UVMPrefetch = true, 0.5, "stream"
@@ -64,6 +70,11 @@ func TestCounterSnapshotsPinned(t *testing.T) {
 			for _, f := range c.families {
 				if !strings.Contains("\n"+got, "\n"+f) {
 					t.Errorf("snapshot has no %s* counter:\n%s", f, got)
+				}
+			}
+			for _, f := range c.absent {
+				if strings.Contains("\n"+got, "\n"+f) {
+					t.Errorf("snapshot has a %s* counter:\n%s", f, got)
 				}
 			}
 			path := filepath.Join("testdata", "counters", c.name+".txt")

@@ -1,8 +1,8 @@
 // Package probeguard preserves the observability layers' zero-overhead
-// contract: probes are nil by default, and every emit call on a probe
-// interface — Emit on a telemetry.Probe, Observe on an obs.Probe — must be
+// contract: probes are nil by default, and every emit call on a probe —
+// Emit on a *telemetry.Collector, Observe on an obs.Probe — must be
 // dominated by a nil check, so an unobserved run never constructs an Event
-// or takes an interface call.
+// or takes a call.
 //
 // Two guard idioms are recognized, matching the tree's conventions:
 //
@@ -28,17 +28,17 @@ import (
 // Analyzer is the probeguard check.
 var Analyzer = &analysis.Analyzer{
 	Name: "probeguard",
-	Doc:  "require a dominating nil check on every telemetry.Probe Emit and obs.Probe Observe site",
+	Doc:  "require a dominating nil check on every telemetry.Collector Emit and obs.Probe Observe site",
 	Run:  run,
 }
 
-// contracts lists the nil-guarded emit methods: the named interface (by
-// package and type name) and the method whose call sites must be dominated
-// by a nil check.
+// contracts lists the nil-guarded emit methods: the probe type (by package
+// and type name; a pointer to it matches too) and the method whose call
+// sites must be dominated by a nil check.
 var contracts = []struct {
 	pkg, typ, method string
 }{
-	{"telemetry", "Probe", "Emit"},
+	{"telemetry", "Collector", "Emit"},
 	{"obs", "Probe", "Observe"},
 }
 
@@ -78,9 +78,6 @@ func checkEmit(pass *analysis.Pass, call *ast.CallExpr, stack []ast.Node) {
 	}
 	if !matched {
 		return
-	}
-	if _, isIface := recv.Underlying().(*types.Interface); !isIface {
-		return // a concrete collector type named Probe is not the contract
 	}
 	recvText := types.ExprString(sel.X)
 	if guardedByIf(recvText, stack) || guardedByEarlyReturn(recvText, call.Pos(), stack) {

@@ -1,6 +1,6 @@
 // obs_sites exercises the same guard idioms for the live-observability
 // probe: Observe on an obs.Probe needs the same dominating nil check Emit
-// on a telemetry.Probe does.
+// on a *telemetry.Collector does.
 package sim
 
 import "obs"

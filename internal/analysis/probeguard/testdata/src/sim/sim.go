@@ -5,7 +5,7 @@ package sim
 import "telemetry"
 
 type unit struct {
-	probe telemetry.Probe
+	probe *telemetry.Collector
 	done  bool
 }
 
@@ -51,6 +51,19 @@ func (u *unit) wrongGuard(other *unit, now uint64) {
 	if u.probe != nil {
 		other.probe.Emit(telemetry.Event{Cycle: now}) // want `probe Emit without a dominating nil check`
 	}
+}
+
+// local guards a collector copied into a local variable.
+func (u *unit) local(now uint64) {
+	if tele := u.probe; tele != nil {
+		tele.Emit(telemetry.Event{Cycle: now})
+	}
+}
+
+// unguardedLocal emits through an unguarded local copy.
+func (u *unit) unguardedLocal(now uint64) {
+	tele := u.probe
+	tele.Emit(telemetry.Event{Cycle: now}) // want `probe Emit without a dominating nil check`
 }
 
 // annotated opts out explicitly (e.g. a site proven non-nil by construction).

@@ -1,5 +1,5 @@
-// Package telemetry is a fixture mirror of the real probe contract: Probe
-// is an interface whose fields are nil unless instrumentation is on.
+// Package telemetry is a fixture mirror of the real probe contract:
+// components hold a *Collector that is nil unless instrumentation is on.
 package telemetry
 
 // Event is one telemetry record.
@@ -8,7 +8,15 @@ type Event struct {
 	Kind  uint8
 }
 
-// Probe observes events.
-type Probe interface {
-	Emit(e Event)
+// Collector records events.
+type Collector struct {
+	n uint64
+}
+
+// Emit records one event.
+func (c *Collector) Emit(e Event) {
+	if c == nil {
+		return
+	}
+	c.n++
 }

@@ -38,8 +38,11 @@ type roRegionTally struct {
 	counts [2][3]uint64
 }
 
-// NewReadOnlyAccuracy wraps a predictor for scoring.
+// NewReadOnlyAccuracy wraps a predictor for scoring and turns on its
+// misprediction attribution. Wrap it before the first OnWrite, so every
+// clear it attributes was recorded.
 func NewReadOnlyAccuracy(pred *ReadOnlyPredictor) *ReadOnlyAccuracy {
+	pred.owner = make([]uint64, pred.cfg.Entries)
 	return &ReadOnlyAccuracy{pred: pred, regions: make(map[uint64]*roRegionTally)}
 }
 
@@ -57,7 +60,7 @@ func (a *ReadOnlyAccuracy) Observe(local memdef.Addr, write bool) {
 	if a.pred.Predict(local) {
 		predRO = 1
 	}
-	t.counts[predRO][a.pred.Attribute(local)]++
+	t.counts[predRO][a.pred.attribute(local)]++
 	if write {
 		t.written = true
 	}
@@ -122,16 +125,19 @@ type streamChunkTally struct {
 	counts [2][3][2]uint64
 }
 
-// NewStreamingAccuracy wraps the two predictors for scoring. The read-only
-// predictor is consulted only to split runtime mispredictions into the
-// paper's RO / non-RO categories.
+// NewStreamingAccuracy wraps the two predictors for scoring and turns on
+// the streaming predictor's misprediction attribution; wrap it before the
+// first Train. The read-only predictor (nil when the design has none) is
+// consulted only to split runtime mispredictions into the paper's RO /
+// non-RO categories.
 func NewStreamingAccuracy(pred *StreamingPredictor, ro *ReadOnlyPredictor) *StreamingAccuracy {
+	pred.owner = make([]uint64, pred.cfg.Entries)
 	return &StreamingAccuracy{pred: pred, ro: ro, chunks: make(map[uint64]*streamChunkTally)}
 }
 
 // Observe records one access's prediction and advances the oracle window.
 // Call BEFORE the MAT/predictor update for the access.
-func (s *StreamingAccuracy) Observe(local memdef.Addr, write bool) {
+func (s *StreamingAccuracy) Observe(local memdef.Addr) {
 	chunk := uint64(local) / s.pred.cfg.ChunkBytes
 	t := s.chunks[chunk]
 	if t == nil {
@@ -146,7 +152,7 @@ func (s *StreamingAccuracy) Observe(local memdef.Addr, write bool) {
 	if s.ro != nil && s.ro.Predict(local) {
 		roNow = 1
 	}
-	t.counts[predStream][s.pred.Attribute(local)][roNow]++
+	t.counts[predStream][s.pred.attribute(local)][roNow]++
 
 	// Mirror the MAT: the window advances at block granularity.
 	bit := uint64(1) << uint(memdef.BlockInChunk(local))
@@ -157,7 +163,6 @@ func (s *StreamingAccuracy) Observe(local memdef.Addr, write bool) {
 	if t.accesses >= s.pred.cfg.WindowAccesses {
 		s.settle(chunk, t)
 	}
-	_ = write
 }
 
 // settle closes an oracle window for a chunk and scores its predictions.

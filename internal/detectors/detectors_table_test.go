@@ -201,6 +201,8 @@ func TestStreamingMispredictRecovery(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := DefaultStreamingConfig()
 			sp := NewStreamingPredictor(cfg)
+			// Attribution belongs to the accuracy harness.
+			NewStreamingAccuracy(sp, nil)
 			f := NewMATFile(cfg)
 			const chunk = 40
 			base := memdef.Addr(chunk * cfg.ChunkBytes)
@@ -237,7 +239,7 @@ func TestStreamingMispredictRecovery(t *testing.T) {
 			if got := sp.Predict(base); got != tc.streamSecond {
 				t.Fatalf("Predict = %v after recovery phase, want %v", got, tc.streamSecond)
 			}
-			if got := sp.Attribute(base); got != AttrRuntime {
+			if got := sp.attribute(base); got != AttrRuntime {
 				t.Fatalf("recovered entry attribution = %v, want runtime", got)
 			}
 		})

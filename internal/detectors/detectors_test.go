@@ -68,14 +68,52 @@ func TestReadOnlyAliasingOnlyLosesOpportunity(t *testing.T) {
 	p := roPred()
 	stride := memdef.Addr(uint64(p.Config().Entries) * p.Config().RegionBytes)
 	a, b := memdef.Addr(0), stride // same index
+	// Attribution belongs to the accuracy harness.
+	NewReadOnlyAccuracy(p)
 	p.MarkInput(a)
 	p.MarkInput(b)
 	p.OnWrite(b)
 	if p.Predict(a) {
 		t.Fatal("aliased entry should read not-RO for both regions")
 	}
-	if got := p.Attribute(a); got != AttrAliasing {
+	if got := p.attribute(a); got != AttrAliasing {
 		t.Fatalf("Attribute = %v, want aliasing", got)
+	}
+}
+
+// sinkRO and sinkST keep constructed predictors on the heap, so
+// AllocsPerRun counts what a constructor really allocates.
+var (
+	sinkRO *ReadOnlyPredictor
+	sinkST *StreamingPredictor
+)
+
+// TestUnwrappedPredictorHoldsOnlyItsBitVector: a predictor no accuracy
+// harness wraps allocates itself and its Table IX bit vector (128 B and
+// 256 B at the paper's sizes) and nothing else; wrapping it adds the one
+// per-entry attribution array.
+func TestUnwrappedPredictorHoldsOnlyItsBitVector(t *testing.T) {
+	roCfg, stCfg := DefaultReadOnlyConfig(), DefaultStreamingConfig()
+	if n := testing.AllocsPerRun(10, func() { sinkRO = NewReadOnlyPredictor(roCfg) }); n != 2 {
+		t.Errorf("NewReadOnlyPredictor made %v allocations, want 2 (predictor, bit vector)", n)
+	}
+	if n := testing.AllocsPerRun(10, func() { sinkST = NewStreamingPredictor(stCfg) }); n != 2 {
+		t.Errorf("NewStreamingPredictor made %v allocations, want 2 (predictor, bit vector)", n)
+	}
+	if got := len(sinkRO.bits) * 8; got != 128 {
+		t.Errorf("read-only bit vector is %d B, want 128 B", got)
+	}
+	if got := len(sinkST.bits) * 8; got != 256 {
+		t.Errorf("streaming bit vector is %d B, want 256 B", got)
+	}
+	if sinkRO.owner != nil || sinkST.owner != nil {
+		t.Error("an unwrapped predictor carries attribution state")
+	}
+	NewReadOnlyAccuracy(sinkRO)
+	NewStreamingAccuracy(sinkST, sinkRO)
+	if len(sinkRO.owner) != roCfg.Entries || len(sinkST.owner) != stCfg.Entries {
+		t.Errorf("wrapped predictors have %d and %d attribution entries, want %d and %d",
+			len(sinkRO.owner), len(sinkST.owner), roCfg.Entries, stCfg.Entries)
 	}
 }
 
@@ -96,27 +134,31 @@ func streamCfg() StreamingConfig { return DefaultStreamingConfig() }
 
 func TestStreamingDefaultsStreaming(t *testing.T) {
 	p := NewStreamingPredictor(streamCfg())
+	// Attribution belongs to the accuracy harness.
+	NewStreamingAccuracy(p, nil)
 	if !p.Predict(0) || !p.Predict(1<<22) {
 		t.Fatal("entries must eagerly initialize to streaming")
 	}
-	if got := p.Attribute(0); got != AttrInit {
+	if got := p.attribute(0); got != AttrInit {
 		t.Fatalf("untrained attribute = %v, want init", got)
 	}
 }
 
 func TestStreamingTrainAndAttribute(t *testing.T) {
 	p := NewStreamingPredictor(streamCfg())
+	// Attribution belongs to the accuracy harness.
+	NewStreamingAccuracy(p, nil)
 	p.Train(5, false)
 	addr := memdef.Addr(5 * memdef.ChunkSize)
 	if p.Predict(addr) {
 		t.Fatal("trained-random chunk predicted streaming")
 	}
-	if got := p.Attribute(addr); got != AttrRuntime {
+	if got := p.attribute(addr); got != AttrRuntime {
 		t.Fatalf("self-trained attribute = %v, want runtime", got)
 	}
 	// Aliasing chunk (same index, Entries apart).
 	alias := memdef.Addr((5 + uint64(p.Config().Entries)) * memdef.ChunkSize)
-	if got := p.Attribute(alias); got != AttrAliasing {
+	if got := p.attribute(alias); got != AttrAliasing {
 		t.Fatalf("aliased attribute = %v, want aliasing", got)
 	}
 }
@@ -364,7 +406,7 @@ func TestStreamingAccuracyPerfectStream(t *testing.T) {
 	sp := NewStreamingPredictor(streamCfg())
 	acc := NewStreamingAccuracy(sp, nil)
 	for b := 0; b < memdef.BlocksPerChunk; b++ {
-		acc.Observe(memdef.Addr(b*memdef.BlockSize), false)
+		acc.Observe(memdef.Addr(b * memdef.BlockSize))
 	}
 	ps := acc.Finalize()
 	if ps.Accuracy() != 1.0 {
@@ -377,7 +419,7 @@ func TestStreamingAccuracyRandomChunkInitMPs(t *testing.T) {
 	acc := NewStreamingAccuracy(sp, nil)
 	// 32 accesses to 2 blocks: truth random, predicted streaming (init).
 	for i := 0; i < 32; i++ {
-		acc.Observe(memdef.Addr((i%2)*memdef.BlockSize), false)
+		acc.Observe(memdef.Addr((i % 2) * memdef.BlockSize))
 	}
 	ps := acc.Finalize()
 	if ps.Counts[stats.OutcomeMPInit] != 32 {
@@ -394,7 +436,7 @@ func TestStreamingAccuracyRuntimeSplitByRO(t *testing.T) {
 	sp.Train(0, false)
 	// Now stream the chunk: predictions say random, truth streaming.
 	for b := 0; b < memdef.BlocksPerChunk; b++ {
-		acc.Observe(memdef.Addr(b*memdef.BlockSize), false)
+		acc.Observe(memdef.Addr(b * memdef.BlockSize))
 	}
 	ps := acc.Finalize()
 	if ps.Counts[stats.OutcomeMPRuntimeRO] != 32 {
@@ -407,7 +449,7 @@ func TestStreamingAccuracyRuntimeSplitByRO(t *testing.T) {
 	base := memdef.Addr(memdef.ChunkSize * 100) // outside marked region
 	sp2.Train(100, false)
 	for b := 0; b < memdef.BlocksPerChunk; b++ {
-		acc2.Observe(base+memdef.Addr(b*memdef.BlockSize), false)
+		acc2.Observe(base + memdef.Addr(b*memdef.BlockSize))
 	}
 	ps2 := acc2.Finalize()
 	if ps2.Counts[stats.OutcomeMPRuntimeNonRO] != 32 {
@@ -422,7 +464,7 @@ func TestStreamingAccuracyAliasing(t *testing.T) {
 	sp.Train(aliasChunk, false)               // trained by the OTHER chunk
 	// Stream chunk 0: predicted random (due to alias), truth streaming.
 	for b := 0; b < memdef.BlocksPerChunk; b++ {
-		acc.Observe(memdef.Addr(b*memdef.BlockSize), false)
+		acc.Observe(memdef.Addr(b * memdef.BlockSize))
 	}
 	ps := acc.Finalize()
 	if ps.Counts[stats.OutcomeMPAliasing] != 32 {

@@ -9,10 +9,15 @@
 // aliasing only costs performance, never security: read-only entries only
 // transition RO→not-RO during a kernel, and a mispredicted streaming chunk
 // falls back to re-fetches per Tables III/IV.
+//
+// A predictor holds only its bit vector, the Table IX storage. The
+// accuracy harness that wraps it adds one per-entry attribution array,
+// which only the Fig. 10/11 breakdowns read.
 package detectors
 
 import (
 	"fmt"
+	"math/bits"
 
 	"shmgpu/internal/memdef"
 )
@@ -47,13 +52,11 @@ func (c ReadOnlyConfig) Validate() error {
 // means "predicted read-only" (use the shared counter, skip the BMT).
 type ReadOnlyPredictor struct {
 	cfg  ReadOnlyConfig
-	bits []bool
-	// everMarked records whether an entry was ever set by the command
-	// processor; clearedBy records which region last cleared an entry.
-	// Both exist purely for misprediction attribution (Fig. 10).
-	everMarked []bool
-	clearedBy  []uint64
-	hasClear   []bool
+	bits bitVector
+	// owner, present only while a ReadOnlyAccuracy wraps the predictor,
+	// holds 1 + the region that last cleared each entry (0: none since
+	// the last reset), for the Fig. 10 misprediction attribution.
+	owner []uint64
 }
 
 // NewReadOnlyPredictor builds a predictor; all entries start 0
@@ -62,13 +65,7 @@ func NewReadOnlyPredictor(cfg ReadOnlyConfig) *ReadOnlyPredictor {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	return &ReadOnlyPredictor{
-		cfg:        cfg,
-		bits:       make([]bool, cfg.Entries),
-		everMarked: make([]bool, cfg.Entries),
-		clearedBy:  make([]uint64, cfg.Entries),
-		hasClear:   make([]bool, cfg.Entries),
-	}
+	return &ReadOnlyPredictor{cfg: cfg, bits: newBitVector(cfg.Entries)}
 }
 
 // Config returns the predictor configuration.
@@ -80,22 +77,20 @@ func (p *ReadOnlyPredictor) regionOf(local memdef.Addr) uint64 {
 }
 
 func (p *ReadOnlyPredictor) index(region uint64) int {
-	return int(region % uint64(len(p.bits)))
+	return int(region % uint64(p.cfg.Entries))
 }
 
 // Predict reports whether the region containing local is predicted
 // read-only.
 func (p *ReadOnlyPredictor) Predict(local memdef.Addr) bool {
-	return p.bits[p.index(p.regionOf(local))]
+	return p.bits.get(p.index(p.regionOf(local)))
 }
 
 // MarkInput marks the region containing local as read-only. The command
 // processor calls this for every region populated by a host→device memory
 // copy during context initialization.
 func (p *ReadOnlyPredictor) MarkInput(local memdef.Addr) {
-	i := p.index(p.regionOf(local))
-	p.bits[i] = true
-	p.everMarked[i] = true
+	p.bits.set(p.index(p.regionOf(local)), true)
 }
 
 // MarkInputRange marks every region overlapping [lo, hi).
@@ -104,9 +99,7 @@ func (p *ReadOnlyPredictor) MarkInputRange(lo, hi memdef.Addr) {
 		return
 	}
 	for r := p.regionOf(lo); r <= p.regionOf(hi-1); r++ {
-		i := p.index(r)
-		p.bits[i] = true
-		p.everMarked[i] = true
+		p.bits.set(p.index(r), true)
 	}
 }
 
@@ -117,12 +110,13 @@ func (p *ReadOnlyPredictor) MarkInputRange(lo, hi memdef.Addr) {
 func (p *ReadOnlyPredictor) OnWrite(local memdef.Addr) (transition bool) {
 	region := p.regionOf(local)
 	i := p.index(region)
-	if !p.bits[i] {
+	if !p.bits.get(i) {
 		return false
 	}
-	p.bits[i] = false
-	p.clearedBy[i] = region
-	p.hasClear[i] = true
+	p.bits.set(i, false)
+	if p.owner != nil {
+		p.owner[i] = region + 1
+	}
 	return true
 }
 
@@ -136,9 +130,10 @@ func (p *ReadOnlyPredictor) Reset(lo, hi memdef.Addr) {
 	}
 	for r := p.regionOf(lo); r <= p.regionOf(hi-1); r++ {
 		i := p.index(r)
-		p.bits[i] = true
-		p.everMarked[i] = true
-		p.hasClear[i] = false
+		p.bits.set(i, true)
+		if p.owner != nil {
+			p.owner[i] = 0
+		}
 	}
 }
 
@@ -156,14 +151,14 @@ const (
 	AttrRuntime
 )
 
-// Attribute classifies why a misprediction for local would have happened,
-// given current predictor state. Called by the accuracy harness at
-// prediction time; the final correct/mispredict decision happens later when
-// ground truth is known.
-func (p *ReadOnlyPredictor) Attribute(local memdef.Addr) Attribution {
+// attribute classifies why a misprediction for local would have happened,
+// given current predictor state: AttrAliasing when another region cleared
+// the entry, AttrInit otherwise. The accuracy harness calls it at
+// prediction time; the final correct/mispredict decision happens later
+// when ground truth is known.
+func (p *ReadOnlyPredictor) attribute(local memdef.Addr) Attribution {
 	region := p.regionOf(local)
-	i := p.index(region)
-	if p.hasClear[i] && p.clearedBy[i] != region {
+	if o := p.owner[p.index(region)]; o != 0 && o != region+1 {
 		return AttrAliasing
 	}
 	return AttrInit
@@ -172,10 +167,8 @@ func (p *ReadOnlyPredictor) Attribute(local memdef.Addr) Attribution {
 // CountMarked returns how many entries are currently set (for tests).
 func (p *ReadOnlyPredictor) CountMarked() int {
 	n := 0
-	for _, b := range p.bits {
-		if b {
-			n++
-		}
+	for _, w := range p.bits {
+		n += bits.OnesCount64(w)
 	}
 	return n
 }

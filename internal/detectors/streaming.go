@@ -59,10 +59,11 @@ func (c StreamingConfig) Validate() error {
 // the vector is eagerly initialized to all ones.
 type StreamingPredictor struct {
 	cfg  StreamingConfig
-	bits []bool
-	// trainedBy/hasTrain attribute mispredictions (Fig. 11).
-	trainedBy []uint64
-	hasTrain  []bool
+	bits bitVector
+	// owner, present only while a StreamingAccuracy wraps the predictor,
+	// holds 1 + the chunk that last trained each entry (0: untrained), for
+	// the Fig. 11 misprediction attribution.
+	owner []uint64
 }
 
 // NewStreamingPredictor builds a predictor with all entries set to
@@ -71,14 +72,9 @@ func NewStreamingPredictor(cfg StreamingConfig) *StreamingPredictor {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	p := &StreamingPredictor{
-		cfg:       cfg,
-		bits:      make([]bool, cfg.Entries),
-		trainedBy: make([]uint64, cfg.Entries),
-		hasTrain:  make([]bool, cfg.Entries),
-	}
-	for i := range p.bits {
-		p.bits[i] = true
+	p := &StreamingPredictor{cfg: cfg, bits: newBitVector(cfg.Entries)}
+	for i := 0; i < cfg.Entries; i++ {
+		p.bits.set(i, true)
 	}
 	return p
 }
@@ -91,36 +87,36 @@ func (p *StreamingPredictor) chunkOf(local memdef.Addr) uint64 {
 }
 
 func (p *StreamingPredictor) index(chunk uint64) int {
-	return int(chunk % uint64(len(p.bits)))
+	return int(chunk % uint64(p.cfg.Entries))
 }
 
 // Predict reports whether the chunk containing local is predicted
 // streaming-accessed.
 func (p *StreamingPredictor) Predict(local memdef.Addr) bool {
-	return p.bits[p.index(p.chunkOf(local))]
+	return p.bits.get(p.index(p.chunkOf(local)))
 }
 
 // Train installs a detection result for a chunk.
 func (p *StreamingPredictor) Train(chunk uint64, streaming bool) {
 	i := p.index(chunk)
-	p.bits[i] = streaming
-	p.trainedBy[i] = chunk
-	p.hasTrain[i] = true
+	p.bits.set(i, streaming)
+	if p.owner != nil {
+		p.owner[i] = chunk + 1
+	}
 }
 
-// Attribute classifies the provenance of the current prediction for local:
-// untrained entry (init), trained by an aliasing chunk, or trained by this
-// very chunk (runtime).
-func (p *StreamingPredictor) Attribute(local memdef.Addr) Attribution {
+// attribute classifies the provenance of the current prediction for
+// local: untrained entry (init), trained by an aliasing chunk, or trained
+// by this very chunk (runtime).
+func (p *StreamingPredictor) attribute(local memdef.Addr) Attribution {
 	chunk := p.chunkOf(local)
-	i := p.index(chunk)
-	if !p.hasTrain[i] {
+	switch p.owner[p.index(chunk)] {
+	case 0:
 		return AttrInit
+	case chunk + 1:
+		return AttrRuntime
 	}
-	if p.trainedBy[i] != chunk {
-		return AttrAliasing
-	}
-	return AttrRuntime
+	return AttrAliasing
 }
 
 // Detection is the outcome of one completed monitoring phase.
@@ -172,7 +168,7 @@ type MATFile struct {
 
 	// Probe, when non-nil, observes tracker arms and skipped accesses.
 	// Part identifies the owning partition in emitted events.
-	Probe telemetry.Probe
+	Probe *telemetry.Collector
 	Part  int16
 }
 

@@ -175,7 +175,7 @@ type Channel struct {
 
 	// probe, when non-nil, observes enqueues (queue depth) and issues
 	// (service latency). part identifies this channel in probe events.
-	probe telemetry.Probe
+	probe *telemetry.Collector
 	part  int16
 
 	// enqueued counts accepted requests for the request-conservation
@@ -185,9 +185,9 @@ type Channel struct {
 	lastTick uint64
 }
 
-// SetProbe installs the telemetry probe (nil to disable) and the channel's
-// partition id used in emitted events.
-func (ch *Channel) SetProbe(p telemetry.Probe, part int) {
+// SetProbe installs the telemetry collector (nil to disable) and the
+// channel's partition id used in emitted events.
+func (ch *Channel) SetProbe(p *telemetry.Collector, part int) {
 	ch.probe = p
 	ch.part = int16(part)
 }

@@ -57,7 +57,7 @@ type L2Bank struct {
 	VictimPushes uint64
 
 	// probe, when non-nil, observes data read hits and misses.
-	probe telemetry.Probe
+	probe *telemetry.Collector
 }
 
 func (b *L2Bank) accessProbe(now uint64, kind telemetry.EventKind) {

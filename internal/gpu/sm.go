@@ -82,11 +82,9 @@ type SM struct {
 
 	// Instructions counts issued warp instructions (IPC numerator).
 	Instructions uint64
-	// Loads and Stores count memory instructions issued.
-	Loads, Stores uint64
 
 	// probe, when non-nil, observes instruction issue and stall cycles.
-	probe telemetry.Probe
+	probe *telemetry.Collector
 }
 
 // issue classes for EvSMIssue events.
@@ -246,7 +244,6 @@ func (s *SM) issueMem(w *warpState, warpIdx int, now uint64) {
 	s.Instructions++
 	if mem.Write {
 		s.issueProbe(now, issueStore)
-		s.Stores++
 		// Stores are posted: write through toward L2, no warp stall.
 		for _, a := range mem.Sectors {
 			s.l1.CleanInvalidate(a)
@@ -255,7 +252,6 @@ func (s *SM) issueMem(w *warpState, warpIdx int, now uint64) {
 		s.advance(w)
 		return
 	}
-	s.Loads++
 	s.issueProbe(now, issueLoad)
 	for _, a := range mem.Sectors {
 		switch s.l1.Read(a) {

@@ -92,7 +92,6 @@ func (v partitionVictim) VictimActive() bool {
 // System is the complete simulated GPU.
 type System struct {
 	cfg      Config
-	opts     secmem.Options
 	sms      []*SM
 	l2       [][]*L2Bank // outer index is the partition
 	mees     []*secmem.MEE
@@ -159,26 +158,19 @@ type System struct {
 // before Run; the collector is not safe for concurrent simulations.
 func (s *System) AttachTelemetry(c *telemetry.Collector) {
 	s.tele = c
-	// Hand components a typed-nil-free interface value: a nil *Collector
-	// stored in a Probe interface would still make `probe != nil` true at
-	// every emit site, so detach means storing a true nil.
-	var p telemetry.Probe
-	if c != nil {
-		p = c
-	}
 	for _, sm := range s.sms {
-		sm.probe = p
+		sm.probe = c
 	}
 	for part := range s.l2 {
 		for _, b := range s.l2[part] {
-			b.probe = p
+			b.probe = c
 		}
 	}
 	for part, ch := range s.channels {
-		ch.SetProbe(p, part)
+		ch.SetProbe(c, part)
 	}
 	for _, mee := range s.mees {
-		mee.SetProbe(p)
+		mee.SetProbe(c)
 	}
 }
 
@@ -249,7 +241,6 @@ func NewSystem(cfg Config, opts secmem.Options) *System {
 	}
 	s := &System{
 		cfg:    cfg,
-		opts:   opts,
 		pmap:   memdef.NewPartitionMap(cfg.Partitions),
 		toPart: make([]ringbuf.Ring[xbarEntry], cfg.Partitions),
 	}
@@ -297,18 +288,18 @@ func (s *System) applySetup(k int, setup KernelSetup) {
 			}
 		}
 	}
-	if s.opts.OracleDetectors {
-		for _, rr := range setup.ReadOnlyTruth {
-			lo, hi := s.pmap.LocalRange(rr.Lo, rr.Hi)
-			for _, mee := range s.mees {
-				mee.OraclePreloadReadOnly(lo, hi, true)
-			}
+	// Profiling truth reaches only the MEEs that have oracles
+	// (SHM_upper_bound); the others ignore it.
+	for _, rr := range setup.ReadOnlyTruth {
+		lo, hi := s.pmap.LocalRange(rr.Lo, rr.Hi)
+		for _, mee := range s.mees {
+			mee.OraclePreloadReadOnly(lo, hi, true)
 		}
-		for _, st := range setup.StreamTruths {
-			lo, hi := s.pmap.LocalRange(st.Range.Lo, st.Range.Hi)
-			for _, mee := range s.mees {
-				mee.OraclePreloadStreaming(lo, hi, st.Streaming)
-			}
+	}
+	for _, st := range setup.StreamTruths {
+		lo, hi := s.pmap.LocalRange(st.Range.Lo, st.Range.Hi)
+		for _, mee := range s.mees {
+			mee.OraclePreloadStreaming(lo, hi, st.Streaming)
 		}
 	}
 }

@@ -243,10 +243,13 @@ type MEE struct {
 	pmap   *memdef.PartitionMap
 	port   DRAMPort
 
+	// The metadata caches exist iff the MEE is Enabled.
 	ctrCache *cache.Cache
 	macCache *cache.Cache
 	bmtCache *cache.Cache
 
+	// The design's mechanisms: NewMEE builds only those the design has,
+	// so a nil one does not act.
 	roPred *detectors.ReadOnlyPredictor
 	stPred *detectors.StreamingPredictor
 	mats   *detectors.MATFile
@@ -255,7 +258,7 @@ type MEE struct {
 	roOracle map[uint64]bool // region -> read-only truth
 	stOracle map[uint64]bool // chunk -> streaming truth
 
-	// accuracy harnesses (TrackAccuracy).
+	// accuracy harnesses (TrackAccuracy), one per existing predictor.
 	roAcc *detectors.ReadOnlyAccuracy
 	stAcc *detectors.StreamingAccuracy
 
@@ -305,12 +308,12 @@ type MEE struct {
 
 	// probe, when non-nil, observes the request lifecycle (accept,
 	// read-done latency), metadata fetches, predictions, and detections.
-	probe telemetry.Probe
+	probe *telemetry.Collector
 }
 
-// SetProbe installs the telemetry probe (nil to disable), propagating it to
-// the MAT file so tracker arms/skips are observed too.
-func (m *MEE) SetProbe(p telemetry.Probe) {
+// SetProbe installs the telemetry collector (nil to disable), propagating
+// it to the MAT file so tracker arms/skips are observed too.
+func (m *MEE) SetProbe(p *telemetry.Collector) {
 	m.probe = p
 	if m.mats != nil {
 		m.mats.Probe = p
@@ -320,6 +323,7 @@ func (m *MEE) SetProbe(p telemetry.Probe) {
 
 // NewMEE builds one partition's engine. port routes DRAM requests and reg
 // receives the event counters; layout is derived from cfg.ProtectedBytes.
+// It builds exactly the mechanisms cfg's design has (paper Table VIII).
 func NewMEE(cfg Config, port DRAMPort, reg *stats.Registry) *MEE {
 	layout, err := metadata.NewLayout(cfg.ProtectedBytes)
 	if err != nil {
@@ -336,15 +340,20 @@ func NewMEE(cfg Config, port DRAMPort, reg *stats.Registry) *MEE {
 		m.ctrCache = cache.New(cfg.CtrCache)
 		m.macCache = cache.New(cfg.MACCache)
 		m.bmtCache = cache.New(cfg.BMTCache)
-		m.roPred = detectors.NewReadOnlyPredictor(cfg.ReadOnly)
-		m.stPred = detectors.NewStreamingPredictor(cfg.Streaming)
-		m.mats = detectors.NewMATFile(cfg.Streaming)
+		if cfg.ReadOnlyOpt {
+			m.roPred = detectors.NewReadOnlyPredictor(cfg.ReadOnly)
+		}
 		if cfg.OracleDetectors {
 			m.roOracle = map[uint64]bool{}
 			m.stOracle = map[uint64]bool{}
+		} else if cfg.DualGranMAC {
+			m.stPred = detectors.NewStreamingPredictor(cfg.Streaming)
+			m.mats = detectors.NewMATFile(cfg.Streaming)
 		}
-		if cfg.TrackAccuracy {
+		if cfg.TrackAccuracy && m.roPred != nil {
 			m.roAcc = detectors.NewReadOnlyAccuracy(m.roPred)
+		}
+		if cfg.TrackAccuracy && m.stPred != nil {
 			m.stAcc = detectors.NewStreamingAccuracy(m.stPred, m.roPred)
 		}
 	}
@@ -362,7 +371,7 @@ func (m *MEE) Layout() *metadata.Layout { return m.layout }
 // active; dirty sectors are additionally written back to DRAM as usual.
 func (m *MEE) SetVictimCache(v VictimCache) {
 	m.victim = v
-	if !m.cfg.Enabled || v == nil {
+	if m.ctrCache == nil || v == nil {
 		return
 	}
 	push := func(blockAddr memdef.Addr, validMask uint8) {
@@ -383,7 +392,7 @@ func (m *MEE) SetVictimCache(v VictimCache) {
 // CacheStats returns the three metadata caches' stats (nil-safe when the
 // MEE is disabled).
 func (m *MEE) CacheStats() (ctr, mac, bmt stats.CacheStats) {
-	if !m.cfg.Enabled {
+	if m.ctrCache == nil {
 		return
 	}
 	return m.ctrCache.Stats, m.macCache.Stats, m.bmtCache.Stats
@@ -395,10 +404,9 @@ func (m *MEE) SharedCounter() uint64 { return m.sharedCounter }
 // MarkInputRange marks [lo, hi) of LOCAL addresses read-only (host→device
 // copy during context initialization).
 func (m *MEE) MarkInputRange(lo, hi memdef.Addr) {
-	if !m.cfg.Enabled {
-		return
+	if m.roPred != nil {
+		m.roPred.MarkInputRange(lo, hi)
 	}
-	m.roPred.MarkInputRange(lo, hi)
 	if m.roOracle != nil {
 		for r := uint64(lo) / m.cfg.ReadOnly.RegionBytes; r <= (uint64(hi)-1)/m.cfg.ReadOnly.RegionBytes; r++ {
 			m.roOracle[r] = true
@@ -438,7 +446,7 @@ func (m *MEE) OraclePreloadStreaming(lo, hi memdef.Addr, streaming bool) {
 // past it, and re-marks the regions read-only. The scan's DRAM traffic is
 // charged as counter reads.
 func (m *MEE) InputReadOnlyReset(lo, hi memdef.Addr) {
-	if !m.cfg.Enabled || !m.cfg.ReadOnlyOpt || hi <= lo {
+	if m.roPred == nil || hi <= lo {
 		return
 	}
 	// Scan the counter sectors covering [lo, hi). Consecutive counter
@@ -478,11 +486,11 @@ func (m *MEE) MigrationOverwrite(lo, hi memdef.Addr) { m.overwrite(lo, hi, ctrUV
 // overwrite clears the read-only status of the regions in [lo, hi),
 // counting each RO->RW transition in transitions.
 func (m *MEE) overwrite(lo, hi memdef.Addr, transitions stats.Counter) {
-	if !m.cfg.Enabled || hi <= lo {
+	if hi <= lo {
 		return
 	}
 	for a := memdef.RegionAddr(lo); a < hi; a += memdef.RegionSize {
-		if m.roPred.OnWrite(a) {
+		if m.roPred != nil && m.roPred.OnWrite(a) {
 			m.reg.Inc(transitions)
 		}
 		if m.roOracle != nil {
@@ -553,7 +561,7 @@ func (m *MEE) Tick(now uint64) []memdef.Request {
 		issued++
 	}
 	// 3. Expire MAT monitoring phases (coarse: every 64 cycles).
-	if m.cfg.Enabled && !m.cfg.OracleDetectors && now%64 == 0 {
+	if m.mats != nil && now%64 == 0 {
 		for _, det := range m.mats.Tick(now) {
 			m.applyDetection(det, now)
 		}
@@ -677,7 +685,7 @@ func (m *MEE) sendMeta(kind pendingKind, metaAddr memdef.Addr, rw memdef.AccessK
 // spaces that are read-only by nature (constant/texture/instruction), or
 // regions the detector (or oracle) currently predicts read-only.
 func (m *MEE) isReadOnly(r memdef.Request) bool {
-	if !m.cfg.ReadOnlyOpt {
+	if m.roPred == nil {
 		return false
 	}
 	if r.Space.ReadOnlyByNature() {
@@ -845,7 +853,7 @@ func (m *MEE) process(r memdef.Request, submitAt, now uint64) {
 	streaming := m.isStreaming(r)
 
 	if m.probe != nil {
-		if m.cfg.ReadOnlyOpt {
+		if m.roPred != nil {
 			m.probe.Emit(telemetry.Event{Cycle: now, Kind: telemetry.EvPredictRO,
 				Part: int16(m.cfg.Partition), Class: boolClass(ro)})
 		}
@@ -860,7 +868,7 @@ func (m *MEE) process(r memdef.Request, submitAt, now uint64) {
 		m.roAcc.Observe(r.Local, r.Kind == memdef.Write)
 	}
 	if m.stAcc != nil {
-		m.stAcc.Observe(r.Local, r.Kind == memdef.Write)
+		m.stAcc.Observe(r.Local)
 	}
 
 	// Access characterization (paper Fig. 5): with oracle truth loaded,
@@ -876,7 +884,7 @@ func (m *MEE) process(r memdef.Request, submitAt, now uint64) {
 	}
 
 	// Streaming detector observes every off-chip access.
-	if !m.cfg.OracleDetectors && m.cfg.DualGranMAC {
+	if m.mats != nil {
 		if det, done := m.mats.Observe(r.Local, r.Kind == memdef.Write, now); done {
 			m.applyDetection(det, now)
 		}
@@ -938,13 +946,13 @@ func (m *MEE) processRead(r memdef.Request, meta memdef.Addr, ro, streaming bool
 
 	// MAC fetch: off the critical path (data is forwarded speculatively;
 	// a verification failure raises an exception later).
-	m.macFetch(meta, streaming, memdef.Read)
+	m.macFetch(meta, streaming)
 }
 
 func (m *MEE) processWrite(r memdef.Request, meta memdef.Addr, ro, streaming bool, now uint64) {
 	// A write to a read-only-predicted region triggers the RO→not-RO
 	// transition and counter propagation (Fig. 8).
-	if m.cfg.ReadOnlyOpt && !r.Space.ReadOnlyByNature() {
+	if m.roPred != nil && !r.Space.ReadOnlyByNature() {
 		transition := false
 		if m.roOracle != nil {
 			region := uint64(r.Local) / m.cfg.ReadOnly.RegionBytes
@@ -957,7 +965,7 @@ func (m *MEE) processWrite(r memdef.Request, meta memdef.Addr, ro, streaming boo
 		}
 		if transition {
 			m.reg.Inc(ctrROTransition)
-			m.propagateSharedCounter(r.Local, meta)
+			m.propagateSharedCounter(meta)
 			ro = false
 		}
 	}
@@ -1019,7 +1027,7 @@ func (m *MEE) divergePage(meta memdef.Addr) {
 // propagateSharedCounter performs the Fig. 8 burst: the region's counter
 // blocks take the shared counter as their major counter (dirty counter-
 // cache updates) and the BMT grows to cover them (leaf updates).
-func (m *MEE) propagateSharedCounter(local, meta memdef.Addr) {
+func (m *MEE) propagateSharedCounter(meta memdef.Addr) {
 	regionMeta := memdef.RegionAddr(meta)
 	for off := memdef.Addr(0); off < memdef.RegionSize; off += metadata.CounterCoverage {
 		blockMeta := regionMeta + off
@@ -1029,7 +1037,6 @@ func (m *MEE) propagateSharedCounter(local, meta memdef.Addr) {
 		}
 		m.bmtLeafUpdate(blockMeta)
 	}
-	_ = local
 }
 
 // bmtWalk charges the read-path BMT traversal for a counter miss: walk up
@@ -1070,9 +1077,8 @@ func (m *MEE) bmtLeafUpdate(meta memdef.Addr) {
 	m.mdcWrite(m.bmtCache, pkBMT, leafSector, stats.TrafficBMT)
 }
 
-// macFetch charges the integrity-verification fetch for a read or the
-// pre-update fetch check for a write.
-func (m *MEE) macFetch(meta memdef.Addr, streaming bool, kind memdef.AccessKind) {
+// macFetch charges the integrity-verification fetch for a read.
+func (m *MEE) macFetch(meta memdef.Addr, streaming bool) {
 	var addr memdef.Addr
 	if streaming {
 		addr = m.layout.ChunkMACAddr(meta)
@@ -1080,7 +1086,6 @@ func (m *MEE) macFetch(meta memdef.Addr, streaming bool, kind memdef.AccessKind)
 		addr = m.layout.BlockMACAddr(meta)
 	}
 	m.mdcRead(m.macCache, pkMAC, m.macSectors(addr), stats.TrafficMAC)
-	_ = kind
 }
 
 // scheduleOTPKnown finalizes a txn whose OTP completion time is known.
@@ -1118,7 +1123,7 @@ func (m *MEE) NextEvent(now uint64) uint64 {
 	if len(m.ready) > 0 {
 		next = m.ready[0].at
 	}
-	if m.cfg.Enabled && !m.cfg.OracleDetectors {
+	if m.mats != nil {
 		if d := m.mats.NextDeadline(); d != ^uint64(0) {
 			if r := (d + 63) &^ 63; r < next {
 				next = r
@@ -1170,7 +1175,7 @@ func (m *MEE) applyDetection(det detectors.Detection, now uint64) {
 	}
 	chunkBase := memdef.Addr(det.Chunk * m.cfg.Streaming.ChunkBytes)
 	predictedStreaming := m.stPred.Predict(chunkBase)
-	ro := m.cfg.ReadOnlyOpt && m.roPred.Predict(chunkBase)
+	ro := m.roPred != nil && m.roPred.Predict(chunkBase)
 
 	switch {
 	case predictedStreaming == det.Streaming:
@@ -1245,7 +1250,7 @@ func (m *MEE) OnDRAMComplete(token uint64, now uint64) {
 // FlushKernel drains detector state at a kernel boundary: active MAT phases
 // finalize (with misprediction handling) exactly as on timeout.
 func (m *MEE) FlushKernel(now uint64) {
-	if !m.cfg.Enabled || m.cfg.OracleDetectors {
+	if m.mats == nil {
 		return
 	}
 	for _, det := range m.mats.Flush() {
@@ -1256,7 +1261,7 @@ func (m *MEE) FlushKernel(now uint64) {
 // FlushMetadata writes back all dirty metadata cache state (kernel/context
 // boundary). The MEE must be Idle (drained) first.
 func (m *MEE) FlushMetadata() {
-	if !m.cfg.Enabled {
+	if m.ctrCache == nil {
 		return
 	}
 	m.spillWritebacks(m.ctrCache.FlushAll(), stats.TrafficCounter)

@@ -77,8 +77,6 @@ type Config struct {
 	Streaming detectors.StreamingConfig
 	// AESLatency is the OTP generation latency in cycles.
 	AESLatency uint64
-	// HashLatency is the MAC/hash engine latency in cycles.
-	HashLatency uint64
 	// InputQueue bounds requests accepted from the L2 banks.
 	InputQueue int
 	// IssuePerCycle bounds requests processed per cycle.
@@ -154,7 +152,6 @@ func (t Tuning) Config(opts Options, partition, numPartitions int, protectedByte
 		ReadOnly:       ro,
 		Streaming:      st,
 		AESLatency:     40,
-		HashLatency:    40,
 		InputQueue:     t.InputQueue,
 		IssuePerCycle:  t.IssuePerCycle,
 	}

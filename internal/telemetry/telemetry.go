@@ -5,10 +5,10 @@
 // occupancy histograms with percentile accessors; and machine-readable
 // exporters (JSONL event trace, Chrome trace-event JSON, Prometheus text).
 //
-// The layer is zero-overhead when disabled: every component holds a Probe
-// field that is nil by default, and every emit site is guarded by a nil
-// check, so an uninstrumented run performs no calls, no allocations, and no
-// branches beyond that single comparison.
+// The layer is zero-overhead when disabled: every component holds a
+// *Collector probe field that is nil by default, and every emit site is
+// guarded by a nil check, so an uninstrumented run performs no calls, no
+// allocations, and no branches beyond that single comparison.
 package telemetry
 
 // EventKind identifies the typed probe events the simulator emits.
@@ -130,13 +130,6 @@ type Event struct {
 	Value uint64
 }
 
-// Probe receives probe events. Components hold a Probe field that is nil by
-// default; emit sites must guard with a nil check, which is the entire cost
-// of the layer when telemetry is disabled.
-type Probe interface {
-	Emit(e Event)
-}
-
 // Config configures a Collector.
 type Config struct {
 	// SampleInterval is the timeline sampling period in cycles
@@ -167,9 +160,10 @@ var captureWorthy = [NumEventKinds]bool{
 }
 
 // Collector aggregates probe events: per-kind counters, latency/occupancy
-// histograms, a bounded raw event trace, and the interval timeline. It
-// implements Probe. All methods are nil-receiver safe, so a nil *Collector
-// is a valid disabled probe.
+// histograms, a bounded raw event trace, and the interval timeline.
+// Components hold a *Collector probe field that is nil by default, and
+// every emit site guards with a nil check (shmlint's probeguard enforces
+// it). All methods are nil-receiver safe as well.
 //
 // A Collector belongs to one simulation run and is not safe for concurrent
 // use (runs are single-goroutine).
@@ -217,7 +211,7 @@ func (c *Collector) Config() Config {
 	return c.cfg
 }
 
-// Emit implements Probe.
+// Emit records one probe event.
 func (c *Collector) Emit(e Event) {
 	if c == nil {
 		return

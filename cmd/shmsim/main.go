@@ -14,9 +14,8 @@
 //	shmsim -workload fdtd2d -scheme SHM -progress -ops-listen :8080
 //	shmsim -workload fdtd2d -scheme SHM -watchdog 30s -watchdog-cancel
 //	shmsim -workload atax -scheme SHM -host-tier -oversub-ratio 0.5
-//	shmsim -workload atax -scheme SHM -host-tier -oversub-ratio 0.5 -migration-policy fifo -host-integrity hostside
-//	shmsim -workload streamcluster -scheme SHM -host-tier -oversub-ratio 0.5 -prefetch stream -batch-pages 8
-//	shmsim -workload atax -scheme SHM -host-tier -oversub-ratio 0.5 -prefetch stride -large-pages
+//	shmsim -workload atax -scheme SHM -host-tier -oversub-ratio 0.5 -page-bytes 16384
+//	shmsim -workload streamcluster -scheme SHM -host-tier -oversub-ratio 0.5 -prefetch stream
 //	shmsim -list
 //
 // Exit codes: 0 on success, 1 on output/runtime errors, 2 on usage errors
@@ -65,13 +64,8 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		verbose        = fs.Bool("v", false, "verbose logging")
 		hostTier       = fs.Bool("host-tier", false, "enable the host-backed memory tier (UVM demand paging over a modeled PCIe link)")
 		oversubRatio   = fs.Float64("oversub-ratio", 0, "device frame capacity as a fraction of the workload footprint (required with -host-tier; >= 1.0 fits entirely)")
-		pageBytes      = fs.Uint64("page-bytes", 0, "UVM migration page size in bytes (0 = the 64 KiB default; must be a power of two)")
-		migrationPol   = fs.String("migration-policy", "", "UVM eviction victim policy: lru (default) or fifo")
-		hostIntegrity  = fs.String("host-integrity", "", "security metadata handling across migrations: rebuild (default; MEE re-encrypts on fault-in) or hostside (host-managed, cheaper)")
+		pageBytes      = fs.Uint64("page-bytes", 0, "UVM migration page size in bytes (0 = the 64 KiB default; else a power of two from 4 KiB to 2 MiB)")
 		prefetch       = fs.String("prefetch", "", "UVM migration-ahead policy: none (default), stride (per-fault-stream sequential stride detection), or stream (streaming-detector-driven bulk fetch with eager eviction)")
-		prefetchDegree = fs.Int("prefetch-degree", 0, "pages fetched ahead per prefetch trigger (0 = the hostmem default)")
-		batchPages     = fs.Int("batch-pages", 0, "max adjacent pages coalesced into one batched PCIe transaction (0 = the hostmem default)")
-		largePages     = fs.Bool("large-pages", false, "migrate at 2 MiB large-page granularity with 64 KiB sub-page dirty tracking (mutually exclusive with -page-bytes)")
 	)
 	var opsFlags obs.Flags
 	opsFlags.Register(fs)
@@ -106,15 +100,9 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		cfg.HostTier = true
 		cfg.OversubRatio = *oversubRatio
 		cfg.UVMPageBytes = *pageBytes
-		cfg.UVMMigrationPolicy = *migrationPol
-		cfg.UVMHostIntegrity = *hostIntegrity
 		cfg.UVMPrefetch = *prefetch
-		cfg.UVMPrefetchDegree = *prefetchDegree
-		cfg.UVMBatchPages = *batchPages
-		cfg.UVMLargePages = *largePages
-	} else if *oversubRatio != 0 || *pageBytes != 0 || *migrationPol != "" || *hostIntegrity != "" ||
-		*prefetch != "" || *prefetchDegree != 0 || *batchPages != 0 || *largePages {
-		log.Errorf("-oversub-ratio, -page-bytes, -migration-policy, -host-integrity, -prefetch, -prefetch-degree, -batch-pages and -large-pages require -host-tier")
+	} else if *oversubRatio != 0 || *pageBytes != 0 || *prefetch != "" {
+		log.Errorf("-oversub-ratio, -page-bytes and -prefetch require -host-tier")
 		return 2
 	}
 	if err := cfg.Validate(); err != nil {
@@ -342,8 +330,8 @@ func printText(stdout io.Writer, res, base shmgpu.Result, wl, sch string, accura
 
 	if accuracy {
 		acc := report.NewTable("Predictor accuracy", "predictor", "predictions", "accuracy")
-		acc.AddRow("read-only", res.ROAccuracy.Total(), report.Percent(res.ROAccuracy.Accuracy()))
-		acc.AddRow("streaming", res.StreamAccuracy.Total(), report.Percent(res.StreamAccuracy.Accuracy()))
+		acc.AddRow("read-only", res.ROAccuracy.Total(), report.PercentOrDash(res.ROAccuracy.Accuracy()))
+		acc.AddRow("streaming", res.StreamAccuracy.Total(), report.PercentOrDash(res.StreamAccuracy.Accuracy()))
 		fmt.Fprintln(stdout, acc)
 	}
 }

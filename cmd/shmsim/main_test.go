@@ -156,3 +156,44 @@ func TestAccuracyRunKeepsTelemetry(t *testing.T) {
 		t.Error("metrics dump has no histogram series")
 	}
 }
+
+// TestAccuracyAbsentPredictorIsDash: Naive has neither predictor, so both
+// accuracy rows have 0 predictions and must read "-", not a perfect score.
+func TestAccuracyAbsentPredictorIsDash(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full simulation in -short mode")
+	}
+	code, out, errb := runCLI(t, "-workload", "atax", "-scheme", "Naive", "-quick", "-accuracy")
+	if code != 0 {
+		t.Fatalf("exit = %d, stderr:\n%s", code, errb)
+	}
+	table := out[strings.Index(out, "Predictor accuracy"):]
+	for _, row := range []string{"read-only", "streaming"} {
+		i := strings.Index(table, row)
+		if i < 0 {
+			t.Fatalf("accuracy table has no %s row:\n%s", row, table)
+		}
+		line := table[i:]
+		line = line[:strings.IndexByte(line, '\n')]
+		if f := strings.Fields(line); len(f) != 3 || f[1] != "0" || f[2] != "-" {
+			t.Errorf("%s row = %q, want 0 predictions and accuracy -", row, line)
+		}
+	}
+}
+
+// TestHostTierFlagErrorsExitTwo: a host-tier knob without -host-tier, or a
+// page size outside [4 KiB, 2 MiB], is a usage error.
+func TestHostTierFlagErrorsExitTwo(t *testing.T) {
+	for _, args := range [][]string{
+		{"-page-bytes", "16384"},
+		{"-oversub-ratio", "0.5"},
+		{"-prefetch", "stream"},
+		{"-host-tier", "-oversub-ratio", "0.5", "-page-bytes", "1"},
+		{"-host-tier", "-oversub-ratio", "0.5", "-page-bytes", "4194304"},
+	} {
+		code, _, errb := runCLI(t, append([]string{"-workload", "atax", "-quick", "-q"}, args...)...)
+		if code != 2 {
+			t.Errorf("%v: exit = %d, want 2; stderr:\n%s", args, code, errb)
+		}
+	}
+}

@@ -67,7 +67,8 @@ func oversubFullConfig(ratio float64, prefetch string) shmgpu.Config {
 // default link, where fault waits dominate: they pin the skipping of
 // blocked miss-queue heads (replays charged in bulk, so uvm_replays
 // matches) and of pacing bubbles (warp back-offs replayed) over millions
-// of skipped cycles.
+// of skipped cycles. Every cell must fault and evict, and a prefetch cell
+// must prefetch, so that no cell compares a tier that never acted.
 func TestFastForwardMatchesEveryCycleOversubscribed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("corpus of full simulations; skipped in -short")
@@ -97,10 +98,17 @@ func TestFastForwardMatchesEveryCycleOversubscribed(t *testing.T) {
 			h := experiments.NewHarness(corpusTool)
 			spec := cellSpec(t, c.cfg, c.workload, c.scheme, 1)
 			checkRow(t, h, experiments.FastForwardEquivalence, spec)
-			if !c.full {
-				return
+			ff := h.Run(spec)
+			acting := []string{"uvm_faults", "uvm_evictions"}
+			if c.cfg.UVMPrefetch != "none" && c.cfg.UVMPrefetch != "" {
+				acting = append(acting, "uvm_prefetches")
 			}
-			if ff := h.Run(spec); !ff.Result.Completed {
+			for _, name := range acting {
+				if n, _ := counter(ff.Result, name); n == 0 {
+					t.Errorf("%s = 0; the cell must exercise the tier", name)
+				}
+			}
+			if c.full && !ff.Result.Completed {
 				t.Errorf("full-length cell did not complete: %s", ff.Artifacts.Result)
 			}
 		})

@@ -333,8 +333,8 @@ func TestReadOnlyAccuracyAllCorrect(t *testing.T) {
 		acc.Observe(memdef.Addr(i%4)*memdef.RegionSize, false)
 	}
 	ps := acc.Finalize()
-	if ps.Accuracy() != 1.0 {
-		t.Fatalf("accuracy = %v, want 1.0 (%+v)", ps.Accuracy(), ps)
+	if acc, ok := ps.Accuracy(); !ok || acc != 1.0 {
+		t.Fatalf("accuracy = %v (ok=%v), want 1.0 (%+v)", acc, ok, ps)
 	}
 }
 
@@ -362,8 +362,8 @@ func TestReadOnlyAccuracyWrittenRegionCorrect(t *testing.T) {
 	acc.Observe(0, true)
 	p.OnWrite(0)
 	ps := acc.Finalize()
-	if ps.Accuracy() != 1.0 {
-		t.Fatalf("accuracy = %v (%+v)", ps.Accuracy(), ps)
+	if acc, ok := ps.Accuracy(); !ok || acc != 1.0 {
+		t.Fatalf("accuracy = %v (ok=%v) (%+v)", acc, ok, ps)
 	}
 }
 
@@ -409,8 +409,8 @@ func TestStreamingAccuracyPerfectStream(t *testing.T) {
 		acc.Observe(memdef.Addr(b * memdef.BlockSize))
 	}
 	ps := acc.Finalize()
-	if ps.Accuracy() != 1.0 {
-		t.Fatalf("accuracy = %v (%+v)", ps.Accuracy(), ps)
+	if acc, ok := ps.Accuracy(); !ok || acc != 1.0 {
+		t.Fatalf("accuracy = %v (ok=%v) (%+v)", acc, ok, ps)
 	}
 }
 

@@ -73,8 +73,8 @@ var MigrationEquivalence = Equivalence{"migration-equivalence", func(h *Harness,
 }}
 
 // PrefetchEquivalence: at ratio 1.0 no access faults, so no fault stream
-// forms and each migration-ahead policy in turn must be idle, with
-// whatever batch and page-size knobs the base carries.
+// forms and each migration-ahead policy in turn must be idle, at whatever
+// page size the base carries.
 var PrefetchEquivalence = Equivalence{"prefetch-equivalence", func(h *Harness, base RunSpec) []Divergence {
 	var ds []Divergence
 	for _, policy := range []string{"stride", "stream"} {
@@ -113,9 +113,7 @@ func (spec RunSpec) tierOff() RunSpec {
 		return spec
 	}
 	c := &spec.Config
-	c.HostTier, c.OversubRatio, c.UVMPageBytes, c.UVMLargePages = false, 0, 0, false
-	c.UVMMigrationPolicy, c.UVMHostIntegrity, c.UVMPrefetch = "", "", ""
-	c.UVMPrefetchDegree, c.UVMBatchPages, c.UVMPCIeLatency, c.UVMPCIeBytesPerCycle = 0, 0, 0, 0
+	c.HostTier, c.OversubRatio, c.UVMPageBytes, c.UVMPrefetch = false, 0, 0, ""
 	return spec
 }
 

@@ -338,15 +338,25 @@ func (r *Runner) Fig10() *report.Table {
 	for _, wl := range r.workloads {
 		res := r.RunWithAccuracy(wl, scheme.SHM)
 		ps := res.ROAccuracy
-		accs = append(accs, ps.Accuracy())
 		t.AddRow(wl,
 			report.Percent(ps.Fraction(stats.OutcomeCorrect)),
 			report.Percent(ps.Fraction(stats.OutcomeMPInit)),
 			report.Percent(ps.Fraction(stats.OutcomeMPAliasing)),
-			report.Percent(ps.Accuracy()))
+			accuracyCell(ps, &accs))
 	}
 	t.AddRow("average", "", "", "", report.Percent(report.Mean(accs)))
 	return t
+}
+
+// accuracyCell renders a Figs. 10/11 accuracy cell and appends the
+// accuracy to accs for the average row. A predictor with no predictions
+// has no accuracy: its cell reads "-" and the average leaves it out.
+func accuracyCell(ps stats.PredictorStats, accs *[]float64) string {
+	acc, ok := ps.Accuracy()
+	if ok {
+		*accs = append(*accs, acc)
+	}
+	return report.PercentOrDash(acc, ok)
 }
 
 // Fig11 reproduces the streaming prediction breakdown.
@@ -358,14 +368,13 @@ func (r *Runner) Fig11() *report.Table {
 	for _, wl := range r.workloads {
 		res := r.RunWithAccuracy(wl, scheme.SHM)
 		ps := res.StreamAccuracy
-		accs = append(accs, ps.Accuracy())
 		t.AddRow(wl,
 			report.Percent(ps.Fraction(stats.OutcomeCorrect)),
 			report.Percent(ps.Fraction(stats.OutcomeMPInit)),
 			report.Percent(ps.Fraction(stats.OutcomeMPRuntimeRO)),
 			report.Percent(ps.Fraction(stats.OutcomeMPRuntimeNonRO)),
 			report.Percent(ps.Fraction(stats.OutcomeMPAliasing)),
-			report.Percent(ps.Accuracy()))
+			accuracyCell(ps, &accs))
 	}
 	t.AddRow("average", "", "", "", "", "", report.Percent(report.Mean(accs)))
 	return t

@@ -10,6 +10,7 @@ import (
 	"shmgpu/internal/gpu"
 	"shmgpu/internal/obs"
 	"shmgpu/internal/scheme"
+	"shmgpu/internal/stats"
 	"shmgpu/internal/telemetry"
 )
 
@@ -289,5 +290,20 @@ func TestAblationTables(t *testing.T) {
 	}
 	if got != string(want) {
 		t.Fatalf("ablation tables changed:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestAccuracyCellSkipsSilentPredictor: a Figs. 10/11 row whose predictor
+// made no predictions reads "-" and stays out of the average row.
+func TestAccuracyCellSkipsSilentPredictor(t *testing.T) {
+	var accs []float64
+	if got := accuracyCell(stats.PredictorStats{}, &accs); got != "-" || len(accs) != 0 {
+		t.Errorf("silent predictor: cell %q, averaged %v; want \"-\" and nothing averaged", got, accs)
+	}
+	var half stats.PredictorStats
+	half.Record(stats.OutcomeCorrect)
+	half.Record(stats.OutcomeMPInit)
+	if got := accuracyCell(half, &accs); got != "50.00%" || len(accs) != 1 || accs[0] != 0.5 {
+		t.Errorf("half-right predictor: cell %q, averaged %v; want 50.00%% and [0.5]", got, accs)
 	}
 }

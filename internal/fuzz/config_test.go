@@ -45,10 +45,16 @@ func leafPaths(v reflect.Value, prefix string) []string {
 // or gives a field a value it cannot hold, must fail to load rather than
 // replay the tiny base; so must a workload key that names no field (an
 // old-format "kb" would otherwise load as the 16 KB default) or a value
-// its field cannot hold.
+// its field cannot hold. So must a case naming a config key the host tier
+// no longer has (testdata/retired-key-case.json sets its large-page knob).
 func TestLoadCaseRejectsBadDelta(t *testing.T) {
 	const buffers = `{"buffers": [{"bytes": 16384}], "seed": 1}`
+	retired, err := os.ReadFile(filepath.Join("testdata", "retired-key-case.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	for name, data := range map[string]string{
+		"retired UVM key":   string(retired),
 		"old-format key":    `{"config": {"mdc_bytes": 512}, "workload": ` + buffers + `}`,
 		"misspelled path":   `{"config": {"MEE.Trackerz": 1}, "workload": ` + buffers + `}`,
 		"non-leaf path":     `{"config": {"DRAM": {"Banks": 2}}, "workload": ` + buffers + `}`,
@@ -131,7 +137,7 @@ func TestConfigFieldSweep(t *testing.T) {
 // so a change to the generator or to how a delta decodes must not move
 // this hash.
 func TestCellConfigsPinned(t *testing.T) {
-	const want = "9b32e7e48235f115f6a9584bbd020e1f8507f5625ce5ce6814ad2f90b7f2538d"
+	const want = "ca3e67ec7cb8a6c2d85bb865fd21bac52189fefdf4b75af96a7c46754eee4093"
 	h := sha256.New()
 	for i := 0; i < 1000; i++ {
 		cfg, err := CellCase(20260805, i).GPUConfig()

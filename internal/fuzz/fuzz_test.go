@@ -97,8 +97,8 @@ func TestCheckCaseGreen(t *testing.T) {
 // cells on both sides of the fit boundary: the oversubscribed cells
 // push fault/replay/eviction traffic through every equivalence oracle
 // (fast-forward, determinism, sanitizer) plus the
-// migration-equivalence oracle's forced ratio-1.0 comparison, across
-// both eviction policies and both integrity modes; the 100% cell sits
+// migration-equivalence oracle's forced ratio-1.0 comparison, at half
+// and a quarter of the working set on 4 KiB pages; the 100% cell sits
 // exactly on the boundary where the tier must be invisible.
 func TestCheckCaseGreenUVM(t *testing.T) {
 	if testing.Short() {
@@ -108,9 +108,8 @@ func TestCheckCaseGreenUVM(t *testing.T) {
 		{Config: deltaOf("HostTier", true, "OversubRatio", 0.5, "UVMPageBytes", 4<<10),
 			Workload: workload.Spec{BenchName: "uvm-lru-rebuild", Seed: 7, Buffers: []workload.Buffer{
 				{Bytes: 32 << 10, Pattern: workload.Random}, {Bytes: 16 << 10, WriteFrac: 0.5}}}},
-		{Config: deltaOf("HostTier", true, "OversubRatio", 0.25, "UVMPageBytes", 4<<10,
-			"UVMMigrationPolicy", "fifo", "UVMHostIntegrity", "hostside"),
-			Workload: workload.Spec{BenchName: "uvm-fifo-hostside", Seed: 8, Buffers: []workload.Buffer{
+		{Config: deltaOf("HostTier", true, "OversubRatio", 0.25, "UVMPageBytes", 4<<10),
+			Workload: workload.Spec{BenchName: "uvm-quarter-4k", Seed: 8, Buffers: []workload.Buffer{
 				{Bytes: 48 << 10, ReadOnly: true, HostCopied: true}, {Bytes: 16 << 10, WriteFrac: 1.0}}}},
 		{Config: deltaOf("HostTier", true, "OversubRatio", 1),
 			Workload: workload.Spec{BenchName: "uvm-fit-boundary", Seed: 9, Buffers: []workload.Buffer{{Bytes: 32 << 10}}}},

@@ -112,29 +112,24 @@ func Generate(rng *rand.Rand) Case {
 	}
 	// UVM host tier: ratios straddling the fit boundary (1.0 exactly is
 	// the migration-equivalence edge), small pages so tiny working sets
-	// still span several, both eviction policies and integrity modes,
-	// and the migration-ahead knobs (prefetch policy, batch cap, large
-	// pages — which clear the explicit page size; the two are mutually
-	// exclusive in gpu.Config).
+	// still span several, and the migration-ahead policy. The draws that
+	// set nothing keep the rng sequence the campaign record's cells were
+	// generated with, so each cell keeps its workload and config
+	// (TestCellWorkloadsPinned, TestCellConfigsPinned).
 	if chance(rng, 0.35) {
 		d.set("HostTier", true)
 		d.set("OversubRatio", float64(pick(rng, 25, 50, 75, 100, 150))/100)
 		if chance(rng, 0.15) {
-			d.set("UVMLargePages", true)
 			d.set("UVMPageBytes", 0)
 		} else if chance(rng, 0.5) {
 			d.set("UVMPageBytes", pick(rng, 4, 16, 64)<<10)
 		}
-		if chance(rng, 0.3) {
-			d.set("UVMMigrationPolicy", "fifo")
-		}
-		if chance(rng, 0.3) {
-			d.set("UVMHostIntegrity", "hostside")
-		}
+		chance(rng, 0.3)
+		chance(rng, 0.3)
 		if chance(rng, 0.5) {
 			d.set("UVMPrefetch", []string{"stride", "stream"}[rng.Intn(2)])
 			if chance(rng, 0.4) {
-				d.set("UVMBatchPages", pick(rng, 2, 4, 8))
+				pick(rng, 2, 4, 8)
 			}
 		}
 	}

@@ -81,7 +81,6 @@ func steadyState(t *testing.T, opts secmem.Options, oversub float64, prefetch st
 	if oversub > 0 {
 		cfg.HostTier = true
 		cfg.OversubRatio = oversub
-		cfg.UVMPCIeBytesPerCycle = 256
 		cfg.UVMPrefetch = prefetch
 	}
 	wl := &fixedWorkload{bufBytes: 40 << 20, compute: 4, insts: 20_000}
@@ -92,6 +91,16 @@ func steadyState(t *testing.T, opts secmem.Options, oversub float64, prefetch st
 		sm.launch(0, wl)
 	}
 	for i := 0; i < 30_000; i++ {
+		s.tickOnce(s.cycle)
+		s.cycle++
+	}
+	// An oversubscribed tier prepopulates the buffer's first half, so warm
+	// on until the sweep reaches the host-resident half and faults: the
+	// measured ticks then run on the fault/replay/migration path.
+	for oversub > 0 && oversub < 1 && s.uvm.tier.Stats().Faults == 0 {
+		if s.cycle > 1_000_000 {
+			t.Fatal("oversubscribed warm-up never faulted")
+		}
 		s.tickOnce(s.cycle)
 		s.cycle++
 	}
@@ -130,7 +139,8 @@ func TestTickSteadyStateAllocFree(t *testing.T) {
 		// The UVM host tier is preallocated at construction: neither the
 		// non-faulting admit path (ratio ≥ 1.0, everything resident) nor
 		// the fault/replay/eviction/migration machinery itself (ratio
-		// 0.5, faulting throughout the measurement) may allocate.
+		// 0.5, replaying faulted accesses during the measurement) may
+		// allocate.
 		{"SHM/oversub-fit", shmOpts, false, 1.5, ""},
 		{"SHM/oversub=0.5", shmOpts, false, 0.5, ""},
 		// The migration-ahead engine reuses the same preallocated
@@ -154,10 +164,17 @@ func TestTickSteadyStateAllocFree(t *testing.T) {
 				t.Cleanup(func() { r.Done(s.cycle, false) })
 				s.SetObserver(r, 0)
 			}
+			var replays uint64
+			if s.uvm != nil {
+				replays = s.uvm.tier.Stats().Replays
+			}
 			allocs := testing.AllocsPerRun(5000, func() {
 				s.tickOnce(s.cycle)
 				s.cycle++
 			})
+			if tc.oversub > 0 && tc.oversub < 1 && s.uvm.tier.Stats().Replays == replays {
+				t.Error("no fault replays during measurement; the fault path went unmeasured")
+			}
 			if allocs != 0 {
 				t.Errorf("steady-state tick allocates %.2f times per cycle, want 0", allocs)
 			}

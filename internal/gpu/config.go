@@ -82,26 +82,14 @@ type Config struct {
 	// HostTier=false — the migration-equivalence property the fuzz
 	// battery pins.
 	HostTier bool
-	// UVMPageBytes is the migration page size (0 = hostmem default;
-	// must be a power of two).
+	// UVMPageBytes is the migration page size: 0 (the hostmem default,
+	// 64 KiB) or a power of two in [4 KiB, 2 MiB].
 	UVMPageBytes uint64
 	// OversubRatio is device frame capacity as a fraction of the
 	// workload footprint: frames = floor(ratio * pages), so 0.5 fits
 	// half the working set. Values >= 1 disable faulting entirely.
 	// Required (> 0) when HostTier is set.
 	OversubRatio float64
-	// UVMMigrationPolicy selects the eviction victim: "lru" (default)
-	// or "fifo".
-	UVMMigrationPolicy string
-	// UVMHostIntegrity selects metadata handling across the PCIe
-	// boundary: "rebuild" (default) tears down device-side
-	// counter/MAC/BMT coverage on eviction and fully re-establishes it
-	// on fault-in (detector-visible, expensive); "hostside" trusts a
-	// host-side MEE to keep coverage valid, so fault-in only re-keys.
-	UVMHostIntegrity string
-	// UVMPCIeLatency and UVMPCIeBytesPerCycle override the modeled
-	// migration link (0 = hostmem defaults).
-	UVMPCIeLatency, UVMPCIeBytesPerCycle uint64
 	// UVMPrefetch selects the migration-ahead policy: "none" (default,
 	// purely demand-driven), "stride" (per-fault-stream sequential
 	// stride detection), or "stream" (the paper's streaming-detector
@@ -109,18 +97,6 @@ type Config struct {
 	// OversubRatio >= 1 no faults occur, so every policy is provably
 	// idle and results stay byte-identical to HostTier=false.
 	UVMPrefetch string
-	// UVMPrefetchDegree is how many pages one prefetch trigger fetches
-	// ahead (0 = hostmem default).
-	UVMPrefetchDegree int
-	// UVMBatchPages caps how many adjacent pages coalesce into one
-	// batched PCIe transaction, paying link latency and metadata
-	// re-establishment once per batch (0 = hostmem default).
-	UVMBatchPages int
-	// UVMLargePages switches migration granularity to 2 MiB large pages
-	// with 64 KiB sub-page dirty tracking, so writebacks transfer only
-	// the sub-pages actually written. Mutually exclusive with
-	// UVMPageBytes.
-	UVMLargePages bool
 }
 
 // DefaultConfig returns the paper's baseline GPU (Table V), with a device
@@ -164,7 +140,14 @@ const (
 	maxL2BanksPerPartition = 16
 	maxXbarQueueDepth      = 4096
 	maxWarpInflight        = 1024
-	maxUVMPages            = 4096
+)
+
+// The accepted UVM migration page sizes (besides 0, the default). A page
+// below minUVMPageBytes multiplies the tier's per-page arrays: at 1 B per
+// page a multi-MB footprint would need hundreds of MB of bookkeeping.
+const (
+	minUVMPageBytes = 4 << 10
+	maxUVMPageBytes = 2 << 20
 )
 
 // Validate checks configuration consistency.
@@ -215,23 +198,11 @@ func (c Config) Validate() error {
 		if !(c.OversubRatio > 0) {
 			return fmt.Errorf("gpu: HostTier requires OversubRatio > 0, got %g", c.OversubRatio)
 		}
-		if c.UVMPageBytes != 0 && c.UVMPageBytes&(c.UVMPageBytes-1) != 0 {
-			return fmt.Errorf("gpu: UVMPageBytes %d is not a power of two", c.UVMPageBytes)
-		}
-		if _, err := hostmem.ParsePolicy(c.UVMMigrationPolicy); err != nil {
-			return err
-		}
-		if _, err := hostmem.ParseIntegrity(c.UVMHostIntegrity); err != nil {
-			return err
+		if p := c.UVMPageBytes; p != 0 && (p&(p-1) != 0 || p < minUVMPageBytes || p > maxUVMPageBytes) {
+			return fmt.Errorf("gpu: UVMPageBytes must be 0 or a power of two in [%d, %d], got %d", minUVMPageBytes, maxUVMPageBytes, p)
 		}
 		if _, err := hostmem.ParsePrefetch(c.UVMPrefetch); err != nil {
 			return err
-		}
-		if c.UVMLargePages && c.UVMPageBytes != 0 {
-			return fmt.Errorf("gpu: UVMLargePages and UVMPageBytes %d are mutually exclusive", c.UVMPageBytes)
-		}
-		if c.UVMPrefetchDegree < 0 || c.UVMPrefetchDegree > maxUVMPages || c.UVMBatchPages < 0 || c.UVMBatchPages > maxUVMPages {
-			return fmt.Errorf("gpu: UVMPrefetchDegree and UVMBatchPages must be in [0, %d], got %d and %d", maxUVMPages, c.UVMPrefetchDegree, c.UVMBatchPages)
 		}
 	}
 	return c.DRAM.Validate()

@@ -38,3 +38,22 @@ func TestValidateUpperBounds(t *testing.T) {
 		}
 	}
 }
+
+// TestValidateUVMPageBytes pins the migration page size bound: with the
+// host tier on, 0 (the default) and powers of two from 4 KiB to 2 MiB
+// pass; anything else is rejected.
+func TestValidateUVMPageBytes(t *testing.T) {
+	for _, c := range []struct {
+		bytes uint64
+		ok    bool
+	}{
+		{0, true}, {4 << 10, true}, {64 << 10, true}, {2 << 20, true},
+		{1, false}, {2 << 10, false}, {48 << 10, false}, {4 << 20, false},
+	} {
+		cfg := DefaultConfig()
+		cfg.HostTier, cfg.OversubRatio, cfg.UVMPageBytes = true, 0.5, c.bytes
+		if err := cfg.Validate(); (err == nil) != c.ok {
+			t.Errorf("UVMPageBytes=%d: err %v, want ok=%v", c.bytes, err, c.ok)
+		}
+	}
+}

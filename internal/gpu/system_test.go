@@ -224,7 +224,7 @@ func TestAccuracyTracking(t *testing.T) {
 			res.ROAccuracy.Total(), res.StreamAccuracy.Total())
 	}
 	// Streaming workload: streaming predictions should be mostly right.
-	if acc := res.StreamAccuracy.Accuracy(); acc < 0.6 {
+	if acc, _ := res.StreamAccuracy.Accuracy(); acc < 0.6 {
 		t.Errorf("streaming accuracy %.2f unreasonably low for a pure stream", acc)
 	}
 }

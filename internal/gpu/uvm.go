@@ -11,17 +11,16 @@ package gpu
 // (System.smNextEvent, advanceCycle), so an every-cycle run counts
 // identically.
 //
-// Security metadata travels with pages: under the "rebuild" integrity
-// mode a fault-in re-encrypts the migrated range with fresh counters,
+// Security metadata travels with pages: only device memory is trusted, so
+// every fault-in re-encrypts the migrated range with fresh counters,
 // which the RO predictor observes exactly like a host overwrite
-// (MigrationOverwrite); under "hostside" a trusted host-side MEE keeps
-// coverage valid and fault-in only re-keys, so detectors see nothing.
+// (MigrationOverwrite), and pays hostmem's metadata rebuild cost.
 //
 // Determinism: every tier mutation happens at a fixed point in the tick
 // — Access inside the SM-ordered crossbar drains and Tick right after the
-// sample boundary. When the working set fits (OversubRatio >= 1) the tier prepopulates every page, never
-// faults, touches no counters, and emits no events: results are
-// byte-identical to HostTier=false.
+// sample boundary. When the working set fits (OversubRatio >= 1) the
+// tier prepopulates every page, never faults, touches no counters, and
+// emits no events: results are byte-identical to HostTier=false.
 
 import (
 	"shmgpu/internal/hostmem"
@@ -54,9 +53,6 @@ var (
 type uvmState struct {
 	sys  *System
 	tier *hostmem.Tier
-	// rebuild selects the expensive integrity mode: tear down device
-	// metadata coverage on eviction, re-establish on fault-in.
-	rebuild bool
 }
 
 // uvmWorkingSet is the optional Workload extension the tier sizes
@@ -77,24 +73,11 @@ func (s *System) startUVM(wl Workload) {
 			ws = fp
 		}
 	}
-	policy, err := hostmem.ParsePolicy(s.cfg.UVMMigrationPolicy)
+	prefetch, err := hostmem.ParsePrefetch(s.cfg.UVMPrefetch)
 	if err != nil {
 		panic(err) // Config.Validate already rejected this
 	}
-	integrity, err := hostmem.ParseIntegrity(s.cfg.UVMHostIntegrity)
-	if err != nil {
-		panic(err)
-	}
-	prefetch, err := hostmem.ParsePrefetch(s.cfg.UVMPrefetch)
-	if err != nil {
-		panic(err)
-	}
 	pageBytes := s.cfg.UVMPageBytes
-	var subPageBytes uint64
-	if s.cfg.UVMLargePages {
-		pageBytes = hostmem.LargePageBytes
-		subPageBytes = hostmem.DefaultSubPageBytes
-	}
 	if pageBytes == 0 {
 		pageBytes = hostmem.DefaultPageBytes
 	}
@@ -103,22 +86,11 @@ func (s *System) startUVM(wl Workload) {
 		numPages = 1
 	}
 	frames := int(s.cfg.OversubRatio * float64(numPages))
-	tier, err := hostmem.New(hostmem.Config{
-		PageBytes:         pageBytes,
-		Frames:            frames,
-		Policy:            policy,
-		Integrity:         integrity,
-		PCIeLatency:       s.cfg.UVMPCIeLatency,
-		PCIeBytesPerCycle: s.cfg.UVMPCIeBytesPerCycle,
-		Prefetch:          prefetch,
-		PrefetchDegree:    s.cfg.UVMPrefetchDegree,
-		BatchPages:        s.cfg.UVMBatchPages,
-		SubPageBytes:      subPageBytes,
-	}, ws)
+	tier, err := hostmem.New(hostmem.Config{PageBytes: pageBytes, Frames: frames, Prefetch: prefetch}, ws)
 	if err != nil {
 		panic(err)
 	}
-	u := &uvmState{sys: s, tier: tier, rebuild: integrity == hostmem.IntegrityRebuild}
+	u := &uvmState{sys: s, tier: tier}
 	tier.OnFaultIn = u.onFaultIn
 	tier.OnEvict = u.onEvict
 	if prefetch != hostmem.PrefetchNone {
@@ -172,16 +144,12 @@ func (u *uvmState) admit(addr memdef.Addr, write bool, now uint64) bool {
 func (u *uvmState) tick(now uint64) { u.tier.Tick(now) }
 
 // onFaultIn fires from tier.Tick when a migration completes: emit the
-// latency sample and, under full rebuild, re-establish metadata
-// coverage for the migrated range (fresh counters = detector-visible
-// overwrite).
+// latency sample and re-establish metadata coverage for the migrated
+// range (fresh counters = detector-visible overwrite).
 func (u *uvmState) onFaultIn(page int, latency uint64) {
 	s := u.sys
 	if s.tele != nil {
 		s.tele.Emit(telemetry.Event{Cycle: s.tickNow, Kind: telemetry.EvPageMigrateIn, Part: -1, Value: latency})
-	}
-	if !u.rebuild {
-		return
 	}
 	lo, hi := u.tier.PageRange(page)
 	llo, lhi := s.pmap.LocalRange(memdef.Addr(lo), memdef.Addr(hi))

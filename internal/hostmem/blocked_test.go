@@ -93,7 +93,6 @@ func TestBlockedAccessOnlyCountsReplay(t *testing.T) {
 		cfg := Config{
 			PageBytes:         64,
 			Frames:            1 + rng.Intn(pages),
-			Policy:            Policy(rng.Intn(2)),
 			PCIeLatency:       uint64(1 + rng.Intn(20)),
 			PCIeBytesPerCycle: 16,
 			MetaCycles:        uint64(1 + rng.Intn(8)),

@@ -3,8 +3,11 @@
 // owns a fixed number of device page frames; accesses to non-resident
 // pages fault, start a PCIe-modeled migration, and are retried by the
 // requester until the page arrives (AMD XNACK retry-on-fault). When the
-// working set exceeds the frame budget a victim page is evicted per the
-// configured policy, with dirty pages paying a writeback transfer.
+// working set exceeds the frame budget the least recently used page is
+// evicted, with dirty pages paying a writeback transfer. Every fault-in
+// pays the metadata rebuild cost: the tier trusts only device memory, so
+// security metadata is torn down on eviction and re-established when the
+// page returns.
 //
 // On top of demand paging the tier runs an optional migration-ahead
 // engine. A demand fault can trigger prefetches: PrefetchStride detects
@@ -31,73 +34,7 @@
 // construction; the per-cycle path performs no heap allocation.
 package hostmem
 
-import (
-	"fmt"
-	"math/bits"
-)
-
-// Policy selects the eviction victim among resident pages.
-type Policy uint8
-
-const (
-	// PolicyLRU evicts the resident page with the oldest access stamp.
-	PolicyLRU Policy = iota
-	// PolicyFIFO evicts the resident page with the oldest admission.
-	PolicyFIFO
-)
-
-// ParsePolicy maps a config string to a Policy. The empty string means
-// the default (LRU).
-func ParsePolicy(s string) (Policy, error) {
-	switch s {
-	case "", "lru":
-		return PolicyLRU, nil
-	case "fifo":
-		return PolicyFIFO, nil
-	}
-	return PolicyLRU, fmt.Errorf("hostmem: unknown migration policy %q", s)
-}
-
-func (p Policy) String() string {
-	if p == PolicyFIFO {
-		return "fifo"
-	}
-	return "lru"
-}
-
-// Integrity selects how security metadata is re-established when a page
-// faults in from the host tier.
-type Integrity uint8
-
-const (
-	// IntegrityRebuild tears down device-side counter/MAC/BMT coverage
-	// on eviction and fully rebuilds it on fault-in (the expensive,
-	// device-trust-only mode).
-	IntegrityRebuild Integrity = iota
-	// IntegrityHostSide keeps integrity metadata valid while the page
-	// lives host-side, so fault-in only re-keys the page (cheap mode;
-	// trusts the host-side MEE to maintain coverage).
-	IntegrityHostSide
-)
-
-// ParseIntegrity maps a config string to an Integrity mode. The empty
-// string means the default (full rebuild).
-func ParseIntegrity(s string) (Integrity, error) {
-	switch s {
-	case "", "rebuild":
-		return IntegrityRebuild, nil
-	case "hostside":
-		return IntegrityHostSide, nil
-	}
-	return IntegrityRebuild, fmt.Errorf("hostmem: unknown host integrity mode %q", s)
-}
-
-func (i Integrity) String() string {
-	if i == IntegrityHostSide {
-		return "hostside"
-	}
-	return "rebuild"
-}
+import "fmt"
 
 // Prefetch selects the migration-ahead policy.
 type Prefetch uint8
@@ -149,21 +86,13 @@ const (
 	DefaultMaxInflight       = 16
 	DefaultThrashWindow      = 4096
 	// Metadata re-establishment cost per fault-in: a full BMT/counter
-	// rebuild walks the page's counter and MAC blocks; host-side
-	// integrity only re-keys.
-	DefaultRebuildCycles  = 256
-	DefaultHostSideCycles = 32
+	// rebuild walks the page's counter and MAC blocks.
+	DefaultRebuildCycles = 256
 	// Migration-ahead defaults: how many pages a confirmed stream
 	// fetches ahead, and how many adjacent pages coalesce into one
 	// batched PCIe transaction.
 	DefaultPrefetchDegree = 8
 	DefaultBatchPages     = 8
-	// LargePageBytes is the 2 MiB large-page migration granularity;
-	// DefaultSubPageBytes is the sub-page dirty-tracking granularity
-	// that keeps large-page writeback traffic proportional to the bytes
-	// actually written.
-	LargePageBytes      = 2 << 20
-	DefaultSubPageBytes = 64 << 10
 )
 
 // Fault-stream stride detection: a small LRU table of recent demand
@@ -178,15 +107,15 @@ const (
 
 // Config parameterizes a Tier. Zero values take the package defaults,
 // except Frames which must be set explicitly (the embedding layer
-// derives it from the oversubscription ratio).
+// derives it from the oversubscription ratio). The simulator sets only
+// PageBytes, Frames and Prefetch; the other fields let unit tests build
+// small scenarios.
 type Config struct {
 	PageBytes         uint64
-	Frames            int // device page frames available to this tier
-	Policy            Policy
-	Integrity         Integrity
+	Frames            int    // device page frames available to this tier
 	PCIeLatency       uint64 // one-way link latency, cycles
 	PCIeBytesPerCycle uint64 // migration bandwidth
-	MetaCycles        uint64 // per-batch metadata cost; 0 = by Integrity
+	MetaCycles        uint64 // per-batch metadata rebuild cost
 	MaxInflight       int    // migration ring capacity (batches)
 	ThrashWindow      uint64 // eviction younger than this counts as thrash
 
@@ -201,12 +130,6 @@ type Config struct {
 	Prefetch       Prefetch
 	PrefetchDegree int
 	BatchPages     int
-
-	// SubPageBytes enables sub-page dirty tracking: writebacks transfer
-	// only the sub-pages actually written instead of the whole page.
-	// 0 keeps whole-page dirty granularity. Must be a power of two
-	// dividing PageBytes, with at most 64 sub-pages per page.
-	SubPageBytes uint64
 }
 
 func (c *Config) applyDefaults() {
@@ -226,11 +149,7 @@ func (c *Config) applyDefaults() {
 		c.ThrashWindow = DefaultThrashWindow
 	}
 	if c.MetaCycles == 0 {
-		if c.Integrity == IntegrityHostSide {
-			c.MetaCycles = DefaultHostSideCycles
-		} else {
-			c.MetaCycles = DefaultRebuildCycles
-		}
+		c.MetaCycles = DefaultRebuildCycles
 	}
 	if c.PrefetchDegree <= 0 && c.Prefetch != PrefetchNone {
 		c.PrefetchDegree = DefaultPrefetchDegree
@@ -251,21 +170,6 @@ func (c Config) Validate() error {
 	}
 	if c.Frames < 0 {
 		return fmt.Errorf("hostmem: negative Frames %d", c.Frames)
-	}
-	if c.SubPageBytes != 0 {
-		if c.SubPageBytes&(c.SubPageBytes-1) != 0 {
-			return fmt.Errorf("hostmem: SubPageBytes %d is not a power of two", c.SubPageBytes)
-		}
-		page := c.PageBytes
-		if page == 0 {
-			page = DefaultPageBytes
-		}
-		if c.SubPageBytes > page {
-			return fmt.Errorf("hostmem: SubPageBytes %d exceeds page size %d", c.SubPageBytes, page)
-		}
-		if page/c.SubPageBytes > 64 {
-			return fmt.Errorf("hostmem: %d sub-pages per page, max 64", page/c.SubPageBytes)
-		}
 	}
 	return nil
 }
@@ -331,7 +235,7 @@ type migration struct {
 	ready   uint64 // cycle the whole batch becomes resident
 }
 
-// Normal LRU/FIFO stamps live above eagerStampBase; eager (streamed)
+// Normal LRU stamps live above eagerStampBase; eager (streamed)
 // pages are stamped from a counter starting at 1, so the victim heap
 // drains spent streaming pages in fetch order before touching the LRU
 // order of everything else.
@@ -349,17 +253,15 @@ type faultStream struct {
 // address 0 (the simulator places all workload buffers there). Pages at
 // or beyond the working set are untracked and always admit.
 type Tier struct {
-	cfg        Config
-	numPages   int
-	subPerPage int // sub-pages per page (1 = whole-page dirty tracking)
+	cfg      Config
+	numPages int
 
-	state    []pageState
-	dirty    []bool   // any sub-page dirty
-	subdirty []uint64 // per-page sub-page dirty mask (nil when subPerPage == 1)
-	stamp    []uint64 // LRU: last-access seq; FIFO: admission seq
-	admitAt  []uint64 // admission cycle, for thrash detection
-	eager    []bool   // stream-classified: stamped low, never promoted
-	pstate   []prefState
+	state   []pageState
+	dirty   []bool
+	stamp   []uint64 // last-access seq
+	admitAt []uint64 // admission cycle, for thrash detection
+	eager   []bool   // stream-classified: stamped low, never promoted
+	pstate  []prefState
 
 	// Victim min-heap over resident pages keyed by hkey. Keys go stale
 	// when an LRU touch bumps a stamp (the touch itself stays O(1));
@@ -423,28 +325,20 @@ func New(cfg Config, workingSetBytes uint64) (*Tier, error) {
 	if cfg.Frames > numPages {
 		cfg.Frames = numPages
 	}
-	subPerPage := 1
-	if cfg.SubPageBytes != 0 && cfg.SubPageBytes < cfg.PageBytes {
-		subPerPage = int(cfg.PageBytes / cfg.SubPageBytes)
-	}
 	t := &Tier{
-		cfg:        cfg,
-		numPages:   numPages,
-		subPerPage: subPerPage,
-		state:      make([]pageState, numPages),
-		dirty:      make([]bool, numPages),
-		stamp:      make([]uint64, numPages),
-		admitAt:    make([]uint64, numPages),
-		eager:      make([]bool, numPages),
-		pstate:     make([]prefState, numPages),
-		heap:       make([]int32, numPages),
-		hkey:       make([]uint64, numPages),
-		ring:       make([]migration, cfg.MaxInflight),
-		seq:        eagerStampBase,
-		eagerSeq:   1,
-	}
-	if subPerPage > 1 {
-		t.subdirty = make([]uint64, numPages)
+		cfg:      cfg,
+		numPages: numPages,
+		state:    make([]pageState, numPages),
+		dirty:    make([]bool, numPages),
+		stamp:    make([]uint64, numPages),
+		admitAt:  make([]uint64, numPages),
+		eager:    make([]bool, numPages),
+		pstate:   make([]prefState, numPages),
+		heap:     make([]int32, numPages),
+		hkey:     make([]uint64, numPages),
+		ring:     make([]migration, cfg.MaxInflight),
+		seq:      eagerStampBase,
+		eagerSeq: 1,
 	}
 	// Initial placement: the host→device setup copy fills the frame
 	// budget in page order before the run starts, so only the overflow
@@ -467,12 +361,6 @@ func (t *Tier) NumPages() int { return t.numPages }
 
 // Resident reports how many tracked pages are device-resident.
 func (t *Tier) Resident() int { return t.resident }
-
-// Frames reports the effective device frame budget.
-func (t *Tier) Frames() int { return t.cfg.Frames }
-
-// PageBytes reports the effective page size.
-func (t *Tier) PageBytes() uint64 { return t.cfg.PageBytes }
 
 // Stats returns a copy of the activity counters.
 func (t *Tier) Stats() Stats { return t.stats }
@@ -566,7 +454,7 @@ func (t *Tier) Access(addr uint64, write bool, now uint64) AccessResult {
 		// Eager (streamed) pages keep their low stamp: re-touches on
 		// the way through must not promote them past the LRU order of
 		// the pages that will be reused.
-		if t.cfg.Policy == PolicyLRU && !t.eager[page] {
+		if !t.eager[page] {
 			t.stamp[page] = t.seq
 			t.seq++
 		}
@@ -576,9 +464,6 @@ func (t *Tier) Access(addr uint64, write bool, now uint64) AccessResult {
 		}
 		if write {
 			t.dirty[page] = true
-			if t.subPerPage > 1 {
-				t.subdirty[page] |= 1 << ((addr % t.cfg.PageBytes) / t.cfg.SubPageBytes)
-			}
 		}
 		return Admit
 	case pageMigrating:
@@ -776,7 +661,7 @@ func (t *Tier) appendMigration(m migration, now uint64) {
 	}
 }
 
-// evictOne drops the policy victim to the host tier, charging a dirty
+// evictOne drops the LRU victim to the host tier, charging a dirty
 // writeback to the shared link when needed. Eager (streamed) pages
 // drain first by construction of their stamps. Returns false when no
 // resident victim exists.
@@ -797,22 +682,11 @@ func (t *Tier) evictOne(now uint64) bool {
 	t.stats.Evictions++
 	if wasDirty {
 		t.stats.WritebacksDirty++
-		wbBytes := t.cfg.PageBytes
-		if t.subPerPage > 1 {
-			// Sub-page dirty tracking: only the written sub-pages
-			// transfer back, so large-page writebacks don't inflate.
-			wbBytes = uint64(bits.OnesCount64(t.subdirty[victim])) * t.cfg.SubPageBytes
-			t.subdirty[victim] = 0
-		}
-		t.stats.BytesOut += wbBytes
-		transfer := wbBytes / t.cfg.PCIeBytesPerCycle
-		if transfer == 0 {
-			transfer = 1
-		}
+		t.stats.BytesOut += t.cfg.PageBytes
 		if t.busyUntil < now {
 			t.busyUntil = now
 		}
-		t.busyUntil += transfer
+		t.busyUntil += t.perPageTransfer()
 	} else {
 		t.stats.WritebacksClean++
 	}

@@ -44,15 +44,6 @@ func TestParsePrefetch(t *testing.T) {
 			t.Errorf("%d.String() = %q, want %q", p, got, want)
 		}
 	}
-	if err := (Config{SubPageBytes: 48}).Validate(); err == nil {
-		t.Error("non-power-of-two sub-page size accepted")
-	}
-	if err := (Config{PageBytes: 64, SubPageBytes: 128}).Validate(); err == nil {
-		t.Error("sub-page larger than the page accepted")
-	}
-	if err := (Config{PageBytes: 64 << 10, SubPageBytes: 64}).Validate(); err == nil {
-		t.Error("more than 64 sub-pages per page accepted")
-	}
 }
 
 // TestStrideStreamFormation pins the confirmation protocol: the first
@@ -386,49 +377,5 @@ func TestStreamPolicyWithoutClassifier(t *testing.T) {
 	}
 	if st := tr.Stats(); st.Prefetches != 0 || st.Batches != 0 {
 		t.Errorf("stats = %+v; no Classify hook must mean no prefetching", tr.Stats())
-	}
-}
-
-// TestSubPageDirtyWriteback: with sub-page dirty tracking only the
-// written sub-pages transfer back on eviction, and the mask resets for
-// the frame's next tenant.
-func TestSubPageDirtyWriteback(t *testing.T) {
-	cfg := Config{PageBytes: 256, SubPageBytes: 64, Frames: 2}
-	tr := ptier(t, cfg, 4)
-	// Dirty sub-pages 0 and 2 of page 0; keep page 1 clean.
-	if tr.Access(0, true, 1) != Admit {
-		t.Fatal("write to page 0 rejected")
-	}
-	if tr.Access(130, true, 2) != Admit {
-		t.Fatal("write to page 0 offset 130 rejected")
-	}
-	if tr.Access(256, false, 3) != Admit {
-		t.Fatal("read of page 1 rejected")
-	}
-	if tr.Access(2*256, false, 4) != Fault { // evicts page 0 (LRU)
-		t.Fatal("page 2 did not fault")
-	}
-	st := tr.Stats()
-	if st.WritebacksDirty != 1 {
-		t.Fatalf("WritebacksDirty = %d, want 1", st.WritebacksDirty)
-	}
-	if st.BytesOut != 128 {
-		t.Fatalf("BytesOut = %d, want 128 (two dirty 64 B sub-pages, not the whole 256 B page)", st.BytesOut)
-	}
-	if tr.subdirty[0] != 0 {
-		t.Error("sub-page dirty mask not cleared on eviction")
-	}
-
-	// Whole-page granularity for comparison: the same writes cost a full
-	// page of writeback.
-	whole := ptier(t, Config{PageBytes: 256, Frames: 2}, 4)
-	whole.Access(0, true, 1)
-	whole.Access(130, true, 2)
-	whole.Access(256, false, 3)
-	if whole.Access(2*256, false, 4) != Fault {
-		t.Fatal("page 2 did not fault on the whole-page tier")
-	}
-	if st := whole.Stats(); st.BytesOut != 256 {
-		t.Errorf("whole-page BytesOut = %d, want 256", st.BytesOut)
 	}
 }

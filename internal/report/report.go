@@ -108,6 +108,16 @@ func GeoMean(xs []float64) float64 {
 // Percent renders a ratio as "12.34%".
 func Percent(x float64) string { return fmt.Sprintf("%.2f%%", 100*x) }
 
+// PercentOrDash renders x as Percent, or "-" when ok is false: a ratio
+// with no base, such as the accuracy of a predictor that made no
+// predictions.
+func PercentOrDash(x float64, ok bool) string {
+	if !ok {
+		return "-"
+	}
+	return Percent(x)
+}
+
 // SortedKeys returns map keys in sorted order (for deterministic output).
 func SortedKeys[V any](m map[string]V) []string {
 	out := make([]string, 0, len(m))

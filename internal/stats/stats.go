@@ -195,13 +195,14 @@ func (p *PredictorStats) Total() uint64 {
 	return sum
 }
 
-// Accuracy returns the fraction of correct predictions; 1 when empty.
-func (p *PredictorStats) Accuracy() float64 {
+// Accuracy returns the fraction of correct predictions. ok is false when
+// there were none: an absent or silent predictor has no accuracy.
+func (p *PredictorStats) Accuracy() (acc float64, ok bool) {
 	t := p.Total()
 	if t == 0 {
-		return 1
+		return 0, false
 	}
-	return float64(p.Counts[OutcomeCorrect]) / float64(t)
+	return float64(p.Counts[OutcomeCorrect]) / float64(t), true
 }
 
 // Fraction returns the fraction of predictions with outcome o.

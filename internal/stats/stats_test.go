@@ -94,15 +94,16 @@ func TestPredictorStats(t *testing.T) {
 	if p.Total() != 100 {
 		t.Fatalf("Total = %d", p.Total())
 	}
-	if got := p.Accuracy(); got != 0.89 {
-		t.Errorf("Accuracy = %v, want 0.89", got)
+	if got, ok := p.Accuracy(); !ok || got != 0.89 {
+		t.Errorf("Accuracy = %v, %v; want 0.89, true", got, ok)
 	}
 	if got := p.Fraction(OutcomeMPInit); got != 0.10 {
 		t.Errorf("Fraction(MP_Init) = %v, want 0.10", got)
 	}
+	// No predictions is no accuracy, not a perfect one.
 	var empty PredictorStats
-	if empty.Accuracy() != 1 {
-		t.Error("empty predictor accuracy should be 1")
+	if got, ok := empty.Accuracy(); ok {
+		t.Errorf("empty predictor Accuracy = %v, true; want ok = false", got)
 	}
 }
 

@@ -6,21 +6,25 @@ import (
 
 	"shmgpu"
 	"shmgpu/internal/experiments"
+	"shmgpu/internal/hostmem"
 )
 
 // oversubQuickConfig returns the quick configuration with the UVM host
-// tier enabled at the given oversubscription ratio. Pages stay at the
-// 64 KiB default; the migration link is widened to 256 B/cycle so
-// oversubscribed quick cells (which must demand-migrate the overflow
-// fraction of a multi-MB working set, serially) finish inside the
-// quick-config cycle budget.
+// tier enabled at the given oversubscription ratio, on the 64 KiB pages
+// and the 16 B/cycle migration link the oversubscription figure runs.
+// At ratio 0.5 the quick cycle cap truncates a cell after a few dozen
+// faults; tests that need a run to drain raise MaxCycles to
+// oversubDrainCycles.
 func oversubQuickConfig(ratio float64) shmgpu.Config {
 	cfg := shmgpu.QuickConfig()
 	cfg.HostTier = true
 	cfg.OversubRatio = ratio
-	cfg.UVMPCIeBytesPerCycle = 256
 	return cfg
 }
+
+// oversubDrainCycles is a cycle budget atax/SHM at ratio 0.5 completes in
+// under every prefetch policy (demand-only takes about 1.4 M cycles).
+const oversubDrainCycles = 2_000_000
 
 // counter looks a key up in the run's stats registry; ok reports whether
 // the key exists at all (the UVM layer only registers nonzero counters,
@@ -71,7 +75,7 @@ func TestOversubscribedAccounting(t *testing.T) {
 	cfg := oversubQuickConfig(0.5)
 	// The quick deadline truncates atax/SHM mid-run; give the cell room
 	// to finish so drain invariants (every fault completed) are checkable.
-	cfg.MaxCycles = 1_000_000
+	cfg.MaxCycles = oversubDrainCycles
 	res := result(t, cfg, "atax", "SHM", 1)
 	if !res.Completed {
 		t.Fatalf("oversubscribed quick cell did not complete in %d cycles", res.Cycles)
@@ -96,42 +100,29 @@ func TestOversubscribedAccounting(t *testing.T) {
 	}
 }
 
-// TestHostIntegrityModes pins the two metadata-migration modes
-// (satellite: RO-predictor across the fault boundary). Under the default
-// rebuild mode a fault-in overwrites the page's regions device-side, so
-// the RO predictor sees the migration (uvm_ro_transitions registered when
-// predicted-read-only regions get rewritten). Under host-side integrity
-// the fault-in only re-keys: the detectors must see nothing
-// (uvm_ro_transitions absent) and the per-fault metadata charge is the
-// cheap re-key cost.
-func TestHostIntegrityModes(t *testing.T) {
+// TestFaultInRebuildsMetadata pins how security metadata crosses the
+// migration boundary. Only device memory is trusted, so every fault-in
+// overwrites the page's regions device-side with fresh counters: the RO
+// predictor sees the migration (uvm_ro_transitions registered when
+// predicted-read-only regions get rewritten). On a demand-only tier each
+// fault is one single-page migration, so the metadata charge is exactly
+// one rebuild per fault.
+func TestFaultInRebuildsMetadata(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full simulations; skipped in -short")
 	}
-	rebuildCfg := oversubQuickConfig(0.5)
-	rebuild := result(t, rebuildCfg, "atax", "SHM", 1)
-	hostCfg := oversubQuickConfig(0.5)
-	hostCfg.UVMHostIntegrity = "hostside"
-	hostside := result(t, hostCfg, "atax", "SHM", 1)
-
-	for _, r := range []struct {
-		name string
-		res  shmgpu.Result
-	}{{"rebuild", rebuild}, {"hostside", hostside}} {
-		if f, _ := counter(r.res, "uvm_faults"); f == 0 {
-			t.Fatalf("%s: no faults; the mode comparison needs migrations", r.name)
-		}
+	cfg := oversubQuickConfig(0.5)
+	cfg.MaxCycles = oversubDrainCycles
+	res := result(t, cfg, "atax", "SHM", 1)
+	faults, _ := counter(res, "uvm_faults")
+	if faults == 0 {
+		t.Fatal("no faults; the rebuild check needs migrations")
 	}
-	if tr, ok := counter(rebuild, "uvm_ro_transitions"); !ok || tr == 0 {
-		t.Errorf("rebuild mode: uvm_ro_transitions = %d (present=%v); fault-ins over atax's read-only matrix must flip predicted-RO regions", tr, ok)
+	if tr, ok := counter(res, "uvm_ro_transitions"); !ok || tr == 0 {
+		t.Errorf("uvm_ro_transitions = %d (present=%v); fault-ins over atax's read-only matrix must flip predicted-RO regions", tr, ok)
 	}
-	if tr, ok := counter(hostside, "uvm_ro_transitions"); ok {
-		t.Errorf("hostside mode: uvm_ro_transitions = %d registered; host-side integrity must not perturb the detectors", tr)
-	}
-	rbMeta, _ := counter(rebuild, "uvm_meta_cycles")
-	hsMeta, _ := counter(hostside, "uvm_meta_cycles")
-	if rbMeta == 0 || hsMeta == 0 || hsMeta >= rbMeta {
-		t.Errorf("uvm_meta_cycles rebuild=%d hostside=%d; re-key must be strictly cheaper than rebuild", rbMeta, hsMeta)
+	if meta, _ := counter(res, "uvm_meta_cycles"); meta != hostmem.DefaultRebuildCycles*faults {
+		t.Errorf("uvm_meta_cycles = %d, want DefaultRebuildCycles × uvm_faults = %d × %d", meta, hostmem.DefaultRebuildCycles, faults)
 	}
 }
 
@@ -149,10 +140,10 @@ func TestNoPhantomAccesses(t *testing.T) {
 		t.Skip("full simulations; skipped in -short")
 	}
 	overCfg := oversubQuickConfig(0.5)
-	overCfg.MaxCycles = 1_000_000
+	overCfg.MaxCycles = oversubDrainCycles
 	over := result(t, overCfg, "atax", "SHM", 1)
 	offCfg := shmgpu.QuickConfig()
-	offCfg.MaxCycles = 1_000_000
+	offCfg.MaxCycles = oversubDrainCycles
 	off := result(t, offCfg, "atax", "SHM", 1)
 	if !over.Completed || !off.Completed {
 		t.Fatalf("both runs must complete (oversub=%v off=%v)", over.Completed, off.Completed)
@@ -167,31 +158,21 @@ func TestNoPhantomAccesses(t *testing.T) {
 
 // TestPrefetchFitByteIdentical extends the migration-equivalence gate to
 // every migration-ahead configuration: at ratio ≥ 1.0 no access faults,
-// so no fault streams ever form, no prefetch is ever issued, and batching
-// and large-page granularity have nothing to transfer — every policy and
-// knob combination must stay byte-identical to the tier-off run. This is
+// so no fault streams ever form and no prefetch is ever issued — every
+// policy must stay byte-identical to the tier-off run. This is
 // the "prefetcher provably idle at fit" anchor the fuzz
 // prefetch-equivalence oracle generalizes.
 func TestPrefetchFitByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full simulations; skipped in -short")
 	}
-	variants := []struct {
-		name string
-		mut  func(*shmgpu.Config)
-	}{
-		{"stride", func(c *shmgpu.Config) { c.UVMPrefetch = "stride" }},
-		{"stream", func(c *shmgpu.Config) { c.UVMPrefetch = "stream" }},
-		{"stride_batch4", func(c *shmgpu.Config) { c.UVMPrefetch = "stride"; c.UVMBatchPages = 4 }},
-		{"stream_largepage", func(c *shmgpu.Config) { c.UVMPrefetch = "stream"; c.UVMLargePages = true }},
-	}
-	// Each variant is a base at fit for the migration row; one harness
+	// Each policy is a base at fit for the migration row; one harness
 	// runs their common tier-off side once.
 	h := experiments.NewHarness(corpusTool)
-	for _, v := range variants {
-		t.Run(v.name, func(t *testing.T) {
+	for _, policy := range []string{"stride", "stream"} {
+		t.Run(policy, func(t *testing.T) {
 			cfg := oversubQuickConfig(1.0)
-			v.mut(&cfg)
+			cfg.UVMPrefetch = policy
 			checkRow(t, h, experiments.MigrationEquivalence, cellSpec(t, cfg, "atax", "SHM", 1))
 		})
 	}
@@ -208,7 +189,7 @@ func TestPrefetchClosesCliff(t *testing.T) {
 		t.Skip("full simulations; skipped in -short")
 	}
 	base := oversubQuickConfig(0.5)
-	base.MaxCycles = 1_000_000
+	base.MaxCycles = oversubDrainCycles
 	demand := result(t, base, "atax", "SHM", 1)
 	demandFaults, _ := counter(demand, "uvm_faults")
 	if demandFaults == 0 {

@@ -112,15 +112,16 @@ func Generate(rng *rand.Rand) Case {
 	}
 	// UVM host tier: ratios straddling the fit boundary (1.0 exactly is
 	// the migration-equivalence edge), small pages so tiny working sets
-	// still span several, and the migration-ahead policy. The draws that
-	// set nothing keep the rng sequence the campaign record's cells were
-	// generated with, so each cell keeps its workload and config
-	// (TestCellWorkloadsPinned, TestCellConfigsPinned).
+	// still span several, the largest page Validate accepts (2 MiB, one
+	// page per working set), and the migration-ahead policy. The draws
+	// that set nothing stand where retired knobs were drawn: they keep the
+	// rng sequence, so every cell keeps the workload the campaign record's
+	// cells were generated with (TestCellWorkloadsPinned).
 	if chance(rng, 0.35) {
 		d.set("HostTier", true)
 		d.set("OversubRatio", float64(pick(rng, 25, 50, 75, 100, 150))/100)
 		if chance(rng, 0.15) {
-			d.set("UVMPageBytes", 0)
+			d.set("UVMPageBytes", 2<<20)
 		} else if chance(rng, 0.5) {
 			d.set("UVMPageBytes", pick(rng, 4, 16, 64)<<10)
 		}

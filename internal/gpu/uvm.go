@@ -12,9 +12,10 @@ package gpu
 // identically.
 //
 // Security metadata travels with pages: only device memory is trusted, so
-// every fault-in re-encrypts the migrated range with fresh counters,
-// which the RO predictor observes exactly like a host overwrite
-// (MigrationOverwrite), and pays hostmem's metadata rebuild cost.
+// under a secure design every fault-in re-encrypts the migrated range with
+// fresh counters, which the RO predictor observes exactly like a host
+// overwrite (MigrationOverwrite), and pays hostmem's metadata rebuild
+// cost. The insecure Baseline has no metadata and pays only the link.
 //
 // Determinism: every tier mutation happens at a fixed point in the tick
 // — Access inside the SM-ordered crossbar drains and Tick right after the
@@ -86,7 +87,11 @@ func (s *System) startUVM(wl Workload) {
 		numPages = 1
 	}
 	frames := int(s.cfg.OversubRatio * float64(numPages))
-	tier, err := hostmem.New(hostmem.Config{PageBytes: pageBytes, Frames: frames, Prefetch: prefetch}, ws)
+	var meta uint64
+	if s.mees[0].Config().Enabled {
+		meta = hostmem.DefaultRebuildCycles
+	}
+	tier, err := hostmem.New(hostmem.Config{PageBytes: pageBytes, Frames: frames, MetaCycles: meta, Prefetch: prefetch}, ws)
 	if err != nil {
 		panic(err)
 	}

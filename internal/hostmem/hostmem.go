@@ -4,10 +4,13 @@
 // pages fault, start a PCIe-modeled migration, and are retried by the
 // requester until the page arrives (AMD XNACK retry-on-fault). When the
 // working set exceeds the frame budget the least recently used page is
-// evicted, with dirty pages paying a writeback transfer. Every fault-in
-// pays the metadata rebuild cost: the tier trusts only device memory, so
-// security metadata is torn down on eviction and re-established when the
-// page returns.
+// evicted, with dirty pages paying a writeback transfer. Under a secure
+// design every fault-in pays the metadata rebuild cost (MetaCycles): the
+// tier trusts only device memory, so security metadata is torn down on
+// eviction and re-established when the page returns. A design without
+// metadata sets MetaCycles to 0 and pays only the link. A page that lands
+// for a waiting access is held out of eviction until an access touches
+// it, so every demand migration serves the access that caused it.
 //
 // On top of demand paging the tier runs an optional migration-ahead
 // engine. A demand fault can trigger prefetches: PrefetchStride detects
@@ -107,15 +110,16 @@ const (
 
 // Config parameterizes a Tier. Zero values take the package defaults,
 // except Frames which must be set explicitly (the embedding layer
-// derives it from the oversubscription ratio). The simulator sets only
-// PageBytes, Frames and Prefetch; the other fields let unit tests build
-// small scenarios.
+// derives it from the oversubscription ratio) and MetaCycles, where 0
+// means the design has no metadata to rebuild. The simulator sets only
+// PageBytes, Frames, MetaCycles and Prefetch; the other fields let unit
+// tests build small scenarios.
 type Config struct {
 	PageBytes         uint64
 	Frames            int    // device page frames available to this tier
 	PCIeLatency       uint64 // one-way link latency, cycles
 	PCIeBytesPerCycle uint64 // migration bandwidth
-	MetaCycles        uint64 // per-batch metadata rebuild cost
+	MetaCycles        uint64 // per-batch metadata rebuild cost; 0 = no metadata
 	MaxInflight       int    // migration ring capacity (batches)
 	ThrashWindow      uint64 // eviction younger than this counts as thrash
 
@@ -147,9 +151,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.ThrashWindow == 0 {
 		c.ThrashWindow = DefaultThrashWindow
-	}
-	if c.MetaCycles == 0 {
-		c.MetaCycles = DefaultRebuildCycles
 	}
 	if c.PrefetchDegree <= 0 && c.Prefetch != PrefetchNone {
 		c.PrefetchDegree = DefaultPrefetchDegree
@@ -212,6 +213,14 @@ type pageState uint8
 const (
 	pageHost pageState = iota
 	pageMigrating
+	// pageLanded: resident, but an access is waiting to replay on it (a
+	// demand fault or a late prefetch). The page stays out of the victim
+	// heap until an access touches it, so a fault always makes progress:
+	// without the hold, another requester's fault in the landing cycle
+	// could evict the page before its own faulting access replays, and
+	// on a tight frame budget two pages could swap back and forth while
+	// one of them is never used.
+	pageLanded
 	pageResident
 )
 
@@ -380,7 +389,7 @@ func (t *Tier) IsResident(page int) bool {
 	if page < 0 || page >= t.numPages {
 		return true
 	}
-	return t.state[page] == pageResident
+	return t.state[page] >= pageLanded
 }
 
 // heapPush adds a newly resident page to the victim heap, keyed by its
@@ -450,13 +459,17 @@ func (t *Tier) Access(addr uint64, write bool, now uint64) AccessResult {
 		return Admit
 	}
 	switch t.state[page] {
-	case pageResident:
+	case pageLanded, pageResident:
 		// Eager (streamed) pages keep their low stamp: re-touches on
 		// the way through must not promote them past the LRU order of
 		// the pages that will be reused.
 		if !t.eager[page] {
 			t.stamp[page] = t.seq
 			t.seq++
+		}
+		if t.state[page] == pageLanded {
+			t.state[page] = pageResident
+			t.heapPush(page)
 		}
 		if t.pstate[page] == pfArrived {
 			t.pstate[page] = pfNone
@@ -543,7 +556,7 @@ func (t *Tier) Blocked(addr uint64) bool {
 		return false
 	}
 	switch t.state[page] {
-	case pageResident:
+	case pageLanded, pageResident:
 		return false
 	case pageMigrating:
 		return t.pstate[page] != pfInflight
@@ -726,7 +739,6 @@ func (t *Tier) Tick(now uint64) {
 			return
 		}
 		page := m.page
-		t.state[page] = pageResident
 		t.resident++
 		t.inflight--
 		if m.eager {
@@ -737,10 +749,13 @@ func (t *Tier) Tick(now uint64) {
 			t.stamp[page] = t.seq
 			t.seq++
 		}
-		t.heapPush(page)
 		t.admitAt[page] = now
 		if t.pstate[page] == pfInflight {
 			t.pstate[page] = pfArrived
+			t.state[page] = pageResident
+			t.heapPush(page)
+		} else {
+			t.state[page] = pageLanded
 		}
 		t.stats.MigrationsIn++
 		if t.OnFaultIn != nil {

@@ -35,7 +35,9 @@ func tier(t *testing.T, cfg Config) *Tier {
 	return tr
 }
 
-// settle ticks until the migration ring drains.
+// settle ticks until the migration ring drains. Like the simulator's
+// requesters, which retry every cycle, it replays each access waiting on a
+// page in the cycle the page lands.
 func settle(t *testing.T, tr *Tier, now uint64) uint64 {
 	t.Helper()
 	for i := 0; tr.InflightMigrations() > 0; i++ {
@@ -44,6 +46,11 @@ func settle(t *testing.T, tr *Tier, now uint64) uint64 {
 		}
 		now++
 		tr.Tick(now)
+		for p, st := range tr.state {
+			if st == pageLanded && tr.Access(uint64(p)*tr.cfg.PageBytes, false, now) != Admit {
+				t.Fatalf("replay on landed page %d rejected", p)
+			}
+		}
 	}
 	return now
 }
@@ -161,6 +168,43 @@ func TestEvictionThenRefault(t *testing.T) {
 	}
 	if st.Evictions != st.Faults {
 		t.Errorf("Evictions = %d, Faults = %d; every fault over a full budget evicts", st.Evictions, st.Faults)
+	}
+}
+
+// TestLandedPageHeldUntilTouched: a demand page that lands stays out of
+// eviction until an access touches it. On one frame, a fault for the
+// other page in the landing cycle stalls instead of stealing the frame,
+// so the access that caused the migration always replays on its page.
+func TestLandedPageHeldUntilTouched(t *testing.T) {
+	tr := tier(t, Config{Frames: 1})
+	if tr.Access(64, false, 0) != Fault {
+		t.Fatal("page 1 did not fault")
+	}
+	now := uint64(0)
+	for tr.InflightMigrations() > 0 {
+		now++
+		tr.Tick(now)
+	}
+	if !tr.IsResident(1) {
+		t.Fatal("page 1 not resident after its migration")
+	}
+	if !tr.Blocked(0) {
+		t.Error("Blocked(page 0) = false; the only frame holds a page no access has touched")
+	}
+	if got := tr.Access(0, false, now); got != Stall {
+		t.Fatalf("page 0 access in the landing cycle = %v, want Stall", got)
+	}
+	if st := tr.Stats(); st.Faults != 1 || st.Evictions != 1 {
+		t.Fatalf("Faults = %d, Evictions = %d; the landed page must not be evicted", st.Faults, st.Evictions)
+	}
+	if tr.Access(64, false, now) != Admit {
+		t.Fatal("replay on landed page 1 rejected")
+	}
+	if tr.Access(0, false, now) != Fault {
+		t.Fatal("page 0 did not fault once page 1 was touched")
+	}
+	if st := tr.Stats(); st.Evictions != 2 {
+		t.Errorf("Evictions = %d, want 2 (page 0, then page 1 after its replay)", st.Evictions)
 	}
 }
 

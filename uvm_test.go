@@ -106,7 +106,8 @@ func TestOversubscribedAccounting(t *testing.T) {
 // predictor sees the migration (uvm_ro_transitions registered when
 // predicted-read-only regions get rewritten). On a demand-only tier each
 // fault is one single-page migration, so the metadata charge is exactly
-// one rebuild per fault.
+// one rebuild per fault. Baseline has no metadata: it faults on the same
+// cell but pays no rebuild.
 func TestFaultInRebuildsMetadata(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full simulations; skipped in -short")
@@ -123,6 +124,13 @@ func TestFaultInRebuildsMetadata(t *testing.T) {
 	}
 	if meta, _ := counter(res, "uvm_meta_cycles"); meta != hostmem.DefaultRebuildCycles*faults {
 		t.Errorf("uvm_meta_cycles = %d, want DefaultRebuildCycles × uvm_faults = %d × %d", meta, hostmem.DefaultRebuildCycles, faults)
+	}
+	base := result(t, cfg, "atax", "Baseline", 1)
+	if faults, _ := counter(base, "uvm_faults"); faults == 0 {
+		t.Fatal("Baseline took no faults; the no-rebuild check needs migrations")
+	}
+	if meta, ok := counter(base, "uvm_meta_cycles"); ok {
+		t.Errorf("Baseline uvm_meta_cycles = %d; a design without metadata rebuilds none", meta)
 	}
 }
 

@@ -496,7 +496,8 @@ func (t *Tier) Access(addr uint64, write bool, now uint64) AccessResult {
 		return Stall
 	}
 	if t.resident+t.inflight >= t.cfg.Frames && !t.evictOne(now) {
-		// Every frame is reserved by an in-flight migration.
+		// Every frame is reserved by an in-flight migration or held by a
+		// landed page.
 		t.stats.Replays++
 		return Stall
 	}
@@ -546,7 +547,8 @@ func (t *Tier) Access(addr uint64, write bool, now uint64) AccessResult {
 // lands a page (NextEvent) or another Access mutates the tier. That holds
 // for a migrating page whose late-prefetch accounting is settled, and for
 // a host page that cannot start a migration: the ring is full, or every
-// frame is reserved by an in-flight migration with no resident victim.
+// frame is reserved by an in-flight migration or held by a landed page
+// (pageLanded), so no page is evictable.
 // A migrating page still marked pfInflight is not blocked — its first
 // stall flips the prefetch to late. The fast-forward horizon uses this to
 // skip a blocked requester's replays and charge them with ChargeReplays.

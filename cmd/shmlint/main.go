@@ -1,8 +1,7 @@
 // Command shmlint is the repository's lint gate: it loads the module from
-// source and runs the analyzer suite in internal/analysis over it —
-// per-package checks (determinism, probe guarding, unit discipline) and the
-// whole-tree checks that need every package at once (the flow-sensitive
-// hotalloc and syncfree):
+// source and runs the analyzer suite in internal/analysis over it, one
+// package at a time (determinism and a single-threaded cycle loop, probe
+// guarding, unit discipline):
 //
 //	go run ./cmd/shmlint ./...
 //
@@ -19,11 +18,9 @@ import (
 	"os"
 
 	"shmgpu/internal/analysis"
-	"shmgpu/internal/analysis/hotalloc"
 	"shmgpu/internal/analysis/load"
 	"shmgpu/internal/analysis/nodeterminism"
 	"shmgpu/internal/analysis/probeguard"
-	"shmgpu/internal/analysis/syncfree"
 	"shmgpu/internal/analysis/unitcheck"
 )
 
@@ -33,8 +30,6 @@ var analyzers = []*analysis.Analyzer{
 	nodeterminism.Analyzer,
 	probeguard.Analyzer,
 	unitcheck.Analyzer,
-	hotalloc.Analyzer,
-	syncfree.Analyzer,
 }
 
 func main() {
@@ -64,8 +59,7 @@ func run(args []string) int {
 }
 
 // lint loads the packages matching patterns from the enclosing module, runs
-// every analyzer on each, then the analyzers' Finish hooks (cross-package
-// checks) over all their per-package results, and prints the findings.
+// every analyzer on each, and prints the findings.
 func lint(patterns []string, opts outputOpts) int {
 	moduleDir, err := findModuleRoot()
 	if err != nil {
@@ -86,7 +80,6 @@ func lint(patterns []string, opts outputOpts) int {
 	}
 
 	var diags []namedDiag
-	results := map[string]map[string]any{}
 	generated := map[string]bool{}
 	for _, path := range paths {
 		pkg, err := loader.Load(path)
@@ -103,20 +96,7 @@ func lint(patterns []string, opts outputOpts) int {
 		for f := range pkg.Generated {
 			generated[f] = true
 		}
-		diags = append(diags, runAnalyzers(loader.Fset, pkg.Files, pkg.Types, pkg.Info, results)...)
-	}
-
-	for _, a := range analyzers {
-		if a.Finish == nil || len(results[a.Name]) == 0 {
-			continue
-		}
-		a.Finish(&analysis.Finishing{
-			Results: results[a.Name],
-			Fset:    loader.Fset,
-			Report: func(d analysis.Diagnostic) {
-				diags = append(diags, namedDiag{analyzer: a.Name, Diagnostic: d})
-			},
-		})
+		diags = append(diags, runAnalyzers(loader.Fset, pkg.Files, pkg.Types, pkg.Info)...)
 	}
 
 	// Diagnostics in generated files are suppressed: the fix belongs in
@@ -148,11 +128,8 @@ type namedDiag struct {
 	analysis.Diagnostic
 }
 
-// runAnalyzers applies each analyzer to one package and stashes its
-// non-nil per-package results in results (analyzer name → package path)
-// for the Finish pass.
-func runAnalyzers(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info,
-	results map[string]map[string]any) []namedDiag {
+// runAnalyzers applies each analyzer to one package.
+func runAnalyzers(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info) []namedDiag {
 	var diags []namedDiag
 	for _, a := range analyzers {
 		pass := &analysis.Pass{
@@ -165,16 +142,8 @@ func runAnalyzers(fset *token.FileSet, files []*ast.File, pkg *types.Package, in
 				diags = append(diags, namedDiag{analyzer: a.Name, Diagnostic: d})
 			},
 		}
-		res, err := a.Run(pass)
-		if err != nil {
+		if err := a.Run(pass); err != nil {
 			fmt.Fprintf(os.Stderr, "shmlint: analyzer %s: %v\n", a.Name, err)
-			continue
-		}
-		if res != nil {
-			if results[a.Name] == nil {
-				results[a.Name] = map[string]any{}
-			}
-			results[a.Name][pkg.Path()] = res
 		}
 	}
 	return diags

@@ -9,9 +9,13 @@ import (
 	"testing"
 )
 
+// staleMarker is a marker of the deleted allocation analyzer, spelled in two
+// pieces so the tree itself carries none: shmlint must report it.
+const staleMarker = "//shm:" + "alloc-ok"
+
 // writeModule lays out a throwaway module with one clean package and one
-// package carrying a hot-path allocation (a whole-tree hotalloc finding)
-// and a unit-mixing sum (a per-package unitcheck finding). A _test.go file
+// package carrying a //shm: marker nothing reads (a nodeterminism finding)
+// and a unit-mixing sum (a unitcheck finding). A _test.go file
 // repeats the unit mix; test files are outside the analyzed build, so it
 // must stay silent. writeModule chdirs into the module for the duration
 // of the test (the driver resolves the module from the working directory).
@@ -24,7 +28,6 @@ func writeModule(t *testing.T) {
 
 type E struct{ n int }
 
-//shm:tick-root
 func (e *E) tick() { e.n++ }
 
 var _ = (*E).tick
@@ -33,9 +36,8 @@ var _ = (*E).tick
 
 type E struct{ xs []int }
 
-//shm:tick-root
 func (e *E) tick() {
-	e.xs = append(e.xs, 1)
+	e.xs = append(e.xs, 1) ` + staleMarker + `
 }
 
 var _ = (*E).tick
@@ -121,10 +123,10 @@ func TestJSONOutput(t *testing.T) {
 	if err := json.Unmarshal([]byte(out), &diags); err != nil {
 		t.Fatalf("decoding output: %v\n%s", err, out)
 	}
-	// One whole-tree finding (hotalloc) next to one per-package finding
-	// (unitcheck), sorted by file; nothing from units_test.go.
+	// One finding from each of two analyzers, sorted by file; nothing
+	// from units_test.go.
 	want := []struct{ analyzer, file string }{
-		{"hotalloc", "dirty/dirty.go"},
+		{"nodeterminism", "dirty/dirty.go"},
 		{"unitcheck", "dirty/units.go"},
 	}
 	if len(diags) != len(want) {
@@ -154,7 +156,7 @@ func TestGHAOutput(t *testing.T) {
 	if !strings.Contains(out, "::error file=dirty/dirty.go,line=") {
 		t.Errorf("missing ::error annotation:\n%s", out)
 	}
-	if !strings.Contains(out, "(hotalloc)") {
+	if !strings.Contains(out, "(nodeterminism)") {
 		t.Errorf("annotation should name the analyzer:\n%s", out)
 	}
 }

@@ -1,25 +1,22 @@
 // Package analysis is a minimal, dependency-free reimplementation of the
 // go/analysis analyzer model (golang.org/x/tools/go/analysis) sufficient to
 // host this repository's lint suite. It exists because the simulator's
-// correctness rules — determinism, probe guarding, unit discipline, an
-// allocation-free and synchronization-free tick — are mechanical properties
-// of the source tree that belong in a lint gate, and the canonical framework
-// is an external module this repository does not vendor. cmd/shmlint is the
-// one driver. Counter naming and ownership need no analyzer: a counter is a
+// correctness rules — determinism, a single-threaded cycle loop, probe
+// guarding, unit discipline — are mechanical properties of the source tree
+// that belong in a lint gate, and the canonical framework is an external
+// module this repository does not vendor. cmd/shmlint is the one driver.
+// Counter naming and ownership need no analyzer: a counter is a
 // stats.Counter handle, and stats.NewCounter enforces both at registration.
+// That the cycle loop does not allocate is a measured property, not a lint
+// rule: the gpu package's TestTickSteadyStateAllocFree counts it.
 //
 // The model is the familiar one: an Analyzer owns a Run function invoked
 // once per package with a Pass carrying the parsed non-test files, type
-// information, and a Report sink. Two extensions cover this repo's needs:
+// information, and a Report sink. Every check is per-package.
 //
-//   - Run may return a per-package result (any value), and an Analyzer may
-//     declare a Finish hook. The driver calls Finish once after every
-//     package's Run with all results, enabling cross-package checks such as
-//     the flow-sensitive call-graph analyzers.
-//
-//   - Source lines can silence a specific check with a trailing
-//     `//shmlint:allow <check>` comment; the annotation is an explicit,
-//     greppable justification marker. Pass.Allowed consults it.
+// Source lines can silence a specific check with a trailing
+// `//shmlint:allow <check>` comment; the annotation is an explicit,
+// greppable justification marker. Pass.Allowed consults it.
 package analysis
 
 import (
@@ -38,14 +35,8 @@ type Analyzer struct {
 	Name string
 	// Doc is the one-line description listed by `shmlint -h`.
 	Doc string
-	// Run analyzes one package and reports findings via pass.Report. The
-	// returned value is collected for Finish; analyzers without
-	// cross-package state return nil.
-	Run func(pass *Pass) (any, error)
-	// Finish, if non-nil, runs once after every package's Run, receiving
-	// the non-nil results keyed by import path. It is skipped when every
-	// Run returned nil.
-	Finish func(f *Finishing)
+	// Run analyzes one package and reports findings via pass.Report.
+	Run func(pass *Pass) error
 }
 
 // Pass carries one package's analysis inputs to an Analyzer's Run.
@@ -62,18 +53,6 @@ type Pass struct {
 	waivers *waiver.Sheet
 }
 
-// Finishing carries all per-package results to an Analyzer's Finish hook.
-type Finishing struct {
-	// Results maps package import path to the value its Run returned.
-	// Packages whose Run returned nil are omitted.
-	Results map[string]any
-	// Fset is the file set shared by every analyzed package, so positions
-	// recorded inside results resolve correctly.
-	Fset *token.FileSet
-	// Report delivers one diagnostic to the driver.
-	Report func(Diagnostic)
-}
-
 // Diagnostic is one finding, positioned at Pos.
 type Diagnostic struct {
 	Pos     token.Pos
@@ -83,11 +62,6 @@ type Diagnostic struct {
 // Reportf formats and reports a diagnostic at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
-}
-
-// Reportf formats and reports a diagnostic at pos.
-func (f *Finishing) Reportf(pos token.Pos, format string, args ...any) {
-	f.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
 }
 
 // Waivers returns the package's lazily built waiver sheet, the single

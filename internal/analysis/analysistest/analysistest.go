@@ -34,16 +34,14 @@ type finding struct {
 	msg  string
 }
 
-// Run loads every fixture package, applies the analyzer to each, invokes
-// its Finish hook (if any) with the collected results, and compares all
-// diagnostics against the fixtures' want comments.
+// Run loads every fixture package, applies the analyzer to each, and
+// compares all diagnostics against the fixtures' want comments.
 func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgPaths ...string) {
 	t.Helper()
 	loader := load.New("", "", filepath.Join(testdata, "src"))
 
 	var wants []*want
 	var got []finding
-	results := map[string]any{}
 
 	for _, path := range pkgPaths {
 		pkg, err := loader.Load(path)
@@ -66,24 +64,9 @@ func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgPaths ...string
 				got = append(got, finding{file: filepath.Base(p.Filename), line: p.Line, msg: d.Message})
 			},
 		}
-		res, err := a.Run(pass)
-		if err != nil {
+		if err := a.Run(pass); err != nil {
 			t.Fatalf("analyzer %s failed on %s: %v", a.Name, path, err)
 		}
-		if res != nil {
-			results[path] = res
-		}
-	}
-
-	if a.Finish != nil {
-		a.Finish(&analysis.Finishing{
-			Results: results,
-			Fset:    loader.Fset,
-			Report: func(d analysis.Diagnostic) {
-				p := loader.Fset.Position(d.Pos)
-				got = append(got, finding{file: filepath.Base(p.Filename), line: p.Line, msg: d.Message})
-			},
-		})
 	}
 
 	for _, g := range got {

@@ -16,12 +16,24 @@
 // sweep prefetcher) whose batches join before model state is read, so
 // goroutine scheduling cannot leak into results. Ad-hoc `go` statements in
 // the core stay flagged; the distinct spelling keeps goroutine waivers
-// greppable separately from ordinary lint allows.
+// greppable separately from ordinary lint allows. It is the one `//shm:`
+// marker any analyzer reads, so every other marker, and a parallel-ok that
+// is not on such a go statement, is reported as a marker nothing reads.
+//
+// A second rule keeps the cycle loop single-threaded: a package the loop
+// runs (see CycleLoop) may not import sync or sync/atomic, start a
+// goroutine, or operate on a channel. It has no waiver. One run is one
+// goroutine; parallelism lives at the cell level, one whole run per
+// worker, so a lock, an atomic or a channel in the loop is either cost per
+// cycle with nothing to protect or sharing the determinism argument does
+// not cover.
 package nodeterminism
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
+	"strconv"
 	"strings"
 
 	"shmgpu/internal/analysis"
@@ -31,7 +43,8 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "nodeterminism",
 	Doc: "forbid wall-clock time, global randomness, map-order dependence, " +
-		"and goroutines in the cycle-accurate simulator core",
+		"and goroutines in the cycle-accurate simulator core, synchronization " +
+		"in the packages the cycle loop runs, and //shm: markers nothing reads",
 	Run: run,
 }
 
@@ -47,9 +60,31 @@ var Restricted = []string{
 	"internal/pool",
 }
 
-// restrictedPath reports whether pkgPath falls in the deterministic core.
-func restrictedPath(pkgPath string) bool {
-	for _, seg := range Restricted {
+// CycleLoop lists the import-path segments of the packages the cycle loop
+// runs, which the synchronization rule covers. It is its own list: the
+// loop runs packages (flatmap, telemetry) that are not in Restricted, and
+// internal/pool is in Restricted but never runs in the loop.
+var CycleLoop = []string{
+	"internal/gpu",
+	"internal/secmem",
+	"internal/dram",
+	"internal/cache",
+	"internal/hostmem",
+	"internal/detectors",
+	"internal/flatmap",
+	"internal/ringbuf",
+	"internal/workload",
+	"internal/metadata",
+	"internal/stats",
+	"internal/memdef",
+	"internal/bmt",
+	"internal/invariant",
+	"internal/telemetry",
+}
+
+// inList reports whether pkgPath falls under one of the path segments.
+func inList(pkgPath string, segs []string) bool {
+	for _, seg := range segs {
 		if pkgPath == seg ||
 			strings.HasSuffix(pkgPath, "/"+seg) ||
 			strings.Contains(pkgPath, "/"+seg+"/") ||
@@ -66,40 +101,118 @@ var globalRandAllowed = map[string]bool{
 	"New": true, "NewSource": true, "NewZipf": true, "NewPCG": true, "NewChaCha8": true,
 }
 
-func run(pass *analysis.Pass) (any, error) {
-	if !restrictedPath(pass.Pkg.Path()) {
-		return nil, nil
+func run(pass *analysis.Pass) error {
+	path := pass.Pkg.Path()
+	restricted, loop := inList(path, Restricted), inList(path, CycleLoop)
+	// waived holds the lines of the go statements a parallel-ok marker
+	// waives: the only place a marker is read.
+	waived := map[token.Position]bool{}
+	if loop {
+		checkImports(pass)
 	}
-	pass.Inspect(func(n ast.Node) bool {
-		if n == nil {
+	if restricted || loop {
+		pass.Inspect(func(n ast.Node) bool {
+			if n != nil {
+				inspect(pass, n, restricted, loop, waived)
+			}
 			return true
+		})
+	}
+	for _, m := range pass.Waivers().Markers() {
+		if m.Name != "parallel-ok" || !waived[lineOf(pass, m.Pos)] {
+			pass.Reportf(m.Pos, "//shm:%s marker is read by no analyzer; keep its reason as a plain comment "+
+				"(only //shm:parallel-ok on a go statement in a restricted core package is read)", m.Name)
 		}
-		switch node := n.(type) {
-		case *ast.GoStmt:
+	}
+	return nil
+}
+
+// checkImports reports sync and sync/atomic imports in a cycle-loop package.
+func checkImports(pass *analysis.Pass) {
+	for _, f := range pass.Files {
+		for _, imp := range f.Imports {
+			if p, err := strconv.Unquote(imp.Path.Value); err == nil && (p == "sync" || p == "sync/atomic") {
+				pass.Reportf(imp.Pos(), "import of %s in cycle-loop package %s: the cycle loop is single-threaded",
+					p, pass.Pkg.Path())
+			}
+		}
+	}
+}
+
+// lineOf is the file and line of pos.
+func lineOf(pass *analysis.Pass, pos token.Pos) token.Position {
+	p := pass.Fset.Position(pos)
+	return token.Position{Filename: p.Filename, Line: p.Line}
+}
+
+func inspect(pass *analysis.Pass, n ast.Node, restricted, loop bool, waived map[token.Position]bool) {
+	switch node := n.(type) {
+	case *ast.GoStmt:
+		switch {
+		case loop:
+			pass.Reportf(node.Pos(), "goroutine spawned in cycle-loop package %s: the cycle loop is single-threaded",
+				pass.Pkg.Path())
+		case pass.Waivers().Line("parallel-ok", node.Pos()):
 			// The fork/join-worker waiver, parsed by the shared waiver
 			// sheet; it must sit on the same line as the go statement.
-			if pass.Waivers().Line("parallel-ok", node.Pos()) {
-				return true
-			}
+			waived[lineOf(pass, node.Pos())] = true
+		default:
 			pass.Reportf(node.Pos(),
 				"goroutine spawned in deterministic core package %s; the simulator is single-threaded per run "+
 					"(a vetted fork/join pool worker may be waived with //shm:parallel-ok on the spawning line)",
 				pass.Pkg.Path())
-		case *ast.RangeStmt:
-			t := pass.TypesInfo.TypeOf(node.X)
-			if t != nil {
-				if _, isMap := t.Underlying().(*types.Map); isMap && !pass.Allowed("maprange", node.Pos()) {
-					pass.Reportf(node.Pos(),
-						"range over map in deterministic core: iteration order is random; "+
-							"sort the keys or annotate with //shmlint:allow maprange if order-insensitive")
-				}
+		}
+	case *ast.SendStmt:
+		if loop {
+			reportChan(pass, node.Pos(), "send")
+		}
+	case *ast.UnaryExpr:
+		if loop && node.Op == token.ARROW {
+			reportChan(pass, node.Pos(), "receive")
+		}
+	case *ast.SelectStmt:
+		if loop {
+			reportChan(pass, node.Pos(), "select")
+		}
+	case *ast.RangeStmt:
+		t := pass.TypesInfo.TypeOf(node.X)
+		if t == nil {
+			return
+		}
+		switch t.Underlying().(type) {
+		case *types.Map:
+			if restricted && !pass.Allowed("maprange", node.Pos()) {
+				pass.Reportf(node.Pos(),
+					"range over map in deterministic core: iteration order is random; "+
+						"sort the keys or annotate with //shmlint:allow maprange if order-insensitive")
 			}
-		case *ast.CallExpr:
+		case *types.Chan:
+			if loop {
+				reportChan(pass, node.Pos(), "range")
+			}
+		}
+	case *ast.CallExpr:
+		if loop && isBuiltin(pass, node.Fun, "close") {
+			reportChan(pass, node.Pos(), "close")
+		}
+		if restricted {
 			checkCall(pass, node)
 		}
-		return true
-	})
-	return nil, nil
+	}
+}
+
+func reportChan(pass *analysis.Pass, pos token.Pos, op string) {
+	pass.Reportf(pos, "channel %s in cycle-loop package %s: the cycle loop is single-threaded", op, pass.Pkg.Path())
+}
+
+// isBuiltin reports whether fun names the predeclared function name.
+func isBuiltin(pass *analysis.Pass, fun ast.Expr, name string) bool {
+	id, ok := ast.Unparen(fun).(*ast.Ident)
+	if !ok {
+		return false
+	}
+	b, ok := pass.TypesInfo.Uses[id].(*types.Builtin)
+	return ok && b.Name() == name
 }
 
 func checkCall(pass *analysis.Pass, call *ast.CallExpr) {

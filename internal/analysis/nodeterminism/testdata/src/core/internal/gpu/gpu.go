@@ -1,5 +1,6 @@
 // Package gpu is a fixture standing in for a deterministic-core package
-// (its import path ends in internal/gpu, putting it in the restricted set).
+// (its import path ends in internal/gpu, putting it in the restricted set)
+// that the cycle loop runs (putting it in the cycle-loop set too).
 package gpu
 
 import (
@@ -53,17 +54,19 @@ func sumSlice(s []int) int {
 	return total
 }
 
+// In a package the cycle loop runs, a goroutine or a channel operation is
+// flagged whatever its comment says.
 func spawn(done chan struct{}) {
-	go func() { // want `goroutine spawned in deterministic core`
-		close(done)
+	go func() { // want `goroutine spawned in cycle-loop package core/internal/gpu`
+		close(done) // want `channel close in cycle-loop package`
 	}()
 }
 
-// spawnWorkers is the accepted pattern: fixed fork/join pool workers whose
-// batches always join before model state is read, waived line-by-line with
-// the written justification.
 func spawnWorkers(work func()) {
-	for i := 0; i < 4; i++ {
-		go work() //shm:parallel-ok — fixed pool worker; every batch joins before Run returns
-	}
+	go work() //shm:parallel-ok — fixed pool worker // want `goroutine spawned in cycle-loop package` `//shm:parallel-ok marker is read by no analyzer`
+}
+
+// grow sits in the cycle loop; the marker is not read.
+func grow(xs []int) []int {
+	return append(xs, 1) //shm:amortized growth // want `//shm:amortized marker is read by no analyzer`
 }

@@ -42,7 +42,7 @@ var contracts = []struct {
 	{"obs", "Probe", "Observe"},
 }
 
-func run(pass *analysis.Pass) (any, error) {
+func run(pass *analysis.Pass) error {
 	for _, file := range pass.Files {
 		var stack []ast.Node
 		ast.Inspect(file, func(n ast.Node) bool {
@@ -57,7 +57,7 @@ func run(pass *analysis.Pass) (any, error) {
 			return true
 		})
 	}
-	return nil, nil
+	return nil
 }
 
 func checkEmit(pass *analysis.Pass, call *ast.CallExpr, stack []ast.Node) {

@@ -33,7 +33,7 @@ var arithmetic = map[token.Token]bool{
 	token.QUO: true, token.REM: true,
 }
 
-func run(pass *analysis.Pass) (any, error) {
+func run(pass *analysis.Pass) error {
 	pass.Inspect(func(n ast.Node) bool {
 		if n == nil {
 			return true
@@ -55,7 +55,7 @@ func run(pass *analysis.Pass) (any, error) {
 			exprName(b.X), ux, b.Op, exprName(b.Y), uy)
 		return true
 	})
-	return nil, nil
+	return nil
 }
 
 var unitSuffixes = []string{"Cycles", "Bytes", "Blocks"}

@@ -6,16 +6,15 @@
 //     specific analyzer check on the same source line. It is the ordinary
 //     lint escape hatch.
 //
-//   - `//shm:<name> [justification]` is a structural marker consumed by the
-//     flow-sensitive analyzers: entry-point roots (`//shm:tick-root`), path
-//     pruning (`//shm:cold`), vetted-goroutine waivers
-//     (`//shm:parallel-ok`), and per-site waivers (`//shm:alloc-ok`,
-//     `//shm:sync-ok`). The distinct prefix keeps load-bearing contract
+//   - `//shm:<name> [justification]` is a structural marker. The one
+//     marker an analyzer reads is `//shm:parallel-ok`, nodeterminism's
+//     waiver for a vetted fork/join goroutine; nodeterminism reports every
+//     other marker, so a marker nothing reads cannot sit in the tree as a
+//     silent no-op. The distinct prefix keeps load-bearing contract
 //     annotations greppable separately from ordinary allows.
 //
-// Both spellings attach to source positions the same way: a line annotation
-// applies to the nodes starting on its line, and function annotations may
-// also sit in the declaration's doc comment.
+// Both spellings attach to the source line they sit on: an annotation
+// applies to the nodes starting on its line.
 // Every analyzer resolves annotations through a Sheet so the syntax is
 // defined exactly once.
 package waiver
@@ -27,8 +26,9 @@ import (
 	"strings"
 )
 
-// shmRE matches one `//shm:<name>` marker; names are lowercase with dashes.
-var shmRE = regexp.MustCompile(`//shm:([a-z][a-z0-9-]*)`)
+// shmRE matches a `//shm:<name>` marker, which must open its comment (so
+// prose that quotes a marker is not one); names are lowercase with dashes.
+var shmRE = regexp.MustCompile(`^//shm:([a-z][a-z0-9-]*)`)
 
 // allowRE matches the `//shmlint:allow a,b` form.
 var allowRE = regexp.MustCompile(`//shmlint:allow\s+([a-z0-9_,-]+)`)
@@ -43,7 +43,7 @@ type Sheet struct {
 }
 
 type fileIndex struct {
-	shm   map[int][]string // line -> //shm: names on that line
+	shm   map[int][]string // line -> //shm: marker names on that line
 	allow map[int][]string // line -> //shmlint:allow names on that line
 }
 
@@ -70,7 +70,7 @@ func (s *Sheet) indexFor(f *ast.File) *fileIndex {
 	for _, cg := range f.Comments {
 		for _, c := range cg.List {
 			ln := s.fset.Position(c.Pos()).Line
-			for _, m := range shmRE.FindAllStringSubmatch(c.Text, -1) {
+			if m := shmRE.FindStringSubmatch(c.Text); m != nil {
 				ix.shm[ln] = append(ix.shm[ln], m[1])
 			}
 			if m := allowRE.FindStringSubmatch(c.Text); m != nil {
@@ -113,27 +113,23 @@ func (s *Sheet) Allow(check string, pos token.Pos) bool {
 	return false
 }
 
-// commentsHave reports whether any comment in cg carries `//shm:<name>`.
-func commentsHave(name string, cg *ast.CommentGroup) bool {
-	if cg == nil {
-		return false
-	}
-	for _, c := range cg.List {
-		for _, m := range shmRE.FindAllStringSubmatch(c.Text, -1) {
-			if m[1] == name {
-				return true
+// Marker is one `//shm:<name>` marker.
+type Marker struct {
+	Pos  token.Pos // the comment carrying the marker
+	Name string
+}
+
+// Markers lists every `//shm:` marker in the sheet's files, in source order.
+func (s *Sheet) Markers() []Marker {
+	var out []Marker
+	for _, f := range s.files {
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				if m := shmRE.FindStringSubmatch(c.Text); m != nil {
+					out = append(out, Marker{Pos: c.Pos(), Name: m[1]})
+				}
 			}
 		}
 	}
-	return false
-}
-
-// Func reports whether a function declaration carries `//shm:<name>`,
-// either in its doc comment or on its opening line. fn is a *ast.FuncDecl
-// or *ast.FuncLit (literals have no doc; only the line form applies).
-func (s *Sheet) Func(name string, fn ast.Node) bool {
-	if d, ok := fn.(*ast.FuncDecl); ok && commentsHave(name, d.Doc) {
-		return true
-	}
-	return s.Line(name, fn.Pos())
+	return out
 }

@@ -360,7 +360,7 @@ func (c *Cache) claim(w int, block memdef.Addr) []Writeback {
 		}
 		if ln.dirty != 0 {
 			c.Stats.Writebacks++
-			c.wbScratch = append(c.wbScratch[:0], Writeback{ //shm:alloc-ok single-entry scratch: capacity 1 after the first dirty eviction
+			c.wbScratch = append(c.wbScratch[:0], Writeback{ // single-entry scratch: capacity 1 after the first dirty eviction
 				BlockAddr:  victim,
 				SectorMask: ln.dirty,
 			})

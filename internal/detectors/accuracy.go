@@ -53,8 +53,8 @@ func (a *ReadOnlyAccuracy) Observe(local memdef.Addr, write bool) {
 	region := uint64(local) / a.pred.cfg.RegionBytes
 	t := a.regions[region]
 	if t == nil {
-		t = &roRegionTally{}  //shm:alloc-ok one tally per touched region, amortized over the run
-		a.regions[region] = t //shm:alloc-ok one tally per touched region, amortized over the run
+		t = &roRegionTally{}  // one tally per touched region, amortized over the run
+		a.regions[region] = t // one tally per touched region, amortized over the run
 	}
 	predRO := 0
 	if a.pred.Predict(local) {
@@ -141,8 +141,8 @@ func (s *StreamingAccuracy) Observe(local memdef.Addr) {
 	chunk := uint64(local) / s.pred.cfg.ChunkBytes
 	t := s.chunks[chunk]
 	if t == nil {
-		t = &streamChunkTally{} //shm:alloc-ok one tally per touched chunk, amortized over the run
-		s.chunks[chunk] = t     //shm:alloc-ok one tally per touched chunk, amortized over the run
+		t = &streamChunkTally{} // one tally per touched chunk, amortized over the run
+		s.chunks[chunk] = t     // one tally per touched chunk, amortized over the run
 	}
 	predStream := 0
 	if s.pred.Predict(local) {

@@ -39,7 +39,13 @@ func DefaultStreamingConfig() StreamingConfig {
 }
 
 // maxTrackers bounds the MAT file NewMATFile allocates: 32× the paper's 8.
-const maxTrackers = 256
+// maxTimeoutCycles (174× the paper's 6000) and maxMonitorLead (256× the
+// default 4) bound the two MAT timings.
+const (
+	maxTrackers      = 256
+	maxTimeoutCycles = 1 << 20
+	maxMonitorLead   = 1 << 10
+)
 
 // Validate reports a configuration NewStreamingPredictor or NewMATFile
 // cannot build.
@@ -49,6 +55,10 @@ func (c StreamingConfig) Validate() error {
 	}
 	if c.Trackers <= 0 || c.Trackers > maxTrackers || c.WindowAccesses <= 0 || c.WindowAccesses > 64 {
 		return fmt.Errorf("detectors: bad MAT config %+v: Trackers must be in [1, %d] and WindowAccesses in [1, 64]", c, maxTrackers)
+	}
+	if c.TimeoutCycles > maxTimeoutCycles || c.MonitorLead > maxMonitorLead {
+		return fmt.Errorf("detectors: bad MAT config %+v: TimeoutCycles must be at most %d and MonitorLead at most %d",
+			c, maxTimeoutCycles, maxMonitorLead)
 	}
 	return nil
 }
@@ -276,7 +286,7 @@ func (f *MATFile) Tick(now uint64) []Detection {
 	for i := range f.trackers {
 		tr := &f.trackers[i]
 		if tr.inUse && (now >= tr.deadline || now >= tr.hardDeadline) {
-			out = append(out, f.finalize(tr, true)) //shm:alloc-ok fills the expired scratch, sized to the tracker count
+			out = append(out, f.finalize(tr, true)) // fills the expired scratch, sized to the tracker count
 		}
 	}
 	return out
@@ -309,7 +319,7 @@ func (f *MATFile) Flush() []Detection {
 	out := f.expired[:0]
 	for i := range f.trackers {
 		if f.trackers[i].inUse {
-			out = append(out, f.finalize(&f.trackers[i], true)) //shm:alloc-ok fills the expired scratch, sized to the tracker count
+			out = append(out, f.finalize(&f.trackers[i], true)) // fills the expired scratch, sized to the tracker count
 		}
 	}
 	return out

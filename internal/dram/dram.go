@@ -50,11 +50,15 @@ import (
 // maxQueueDepth bounds QueueDepth: the queue is one slab allocated up front
 // and indexed by int32 slot numbers. maxBanks (16× the default 16) bounds
 // the per-bank state allocated up front, and maxRowBytes (32× the default
-// 2 KiB) the row size.
+// 2 KiB) the row size. maxTimingCycles (12× the default row-miss penalty)
+// bounds CASCycles and RowCycles, and maxBytesPerCycleFP (13× the default)
+// the bus throughput.
 const (
-	maxQueueDepth = 1 << 16
-	maxBanks      = 256
-	maxRowBytes   = 1 << 16
+	maxQueueDepth      = 1 << 16
+	maxBanks           = 256
+	maxRowBytes        = 1 << 16
+	maxTimingCycles    = 1 << 10
+	maxBytesPerCycleFP = 1 << 16
 )
 
 // Config describes one DRAM channel (one memory partition).
@@ -95,8 +99,11 @@ func (c Config) Validate() error {
 	if c.RowBytes <= 0 || c.RowBytes > maxRowBytes || c.RowBytes%memdef.PartitionStride != 0 {
 		return fmt.Errorf("dram: row bytes %d must be a multiple of the partition stride in (0, %d]", c.RowBytes, maxRowBytes)
 	}
-	if c.BytesPerCycleFP == 0 {
-		return fmt.Errorf("dram: bus throughput must be positive")
+	if c.CASCycles > maxTimingCycles || c.RowCycles > maxTimingCycles {
+		return fmt.Errorf("dram: CAS cycles %d and row cycles %d must be at most %d", c.CASCycles, c.RowCycles, maxTimingCycles)
+	}
+	if c.BytesPerCycleFP == 0 || c.BytesPerCycleFP > maxBytesPerCycleFP {
+		return fmt.Errorf("dram: bus throughput %d must be in [1, %d]", c.BytesPerCycleFP, maxBytesPerCycleFP)
 	}
 	if c.QueueDepth <= 0 || c.QueueDepth > maxQueueDepth {
 		return fmt.Errorf("dram: queue depth %d must be in [1, %d]", c.QueueDepth, maxQueueDepth)
@@ -361,7 +368,7 @@ func (ch *Channel) Tick(now uint64) []uint64 {
 	done := ch.doneBuf[:0]
 	for !ch.completed.Empty() && ch.completed.Front().cycle <= now {
 		ch.Served++
-		done = append(done, ch.completed.PopFront().token) //shm:alloc-ok fills the reused doneBuf scratch, amortized
+		done = append(done, ch.completed.PopFront().token) // fills the reused doneBuf scratch, amortized
 	}
 	ch.doneBuf = done
 	return done

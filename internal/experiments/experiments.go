@@ -200,7 +200,7 @@ func (r *Runner) abandonable(orun *obs.Run, run func() (RunOutput, error)) (RunO
 		err error
 	}
 	ch := make(chan ran, 1)
-	go func() { out, err := run(); ch <- ran{out, err} }() //shm:parallel-ok — joined via ch or deliberately abandoned on watchdog cancel
+	go func() { out, err := run(); ch <- ran{out, err} }() // joined via ch, or abandoned on watchdog cancel
 	select {
 	case x := <-ch:
 		return x.out, x.err

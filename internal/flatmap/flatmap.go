@@ -200,7 +200,8 @@ func (m *Map[V]) grow() {
 	m.rehash(size)
 }
 
-//shm:cold rehash is the amortized doubling event, not per-access work
+// rehash moves every entry into a table of size slots: the amortized
+// doubling event, not per-access work.
 func (m *Map[V]) rehash(size int) {
 	old := m.slots
 	m.slots = make([]slot[V], size)

@@ -69,9 +69,10 @@ func (s *Slab[T]) Alloc() int32 {
 	return s.n - 1
 }
 
-//shm:cold grow adds one page per 64 elements past the high-water mark
+// grow adds one fixed page per 64 elements past the high-water mark; pages
+// are never copied.
 func (s *Slab[T]) grow() {
-	s.pages = append(s.pages, new(slabPage[T])) //shm:alloc-ok one fixed page per 64 elements past the high-water mark; pages are never copied
+	s.pages = append(s.pages, new(slabPage[T]))
 }
 
 // Free returns element i to the slab; the next Alloc reuses it.

@@ -79,17 +79,24 @@ func TestLoadCaseRejectsBadDelta(t *testing.T) {
 // TestConfigFieldSweep sets each leaf of the tiny base, one at a time, to
 // out-of-range values, with the host tier off and on. Each config must
 // fail Validate or run to completion under SHM: no constructor panic
-// behind a config Validate accepted. An int leaf set to the huge value
-// must fail Validate and is never run, so a size without an upper bound
-// fails the test instead of allocating it; only the UVM knobs, inert with
-// the host tier off, may accept it there.
+// behind a config Validate accepted. An int or uint64 leaf set to the
+// huge value must fail Validate and is never run, so a size or latency
+// without an upper bound fails the test instead of allocating it or
+// running for hours. Only the UVM knobs, inert with the host tier off, and
+// the leaves in hugeOK may accept it.
 func TestConfigFieldSweep(t *testing.T) {
 	wspec := baseWorkload(workload.Spec{Seed: 1, Buffers: []workload.Buffer{
 		{Bytes: 32 << 10, Pattern: workload.Random, WriteFrac: 0.3}}})
 	const huge = 1 << 40
 	bad := map[reflect.Kind][]any{
-		reflect.Int: {0, -1, huge}, reflect.Uint64: {uint64(0)}, reflect.Float64: {-1.0, math.NaN()},
+		reflect.Int: {0, -1, huge}, reflect.Uint64: {uint64(0), uint64(huge)}, reflect.Float64: {-1.0, math.NaN()},
 		reflect.String: {"bogus"}, reflect.Bool: {true},
+	}
+	// The leaves that may take the huge value, which the sweep then runs.
+	hugeOK := map[string]string{
+		"MaxCycles": "a cap on the run, not a size: a huge one is no cap",
+		"DeviceMemoryBytes": "sizes only the metadata layout's arithmetic, " +
+			"allocating nothing per byte: a 12 TiB device runs a capped cell in 0.25 s",
 	}
 	tiered := baseConfig()
 	tiered.HostTier, tiered.OversubRatio, tiered.UVMPageBytes = true, 0.5, 4<<10
@@ -108,9 +115,9 @@ func TestConfigFieldSweep(t *testing.T) {
 					continue
 				}
 				name := fmt.Sprintf("HostTier=%v %s=%v", base.HostTier, path, v)
-				if v == huge {
+				if (v == huge || v == uint64(huge)) && hugeOK[path] == "" {
 					if base.HostTier || !strings.HasPrefix(path, "UVM") {
-						t.Errorf("%s: Validate accepted a size with no upper bound", name)
+						t.Errorf("%s: Validate accepted a value with no upper bound", name)
 					}
 					continue
 				}

@@ -142,6 +142,15 @@ const (
 	maxWarpInflight        = 1024
 )
 
+// Upper bounds on the hit and interconnect latencies and on the victim
+// cache's sampling window, each at least 8× its DefaultConfig value. A
+// latency without a bound is a hang: a quick atax cell with a 1 000 000-cycle
+// L2 latency and no MaxCycles had not finished after a minute of wall time.
+const (
+	maxLatency            = 1 << 10
+	maxVictimSampleWindow = 1 << 20
+)
+
 // The accepted UVM migration page sizes (besides 0, the default). A page
 // below minUVMPageBytes multiplies the tier's per-page arrays: at 1 B per
 // page a multi-MB footprint would need hundreds of MB of bookkeeping.
@@ -163,6 +172,19 @@ func (c Config) Validate() error {
 	} {
 		if d.n <= 0 || d.n > d.max {
 			return fmt.Errorf("gpu: %s must be in [1, %d], got %d", d.name, d.max, d.n)
+		}
+	}
+	for _, d := range []struct {
+		name   string
+		n, max uint64
+	}{
+		{"L1Latency", c.L1Latency, maxLatency},
+		{"L2Latency", c.L2Latency, maxLatency},
+		{"XbarLatency", c.XbarLatency, maxLatency},
+		{"VictimSampleWindow", c.VictimSampleWindow, maxVictimSampleWindow},
+	} {
+		if d.n > d.max {
+			return fmt.Errorf("gpu: %s must be at most %d, got %d", d.name, d.max, d.n)
 		}
 	}
 	if c.DeviceMemoryBytes == 0 {

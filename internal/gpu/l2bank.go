@@ -259,7 +259,7 @@ func (b *L2Bank) onFill(local memdef.Addr, now uint64, respond func(memdef.Reque
 		tmpl := memdef.Request{Partition: b.partition, Space: memdef.SpaceGlobal}
 		b.spill(wbs, tmpl)
 	}
-	b.waiters.Drain(uint64(sector), func(r memdef.Request) { //shm:alloc-ok drain callback capturing two words, built once per fill (not per waiter)
+	b.waiters.Drain(uint64(sector), func(r memdef.Request) { // drain callback capturing two words, built once per fill (not per waiter)
 		respond(r, now)
 	})
 }

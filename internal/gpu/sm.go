@@ -284,7 +284,7 @@ func (s *SM) issueMem(w *warpState, warpIdx int, now uint64) {
 // onFill delivers a sector response from L2, waking waiting warps.
 func (s *SM) onFill(addr memdef.Addr, now uint64) {
 	s.l1.Fill(addr)
-	s.l1Waiters.Drain(uint64(addr), func(wi int32) { //shm:alloc-ok drain callback capturing two words, built once per fill (not per waiter)
+	s.l1Waiters.Drain(uint64(addr), func(wi int32) { // drain callback capturing two words, built once per fill (not per waiter)
 		w := &s.warps[wi]
 		w.outstanding--
 		if w.outstanding == 0 {
@@ -309,7 +309,7 @@ func (s *SM) warpNextEvent(now uint64) uint64 {
 			continue
 		}
 		if w.stallPending() {
-			s.bubbles = append(s.bubbles, int32(i)) //shm:alloc-ok bounded by WarpsPerSM; capacity is kept across evaluations
+			s.bubbles = append(s.bubbles, int32(i)) // bounded by WarpsPerSM; capacity is kept across evaluations
 			continue
 		}
 		if w.readyAt > now {
@@ -327,7 +327,7 @@ func (s *SM) warpNextEvent(now uint64) uint64 {
 			continue
 		}
 		if w.stalls.StallsAgain() {
-			kept = append(kept, wi) //shm:alloc-ok filters s.bubbles in place
+			kept = append(kept, wi)
 			continue
 		}
 		if w.readyAt <= now {
@@ -398,7 +398,7 @@ func (s *SM) replayBubbles(now, until uint64) {
 func (s *SM) markBubbles() {
 	s.bubbleMarks = s.bubbleMarks[:0]
 	for _, wi := range s.bubbles {
-		s.bubbleMarks = append(s.bubbleMarks, s.warps[wi].readyAt) //shm:alloc-ok bounded by WarpsPerSM; capacity is kept across replays
+		s.bubbleMarks = append(s.bubbleMarks, s.warps[wi].readyAt) // bounded by WarpsPerSM; capacity is kept across replays
 	}
 }
 

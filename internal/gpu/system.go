@@ -714,16 +714,15 @@ func (s *System) acceptRequest(r smRequest) bool {
 }
 
 // tickOnce is the per-cycle entry point: everything it reaches is the
-// steady-state hot path the hotalloc/syncfree analyzers police.
-//
-//shm:tick-root
+// steady-state hot path, which allocates nothing once warm
+// (TestTickSteadyStateAllocFree) and never synchronizes (nodeterminism).
 func (s *System) tickOnce(now uint64) {
 	// Progress heartbeat: one comparison per tick, one atomic store per
 	// interval, no allocations. Deliberately outside the event horizon —
 	// a lagging heartbeat is fine, a horizon entry would change skip
 	// cycles and break byte-identity with unobserved runs.
 	if s.obsProbe != nil && now >= s.obsNextAt {
-		s.obsProbe.Observe(obs.Event{Kind: obs.EvProgress, Cycle: now}) //shm:cold interval-throttled heartbeat: fires once per obsInterval (8192 cycles), not per tick
+		s.obsProbe.Observe(obs.Event{Kind: obs.EvProgress, Cycle: now})
 
 		s.obsNextAt = now + s.obsInterval
 	}

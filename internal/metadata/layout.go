@@ -195,8 +195,8 @@ func (l *Layout) BMTPathForCounterInto(cb uint64, pathBuf []memdef.Addr, slotBuf
 	for level := 0; level < len(l.bmtBases); level++ {
 		slot := int(idx % BMTArity)
 		idx /= BMTArity
-		path = append(path, l.BMTNodeAddr(level, idx)) //shm:alloc-ok fills caller scratch; capacity reaches the tree height after the first walk
-		slots = append(slots, slot)                    //shm:alloc-ok fills caller scratch; capacity reaches the tree height after the first walk
+		path = append(path, l.BMTNodeAddr(level, idx)) // fills caller scratch; capacity reaches the tree height after the first walk
+		slots = append(slots, slot)                    // fills caller scratch; capacity reaches the tree height after the first walk
 	}
 	return path, slots
 }

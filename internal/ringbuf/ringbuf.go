@@ -80,9 +80,8 @@ func (r *Ring[T]) Clear() {
 }
 
 // grow doubles the backing array (minimum 16 slots) and linearizes the
-// queue so head restarts at index 0.
-//
-//shm:cold grow is the amortized doubling event, not per-access work
+// queue so head restarts at index 0. It is the amortized doubling event,
+// not per-access work.
 func (r *Ring[T]) grow() {
 	newCap := 16
 	if len(r.buf) > 0 {

@@ -145,7 +145,7 @@ type readyTxn struct {
 type readyHeap []readyTxn
 
 func (h *readyHeap) push(x readyTxn) {
-	*h = append(*h, x) //shm:alloc-ok amortized heap growth, bounded by in-flight reads
+	*h = append(*h, x) // amortized heap growth, bounded by in-flight reads
 	h.up(len(*h) - 1)
 }
 
@@ -571,7 +571,7 @@ func (m *MEE) Tick(now uint64) []memdef.Request {
 	// those before the heap push), so the pool reuse is safe.
 	for len(m.ready) > 0 && m.ready[0].at <= now {
 		rt := m.ready.popMin()
-		m.responses = append(m.responses, rt.t.req) //shm:alloc-ok fills the reused responses scratch, amortized
+		m.responses = append(m.responses, rt.t.req) // fills the reused responses scratch, amortized
 		if m.probe != nil {
 			m.probe.Emit(telemetry.Event{
 				Cycle: rt.at, Kind: telemetry.EvMEEReadDone,
@@ -738,11 +738,11 @@ func (m *MEE) metaAddrFor(r memdef.Request) memdef.Addr {
 func (m *MEE) sectorList(buf int, sec memdef.Addr) []memdef.Addr {
 	out := m.secBuf[buf][:0]
 	if m.cfg.SectoredMetadata {
-		return append(out, sec) //shm:alloc-ok fills the fixed secBuf scratch; capacity covers a full block
+		return append(out, sec) // fills the fixed secBuf scratch; capacity covers a full block
 	}
 	base := memdef.BlockAddr(sec)
 	for i := 0; i < memdef.SectorsPerBlock; i++ {
-		out = append(out, base+memdef.Addr(i*memdef.SectorSize)) //shm:alloc-ok fills the fixed secBuf scratch; capacity covers a full block
+		out = append(out, base+memdef.Addr(i*memdef.SectorSize)) // fills the fixed secBuf scratch; capacity covers a full block
 	}
 	return out
 }
@@ -1138,8 +1138,6 @@ func (m *MEE) NextEvent(now uint64) uint64 {
 
 // applyDetection implements the Tables III/IV misprediction handling when a
 // MAT monitoring phase completes, then trains the predictor.
-//
-//shm:cold detections close a monitoring phase; they are rare events, not per-access work
 func (m *MEE) applyDetection(det detectors.Detection, now uint64) {
 	if det.Accesses == 0 {
 		// A monitor armed ahead of the stream that never saw an access
@@ -1236,7 +1234,7 @@ func (m *MEE) OnDRAMComplete(token uint64, now uint64) {
 		m.maybeReady(pe.txn)
 	case pkCounter:
 		m.ctrCache.Fill(pe.key)
-		m.ctrWait.Drain(uint64(pe.key), func(t *txn) { //shm:alloc-ok drain callback capturing two words; fills happen once per counter miss, not per access
+		m.ctrWait.Drain(uint64(pe.key), func(t *txn) { // drain callback capturing two words; fills happen once per counter miss, not per access
 			t.otpAt = m.aesSchedule(now)
 			m.scheduleOTPKnown(t)
 		})

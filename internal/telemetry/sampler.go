@@ -42,7 +42,7 @@ func (c *Collector) MaybeSample(now uint64, snap func() Snapshot) {
 	s := snap()
 	s.Cycle = now
 	s.Events = c.counts
-	c.timeline.Samples = append(c.timeline.Samples, s) //shm:alloc-ok one sample per SampleInterval, not per tick
+	c.timeline.Samples = append(c.timeline.Samples, s) // one sample per SampleInterval, not per tick
 	c.nextSampleAt = now + c.cfg.SampleInterval
 }
 

@@ -231,7 +231,7 @@ func (c *Collector) Emit(e Event) {
 	}
 	if c.cfg.CaptureEvents && captureWorthy[e.Kind] {
 		if len(c.events) < c.cfg.MaxEvents {
-			c.events = append(c.events, e) //shm:alloc-ok amortized growth, capped at cfg.MaxEvents
+			c.events = append(c.events, e) // amortized growth, capped at cfg.MaxEvents
 		} else {
 			c.dropped++
 		}

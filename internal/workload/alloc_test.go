@@ -1,14 +1,30 @@
 package workload
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
+
+// mallocs returns the heap allocations f performs, counted exactly. It
+// runs f once, without a warm-up call, on one P.
+func mallocs(f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	// A GC cycle still running from setup would allocate as it finishes.
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
 
 // TestWarpNextAllocationFree pins the allocation-free generator claim on
 // every built-in workload and every kernel: once a warp program exists,
 // Next fills its preallocated sector scratch and allocates nothing, on any
 // pattern the workload's schedule reaches. A small grid ticks the way the
 // simulator does (SyncTick, then each warp's Next) through the whole
-// instruction stream; testing.AllocsPerRun pins GOMAXPROCS to 1, so only
-// the generator's own allocations can land in the count.
+// instruction stream; mallocs pins GOMAXPROCS to 1, so only the
+// generator's own allocations can land in the count.
 func TestWarpNextAllocationFree(t *testing.T) {
 	const sms, warps = 2, 2
 	for _, name := range Names() {
@@ -30,11 +46,16 @@ func TestWarpNextAllocationFree(t *testing.T) {
 					p.Next()
 				}
 			}
-			// AllocsPerRun's own warm-up call is the first tick; the
-			// measured ticks run every warp to the end of its stream.
+			// The first tick warms up; the measured ticks run every warp
+			// to the end of its stream.
 			n := b.spec.MemInstsPerWarp
-			if allocs := testing.AllocsPerRun(n-1, tick); allocs != 0 {
-				t.Errorf("%s kernel %d: %g allocations per tick of %d warps, want 0", name, k, allocs, len(progs))
+			tick()
+			if allocs := mallocs(func() {
+				for i := 1; i < n; i++ {
+					tick()
+				}
+			}); allocs != 0 {
+				t.Errorf("%s kernel %d: %d allocations over %d ticks of %d warps, want 0", name, k, allocs, n-1, len(progs))
 			}
 			for i, p := range progs {
 				if p.issued != n {
@@ -65,10 +86,15 @@ func TestNewWarpAllocationFree(t *testing.T) {
 			}
 			kernel++
 		}
-		// AllocsPerRun's warm-up call builds the first kernel's programs;
-		// every measured call launches a later kernel.
-		if allocs := testing.AllocsPerRun(10, launch); allocs != 0 {
-			t.Errorf("%s: %g allocations per later-kernel launch of %d warps, want 0", name, allocs, sms*warps)
+		// The first launch builds the programs; every measured launch is
+		// of a later kernel.
+		launch()
+		if allocs := mallocs(func() {
+			for i := 0; i < 10; i++ {
+				launch()
+			}
+		}); allocs != 0 {
+			t.Errorf("%s: %d allocations over 10 later-kernel launches of %d warps, want 0", name, allocs, sms*warps)
 		}
 	}
 }

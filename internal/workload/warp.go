@@ -113,7 +113,7 @@ func (p *program) streamSectors(bi int, pb *placedBuffer) []memdef.Addr {
 	base := pb.base + cur
 	out := p.secBuf[:0]
 	for i := 0; i < streamStride/memdef.SectorSize; i++ {
-		out = append(out, base+memdef.Addr(i*memdef.SectorSize)) //shm:alloc-ok fills the preallocated secBuf scratch; capacity covers the widest generator
+		out = append(out, base+memdef.Addr(i*memdef.SectorSize)) // fills the preallocated secBuf scratch; capacity covers the widest generator
 	}
 	return out
 }
@@ -126,10 +126,10 @@ func (p *program) stencilSectors(bi int, pb *placedBuffer) []memdef.Addr {
 	base := out[0]
 	rel := uint64(base - pb.base)
 	if rel >= rowBytes {
-		out = append(out, base-rowBytes) //shm:alloc-ok secBuf capacity covers the stream stride plus both neighbor rows
+		out = append(out, base-rowBytes) // secBuf capacity covers the stream stride plus both neighbor rows
 	}
 	if rel+rowBytes < pb.Bytes {
-		out = append(out, base+rowBytes) //shm:alloc-ok secBuf capacity covers the stream stride plus both neighbor rows
+		out = append(out, base+rowBytes) // secBuf capacity covers the stream stride plus both neighbor rows
 	}
 	return out
 }
@@ -141,7 +141,7 @@ func (p *program) randomSectors(pb *placedBuffer, n int) []memdef.Addr {
 	for i := 0; i < n; i++ {
 		blk := memdef.Addr(uint64(p.rng.Int63n(int64(blocks)))) * memdef.BlockSize
 		sec := memdef.Addr(p.rng.Intn(memdef.SectorsPerBlock)) * memdef.SectorSize
-		out = append(out, pb.base+blk+sec) //shm:alloc-ok fills the preallocated secBuf scratch; capacity covers the widest generator
+		out = append(out, pb.base+blk+sec) // fills the preallocated secBuf scratch; capacity covers the widest generator
 	}
 	return out
 }
@@ -164,7 +164,7 @@ func (p *program) gatherSectors(pb *placedBuffer) []memdef.Addr {
 			blk = uint64(p.rng.Int63n(int64(blocks)))
 		}
 		sec := memdef.Addr(p.rng.Intn(memdef.SectorsPerBlock)) * memdef.SectorSize
-		out = append(out, pb.base+memdef.Addr(blk*memdef.BlockSize)+sec) //shm:alloc-ok fills the preallocated secBuf scratch; capacity covers the widest generator
+		out = append(out, pb.base+memdef.Addr(blk*memdef.BlockSize)+sec) // fills the preallocated secBuf scratch; capacity covers the widest generator
 	}
 	return out
 }
